@@ -1,8 +1,8 @@
 //! Observability overhead — the same long compiled-pebble walk run four
 //! ways: through the public uninstrumented entry point (`run`, which
-//! monomorphizes over `NullCollector`), through `run_with` with an
+//! monomorphizes over `NullCollector`), through `run_in` with an
 //! explicit `NullCollector` (must be indistinguishable from `run`),
-//! through `run_with` with a `MetricsCollector`, and through a
+//! through `run_in` with a `MetricsCollector`, and through a
 //! `MetricsCollector` with a `Registry` attached (the `twq-prof` sink).
 //! The first two quantify the zero-cost claim — enforced here with a
 //! generous runtime assertion, not just eyeballed — and the last two
@@ -11,8 +11,9 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twq_automata::{run, run_with, Limits};
+use twq_automata::{run, run_in, Limits};
 use twq_bench::Bench;
+use twq_guard::NullGuard;
 use twq_obs::{MetricsCollector, NullCollector, Registry};
 use twq_sim::compile_logspace;
 use twq_xtm::machines;
@@ -36,27 +37,28 @@ fn bench(c: &mut Criterion) {
     let symbols = b.symbols.clone();
     let id = b.id;
     let prog = compile_logspace(&machine, &symbols, id, &mut b.vocab).unwrap();
+    let (p, lw) = (&prog.program, Limits::long_walk());
     let mut group = c.benchmark_group("metrics_overhead");
     group.sample_size(10);
     for n in [6usize, 8] {
         let t = b.tree(n, &[1], 5);
         let dt = b.delim_with_ids(&t);
         // Sanity: instrumentation must not change the verdict or the count.
-        let base = run(&prog.program, &dt, Limits::long_walk());
+        let base = run(p, &dt, lw);
         let mut mc = MetricsCollector::new();
-        let measured = run_with(&prog.program, &dt, Limits::long_walk(), &mut mc);
+        let measured = run_in(p, &dt, lw, &mut mc, &mut NullGuard).unwrap();
         assert_eq!(base.accepted(), measured.accepted());
         assert_eq!(base.steps, mc.metrics.steps);
         group.bench_with_input(BenchmarkId::new("uninstrumented", n), &dt, |bch, dt| {
-            bch.iter(|| run(&prog.program, dt, Limits::long_walk()))
+            bch.iter(|| run(p, dt, lw))
         });
         group.bench_with_input(BenchmarkId::new("null_collector", n), &dt, |bch, dt| {
-            bch.iter(|| run_with(&prog.program, dt, Limits::long_walk(), &mut NullCollector))
+            bch.iter(|| run_in(p, dt, lw, &mut NullCollector, &mut NullGuard))
         });
         group.bench_with_input(BenchmarkId::new("metrics_collector", n), &dt, |bch, dt| {
             bch.iter(|| {
                 let mut mc = MetricsCollector::new();
-                run_with(&prog.program, dt, Limits::long_walk(), &mut mc);
+                let _ = run_in(p, dt, lw, &mut mc, &mut NullGuard);
                 mc.metrics.steps
             })
         });
@@ -64,7 +66,7 @@ fn bench(c: &mut Criterion) {
             let mut reg = Registry::new();
             bch.iter(|| {
                 let mut mc = MetricsCollector::with_registry(&mut reg);
-                run_with(&prog.program, dt, Limits::long_walk(), &mut mc);
+                let _ = run_in(p, dt, lw, &mut mc, &mut NullGuard);
                 mc.into_metrics().steps
             })
         });
@@ -80,11 +82,11 @@ fn bench(c: &mut Criterion) {
     let t = b.tree(8, &[1], 5);
     let dt = b.delim_with_ids(&t);
     let uninstrumented = median_ns(7, || {
-        run(&prog.program, &dt, Limits::long_walk());
+        run(p, &dt, lw);
     })
     .max(1);
     let null = median_ns(7, || {
-        run_with(&prog.program, &dt, Limits::long_walk(), &mut NullCollector);
+        let _ = run_in(p, &dt, lw, &mut NullCollector, &mut NullGuard);
     });
     println!(
         "null-collector overhead: {null} ns vs {uninstrumented} ns uninstrumented \

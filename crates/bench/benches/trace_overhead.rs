@@ -1,6 +1,6 @@
 //! Trace overhead — the same long compiled-pebble walk run three ways:
 //! through the public uninstrumented entry point (`run`, which
-//! monomorphizes over `NullCollector`), through `run_with` with an
+//! monomorphizes over `NullCollector`), through `run_in` with an
 //! explicit `NullCollector` (the disabled-trace path, which must stay
 //! indistinguishable from `run` even with the trace hooks compiled in),
 //! and through a `TraceCollector` recording the full causal span tree.
@@ -11,8 +11,9 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twq_automata::{run, run_with, Limits};
+use twq_automata::{run, run_in, Limits};
 use twq_bench::Bench;
+use twq_guard::NullGuard;
 use twq_obs::{NullCollector, TraceCollector};
 use twq_sim::compile_logspace;
 use twq_xtm::machines;
@@ -36,6 +37,7 @@ fn bench(c: &mut Criterion) {
     let symbols = b.symbols.clone();
     let id = b.id;
     let prog = compile_logspace(&machine, &symbols, id, &mut b.vocab).unwrap();
+    let (p, lw) = (&prog.program, Limits::long_walk());
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
     for n in [6usize, 8] {
@@ -43,9 +45,9 @@ fn bench(c: &mut Criterion) {
         let dt = b.delim_with_ids(&t);
         // Sanity: tracing must not change the verdict, and the recorded
         // root must carry the same halt the report does.
-        let base = run(&prog.program, &dt, Limits::long_walk());
+        let base = run(p, &dt, lw);
         let mut tc = TraceCollector::new();
-        let traced = run_with(&prog.program, &dt, Limits::long_walk(), &mut tc);
+        let traced = run_in(p, &dt, lw, &mut tc, &mut NullGuard).unwrap();
         assert_eq!(base.accepted(), traced.accepted());
         let trace = tc.finish("bench");
         assert_eq!(
@@ -53,15 +55,15 @@ fn bench(c: &mut Criterion) {
             Some(base.accepted())
         );
         group.bench_with_input(BenchmarkId::new("uninstrumented", n), &dt, |bch, dt| {
-            bch.iter(|| run(&prog.program, dt, Limits::long_walk()))
+            bch.iter(|| run(p, dt, lw))
         });
         group.bench_with_input(BenchmarkId::new("null_collector", n), &dt, |bch, dt| {
-            bch.iter(|| run_with(&prog.program, dt, Limits::long_walk(), &mut NullCollector))
+            bch.iter(|| run_in(p, dt, lw, &mut NullCollector, &mut NullGuard))
         });
         group.bench_with_input(BenchmarkId::new("trace_collector", n), &dt, |bch, dt| {
             bch.iter(|| {
                 let mut tc = TraceCollector::new();
-                run_with(&prog.program, dt, Limits::long_walk(), &mut tc);
+                let _ = run_in(p, dt, lw, &mut tc, &mut NullGuard);
                 tc.finish("bench").size()
             })
         });
@@ -77,11 +79,11 @@ fn bench(c: &mut Criterion) {
     let t = b.tree(8, &[1], 5);
     let dt = b.delim_with_ids(&t);
     let uninstrumented = median_ns(7, || {
-        run(&prog.program, &dt, Limits::long_walk());
+        run(p, &dt, lw);
     })
     .max(1);
     let null = median_ns(7, || {
-        run_with(&prog.program, &dt, Limits::long_walk(), &mut NullCollector);
+        let _ = run_in(p, &dt, lw, &mut NullCollector, &mut NullGuard);
     });
     println!(
         "disabled-trace overhead: {null} ns vs {uninstrumented} ns uninstrumented \

@@ -19,14 +19,11 @@
 
 use twq_exec::{BatchProfile, Pool};
 use twq_guard::{
-    DepthKind, FaultKind, FaultSite, GaugeKind, Guard, GuardError, GuardStats, NullGuard,
-    ResourceGuard, TripReason, TwqError,
+    DepthKind, FaultKind, FaultSite, GaugeKind, Guard, GuardError, NullGuard, TripReason, TwqError,
 };
 use twq_logic::store::AttrEnv;
 use twq_logic::{eval_query, RegId, Relation, Store};
-use twq_obs::{
-    Collector, FoEval, HaltKind, MetricsCollector, NullCollector, RunMetrics, Trace, TraceCollector,
-};
+use twq_obs::{Collector, FoEval, HaltKind, MetricsCollector, NullCollector, RunMetrics};
 use twq_tree::{DelimTree, NodeId, Tree};
 
 use crate::program::{Action, Dir, State, TwProgram};
@@ -164,13 +161,6 @@ pub fn move_dir(tree: &Tree, u: NodeId, d: Dir) -> Option<NodeId> {
     }
 }
 
-/// Trace recording attached to an [`Exec`]: a caller-owned buffer plus the
-/// entry cap that bounds pathological runs.
-struct TraceBuf<'a> {
-    buf: &'a mut Vec<TraceStep>,
-    cap: usize,
-}
-
 pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     pub prog: &'a TwProgram,
     pub tree: &'a Tree,
@@ -182,10 +172,9 @@ pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     pub max_chain_configs: usize,
     collector: &'a mut C,
     guard: &'a mut G,
-    /// First guard trip, if any — surfaced as `Err(TwqError::Guard)` by the
-    /// guarded entry points; internally it unwinds as a limit-style [`Halt`].
+    /// First guard trip, if any — surfaced as `Err(TwqError::Guard)` by
+    /// [`run_in`]; internally it unwinds as a limit-style [`Halt`].
     trip: Option<GuardError>,
-    trace: Option<TraceBuf<'a>>,
 }
 
 /// What happened to one computation chain.
@@ -225,7 +214,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             collector,
             guard,
             trip: None,
-            trace: None,
         }
     }
 
@@ -313,14 +301,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
         let mut tracked: usize = 0;
         let mut local_step = 0u64;
         loop {
-            if let Some(tr) = &mut self.trace {
-                if tr.buf.len() < tr.cap {
-                    tr.buf.push(TraceStep {
-                        depth,
-                        config: cfg.clone(),
-                    });
-                }
-            }
             let tuples = cfg.store.total_tuples();
             self.max_store_tuples = self.max_store_tuples.max(tuples);
             self.collector.store_size(tuples);
@@ -481,53 +461,36 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
 /// Run a program on a delimited tree from the initial configuration
 /// `γ₀ = [root, q₀, τ₀]`.
 pub fn run(prog: &TwProgram, delim: &DelimTree, limits: Limits) -> RunReport {
-    run_with(prog, delim, limits, &mut NullCollector)
+    run_in(prog, delim, limits, &mut NullCollector, &mut NullGuard).expect("NullGuard never trips")
 }
 
-/// [`run`] with instrumentation: the collector sees every step (with node,
-/// state, and `atp` depth), chain and `atp` spans, guard/update
-/// evaluations, store sizes, and cycle-check bookkeeping.
-pub fn run_with<C: Collector>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    collector: &mut C,
-) -> RunReport {
-    let mut guard = NullGuard;
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, &mut guard);
-    exec.drive().expect("NullGuard never trips")
-}
-
-/// [`run`] under a resource [`Guard`]: the guard's fuel budget is charged
-/// once per transition, `atp` nesting is tracked as [`DepthKind::Atp`],
-/// store sizes and cycle-table sizes feed [`GaugeKind::StoreTuples`] /
-/// [`GaugeKind::Configs`], and fault plans may drop transitions or corrupt
-/// the store.
+/// [`run`] with a collector and a resource guard.
 ///
-/// On a trip the run stops where it was and returns
-/// `Err(TwqError::Guard(_))` whose [`twq_guard::Partial`] records the steps
-/// taken and the store high-water mark — the `Result` analogue of a
-/// [`RunReport`] with `halt.is_limit()`.
-pub fn run_guarded<G: Guard>(
+/// The collector sees every step (with node, state, and `atp` depth),
+/// chain and `atp` spans with the nodes each `atp` selected, guard/update
+/// evaluations, store sizes, cycle-check bookkeeping, guard trips, and the
+/// final halt. A [`TraceCollector`](twq_obs::TraceCollector) turns those
+/// events into a causal span tree; a [`MetricsCollector`] into
+/// [`RunMetrics`].
+///
+/// The guard's fuel budget is charged once per transition, `atp` nesting
+/// is tracked as [`DepthKind::Atp`], store sizes and cycle-table sizes
+/// feed [`GaugeKind::StoreTuples`] / [`GaugeKind::Configs`], and fault
+/// plans may drop transitions or corrupt the store. On a trip the run
+/// stops where it was and returns `Err(TwqError::Guard(_))` whose
+/// [`twq_guard::Partial`] records the steps taken and the store
+/// high-water mark — the `Result` analogue of a [`RunReport`] with
+/// `halt.is_limit()`. Governance and observability compose: the collector
+/// sees every step up to the trip. With [`NullGuard`] the call never
+/// fails.
+pub fn run_in<C: Collector, G: Guard>(
     prog: &TwProgram,
     delim: &DelimTree,
     limits: Limits,
-    guard: &mut G,
+    c: &mut C,
+    g: &mut G,
 ) -> Result<RunReport, TwqError> {
-    run_guarded_with(prog, delim, limits, guard, &mut NullCollector)
-}
-
-/// [`run_guarded`] with instrumentation: governance and observability
-/// compose — the collector sees every step up to the trip.
-pub fn run_guarded_with<C: Collector, G: Guard>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    guard: &mut G,
-    collector: &mut C,
-) -> Result<RunReport, TwqError> {
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, guard);
-    exec.drive()
+    Exec::new(prog, delim.tree(), limits, c, g).drive()
 }
 
 /// Convenience: delimit `tree` and run.
@@ -535,83 +498,25 @@ pub fn run_on_tree(prog: &TwProgram, tree: &Tree, limits: Limits) -> RunReport {
     run(prog, &DelimTree::build(tree), limits)
 }
 
-/// [`run_on_tree`] with instrumentation.
-pub fn run_on_tree_with<C: Collector>(
-    prog: &TwProgram,
-    tree: &Tree,
-    limits: Limits,
-    collector: &mut C,
-) -> RunReport {
-    run_with(prog, &DelimTree::build(tree), limits, collector)
-}
-
-/// Convenience: delimit `tree` and run under a guard.
-pub fn run_on_tree_guarded<G: Guard>(
-    prog: &TwProgram,
-    tree: &Tree,
-    limits: Limits,
-    guard: &mut G,
-) -> Result<RunReport, TwqError> {
-    run_guarded(prog, &DelimTree::build(tree), limits, guard)
-}
-
 /// Run `prog` on every tree in `trees`, fanned across `pool`. Reports come
 /// back in input order and are identical to a serial [`run_on_tree`] loop —
 /// with a 1-worker pool it *is* that loop.
+///
+/// Other batch shapes are a [`Pool::scoped`] call over [`run_in`] at the
+/// call site: each item builds its own collector and guard, and the caller
+/// folds the per-item results in input order ([`RunMetrics::merge`],
+/// [`GuardStats::merge`](twq_guard::GuardStats::merge),
+/// [`Trace::merge_batch`](twq_obs::Trace::merge_batch)),
+/// so the aggregate is the same for any worker count.
 pub fn run_batch(prog: &TwProgram, trees: &[Tree], limits: Limits, pool: &Pool) -> Vec<RunReport> {
     pool.scoped(trees.len(), |i| run_on_tree(prog, &trees[i], limits))
 }
 
-/// [`run_batch`] with per-run instrumentation: each tree gets its own
-/// metrics collector and the per-worker results are
-/// [merged](RunMetrics::merge) in input order, so the aggregate equals what
-/// one collector observing the serial loop would report (up to phase
-/// ordering).
-pub fn run_batch_with_metrics(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-) -> (Vec<RunReport>, RunMetrics) {
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut c = MetricsCollector::new();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
-        (report, c.into_metrics())
-    });
-    let mut merged = RunMetrics::new();
-    let mut reports = Vec::with_capacity(runs.len());
-    for (report, m) in runs {
-        merged.merge(&m);
-        reports.push(report);
-    }
-    (reports, merged)
-}
-
-/// [`run_batch`] under per-run resource guards: every tree runs under a
-/// fresh guard from `make_guard`, so each item's verdict — including any
-/// [`TwqError::Guard`] trip — is exactly what the serial loop produces with
-/// the same factory.
-pub fn run_batch_guarded<G, F>(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-    make_guard: F,
-) -> Vec<Result<RunReport, TwqError>>
-where
-    G: Guard,
-    F: Fn() -> G + Sync,
-{
-    pool.scoped(trees.len(), |i| {
-        let mut g = make_guard();
-        run_on_tree_guarded(prog, &trees[i], limits, &mut g)
-    })
-}
-
-/// [`run_batch_with_metrics`] plus a [`BatchProfile`]: per-item wall-clock
-/// latencies (input order) and the pool's per-worker telemetry. Reports
-/// and merged metrics are identical to the unprofiled entry points; only
-/// the timing and scheduling bookkeeping is extra.
+/// [`run_batch`] with per-run metrics plus a [`BatchProfile`]: each tree
+/// gets its own [`MetricsCollector`], merged in input order, so the
+/// aggregate equals what one collector observing the serial loop would
+/// report (up to phase ordering); the profile carries per-item wall-clock
+/// latencies (input order) and the pool's per-worker telemetry.
 pub fn run_batch_profiled(
     prog: &TwProgram,
     trees: &[Tree],
@@ -621,7 +526,14 @@ pub fn run_batch_profiled(
     let (runs, stats) = pool.scoped_with_stats(trees.len(), |i| {
         let mut c = MetricsCollector::new();
         let t0 = std::time::Instant::now();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
+        let report = run_in(
+            prog,
+            &DelimTree::build(&trees[i]),
+            limits,
+            &mut c,
+            &mut NullGuard,
+        )
+        .expect("NullGuard never trips");
         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         (report, c.into_metrics(), ns)
     });
@@ -641,147 +553,6 @@ pub fn run_batch_profiled(
             stats,
         },
     )
-}
-
-/// [`run_batch_guarded`] specialized to [`ResourceGuard`]s, additionally
-/// returning the items' [`GuardStats`] merged in input order — fuel
-/// charged and trips by reason across the whole batch.
-pub fn run_batch_governed<F>(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-    make_guard: F,
-) -> (Vec<Result<RunReport, TwqError>>, GuardStats)
-where
-    F: Fn() -> ResourceGuard + Sync,
-{
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut g = make_guard();
-        let verdict = run_on_tree_guarded(prog, &trees[i], limits, &mut g);
-        (verdict, g.stats())
-    });
-    let mut merged = GuardStats::default();
-    let mut verdicts = Vec::with_capacity(runs.len());
-    for (verdict, s) in runs {
-        merged.merge(&s);
-        verdicts.push(verdict);
-    }
-    (verdicts, merged)
-}
-
-/// One step of a recorded trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceStep {
-    /// `atp` nesting depth (0 = main computation).
-    pub depth: u32,
-    /// The configuration *before* the step.
-    pub config: Config,
-}
-
-/// Run while recording the visited configurations (capped at `max_trace`
-/// entries to keep pathological runs bounded). Intended for debugging and
-/// teaching — the trace makes the walking visible.
-pub fn run_traced(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    max_trace: usize,
-) -> (RunReport, Vec<TraceStep>) {
-    run_traced_with(prog, delim, limits, max_trace, &mut NullCollector)
-}
-
-/// [`run_traced`] with instrumentation. One single pass drives the chain
-/// runner with its trace hook armed, so the report and the trace come from
-/// the same execution.
-pub fn run_traced_with<C: Collector>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    max_trace: usize,
-    collector: &mut C,
-) -> (RunReport, Vec<TraceStep>) {
-    let mut trace = Vec::new();
-    let mut guard = NullGuard;
-    let mut exec = Exec::new(prog, delim.tree(), limits, collector, &mut guard);
-    exec.trace = Some(TraceBuf {
-        buf: &mut trace,
-        cap: max_trace,
-    });
-    let report = exec.drive().expect("NullGuard never trips");
-    (report, trace)
-}
-
-/// Run while recording a causal [`Trace`] span tree: chain and `atp`
-/// spans with walk paths, atp selection frontiers, and subtree verdicts,
-/// each addressed by a deterministic causal ID. Recording happens on one
-/// thread, so the trace is a pure function of `(prog, delim, limits)`.
-pub fn trace_run(prog: &TwProgram, delim: &DelimTree, limits: Limits) -> (RunReport, Trace) {
-    let mut c = TraceCollector::new();
-    let report = run_with(prog, delim, limits, &mut c);
-    (report, c.finish("run"))
-}
-
-/// [`trace_run`] under a resource [`Guard`]: the trace additionally
-/// carries a `Trip` span (with the rendered [`TripReason`]) at the exact
-/// point the guard fired.
-pub fn trace_run_guarded<G: Guard>(
-    prog: &TwProgram,
-    delim: &DelimTree,
-    limits: Limits,
-    guard: &mut G,
-) -> (Result<RunReport, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let verdict = run_guarded_with(prog, delim, limits, guard, &mut c);
-    (verdict, c.finish("run_guarded"))
-}
-
-/// [`run_batch`] while recording one causal trace for the whole batch:
-/// each tree is traced independently on whichever worker runs it, then
-/// the per-item traces are merged in input order ([`Pool::scoped`]
-/// returns results positionally) — so the merged trace is byte-identical
-/// for any pool size, including the serial one.
-pub fn trace_batch(
-    prog: &TwProgram,
-    trees: &[Tree],
-    limits: Limits,
-    pool: &Pool,
-) -> (Vec<RunReport>, Trace) {
-    let runs = pool.scoped(trees.len(), |i| {
-        let mut c = TraceCollector::new();
-        let report = run_on_tree_with(prog, &trees[i], limits, &mut c);
-        (report, c.finish("run"))
-    });
-    let mut reports = Vec::with_capacity(runs.len());
-    let mut traces = Vec::with_capacity(runs.len());
-    for (report, trace) in runs {
-        reports.push(report);
-        traces.push(trace);
-    }
-    (reports, Trace::merge_batch("run_batch", traces))
-}
-
-/// Render a trace for human reading.
-pub fn display_trace(
-    trace: &[TraceStep],
-    prog: &TwProgram,
-    delim: &DelimTree,
-    vocab: &twq_tree::Vocab,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for step in trace {
-        let label = delim.tree().label(step.config.node).display(vocab);
-        let _ = writeln!(
-            out,
-            "{}[{} @ {} ({label})] store: {} tuples",
-            "  ".repeat(step.depth as usize),
-            prog.state_name(step.config.state),
-            step.config.node,
-            step.config.store.total_tuples(),
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1082,7 +853,14 @@ mod tests {
             cycle_check_interval: 0,
         };
         let mut g = ResourceGuard::unlimited().with_budget(10);
-        let err = run_on_tree_guarded(&p, &t, limits, &mut g).unwrap_err();
+        let err = run_in(
+            &p,
+            &DelimTree::build(&t),
+            limits,
+            &mut NullCollector,
+            &mut g,
+        )
+        .unwrap_err();
         let trip = err.guard().expect("budget trip");
         assert_eq!(trip.reason, TripReason::Budget { limit: 10 });
         assert!(trip.partial.fuel_spent >= 10);
@@ -1096,14 +874,22 @@ mod tests {
         let t = parse_tree("sigma[a=9](delta[a=9](sigma[a=1],sigma[a=1]))", &mut vocab).unwrap();
         let dt = DelimTree::build(&t);
         let plain = run(&ex.program, &dt, Limits::default());
-        let mut ng = NullGuard;
-        let guarded = run_guarded(&ex.program, &dt, Limits::default(), &mut ng).unwrap();
-        assert_eq!(plain, guarded);
-        // A generously-budgeted ResourceGuard agrees too.
+        let guarded = run_in(
+            &ex.program,
+            &dt,
+            Limits::default(),
+            &mut NullCollector,
+            &mut NullGuard,
+        );
+        assert_eq!(guarded.unwrap(), plain);
+        // A generously-budgeted ResourceGuard agrees too, and a collector
+        // riding along sees exactly the steps the guard charged.
+        let mut mc = MetricsCollector::new();
         let mut rg = twq_guard::ResourceGuard::unlimited().with_budget(1_000_000);
-        let guarded = run_guarded(&ex.program, &dt, Limits::default(), &mut rg).unwrap();
+        let guarded = run_in(&ex.program, &dt, Limits::default(), &mut mc, &mut rg).unwrap();
         assert_eq!(plain, guarded);
         assert_eq!(rg.fuel_spent(), plain.steps);
+        assert_eq!(mc.metrics.steps, plain.steps);
     }
 
     #[test]
@@ -1112,20 +898,26 @@ mod tests {
         let ex = crate::examples::example_32(&mut vocab);
         let t = parse_tree("sigma[a=9](delta[a=9](sigma[a=1],sigma[a=1]))", &mut vocab).unwrap();
         let dt = twq_tree::DelimTree::build(&t);
-        let (report, trace) = run_traced(&ex.program, &dt, Limits::default(), 10_000);
-        assert!(report.accepted());
-        assert!(!trace.is_empty());
-        // The trace starts at the initial configuration, depth 0.
-        assert_eq!(trace[0].depth, 0);
-        assert_eq!(trace[0].config.state, ex.program.initial());
-        // Subcomputations appear at depth ≥ 1.
-        assert!(trace.iter().any(|s| s.depth >= 1));
-        // Rendering mentions the delimiter root.
-        let shown = display_trace(&trace, &ex.program, &dt, &vocab);
-        assert!(shown.contains("▽"), "{shown}");
-        // The cap truncates.
-        let (_, short) = run_traced(&ex.program, &dt, Limits::default(), 3);
-        assert_eq!(short.len(), 3);
+        let mut c = twq_obs::TraceCollector::new();
+        let report = run_in(&ex.program, &dt, Limits::default(), &mut c, &mut NullGuard).unwrap();
+        assert_eq!(report, run(&ex.program, &dt, Limits::default()));
+        let trace = c.finish("run");
+        assert_eq!(
+            trace.verdict(),
+            Some(twq_obs::Verdict::Halt(HaltKind::Accept))
+        );
+        // The main chain starts at ▽ in the initial state, and the atp
+        // subcomputations nest under it.
+        let main = &trace.root.children[0];
+        assert_eq!(
+            main.kind,
+            twq_obs::SpanKind::Chain {
+                depth: 0,
+                node: dt.tree().root().0 as u64,
+                state: ex.program.initial().0 as u32,
+            }
+        );
+        assert!(main.size() > 1);
     }
 
     #[test]
@@ -1149,15 +941,16 @@ mod tests {
             let pool = Pool::new(workers);
             let batch = run_batch(&ex.program, &trees, Limits::default(), &pool);
             assert_eq!(batch, serial, "workers={workers}");
-            let (reports, metrics) =
-                run_batch_with_metrics(&ex.program, &trees, Limits::default(), &pool);
+            let (reports, metrics, profile) =
+                run_batch_profiled(&ex.program, &trees, Limits::default(), &pool);
             assert_eq!(reports, serial, "workers={workers}");
             assert_eq!(metrics.steps, serial.iter().map(|r| r.steps).sum::<u64>());
+            assert_eq!(profile.latencies_ns.len(), trees.len());
         }
     }
 
     #[test]
-    fn run_batch_guarded_matches_serial_including_trips() {
+    fn guarded_batch_matches_serial_including_trips() {
         use twq_guard::ResourceGuard;
         let mut vocab = Vocab::new();
         let ex = crate::examples::example_32(&mut vocab);
@@ -1168,18 +961,22 @@ mod tests {
         .iter()
         .map(|s| parse_tree(s, &mut vocab).unwrap())
         .collect();
-        // A budget that some runs exhaust and some do not.
-        let make = || ResourceGuard::unlimited().with_budget(5);
-        let serial: Vec<Result<RunReport, TwqError>> = trees
-            .iter()
-            .map(|t| {
-                let mut g = make();
-                run_on_tree_guarded(&ex.program, t, Limits::default(), &mut g)
-            })
-            .collect();
+        // A budget that some runs exhaust and some do not; every item runs
+        // under a fresh guard.
+        let governed = |t: &Tree| {
+            let mut g = ResourceGuard::unlimited().with_budget(5);
+            let dt = DelimTree::build(t);
+            run_in(
+                &ex.program,
+                &dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut g,
+            )
+        };
+        let serial: Vec<Result<RunReport, TwqError>> = trees.iter().map(governed).collect();
         for workers in [1, 3] {
-            let pool = Pool::new(workers);
-            let batch = run_batch_guarded(&ex.program, &trees, Limits::default(), &pool, make);
+            let batch = Pool::new(workers).scoped(trees.len(), |i| governed(&trees[i]));
             assert_eq!(batch.len(), serial.len());
             for (b, s) in batch.iter().zip(&serial) {
                 match (b, s) {

@@ -33,10 +33,7 @@ pub mod twir;
 pub mod twodfa;
 
 pub use engine::{
-    run, run_batch, run_batch_governed, run_batch_guarded, run_batch_profiled,
-    run_batch_with_metrics, run_guarded, run_guarded_with, run_on_tree, run_on_tree_guarded,
-    run_on_tree_with, run_traced, run_traced_with, run_with, trace_batch, trace_run,
-    trace_run_guarded, Config, Halt, Limits, RunReport, TraceStep,
+    run, run_batch, run_batch_profiled, run_in, run_on_tree, Config, Halt, Limits, RunReport,
 };
 pub use graph::{run_graph, run_graph_on_tree, GraphReport};
 pub use program::{Action, Dir, ProgramError, Rule, State, TwClass, TwProgram, TwProgramBuilder};

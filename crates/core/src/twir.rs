@@ -149,8 +149,8 @@ impl WalkerBuilder {
     }
 
     /// [`WalkerBuilder::compile`] with instrumentation: reports the
-    /// `twir.compile` phase timing and the `twir.states` / `twir.rules`
-    /// counters of the produced program.
+    /// `twir.compile` phase timing and the `run/twir.states` /
+    /// `run/twir.rules` counters of the produced program.
     pub fn compile_with<C: Collector>(
         &self,
         body: &[Instr],
@@ -179,8 +179,8 @@ impl WalkerBuilder {
             timer.stop(collector);
         }
         if let Ok(p) = &prog {
-            collector.counter("twir.states", p.state_count() as u64);
-            collector.counter("twir.rules", p.rules().len() as u64);
+            collector.counter("run/twir.states", p.state_count() as u64);
+            collector.counter("run/twir.rules", p.rules().len() as u64);
         }
         prog
     }

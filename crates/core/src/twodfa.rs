@@ -131,28 +131,19 @@ impl TwoDfa {
 
     /// Run on a word (without endmarkers; they are added internally).
     pub fn run(&self, word: &[SymId]) -> DHalt {
-        self.run_with(word, &mut NullCollector)
-    }
-
-    /// [`TwoDfa::run`] with instrumentation: one chain span for the whole
-    /// run, one step per transition (the tape position plays the node),
-    /// and cycle-table bookkeeping. `OffTape` reports as
-    /// [`HaltKind::Stuck`] — walking off the tape is the string analogue
-    /// of walking off the tree.
-    pub fn run_with<C: Collector>(&self, word: &[SymId], c: &mut C) -> DHalt {
-        let mut guard = NullGuard;
-        self.run_inner(word, c, &mut guard)
+        self.run_in(word, &mut NullCollector, &mut NullGuard)
             .expect("NullGuard never trips")
     }
 
-    /// [`TwoDfa::run`] under a resource [`Guard`]: one fuel unit per
-    /// transition, the visited-configuration table reported as
-    /// [`GaugeKind::Configs`].
-    pub fn run_guarded<G: Guard>(&self, word: &[SymId], guard: &mut G) -> Result<DHalt, TwqError> {
-        self.run_inner(word, &mut NullCollector, guard)
-    }
-
-    fn run_inner<C: Collector, G: Guard>(
+    /// [`TwoDfa::run`] with a collector and a resource guard.
+    ///
+    /// The collector sees one chain span for the whole run, one step per
+    /// transition (the tape position plays the node), and cycle-table
+    /// bookkeeping. `OffTape` reports as [`HaltKind::Stuck`] — walking off
+    /// the tape is the string analogue of walking off the tree. The guard
+    /// is charged one fuel unit per transition and sees the
+    /// visited-configuration table as [`GaugeKind::Configs`].
+    pub fn run_in<C: Collector, G: Guard>(
         &self,
         word: &[SymId],
         c: &mut C,

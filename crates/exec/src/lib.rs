@@ -84,9 +84,9 @@ impl Pool {
     /// propagates to the caller after the scope joins.
     ///
     /// The index-order guarantee is what makes per-job observability
-    /// worker-independent: `twq-core`'s `trace_batch` records one trace per
-    /// job on whichever worker runs it and merges them positionally, so the
-    /// merged trace is byte-identical for every worker count.
+    /// worker-independent: a batch that records one trace (or metrics, or
+    /// guard stats) per job on whichever worker runs it and merges them
+    /// positionally gets the same aggregate for every worker count.
     pub fn scoped<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,

@@ -9,11 +9,12 @@
 
 use std::fmt::Write as _;
 
-use twq_automata::{trace_run, State, TwProgram};
+use twq_automata::{State, TwProgram};
+use twq_guard::NullGuard;
 use twq_obs::{explain_verdict, Namer, Trace};
 use twq_tree::{DelimTree, NodeId, Vocab};
 
-use crate::oracle::FUZZ_LIMITS;
+use crate::oracle::traced;
 use crate::repro::Repro;
 
 /// Explain one repro: header (pair, detail, injected bug), the embedded
@@ -21,7 +22,7 @@ use crate::repro::Repro;
 /// with witness-backed verdict evidence.
 pub fn explain_repro(repro: &Repro) -> String {
     let delim = DelimTree::build(&repro.case.tree);
-    let (_, trace) = trace_run(&repro.case.program, &delim, FUZZ_LIMITS);
+    let (_, trace) = traced(&repro.case.program, &delim, "run", &mut NullGuard);
     let mut out = String::new();
     let _ = writeln!(out, "pair: {}", repro.pair);
     let _ = writeln!(out, "detail: {}", repro.detail);

@@ -3,14 +3,14 @@
 //!
 //! | pair | compared |
 //! |------|----------|
-//! | `run` vs `run_guarded(unlimited)` | full `RunReport` |
+//! | `run` vs `run_in(MetricsCollector, unlimited ResourceGuard)` | full `RunReport`, and the collector's step count |
 //! | `run` vs `run_batch` | full `RunReport`, every batch slot |
 //! | `run` vs `run_routed` | acceptance (skipped on limit halts) |
 //! | `run` vs `run(prune(P))` | acceptance (skipped on limit halts) |
-//! | serial guarded vs `run_batch_guarded` | `Ok` report / trip reason + injected kind, per budget axis |
+//! | serial `run_in` vs `Pool::scoped` `run_in`, fresh guard per item | `Ok` report / trip reason + injected kind, per budget axis |
 //! | `eval_sentence` vs `_memo` vs `_par` | boolean verdict |
 //! | `select` vs `select_memo` vs `select_batch` vs `ExistsFormula::select` | node sets, every context node |
-//! | `select_guarded` vs `select_batch_guarded` | `Ok` set / trip reason, per node |
+//! | serial `select_in` vs `Pool::scoped` `select_in`, fresh guard per node | `Ok` set / trip reason, per node |
 //! | `eval_sentence` vs `eval_sentence_rewritten` | boolean verdict |
 //! | `select` vs `fo_select_rewritten` vs `normalize_exists(φ).select` | node sets, every context node |
 //! | `eval_from` vs `eval_from_rewritten` | node sets, every context node |
@@ -28,24 +28,23 @@
 //! wrong answers.
 
 use twq_analyze::{analyze, prune, run_routed};
-use twq_automata::{
-    run, run_batch, run_batch_guarded, run_guarded, trace_batch, trace_run, trace_run_guarded,
-    Limits, TwProgram,
-};
+use twq_automata::{run, run_batch, run_in, Limits, RunReport, TwProgram};
 use twq_exec::Pool;
-use twq_guard::{GuardError, ResourceGuard, TwqError};
+use twq_guard::{Guard, GuardError, NullGuard, ResourceGuard, TwqError};
 use twq_index::{fo_select_routed, select_indexed, CostModel, Force, TreeIndex};
 use twq_logic::fo::build::exists;
 use twq_logic::{
-    eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch,
-    select_batch_guarded, select_guarded, select_memo,
+    eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch, select_in,
+    select_memo,
 };
-use twq_obs::{diff as trace_diff, Divergence, Trace, Verdict};
+use twq_obs::{
+    diff as trace_diff, Divergence, MetricsCollector, NullCollector, Trace, TraceCollector, Verdict,
+};
 use twq_rw::{
     eval_from_rewritten, eval_pairs_rewritten, eval_sentence_rewritten, fo_select_rewritten,
     normalize_exists, run_query_indexed, run_query_planned, run_query_routed, RewriteCtx,
 };
-use twq_tree::{DelimTree, NodeId};
+use twq_tree::{DelimTree, NodeId, Tree};
 use twq_xpath::{eval_from, eval_pairs, xpath_to_program};
 
 use crate::gen::{BudgetSpec, FormulaCase, ProgramCase};
@@ -162,6 +161,19 @@ fn verdict_str<T: std::fmt::Debug>(v: &Result<T, TwqError>) -> String {
     }
 }
 
+/// [`run_in`] under `g` with a fresh [`TraceCollector`], the trace
+/// finished as `label`.
+pub(crate) fn traced<G: Guard>(
+    prog: &TwProgram,
+    delim: &DelimTree,
+    label: &str,
+    g: &mut G,
+) -> (Result<RunReport, TwqError>, Trace) {
+    let mut c = TraceCollector::new();
+    let out = run_in(prog, delim, FUZZ_LIMITS, &mut c, g);
+    (out, c.finish(label))
+}
+
 /// Run every evaluator pair applicable to a program case.
 pub fn check_program_case(
     case: &ProgramCase,
@@ -172,17 +184,29 @@ pub fn check_program_case(
     let delim = DelimTree::build(&case.tree);
     let base = run(prog, &delim, FUZZ_LIMITS);
 
-    // 1. An unlimited guard must be invisible.
-    let guarded = run_guarded(prog, &delim, FUZZ_LIMITS, &mut ResourceGuard::unlimited());
-    match guarded {
-        Ok(ref r) if *r == base => {}
+    // 1. A metrics collector and an unlimited guard, together, must be
+    // invisible: the report is the plain run's, and the collector saw
+    // every step the engine took.
+    let mut mc = MetricsCollector::new();
+    let governed = run_in(
+        prog,
+        &delim,
+        FUZZ_LIMITS,
+        &mut mc,
+        &mut ResourceGuard::unlimited(),
+    );
+    let seen = mc.metrics.steps;
+    match governed {
+        Ok(ref r) if *r == base && seen == r.steps => {}
         other => {
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-            let (_, rt) =
-                trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut ResourceGuard::unlimited());
+            let (_, lt) = traced(prog, &delim, "run", &mut NullGuard);
+            let (_, rt) = traced(prog, &delim, "run_in", &mut ResourceGuard::unlimited());
             return Some(Discrepancy::diverging(
-                "run vs run_guarded(unlimited)",
-                format!("base={base:?} guarded={}", verdict_str(&other)),
+                "run vs run_in(metrics, unlimited)",
+                format!(
+                    "base={base:?} governed={} collector steps={seen}",
+                    verdict_str(&other)
+                ),
                 &lt,
                 &rt,
             ));
@@ -196,9 +220,15 @@ pub fn check_program_case(
         .enumerate()
     {
         if *r != base {
-            let (_, serial) = trace_run(prog, &delim, FUZZ_LIMITS);
+            let (_, serial) = traced(prog, &delim, "run", &mut NullGuard);
             let lt = Trace::merge_batch("run x3", vec![serial.clone(), serial.clone(), serial]);
-            let (_, rt) = trace_batch(prog, &trees, FUZZ_LIMITS, pool);
+            let rt = Trace::merge_batch(
+                "run_batch",
+                pool.scoped(trees.len(), |i| {
+                    let delim = DelimTree::build(&trees[i]);
+                    traced(prog, &delim, "run", &mut NullGuard).1
+                }),
+            );
             return Some(Discrepancy::diverging(
                 "run vs run_batch",
                 format!("slot {i}: base={base:?} batch={r:?}"),
@@ -222,7 +252,7 @@ pub fn check_program_case(
             // The routed graph evaluator has no collector seam: its side is
             // a verdict-only trace, so the divergence pinpoints the root
             // acceptance flip (left/right_accepted carry the evidence).
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
+            let (_, lt) = traced(prog, &delim, "run", &mut NullGuard);
             let rt = Trace::verdict_only(
                 "run_routed",
                 Verdict::Bool(routed_accepted),
@@ -251,9 +281,8 @@ pub fn check_program_case(
         let pruned = prune(prog);
         let pruned_run = run(&pruned.program, &delim, FUZZ_LIMITS);
         if pruned_run.accepted() != base.accepted() {
-            let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-            let (_, mut rt) = trace_run(&pruned.program, &delim, FUZZ_LIMITS);
-            rt.label = "run(prune)".to_owned();
+            let (_, lt) = traced(prog, &delim, "run", &mut NullGuard);
+            let (_, rt) = traced(&pruned.program, &delim, "run(prune)", &mut NullGuard);
             return Some(Discrepancy::diverging(
                 "run vs run(prune)",
                 format!(
@@ -271,28 +300,30 @@ pub fn check_program_case(
 
     // 5. Guarded serial vs guarded batch, one axis at a time plus the
     // combined spec — identical verdicts including trip reasons and
-    // injected fault kinds.
+    // injected fault kinds. Every item runs under a fresh guard.
     for spec in budget_axes(&case.budget) {
-        let serial: Vec<_> = trees
-            .iter()
-            .map(|t| {
-                let mut g = spec.guard();
-                run_guarded(prog, &DelimTree::build(t), FUZZ_LIMITS, &mut g)
-            })
-            .collect();
-        let batch = run_batch_guarded(prog, &trees, FUZZ_LIMITS, pool, || spec.guard());
+        let governed = |t: &Tree| {
+            let mut g = spec.guard();
+            run_in(
+                prog,
+                &DelimTree::build(t),
+                FUZZ_LIMITS,
+                &mut NullCollector,
+                &mut g,
+            )
+        };
+        let serial: Vec<_> = trees.iter().map(governed).collect();
+        let batch = pool.scoped(trees.len(), |i| governed(&trees[i]));
         for (i, (s, b)) in serial.iter().zip(&batch).enumerate() {
             if !verdicts_agree(s, b) {
-                let mut g = spec.guard();
-                let (_, lt) = trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut g);
+                let (_, lt) = traced(prog, &delim, "run_in", &mut spec.guard());
                 let rv = match b {
                     Ok(r) => Verdict::Halt(r.halt.kind()),
                     Err(_) => Verdict::Trip,
                 };
-                let rt =
-                    Trace::verdict_only("run_batch_guarded", rv, &format!("slot {i}, {spec:?}"));
+                let rt = Trace::verdict_only("batch run_in", rv, &format!("slot {i}, {spec:?}"));
                 return Some(Discrepancy::diverging(
-                    "run_guarded vs run_batch_guarded",
+                    "run_in vs batch run_in",
                     format!(
                         "spec={spec:?} slot {i}: serial={} batch={}",
                         verdict_str(s),
@@ -308,11 +339,10 @@ pub fn check_program_case(
         if spec.faults.is_none() {
             if let Ok(r) = &serial[0] {
                 if *r != base {
-                    let (_, lt) = trace_run(prog, &delim, FUZZ_LIMITS);
-                    let mut g = spec.guard();
-                    let (_, rt) = trace_run_guarded(prog, &delim, FUZZ_LIMITS, &mut g);
+                    let (_, lt) = traced(prog, &delim, "run", &mut NullGuard);
+                    let (_, rt) = traced(prog, &delim, "run_in", &mut spec.guard());
                     return Some(Discrepancy::diverging(
-                        "run vs run_guarded(limited)",
+                        "run vs run_in(limited)",
                         format!("spec={spec:?}: base={base:?} guarded={r:?}"),
                         &lt,
                         &rt,
@@ -559,21 +589,27 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 5. Guarded selection: serial fresh-guard loop vs batch factory.
+    // 5. Guarded selection: serial fresh-guard loop vs the same calls
+    // fanned across the pool.
     if let Some(fuel) = case.fuel {
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = us
-            .iter()
-            .map(|&u| {
-                let mut g = make();
-                select_guarded(tree, &formula, phi.x(), u, phi.y(), &mut g)
-            })
-            .collect();
-        let batch = select_batch_guarded(tree, &formula, phi.x(), &us, phi.y(), pool, make);
+        let governed = |u: NodeId| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            select_in(
+                tree,
+                &formula,
+                phi.x(),
+                u,
+                phi.y(),
+                &mut NullCollector,
+                &mut g,
+            )
+        };
+        let serial: Vec<_> = us.iter().map(|&u| governed(u)).collect();
+        let batch = pool.scoped(us.len(), |i| governed(us[i]));
         for (i, (s, b)) in serial.iter().zip(&batch).enumerate() {
             if !verdicts_agree(s, b) {
                 return Some(Discrepancy::new(
-                    "select_guarded vs select_batch_guarded",
+                    "select_in vs batch select_in",
                     format!(
                         "fuel={fuel} node {}: serial={} batch={}",
                         us[i],

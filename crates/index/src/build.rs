@@ -206,8 +206,8 @@ impl TreeIndex {
 
         if C::ENABLED {
             c.phase("index/build", stats.build_ns);
-            c.index_counter("index/built", 1);
-            c.index_counter("index/postings_bytes", postings_bytes as u64);
+            c.counter("index/built", 1);
+            c.counter("index/postings_bytes", postings_bytes as u64);
         }
 
         TreeIndex {

@@ -222,7 +222,7 @@ pub fn fo_select_routed_with<C: Collector>(
         Some(out) => (out, true),
         None => {
             if C::ENABLED {
-                c.index_counter("index/fallback", 1);
+                c.counter("index/fallback", 1);
             }
             (phi.select(tree, u), false)
         }

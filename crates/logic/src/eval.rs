@@ -7,14 +7,14 @@
 //! parent/sibling chains.
 //!
 //! That `O(|t|^q)` is exactly why every entry point here returns
-//! `Result<_, TwqError>` and has a `*_guarded` variant: a hostile sentence
-//! with a handful of nested quantifiers is a denial-of-service on any
-//! non-trivial tree. Guarded evaluation charges one fuel unit per quantifier
-//! binding and per atom, and tracks quantifier nesting as
-//! [`DepthKind::Quantifier`].
+//! `Result<_, TwqError>` and the sentence and selection primitives have a
+//! `*_in` form taking a resource guard: a hostile sentence with a handful
+//! of nested quantifiers is a denial-of-service on any non-trivial tree.
+//! Guarded evaluation charges one fuel unit per quantifier binding and per
+//! atom, and tracks quantifier nesting as [`DepthKind::Quantifier`].
 
 use twq_guard::{DepthKind, Guard, NullGuard, TwqError};
-use twq_obs::{Collector, FoEval, NullCollector, Trace, TraceCollector, Verdict};
+use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{NodeId, NodeSet, Tree};
 
 use crate::fo::{Formula, TreeAtom, Var};
@@ -104,32 +104,14 @@ pub fn eval_atom(tree: &Tree, atom: &TreeAtom, asg: &Assignment) -> Result<bool,
 /// # Errors
 /// [`TwqError::Invalid`] on an unbound variable.
 pub fn eval(tree: &Tree, formula: &Formula, asg: &mut Assignment) -> Result<bool, TwqError> {
-    eval_with(tree, formula, asg, &mut NullCollector)
+    eval_inner(tree, formula, asg, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval`] with instrumentation: reports one [`FoEval::Atom`] per atom
-/// evaluation, so a metrics collector sees the model checker's true cost
-/// (which quantifier nesting multiplies).
-pub fn eval_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &mut Assignment,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    eval_inner(tree, formula, asg, c, &mut NullGuard)
-}
-
-/// [`eval`] under a resource [`Guard`]: one fuel unit per atom and per
-/// quantifier binding, nesting tracked as [`DepthKind::Quantifier`].
-pub fn eval_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &mut Assignment,
-    guard: &mut G,
-) -> Result<bool, TwqError> {
-    eval_inner(tree, formula, asg, &mut NullCollector, guard)
-}
-
+/// The model checker behind [`eval`], [`eval_sentence_in`] and
+/// [`select_in`]: one [`FoEval::Atom`] per atom evaluation and one
+/// quantifier span per binding loop for the collector; one fuel unit per
+/// atom and per quantifier binding, nesting tracked as
+/// [`DepthKind::Quantifier`], for the guard.
 fn eval_inner<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
@@ -252,20 +234,11 @@ pub fn eval_partial(
     formula: &Formula,
     asg: &Assignment,
 ) -> Result<Option<bool>, TwqError> {
-    eval_partial_with(tree, formula, asg, &mut NullCollector)
+    eval_partial_inner(tree, formula, asg, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval_partial`] with instrumentation (one [`FoEval::Atom`] per
-/// decided atom).
-pub fn eval_partial_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &Assignment,
-    c: &mut C,
-) -> Result<Option<bool>, TwqError> {
-    eval_partial_inner(tree, formula, asg, c, &mut NullGuard)
-}
-
+/// [`eval_partial`] with a collector (one [`FoEval::Atom`] per decided
+/// atom) and a guard (one fuel unit per decided atom).
 fn eval_partial_inner<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
@@ -346,21 +319,12 @@ pub fn sat_exists(
     vars: &[Var],
     asg: &mut Assignment,
 ) -> Result<bool, TwqError> {
-    sat_exists_with(tree, matrix, vars, asg, &mut NullCollector)
+    sat_exists_inner(tree, matrix, vars, asg, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`sat_exists`] with instrumentation (atoms counted via the pruning
-/// passes).
-pub fn sat_exists_with<C: Collector>(
-    tree: &Tree,
-    matrix: &Formula,
-    vars: &[Var],
-    asg: &mut Assignment,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    sat_exists_inner(tree, matrix, vars, asg, c, &mut NullGuard)
-}
-
+/// [`sat_exists`] with a collector (atoms counted via the pruning passes,
+/// one quantifier span per bound variable carrying its witness) and a
+/// guard (one fuel unit per binding and per decided atom).
 pub(crate) fn sat_exists_inner<C: Collector, G: Guard>(
     tree: &Tree,
     matrix: &Formula,
@@ -427,32 +391,25 @@ fn restore(asg: &mut Assignment, v: Var, saved: Option<NodeId>) {
 /// # Errors
 /// [`TwqError::Invalid`] if the formula has free variables.
 pub fn eval_sentence(tree: &Tree, formula: &Formula) -> Result<bool, TwqError> {
-    eval_sentence_with(tree, formula, &mut NullCollector)
+    eval_sentence_in(tree, formula, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval_sentence`] with instrumentation (one [`FoEval::Sentence`] per
-/// call, plus the atoms the recursion touches).
-pub fn eval_sentence_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    c: &mut C,
-) -> Result<bool, TwqError> {
-    eval_sentence_inner(tree, formula, c, &mut NullGuard)
-}
-
-/// [`eval_sentence`] under a resource [`Guard`]: one fuel unit per atom and
-/// per quantifier binding, quantifier nesting tracked as
-/// [`DepthKind::Quantifier`]. This is the entry point that makes the
-/// `O(|t|^q)` evaluator safe to expose to untrusted sentences.
-pub fn eval_sentence_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    guard: &mut G,
-) -> Result<bool, TwqError> {
-    eval_sentence_inner(tree, formula, &mut NullCollector, guard)
-}
-
-fn eval_sentence_inner<C: Collector, G: Guard>(
+/// [`eval_sentence`] with a collector and a resource guard.
+///
+/// The collector sees one [`FoEval::Sentence`] per call plus one
+/// [`FoEval::Atom`] per atom the recursion touches, and one quantifier
+/// span per quantifier evaluation carrying the witness valuation that
+/// decided it (the node making an `∃` true, or the counterexample
+/// falsifying a `∀`) — what a
+/// [`TraceCollector`](twq_obs::TraceCollector) records. The guard is
+/// charged one fuel unit per atom and per quantifier binding, quantifier
+/// nesting tracked as [`DepthKind::Quantifier`]; this is the form that
+/// makes the `O(|t|^q)` evaluator safe to expose to untrusted sentences.
+///
+/// # Errors
+/// [`TwqError::Invalid`] if the formula has free variables;
+/// [`TwqError::Guard`] when the guard trips.
+pub fn eval_sentence_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     c: &mut C,
@@ -486,34 +443,20 @@ pub fn select(
     u: NodeId,
     y: Var,
 ) -> Result<NodeSet, TwqError> {
-    select_with(tree, formula, x, u, y, &mut NullCollector)
+    select_in(tree, formula, x, u, y, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`select`] with instrumentation (one [`FoEval::Select`] per call).
-pub fn select_with<C: Collector>(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-    c: &mut C,
-) -> Result<NodeSet, TwqError> {
-    select_inner(tree, formula, x, u, y, c, &mut NullGuard)
-}
-
-/// [`select`] under a resource [`Guard`].
-pub fn select_guarded<G: Guard>(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-    guard: &mut G,
-) -> Result<NodeSet, TwqError> {
-    select_inner(tree, formula, x, u, y, &mut NullCollector, guard)
-}
-
-fn select_inner<C: Collector, G: Guard>(
+/// [`select`] with a collector and a resource guard.
+///
+/// The collector sees one [`FoEval::Select`] per call, the per-candidate
+/// quantifier evaluations (as for [`eval_sentence_in`]), and the selected
+/// node set through [`Collector::selected`]. The guard is charged one fuel
+/// unit per candidate node on top of the matrix's own atom and binding
+/// charges.
+///
+/// # Errors
+/// As for [`select`]; [`TwqError::Guard`] when the guard trips.
+pub fn select_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     x: Var,
@@ -547,40 +490,6 @@ fn select_inner<C: Collector, G: Guard>(
         c.selected(&ids);
     }
     Ok(out)
-}
-
-/// [`eval_sentence`] while recording a causal [`Trace`]: one `Quant` span
-/// per quantifier evaluation, carrying the witness valuation that decided
-/// it (the node making an `∃` true, or the counterexample falsifying a
-/// `∀`). The root span's verdict is the sentence's truth value.
-pub fn trace_sentence(tree: &Tree, formula: &Formula) -> (Result<bool, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let verdict = eval_sentence_with(tree, formula, &mut c);
-    let mut t = c.finish("eval_sentence");
-    if let Ok(b) = verdict {
-        t.root.verdict = Some(Verdict::Bool(b));
-    }
-    (verdict, t)
-}
-
-/// [`select`] while recording a causal [`Trace`]: the root span's
-/// frontier is the selected node set and its children are the per-node
-/// quantifier evaluations. The root verdict is whether anything was
-/// selected.
-pub fn trace_select(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-) -> (Result<NodeSet, TwqError>, Trace) {
-    let mut c = TraceCollector::new();
-    let out = select_with(tree, formula, x, u, y, &mut c);
-    let mut t = c.finish("select");
-    if let Ok(s) = &out {
-        t.root.verdict = Some(Verdict::Bool(!s.is_empty()));
-    }
-    (out, t)
 }
 
 /// All pairs `(u, v)` with `t ⊨ φ(u, v)`.
@@ -763,9 +672,9 @@ mod tests {
         // ∃x ∃y (x = y): nesting depth 2.
         let f = exists(var(0), exists(var(1), eq(var(0), var(1))));
         let mut ok = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 2);
-        assert!(eval_sentence_guarded(&t, &f, &mut ok).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut ok).unwrap());
         let mut tight = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 1);
-        let err = eval_sentence_guarded(&t, &f, &mut tight).unwrap_err();
+        let err = eval_sentence_in(&t, &f, &mut NullCollector, &mut tight).unwrap_err();
         let trip = err.guard().expect("depth trip");
         assert_eq!(
             trip.reason,
@@ -783,17 +692,17 @@ mod tests {
         // ∀x ∀y (x = x): |t|² bindings plus |t|² atoms plus |t| outer ticks.
         let f = forall(var(0), forall(var(1), eq(var(0), var(0))));
         let mut g = ResourceGuard::unlimited();
-        assert!(eval_sentence_guarded(&t, &f, &mut g).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut g).unwrap());
         let spent = g.fuel_spent();
         let n = t.len() as u64;
         assert!(spent >= n * n, "spent {spent} on {n} nodes");
         // A budget one unit short of the true cost trips.
         let mut tight = ResourceGuard::unlimited().with_budget(spent - 1);
-        assert!(eval_sentence_guarded(&t, &f, &mut tight)
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut tight)
             .unwrap_err()
             .is_limit());
         // The exact cost passes.
         let mut exact = ResourceGuard::unlimited().with_budget(spent);
-        assert!(eval_sentence_guarded(&t, &f, &mut exact).unwrap());
+        assert!(eval_sentence_in(&t, &f, &mut NullCollector, &mut exact).unwrap());
     }
 }

@@ -7,6 +7,7 @@
 //! These are exactly the formulas allowed inside `atp(φ(x,y), q)` rules of
 //! tree-walking automata (Definition 3.1, form 3).
 
+use twq_guard::NullGuard;
 use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{NodeId, NodeSet, Tree};
 
@@ -178,7 +179,7 @@ impl ExistsFormula {
                 for v in tree.node_ids() {
                     asg.set(self.y, v);
                     if branches.iter().any(|(conj, vars)| {
-                        eval::sat_exists_with(tree, conj, vars, &mut asg, c)
+                        eval::sat_exists_inner(tree, conj, vars, &mut asg, c, &mut NullGuard)
                             .expect("ExistsFormula invariant: quantifier-free matrix, bound vars")
                     }) {
                         out.insert(v);
@@ -189,8 +190,16 @@ impl ExistsFormula {
                 // DNF too large: generic backtracking over all variables.
                 for v in tree.node_ids() {
                     asg.set(self.y, v);
-                    if eval::sat_exists_with(tree, &self.matrix, &self.quantified, &mut asg, c)
-                        .expect("ExistsFormula invariant: quantifier-free matrix, bound vars")
+                    let quantified = &self.quantified;
+                    if eval::sat_exists_inner(
+                        tree,
+                        &self.matrix,
+                        quantified,
+                        &mut asg,
+                        c,
+                        &mut NullGuard,
+                    )
+                    .expect("ExistsFormula invariant: quantifier-free matrix, bound vars")
                     {
                         out.insert(v);
                     }

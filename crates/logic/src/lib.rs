@@ -29,16 +29,12 @@ pub mod parse;
 pub mod store;
 pub mod types;
 
-pub use eval::{
-    eval_sentence, eval_sentence_guarded, select, select_guarded, select_pairs, trace_select,
-    trace_sentence, Assignment,
-};
+pub use eval::{eval_sentence, eval_sentence_in, select, select_in, select_pairs, Assignment};
 pub use exists::{ExistsError, ExistsFormula};
 pub use fo::{Formula, TreeAtom, Var};
 pub use memo::{
-    eval_sentence_memo, eval_sentence_memo_guarded, eval_sentence_par, select_batch,
-    select_batch_guarded, select_batch_profiled, select_memo, select_memo_guarded, MemoCache,
-    MemoFormula,
+    eval_sentence_memo, eval_sentence_memo_in, eval_sentence_par, select_batch, select_memo,
+    select_memo_in, MemoCache, MemoFormula,
 };
 pub use mso::{eval_mso, eval_mso_capped, MsoFormula, SetVar};
 pub use parse::{parse_fo, FoParseError, ParsedFormula};

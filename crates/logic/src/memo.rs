@@ -26,12 +26,12 @@
 
 use std::collections::HashMap;
 
-use twq_exec::{BatchProfile, Pool};
+use twq_exec::Pool;
 use twq_guard::{Guard, NullGuard, TwqError};
 use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{NodeId, NodeSet, Tree};
 
-use crate::eval::{select_guarded, Assignment};
+use crate::eval::Assignment;
 use crate::fo::{Formula, Var};
 
 /// How a memoizable subformula is keyed.
@@ -265,16 +265,26 @@ fn eval_memo_cases<C: Collector, G: Guard>(
 /// # Errors
 /// [`TwqError::Invalid`] if the formula has free variables.
 pub fn eval_sentence_memo(tree: &Tree, formula: &Formula) -> Result<bool, TwqError> {
-    eval_sentence_memo_guarded(tree, formula, &mut NullGuard)
+    eval_sentence_memo_in(tree, formula, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`eval_sentence_memo`] under a resource [`Guard`]. Cache hits charge no
-/// fuel, so a memoized run spends *at most* what the naive run spends —
-/// budgets sized for the naive evaluator remain sufficient.
-pub fn eval_sentence_memo_guarded<G: Guard>(
+/// [`eval_sentence_memo`] with a collector and a resource guard.
+///
+/// The collector sees what
+/// [`eval_sentence_in`](crate::eval::eval_sentence_in) reports, minus
+/// the work cache hits skip: fewer atom evaluations and quantifier spans.
+/// Cache hits charge no fuel either, so a memoized run spends *at most*
+/// what the naive run spends — budgets sized for the naive evaluator
+/// remain sufficient.
+///
+/// # Errors
+/// [`TwqError::Invalid`] if the formula has free variables;
+/// [`TwqError::Guard`] when the guard trips.
+pub fn eval_sentence_memo_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
-    guard: &mut G,
+    c: &mut C,
+    g: &mut G,
 ) -> Result<bool, TwqError> {
     let free = formula.free_vars();
     if !free.is_empty() {
@@ -286,9 +296,8 @@ pub fn eval_sentence_memo_guarded<G: Guard>(
     let mf = MemoFormula::new(formula);
     let mut cache = mf.fresh_cache(tree);
     let mut asg = Assignment::with_capacity(formula.max_var());
-    let mut c = NullCollector;
     c.fo_eval(FoEval::Sentence);
-    eval_memo_inner(tree, &mf, formula, &mut asg, &mut cache, &mut c, guard)
+    eval_memo_inner(tree, &mf, formula, &mut asg, &mut cache, c, g)
 }
 
 /// [`select`](crate::eval::select) with subformula memoization: one cache
@@ -305,17 +314,26 @@ pub fn select_memo(
     u: NodeId,
     y: Var,
 ) -> Result<NodeSet, TwqError> {
-    select_memo_guarded(tree, formula, x, u, y, &mut NullGuard)
+    select_memo_in(tree, formula, x, u, y, &mut NullCollector, &mut NullGuard)
 }
 
-/// [`select_memo`] under a resource [`Guard`] (cache hits charge no fuel).
-pub fn select_memo_guarded<G: Guard>(
+/// [`select_memo`] with a collector and a resource guard. The collector
+/// sees one [`FoEval::Select`] per call plus the atom and quantifier
+/// events of every matrix evaluation the cache does not answer; the guard
+/// is charged one fuel unit per candidate node plus the matrix's own
+/// charges, and cache hits charge no fuel.
+///
+/// # Errors
+/// As for [`select`](crate::eval::select); [`TwqError::Guard`] when the
+/// guard trips.
+pub fn select_memo_in<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
     x: Var,
     u: NodeId,
     y: Var,
-    guard: &mut G,
+    c: &mut C,
+    g: &mut G,
 ) -> Result<NodeSet, TwqError> {
     let mf = MemoFormula::new(formula);
     let mut cache = mf.fresh_cache(tree);
@@ -325,15 +343,14 @@ pub fn select_memo_guarded<G: Guard>(
             .map_or(Some(x.max(y)), |m| Some(m.max(x).max(y))),
     );
     asg.set(x, u);
-    let mut c = NullCollector;
     c.fo_eval(FoEval::Select);
     let mut out = NodeSet::with_capacity(tree.len());
     for v in tree.node_ids() {
         if G::ENABLED {
-            guard.tick()?;
+            g.tick()?;
         }
         asg.set(y, v);
-        if eval_memo_inner(tree, &mf, formula, &mut asg, &mut cache, &mut c, guard)? {
+        if eval_memo_inner(tree, &mf, formula, &mut asg, &mut cache, c, g)? {
             out.insert(v);
         }
     }
@@ -421,72 +438,6 @@ pub fn select_batch(
     pool.scoped(us.len(), |i| select_memo(tree, formula, x, us[i], y))
         .into_iter()
         .collect()
-}
-
-/// [`select_batch`] plus a [`BatchProfile`]: per-context wall-clock
-/// latencies in `us` order and the pool's per-worker telemetry. The
-/// selections themselves are identical to [`select_batch`].
-///
-/// # Errors
-/// As for [`select_batch`].
-pub fn select_batch_profiled(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    us: &[NodeId],
-    y: Var,
-    pool: &Pool,
-) -> (Result<Vec<NodeSet>, TwqError>, BatchProfile) {
-    let (runs, stats) = pool.scoped_with_stats(us.len(), |i| {
-        let t0 = std::time::Instant::now();
-        let sel = select_memo(tree, formula, x, us[i], y);
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        (sel, ns)
-    });
-    let mut latencies_ns = Vec::with_capacity(runs.len());
-    let mut out = Ok(Vec::with_capacity(runs.len()));
-    for (sel, ns) in runs {
-        latencies_ns.push(ns);
-        if let Ok(sets) = &mut out {
-            match sel {
-                Ok(s) => sets.push(s),
-                Err(e) => out = Err(e),
-            }
-        }
-    }
-    (
-        out,
-        BatchProfile {
-            latencies_ns,
-            stats,
-        },
-    )
-}
-
-/// Batch guarded [`select`](crate::eval::select): each context runs under
-/// a fresh guard from `make_guard`, so per-context verdicts *and errors*
-/// are identical to a serial loop calling
-/// [`select_guarded`] with the same factory —
-/// the property the `tests/exec.rs` suite pins down. Uses the plain
-/// (non-memoized) evaluator so fuel accounting matches the serial path
-/// charge for charge.
-pub fn select_batch_guarded<G, F>(
-    tree: &Tree,
-    formula: &Formula,
-    x: Var,
-    us: &[NodeId],
-    y: Var,
-    pool: &Pool,
-    make_guard: F,
-) -> Vec<Result<NodeSet, TwqError>>
-where
-    G: Guard,
-    F: Fn() -> G + Sync,
-{
-    pool.scoped(us.len(), |i| {
-        let mut g = make_guard();
-        select_guarded(tree, formula, x, us[i], y, &mut g)
-    })
 }
 
 #[cfg(test)]
@@ -592,9 +543,9 @@ mod tests {
         let t = sample();
         for f in sentences() {
             let mut naive = ResourceGuard::unlimited();
-            crate::eval::eval_sentence_guarded(&t, &f, &mut naive).unwrap();
+            crate::eval::eval_sentence_in(&t, &f, &mut NullCollector, &mut naive).unwrap();
             let mut memo = ResourceGuard::unlimited();
-            eval_sentence_memo_guarded(&t, &f, &mut memo).unwrap();
+            eval_sentence_memo_in(&t, &f, &mut NullCollector, &mut memo).unwrap();
             assert!(
                 memo.fuel_spent() <= naive.fuel_spent(),
                 "memo {} > naive {} on {f:?}",

@@ -79,22 +79,13 @@ pub trait Collector {
     /// `twq-guard::TripReason` (e.g. "fuel budget exhausted (limit 100)").
     fn trip(&mut self, reason: &str) {}
 
-    /// Bump a named counter by `delta`.
+    /// Bump the counter `name` by `delta`. The name is the full metric
+    /// name, recorded verbatim in [`RunMetrics`] and a session
+    /// [`Registry`]: run-level counters are `run/<name>` (e.g.
+    /// `run/protocol.crossings`), the rewrite pass reports
+    /// `rewrite/rules_fired/<rule>` and friends, and the index layer
+    /// `index/postings_bytes`, `index/plan_indexed`, `index/cost_err_pct`, ….
     fn counter(&mut self, name: &'static str, delta: u64) {}
-
-    /// Bump a rewrite-phase counter by `delta`. Unlike [`Collector::counter`]
-    /// (which lands under `run/<name>` in a session [`Registry`]), rewrite
-    /// counters keep their full name verbatim — the `twq-rw` pass reports
-    /// `rewrite/rules_fired/<rule>`, `rewrite/pruned_branches`, and
-    /// `rewrite/certified_streamable` through this hook.
-    fn rewrite_counter(&mut self, name: &'static str, delta: u64) {}
-
-    /// Bump an index-layer counter by `delta`. Like
-    /// [`Collector::rewrite_counter`], the name lands in the registry
-    /// verbatim — the `twq-index` build and planner report
-    /// `index/postings_bytes`, `index/plan_indexed`, `index/plan_walk`,
-    /// `index/fallback`, and `index/cost_err_pct` through this hook.
-    fn index_counter(&mut self, name: &'static str, delta: u64) {}
 
     /// A named phase finished after `nanos` nanoseconds of wall clock.
     fn phase(&mut self, name: &'static str, nanos: u64) {}
@@ -151,7 +142,7 @@ impl<'s> MetricsCollector<'s> {
     }
 
     /// Metrics plus session-level aggregation into `registry`: named
-    /// counters land under `run/<name>`, phase durations under
+    /// counters land under their own names, phase durations under
     /// `phase/<name>` (as nanosecond histograms). Combine with a sink via
     /// [`MetricsCollector::and_registry`].
     pub fn with_registry(registry: &'s mut Registry) -> MetricsCollector<'s> {
@@ -244,20 +235,6 @@ impl Collector for MetricsCollector<'_> {
     fn counter(&mut self, name: &'static str, delta: u64) {
         *self.metrics.counters.entry(name).or_insert(0) += delta;
         if let Some(reg) = self.registry.as_deref_mut() {
-            reg.counter_add(&format!("run/{name}"), delta);
-        }
-    }
-
-    fn rewrite_counter(&mut self, name: &'static str, delta: u64) {
-        *self.metrics.counters.entry(name).or_insert(0) += delta;
-        if let Some(reg) = self.registry.as_deref_mut() {
-            reg.counter_add(name, delta);
-        }
-    }
-
-    fn index_counter(&mut self, name: &'static str, delta: u64) {
-        *self.metrics.counters.entry(name).or_insert(0) += delta;
-        if let Some(reg) = self.registry.as_deref_mut() {
             reg.counter_add(name, delta);
         }
     }
@@ -320,7 +297,7 @@ mod tests {
         }
         c.atp_exit(0);
         c.step(0, 2, 0);
-        c.counter("demo", 3);
+        c.counter("run/demo", 3);
         c.message("config");
         c.chain_exit(HaltKind::Accept, 0);
         c.halt(HaltKind::Accept);
@@ -341,7 +318,7 @@ mod tests {
         assert_eq!(m.max_store_tuples, 4);
         assert_eq!(m.cycle_inserts, 2);
         assert_eq!(m.fo(FoEval::Guard), 1);
-        assert_eq!(m.counter("demo"), 3);
+        assert_eq!(m.counter("run/demo"), 3);
         assert_eq!(m.messages, 1);
         assert_eq!(m.halt, Some(HaltKind::Accept));
         assert_eq!(m.top_states(1), vec![(1, 2)]);
@@ -390,13 +367,13 @@ mod tests {
     fn index_counters_keep_verbatim_names() {
         let mut reg = Registry::new();
         let mut c = MetricsCollector::with_registry(&mut reg);
-        c.index_counter("index/postings_bytes", 640);
-        c.index_counter("index/plan_indexed", 1);
-        c.index_counter("index/plan_indexed", 1);
+        c.counter("index/postings_bytes", 640);
+        c.counter("index/plan_indexed", 1);
+        c.counter("index/plan_indexed", 1);
         let m = c.into_metrics();
         assert_eq!(m.counters.get("index/postings_bytes"), Some(&640));
         assert_eq!(reg.counter("index/plan_indexed"), 2);
-        // No `run/` prefix: index counters land verbatim like rewrite ones.
+        // No prefix is added: the name is the metric name.
         assert_eq!(reg.counter("run/index/plan_indexed"), 0);
     }
 

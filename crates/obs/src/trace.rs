@@ -380,7 +380,7 @@ pub enum TraceDepth {
 /// A recorded run: a labeled span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
-    /// Which evaluator produced this trace (e.g. `run`, `run_guarded`).
+    /// Which evaluator produced this trace (e.g. `run`, `run_in`).
     pub label: String,
     /// Capture depth.
     pub depth: TraceDepth,
@@ -1018,7 +1018,7 @@ mod tests {
     #[test]
     fn diff_of_identical_traces_is_empty() {
         let a = sample_collector().finish("run");
-        let b = sample_collector().finish("run_guarded");
+        let b = sample_collector().finish("run_in");
         assert_eq!(diff(&a, &b), None);
     }
 
@@ -1093,7 +1093,7 @@ mod tests {
         c.chain_enter(0, 0, 0);
         c.step(0, 0, 0);
         c.trip("fuel budget exhausted (limit 10)");
-        let t = c.finish("run_guarded");
+        let t = c.finish("run_in");
         let chain = &t.root.children[0];
         let trip = &chain.children[0];
         assert!(matches!(trip.kind, SpanKind::Trip));

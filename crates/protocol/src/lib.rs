@@ -28,6 +28,6 @@ pub use hyperset::{
 };
 pub use lm::{in_lm, lm_sentence, split, split_string_tree};
 pub use protocol::{
-    at_most_k_values_program, oracle_at_most_k_values, run_protocol, run_protocol_guarded,
-    run_protocol_with, Msg, Party, ProtocolReport,
+    at_most_k_values_program, oracle_at_most_k_values, run_protocol, run_protocol_in, Msg, Party,
+    ProtocolReport,
 };

@@ -313,61 +313,7 @@ pub fn run_protocol(
     attr: AttrId,
     limits: Limits,
 ) -> ProtocolReport {
-    run_protocol_with(prog, f, g, markers, sym, attr, limits, &mut NullCollector)
-}
-
-/// [`run_protocol`] with instrumentation: every sent message raises a
-/// [`Collector::message`] event tagged with its class (`ntype`, `config`,
-/// `config_need_answer`, `atp_request`, `reply`, `accept`, `reject`), and
-/// the simulated computation reports steps, chain/`atp` spans, and
-/// guard/update evaluations like the direct engine. Boundary crossings
-/// and deduplicated traffic land in the `protocol.crossings` /
-/// `protocol.dedup_messages` counters.
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_with<C: Collector>(
-    prog: &TwProgram,
-    f: &[Value],
-    g: &[Value],
-    markers: &Markers,
-    sym: SymId,
-    attr: AttrId,
-    limits: Limits,
-    collector: &mut C,
-) -> ProtocolReport {
-    run_protocol_inner(
-        prog,
-        f,
-        g,
-        markers,
-        sym,
-        attr,
-        limits,
-        collector,
-        &mut NullGuard,
-    )
-    .expect("NullGuard never trips")
-}
-
-/// [`run_protocol`] under a resource [`Guard`]: one fuel unit per simulated
-/// computation step, `atp` nesting tracked as [`DepthKind::Atp`], the cycle
-/// table and register store gauged as [`GaugeKind::Configs`] /
-/// [`GaugeKind::StoreTuples`]. Injected faults ([`FaultSite::Transition`],
-/// [`FaultSite::Store`]) degrade the simulated computation — a dropped
-/// transition strands the owning party (ordinary rejection), a corrupted
-/// store resets its registers — without ever corrupting the dialogue
-/// accounting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_protocol_guarded<G: Guard>(
-    prog: &TwProgram,
-    f: &[Value],
-    g: &[Value],
-    markers: &Markers,
-    sym: SymId,
-    attr: AttrId,
-    limits: Limits,
-    guard: &mut G,
-) -> Result<ProtocolReport, TwqError> {
-    run_protocol_inner(
+    run_protocol_in(
         prog,
         f,
         g,
@@ -376,12 +322,31 @@ pub fn run_protocol_guarded<G: Guard>(
         attr,
         limits,
         &mut NullCollector,
-        guard,
+        &mut NullGuard,
     )
+    .expect("NullGuard never trips")
 }
 
+/// [`run_protocol`] with a collector and a resource guard.
+///
+/// Every sent message raises a [`Collector::message`] event tagged with
+/// its class (`ntype`, `config`, `config_need_answer`, `atp_request`,
+/// `reply`, `accept`, `reject`), and the simulated computation reports
+/// steps, chain/`atp` spans, and guard/update evaluations like the direct
+/// engine. Boundary crossings, `atp` requests and deduplicated traffic
+/// land in the `run/protocol.crossings`, `run/protocol.atp_requests` and
+/// `run/protocol.dedup_messages` counters.
+///
+/// The guard is charged one fuel unit per simulated computation step,
+/// `atp` nesting is tracked as [`DepthKind::Atp`], and the cycle table and
+/// register store are gauged as [`GaugeKind::Configs`] /
+/// [`GaugeKind::StoreTuples`]. Injected faults ([`FaultSite::Transition`],
+/// [`FaultSite::Store`]) degrade the simulated computation — a dropped
+/// transition strands the owning party (ordinary rejection), a corrupted
+/// store resets its registers — without ever corrupting the dialogue
+/// accounting. With [`NullGuard`] the call never fails.
 #[allow(clippy::too_many_arguments)]
-fn run_protocol_inner<C: Collector, G: Guard>(
+pub fn run_protocol_in<C: Collector, G: Guard>(
     prog: &TwProgram,
     f: &[Value],
     g: &[Value],
@@ -466,11 +431,12 @@ fn run_protocol_inner<C: Collector, G: Guard>(
     // direction; here (single execution order) at most once.
     let mut seen: HashSet<&Msg> = HashSet::new();
     let dedup_messages = exec.dialogue.iter().filter(|m| seen.insert(*m)).count() as u64;
-    exec.collector.counter("protocol.crossings", exec.crossings);
     exec.collector
-        .counter("protocol.atp_requests", exec.atp_requests);
+        .counter("run/protocol.crossings", exec.crossings);
     exec.collector
-        .counter("protocol.dedup_messages", dedup_messages);
+        .counter("run/protocol.atp_requests", exec.atp_requests);
+    exec.collector
+        .counter("run/protocol.dedup_messages", dedup_messages);
     exec.collector.halt(halt.kind());
     Ok(ProtocolReport {
         halt,

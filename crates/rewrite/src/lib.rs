@@ -95,14 +95,14 @@ pub fn rewrite_with<C: Collector>(q: &XPath, ctx: &RewriteCtx, c: &mut C) -> Rew
     for r in CATALOG {
         if let Some(&n) = st.fired.get(r.name) {
             fired.push((r.name, n));
-            c.rewrite_counter(r.counter, n);
+            c.counter(r.counter, n);
         }
     }
     if st.pruned > 0 {
-        c.rewrite_counter("rewrite/pruned_branches", st.pruned);
+        c.counter("rewrite/pruned_branches", st.pruned);
     }
     if certificate.is_streamable() {
-        c.rewrite_counter("rewrite/certified_streamable", 1);
+        c.counter("rewrite/certified_streamable", 1);
     }
 
     let mut diagnostics = Vec::new();

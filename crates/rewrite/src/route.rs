@@ -213,7 +213,7 @@ pub fn plan_indexed_with<C: Collector>(
     let rewritten = crate::rewrite_with(q, ctx, c);
     if rewritten.provably_empty {
         if C::ENABLED {
-            c.index_counter("index/plan_empty", 1);
+            c.counter("index/plan_empty", 1);
         }
         return IndexedPlan {
             rewritten,
@@ -229,7 +229,7 @@ pub fn plan_indexed_with<C: Collector>(
         Choice::Walk => IndexedEvaluator::Walking,
     };
     if C::ENABLED {
-        c.index_counter(
+        c.counter(
             match evaluator {
                 IndexedEvaluator::Indexed => "index/plan_indexed",
                 _ => "index/plan_walk",
@@ -304,11 +304,11 @@ pub fn run_query_indexed_with<C: Collector>(
                 IndexedEvaluator::Indexed => ("index/act_index_ns", "index/est_index_ns"),
                 _ => ("index/act_walk_ns", "index/est_walk_ns"),
             };
-            c.index_counter(act_key, act);
-            c.index_counter(est_key, est_ns as u64);
+            c.counter(act_key, act);
+            c.counter(est_key, est_ns as u64);
             if act > 0 {
                 let err = ((act as f64 - est_ns).abs() / act as f64 * 100.0) as u64;
-                c.index_counter("index/cost_err_pct", err);
+                c.counter("index/cost_err_pct", err);
             }
         }
     }

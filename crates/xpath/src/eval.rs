@@ -3,9 +3,9 @@
 
 use std::collections::BTreeSet;
 
-use twq_exec::{BatchProfile, Pool};
+use twq_exec::Pool;
 use twq_guard::{DepthKind, Guard, GuardError, NullGuard, TwqError};
-use twq_obs::{Collector, FoEval, NullCollector, Trace, TraceCollector, Verdict};
+use twq_obs::{Collector, FoEval, NullCollector};
 use twq_tree::{Label, NodeId, NodeSet, Tree};
 
 use crate::ast::{Pred, XPath};
@@ -14,27 +14,27 @@ use crate::ast::{Pred, XPath};
 /// (iteration in arena order — the same order the former `BTreeSet`
 /// return carried).
 pub fn eval_from(tree: &Tree, path: &XPath, x: NodeId) -> NodeSet {
-    eval_from_with(tree, path, x, &mut NullCollector)
+    eval_from_in(tree, path, x, &mut NullCollector, &mut NullGuard).expect("NullGuard never trips")
 }
 
-/// [`eval_from`] with instrumentation: one [`FoEval::Path`] per
-/// subexpression evaluation (including recursive steps) and one
-/// [`FoEval::Pred`] per filter-predicate test, exposing the relational
-/// evaluator's cost profile.
-pub fn eval_from_with<C: Collector>(tree: &Tree, path: &XPath, x: NodeId, c: &mut C) -> NodeSet {
-    eval_from_inner(tree, path, x, c, &mut NullGuard).expect("NullGuard never trips")
-}
-
-/// [`eval_from`] under a resource [`Guard`]: one fuel unit per
-/// subexpression evaluation, expression recursion (including filter
-/// nesting) tracked as [`DepthKind::Query`].
-pub fn eval_from_guarded<G: Guard>(
+/// [`eval_from`] with a collector and a resource guard.
+///
+/// The collector sees one [`FoEval::Path`] per subexpression evaluation
+/// (including recursive steps) and one [`FoEval::Pred`] per
+/// filter-predicate test, exposing the relational evaluator's cost
+/// profile, plus one nested axis span per subexpression carrying its node
+/// frontier — what a [`TraceCollector`](twq_obs::TraceCollector) records.
+/// The guard is charged one fuel unit per subexpression evaluation, and
+/// expression recursion (including filter nesting) is tracked as
+/// [`DepthKind::Query`]. With [`NullGuard`] the call never fails.
+pub fn eval_from_in<C: Collector, G: Guard>(
     tree: &Tree,
     path: &XPath,
     x: NodeId,
-    guard: &mut G,
+    c: &mut C,
+    g: &mut G,
 ) -> Result<NodeSet, TwqError> {
-    eval_from_inner(tree, path, x, &mut NullCollector, guard).map_err(TwqError::Guard)
+    eval_from_inner(tree, path, x, c, g).map_err(TwqError::Guard)
 }
 
 /// The stable axis-step name a trace span carries for each [`XPath`]
@@ -153,25 +153,10 @@ fn eval_from_cases<C: Collector, G: Guard>(
     })
 }
 
-/// [`eval_from`] while recording a causal [`Trace`]: one nested `Axis`
-/// span per subexpression evaluation, each carrying its node frontier.
-/// The root verdict is whether anything was selected.
-pub fn trace_eval_from(tree: &Tree, path: &XPath, x: NodeId) -> (NodeSet, Trace) {
-    let mut c = TraceCollector::new();
-    let out = eval_from_with(tree, path, x, &mut c);
-    let mut t = c.finish("xpath");
-    t.root.verdict = Some(Verdict::Bool(!out.is_empty()));
-    (out, t)
-}
-
 /// Whether a filter predicate holds at node `y`.
 pub fn pred_holds(tree: &Tree, pred: &Pred, y: NodeId) -> bool {
-    pred_holds_with(tree, pred, y, &mut NullCollector)
-}
-
-/// [`pred_holds`] with instrumentation (one [`FoEval::Pred`] per test).
-pub fn pred_holds_with<C: Collector>(tree: &Tree, pred: &Pred, y: NodeId, c: &mut C) -> bool {
-    pred_holds_inner(tree, pred, y, c, &mut NullGuard).expect("NullGuard never trips")
+    pred_holds_inner(tree, pred, y, &mut NullCollector, &mut NullGuard)
+        .expect("NullGuard never trips")
 }
 
 fn pred_holds_inner<C: Collector, G: Guard>(
@@ -191,37 +176,13 @@ fn pred_holds_inner<C: Collector, G: Guard>(
 
 /// All (context, selected) pairs — the full binary relation.
 pub fn eval_pairs(tree: &Tree, path: &XPath) -> BTreeSet<(NodeId, NodeId)> {
-    eval_pairs_with(tree, path, &mut NullCollector)
-}
-
-/// [`eval_pairs`] with instrumentation.
-pub fn eval_pairs_with<C: Collector>(
-    tree: &Tree,
-    path: &XPath,
-    c: &mut C,
-) -> BTreeSet<(NodeId, NodeId)> {
     let mut out = BTreeSet::new();
     for x in tree.node_ids() {
-        for y in eval_from_with(tree, path, x, c) {
+        for y in eval_from(tree, path, x) {
             out.insert((x, y));
         }
     }
     out
-}
-
-/// [`eval_pairs`] under a resource [`Guard`].
-pub fn eval_pairs_guarded<G: Guard>(
-    tree: &Tree,
-    path: &XPath,
-    guard: &mut G,
-) -> Result<BTreeSet<(NodeId, NodeId)>, TwqError> {
-    let mut out = BTreeSet::new();
-    for x in tree.node_ids() {
-        for y in eval_from_guarded(tree, path, x, guard)? {
-            out.insert((x, y));
-        }
-    }
-    Ok(out)
 }
 
 /// Batch [`eval_from`]: one selection per context node in `contexts`,
@@ -229,36 +190,6 @@ pub fn eval_pairs_guarded<G: Guard>(
 /// [`eval_from`] serially — and with a 1-worker pool it *is* that loop.
 pub fn select_batch(tree: &Tree, path: &XPath, contexts: &[NodeId], pool: &Pool) -> Vec<NodeSet> {
     pool.scoped(contexts.len(), |i| eval_from(tree, path, contexts[i]))
-}
-
-/// [`select_batch`] plus a [`BatchProfile`]: per-context wall-clock
-/// latencies in `contexts` order and the pool's per-worker telemetry. The
-/// selections themselves are identical to [`select_batch`].
-pub fn select_batch_profiled(
-    tree: &Tree,
-    path: &XPath,
-    contexts: &[NodeId],
-    pool: &Pool,
-) -> (Vec<NodeSet>, BatchProfile) {
-    let (runs, stats) = pool.scoped_with_stats(contexts.len(), |i| {
-        let t0 = std::time::Instant::now();
-        let sel = eval_from(tree, path, contexts[i]);
-        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        (sel, ns)
-    });
-    let mut latencies_ns = Vec::with_capacity(runs.len());
-    let mut sels = Vec::with_capacity(runs.len());
-    for (sel, ns) in runs {
-        sels.push(sel);
-        latencies_ns.push(ns);
-    }
-    (
-        sels,
-        BatchProfile {
-            latencies_ns,
-            stats,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -27,10 +27,7 @@ pub mod to_program;
 pub use ast::{Pred, XPath};
 pub use compile::{compile, compile_guarded};
 pub use cost::{walk_cost, WalkEstimate, WalkParams};
-pub use eval::{
-    eval_from, eval_from_guarded, eval_from_with, eval_pairs, eval_pairs_guarded, eval_pairs_with,
-    pred_holds, pred_holds_with, select_batch, select_batch_profiled, trace_eval_from,
-};
+pub use eval::{eval_from, eval_from_in, eval_pairs, pred_holds, select_batch};
 pub use generate::{random_xpath, random_xpath_shaped, XPathGenConfig, XPathShape};
 pub use parse::{parse_xpath, XPathParseError};
 pub use to_program::{xpath_to_program, xpath_to_program_checked, SelectionTest};

@@ -27,8 +27,7 @@ pub mod tm;
 pub use alternating::{run_alternating, run_alternating_guarded, AltReport};
 pub use encode::{decode, encode, to_bytes, Token};
 pub use machine::{
-    run_xtm, run_xtm_guarded, run_xtm_on_tree, run_xtm_on_tree_guarded, run_xtm_on_tree_with,
-    run_xtm_with, trace_xtm, HeadMove, Mode, TreeDir, XGuard, XRegOp, XState, Xtm, XtmBuilder,
-    XtmConfig, XtmHalt, XtmLimits, XtmReport, XtmRule, BLANK,
+    run_xtm, run_xtm_in, run_xtm_on_tree, HeadMove, Mode, TreeDir, XGuard, XRegOp, XState, Xtm,
+    XtmBuilder, XtmConfig, XtmHalt, XtmLimits, XtmReport, XtmRule, BLANK,
 };
 pub use tm::{run_tm, Tm, TmBuilder, TmHalt, TmMove, TmReport, TmState};

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use twq_guard::{FaultKind, FaultSite, GaugeKind, Guard, NullGuard, TwqError};
-use twq_obs::{Collector, HaltKind, NullCollector, Trace, TraceCollector};
+use twq_obs::{Collector, HaltKind, NullCollector};
 use twq_tree::{AttrId, DelimTree, Label, NodeId, Tree, Value};
 
 /// A machine state.
@@ -452,45 +452,20 @@ fn apply(m: &Xtm, tree: &Tree, cfg: &XtmConfig, rule: &XtmRule) -> Option<XtmCon
 
 /// Run a deterministic machine on a delimited tree.
 pub fn run_xtm(m: &Xtm, delim: &DelimTree, limits: XtmLimits) -> XtmReport {
-    run_xtm_with(m, delim, limits, &mut NullCollector)
+    run_xtm_in(m, delim, limits, &mut NullCollector, &mut NullGuard).expect("NullGuard never trips")
 }
 
-/// [`run_xtm`] with instrumentation: one chain span for the run, one step
-/// per transition, tape-cell high-water marks, guard evaluations, and
-/// cycle-table bookkeeping.
-pub fn run_xtm_with<C: Collector>(
-    m: &Xtm,
-    delim: &DelimTree,
-    limits: XtmLimits,
-    c: &mut C,
-) -> XtmReport {
-    run_xtm_inner(m, delim, limits, c, &mut NullGuard).expect("NullGuard never trips")
-}
-
-/// [`run_xtm`] under a resource [`Guard`]: one fuel unit per transition,
-/// tape growth gauged as [`GaugeKind::TapeCells`], the cycle table as
-/// [`GaugeKind::Configs`]. Fault plans may drop the selected transition
-/// (the run gets stuck) or corrupt the tape (cleared to blanks).
-pub fn run_xtm_guarded<G: Guard>(
-    m: &Xtm,
-    delim: &DelimTree,
-    limits: XtmLimits,
-    guard: &mut G,
-) -> Result<XtmReport, TwqError> {
-    run_xtm_inner(m, delim, limits, &mut NullCollector, guard)
-}
-
-/// [`run_xtm`] while recording a causal [`Trace`]: the machine's single
-/// chain span carries the head's walk path `(node, state)`; the root
-/// verdict is the halt. Recording is single-threaded, so the trace is a
-/// pure function of `(m, delim, limits)`.
-pub fn trace_xtm(m: &Xtm, delim: &DelimTree, limits: XtmLimits) -> (XtmReport, Trace) {
-    let mut c = TraceCollector::new();
-    let report = run_xtm_with(m, delim, limits, &mut c);
-    (report, c.finish("run_xtm"))
-}
-
-fn run_xtm_inner<C: Collector, G: Guard>(
+/// [`run_xtm`] with a collector and a resource guard.
+///
+/// The collector sees one chain span for the run carrying the head's walk
+/// path `(node, state)`, one step per transition, tape-cell high-water
+/// marks, guard evaluations, cycle-table bookkeeping, and the halt. The
+/// guard is charged one fuel unit per transition, tape growth is gauged as
+/// [`GaugeKind::TapeCells`] and the cycle table as [`GaugeKind::Configs`];
+/// fault plans may drop the selected transition (the run gets stuck) or
+/// corrupt the tape (cleared to blanks). With [`NullGuard`] the call never
+/// fails.
+pub fn run_xtm_in<C: Collector, G: Guard>(
     m: &Xtm,
     delim: &DelimTree,
     limits: XtmLimits,
@@ -595,26 +570,6 @@ fn run_xtm_inner<C: Collector, G: Guard>(
 /// Convenience: delimit and run.
 pub fn run_xtm_on_tree(m: &Xtm, tree: &Tree, limits: XtmLimits) -> XtmReport {
     run_xtm(m, &DelimTree::build(tree), limits)
-}
-
-/// [`run_xtm_on_tree`] with instrumentation.
-pub fn run_xtm_on_tree_with<C: Collector>(
-    m: &Xtm,
-    tree: &Tree,
-    limits: XtmLimits,
-    c: &mut C,
-) -> XtmReport {
-    run_xtm_with(m, &DelimTree::build(tree), limits, c)
-}
-
-/// Convenience: delimit and run under a resource [`Guard`].
-pub fn run_xtm_on_tree_guarded<G: Guard>(
-    m: &Xtm,
-    tree: &Tree,
-    limits: XtmLimits,
-    guard: &mut G,
-) -> Result<XtmReport, TwqError> {
-    run_xtm_guarded(m, &DelimTree::build(tree), limits, guard)
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //! ```
 
 use twq::automata::caterpillar::{cat, parse_caterpillar, select};
-use twq::automata::engine::display_trace;
 use twq::automata::twodfa::{even_as_and_bs, word_tree, DHalt};
-use twq::automata::{examples, run_on_tree, run_traced, Limits};
-use twq::tree::{parse_tree, DelimTree, Vocab};
+use twq::automata::{examples, run_in, run_on_tree, Limits, State};
+use twq::guard::NullGuard;
+use twq::obs::{Namer, TraceCollector};
+use twq::tree::{parse_tree, DelimTree, NodeId, Vocab};
 
 fn main() {
     let mut vocab = Vocab::new();
@@ -56,12 +57,27 @@ fn main() {
     }
 
     // ----- a traced tw^{r,l} run -----------------------------------------
-    println!("\n== Example 3.2, traced (first 14 configurations) ==");
+    println!("\n== Example 3.2, traced (chain and atp spans, up to 8 steps each) ==");
     let ex = examples::example_32(&mut vocab);
     let t = parse_tree("sigma[a=9](delta[a=9](sigma[a=1],sigma[a=1]))", &mut vocab).unwrap();
     let dt = DelimTree::build(&t);
-    let (report, trace) = run_traced(&ex.program, &dt, Limits::default(), 14);
-    print!("{}", display_trace(&trace, &ex.program, &dt, &vocab));
+    let mut collector = TraceCollector::with_caps(16, 8);
+    let report = run_in(
+        &ex.program,
+        &dt,
+        Limits::default(),
+        &mut collector,
+        &mut NullGuard,
+    )
+    .expect("NullGuard never trips");
+    let trace = collector.finish("run");
+    let state = |q: u32| ex.program.state_name(State(q as u16)).to_owned();
+    let node = |n: u64| format!("{n}:{}", dt.tree().label(NodeId(n as u32)).display(&vocab));
+    let names = Namer {
+        state: &state,
+        node: &node,
+    };
+    print!("{}", trace.render_with(&names));
     println!(
         "…{} steps total, verdict: {}",
         report.steps,

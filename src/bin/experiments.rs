@@ -69,22 +69,22 @@ use std::time::{Duration, Instant};
 
 use twq::analyze::{analyze, prune, severity_counts};
 use twq::automata::{
-    examples, run, run_graph, run_guarded, run_with, trace_run, Limits, RunReport, State, TwClass,
-    TwProgram,
+    examples, run, run_graph, run_in, Limits, RunReport, State, TwClass, TwProgram,
 };
 use twq::exec::{Pool, PoolStats};
-use twq::guard::{FaultPlan, ResourceGuard, TripReason, TwqError};
+use twq::guard::{FaultPlan, NullGuard, ResourceGuard, TripReason, TwqError};
 use twq::index::{select_indexed, CostModel, Force, TreeIndex};
 use twq::logic::types::{count_classes, TypeConfig};
-use twq::logic::{eval_sentence, eval_sentence_guarded, trace_sentence};
+use twq::logic::{eval_sentence, eval_sentence_in};
 use twq::obs::{
     col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
-    Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace,
+    NullCollector, Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace, TraceCollector,
+    Verdict,
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
-    random_hyperset, run_protocol, run_protocol_guarded, split_string_tree, HyperGenConfig,
-    Markers, ProtocolReport,
+    random_hyperset, run_protocol, run_protocol_in, split_string_tree, HyperGenConfig, Markers,
+    ProtocolReport,
 };
 use twq::rw::{eval_from_rewritten, eval_sentence_rewritten, run_query_indexed, RewriteCtx};
 use twq::sim::{
@@ -93,8 +93,8 @@ use twq::sim::{
 };
 use twq::tree::generate::{monadic_tree, random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, Value, Vocab};
-use twq::xpath::{compile, eval_from, eval_from_guarded, parse_xpath, trace_eval_from};
-use twq::xtm::machine::{run_xtm, run_xtm_guarded, trace_xtm, XtmLimits, XtmReport};
+use twq::xpath::{compile, eval_from, eval_from_in, parse_xpath};
+use twq::xtm::machine::{run_xtm, run_xtm_in, XtmLimits, XtmReport};
 use twq::xtm::tm::tm_leaf_count_even;
 use twq::xtm::{
     encode as xenc, machines, run_alternating, run_alternating_guarded, run_tm, to_bytes,
@@ -199,6 +199,14 @@ impl Tracer {
         trace.label = format!("{id}:{}", trace.label);
         self.lines.push(trace.to_json_line());
     }
+}
+
+/// Run `f` under a fresh [`TraceCollector`] and finish the trace as
+/// `label` (the evaluator's name in the recorded JSONL).
+fn traced<R>(label: &str, f: impl FnOnce(&mut TraceCollector) -> R) -> (R, Trace) {
+    let mut c = TraceCollector::new();
+    let out = f(&mut c);
+    (out, c.finish(label))
 }
 
 /// [`Pool::scoped`] plus, when profiling, per-row wall-clock latencies
@@ -412,7 +420,7 @@ fn governed_run(
     gov: &Gov,
 ) -> Result<twq::automata::RunReport, TwqError> {
     if gov.active() {
-        run_guarded(prog, dt, limits, &mut gov.guard())
+        run_in(prog, dt, limits, &mut NullCollector, &mut gov.guard())
     } else {
         Ok(run(prog, dt, limits))
     }
@@ -426,7 +434,7 @@ fn governed_run_xtm(
     gov: &Gov,
 ) -> Result<XtmReport, TwqError> {
     if gov.active() {
-        run_xtm_guarded(m, dt, limits, &mut gov.guard())
+        run_xtm_in(m, dt, limits, &mut NullCollector, &mut gov.guard())
     } else {
         Ok(run_xtm(m, dt, limits))
     }
@@ -445,7 +453,18 @@ fn governed_run_protocol(
     gov: &Gov,
 ) -> Result<ProtocolReport, TwqError> {
     if gov.active() {
-        run_protocol_guarded(prog, f, g, markers, sym, attr, limits, &mut gov.guard())
+        let guard = &mut gov.guard();
+        run_protocol_in(
+            prog,
+            f,
+            g,
+            markers,
+            sym,
+            attr,
+            limits,
+            &mut NullCollector,
+            guard,
+        )
     } else {
         Ok(run_protocol(prog, f, g, markers, sym, attr, limits))
     }
@@ -838,13 +857,16 @@ fn e1_example32(
     if prof.active {
         let cfg = TreeGenConfig::example32(&mut vocab, 540, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, 0));
-        let (_, cap) = Capture::collect(|mc| run_with(&prog, &dt, Limits::default(), mc));
+        let (_, cap) =
+            Capture::collect(|mc| run_in(&prog, &dt, Limits::default(), mc, &mut NullGuard));
         emit_capture(rep, prof, "E1", "n=540, seed 0", &prog, &cap);
     }
     if tracer.active() {
         let cfg = TreeGenConfig::example32(&mut vocab, 60, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, 0));
-        let (_, t) = trace_run(&prog, &dt, Limits::default());
+        let (_, t) = traced("run", |c| {
+            run_in(&prog, &dt, Limits::default(), c, &mut NullGuard)
+        });
         tracer.record("E1", t);
     }
 }
@@ -898,7 +920,7 @@ fn e2_xpath(
         let (_, _, ti, path) = &inputs[i];
         let t = &trees[*ti];
         let direct = if gov.active() {
-            eval_from_guarded(t, path, t.root(), &mut gov.guard())
+            eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard())
         } else {
             let d = eval_from(t, path, t.root());
             if use_rewrite {
@@ -959,7 +981,10 @@ fn e2_xpath(
         // query — each axis step's node frontier lands in the trace.
         let (_, _, ti, path) = &inputs[2];
         let t = &trees[*ti];
-        let (_, tr) = trace_eval_from(t, path, t.root());
+        let (out, mut tr) = traced("xpath", |c| {
+            eval_from_in(t, path, t.root(), c, &mut NullGuard)
+        });
+        tr.root.verdict = out.ok().map(|s| Verdict::Bool(!s.is_empty()));
         tracer.record("E2", tr);
     }
 }
@@ -1056,9 +1081,10 @@ fn e3_logspace_pebbles(
                 Err(e) => return E3Row::XtmTrip(e),
             };
             if profile && sizes[i] == 8 {
-                let (r, cap) =
-                    Capture::collect(|mc| run_with(&prog.program, dt, Limits::long_walk(), mc));
-                E3Row::Done(xr, r, Some(Box::new(cap)))
+                let (r, cap) = Capture::collect(|mc| {
+                    run_in(&prog.program, dt, Limits::long_walk(), mc, &mut NullGuard)
+                });
+                E3Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
             } else {
                 match governed_run(&prog.program, dt, Limits::long_walk(), gov) {
                     Ok(r) => E3Row::Done(xr, r, None),
@@ -1107,9 +1133,19 @@ fn e3_logspace_pebbles(
         if tracer.active() {
             // Both sides of the Theorem 7.1(1) equivalence, on the
             // smallest tree: the xTM and its compiled pebble walker.
-            let (_, xt) = trace_xtm(&machine, &dts[0], XtmLimits::default());
+            let (_, xt) = traced("run_xtm", |c| {
+                run_xtm_in(&machine, &dts[0], XtmLimits::default(), c, &mut NullGuard)
+            });
             tracer.record(&format!("E3/{name}/xtm"), xt);
-            let (_, pt) = trace_run(&prog.program, &dts[0], Limits::long_walk());
+            let (_, pt) = traced("run", |c| {
+                run_in(
+                    &prog.program,
+                    &dts[0],
+                    Limits::long_walk(),
+                    c,
+                    &mut NullGuard,
+                )
+            });
             tracer.record(&format!("E3/{name}"), pt);
         }
     }
@@ -1191,9 +1227,8 @@ fn e4_twl_ptime(
         let g = run_graph(&prog, dt, Limits::default());
         assert!(!g.accepted(), "distinct values admit no match");
         let cap = if profile && sizes[i] == 20 {
-            let (_, cap) = Capture::collect(|mc| {
-                run_with(&prog, dt, Limits::default(), mc);
-            });
+            let (_, cap) =
+                Capture::collect(|mc| run_in(&prog, dt, Limits::default(), mc, &mut NullGuard));
             Some(Box::new(cap))
         } else {
             None
@@ -1229,7 +1264,9 @@ fn e4_twl_ptime(
         emit_capture(rep, prof, "E4", "direct engine, n=20", &prog, &cap);
     }
     if tracer.active() {
-        let (_, t) = trace_run(&prog, &dts[0], Limits::default());
+        let (_, t) = traced("run", |c| {
+            run_in(&prog, &dts[0], Limits::default(), c, &mut NullGuard)
+        });
         tracer.record("E4", t);
     }
 }
@@ -1299,9 +1336,10 @@ fn e5_twr_pspace(
             Err(e) => return E5Row::Trip(e),
         };
         if profile && sizes[i] == 64 {
-            let (r, cap) =
-                Capture::collect(|mc| run_with(&prog.program, dt, Limits::long_walk(), mc));
-            E5Row::Done(xr, r, Some(Box::new(cap)))
+            let (r, cap) = Capture::collect(|mc| {
+                run_in(&prog.program, dt, Limits::long_walk(), mc, &mut NullGuard)
+            });
+            E5Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
         } else {
             match governed_run(&prog.program, dt, Limits::long_walk(), gov) {
                 Ok(r) => E5Row::Done(xr, r, None),
@@ -1342,7 +1380,15 @@ fn e5_twr_pspace(
         emit_capture(rep, prof, "E5", "n=64", &prog.program, &cap);
     }
     if tracer.active() {
-        let (_, t) = trace_run(&prog.program, &dts[0], Limits::long_walk());
+        let (_, t) = traced("run", |c| {
+            run_in(
+                &prog.program,
+                &dts[0],
+                Limits::long_walk(),
+                c,
+                &mut NullGuard,
+            )
+        });
         tracer.record("E5", t);
     }
 }
@@ -1397,8 +1443,9 @@ fn e6_twrl_exptime(
     let (rows, telemetry) = scoped_rows(pool, profile, ks.len(), |i| {
         let (prog, dt) = &items[i];
         if profile && ks[i] == 8 {
-            let (r, cap) = Capture::collect(|mc| run_with(prog, dt, Limits::default(), mc));
-            E6Row::Done(r, Some(Box::new(cap)))
+            let (r, cap) =
+                Capture::collect(|mc| run_in(prog, dt, Limits::default(), mc, &mut NullGuard));
+            E6Row::Done(r.expect("NullGuard never trips"), Some(Box::new(cap)))
         } else {
             match governed_run(prog, dt, Limits::default(), gov) {
                 Ok(r) => E6Row::Done(r, None),
@@ -1441,7 +1488,9 @@ fn e6_twrl_exptime(
     }
     if tracer.active() {
         let (prog, dt) = &items[0];
-        let (_, t) = trace_run(prog, dt, Limits::default());
+        let (_, t) = traced("run", |c| {
+            run_in(prog, dt, Limits::default(), c, &mut NullGuard)
+        });
         tracer.record("E6", t);
     }
 }
@@ -1486,7 +1535,7 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
                 let expect = in_lm(m, &w, &markers);
                 let t = split_string_tree(&f, &g, &markers, sym, attr);
                 let got = if gov.active() {
-                    match eval_sentence_guarded(&t, &phi, &mut gov.guard()) {
+                    match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
                         Ok(b) => b,
                         Err(e) => {
                             trip = Some(e);
@@ -1538,7 +1587,10 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
         let f = encode(&h, &markers);
         let g = encode_shuffled(&h, &markers, 0);
         let t = split_string_tree(&f, &g, &markers, sym, attr);
-        let (_, tr) = trace_sentence(&t, &phi);
+        let (verdict, mut tr) = traced("eval_sentence", |c| {
+            eval_sentence_in(&t, &phi, c, &mut NullGuard)
+        });
+        tr.root.verdict = verdict.ok().map(Verdict::Bool);
         tracer.record("E7", tr);
     }
 }

@@ -23,17 +23,27 @@
 //! Exit status: `0` when every internal self-check holds, `1` otherwise,
 //! `2` for usage errors.
 
-use twq::automata::{examples, trace_batch, trace_run, Limits};
+use twq::automata::{examples, run_in, Limits, RunReport, TwProgram};
 use twq::exec::Pool;
 use twq::fuzz::{explain_repro, explain_with_names, parse_jsonl};
+use twq::guard::NullGuard;
 use twq::logic::fo::build as fob;
-use twq::logic::{trace_select, trace_sentence};
-use twq::obs::{explain_verdict, Namer};
+use twq::logic::{eval_sentence_in, select_in};
+use twq::obs::{explain_verdict, Namer, Trace, TraceCollector, Verdict};
 use twq::tree::{DelimTree, Label, Tree, Value, Vocab};
 
 fn usage() -> ! {
     eprintln!("usage: explain [--e1] [--fo] [--replay PATH] [--jobs N]");
     std::process::exit(2);
+}
+
+/// Run `prog` on `delim` under a fresh trace collector, the trace finished
+/// as `run`.
+fn trace_one(prog: &TwProgram, delim: &DelimTree) -> (RunReport, Trace) {
+    let mut c = TraceCollector::new();
+    let report = run_in(prog, delim, Limits::default(), &mut c, &mut NullGuard)
+        .expect("NullGuard never trips");
+    (report, c.finish("run"))
 }
 
 /// Example 3.2 on one accepting and one rejecting tree: transcripts plus
@@ -53,9 +63,18 @@ fn run_e1(jobs: usize) -> bool {
         }
         t
     };
-    let trees = vec![make([v1, v1]), make([v1, v2])];
-    let (reports, merged) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(jobs));
-    let (_, serial) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(1));
+    let trees = [make([v1, v1]), make([v1, v2])];
+    // One trace per tree on whichever worker runs it, merged in input
+    // order: the batch trace is the same for any pool size.
+    let batch = |workers: usize| {
+        let runs = Pool::new(workers).scoped(trees.len(), |i| {
+            trace_one(&ex.program, &DelimTree::build(&trees[i]))
+        });
+        let (reports, traces): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        (reports, Trace::merge_batch("run_batch", traces))
+    };
+    let (reports, merged) = batch(jobs);
+    let (_, serial) = batch(1);
     let identical = merged.to_json_line() == serial.to_json_line();
     println!("== E1: Example 3.2 (all leaf-descendants of every δ share one a-value) ==");
     println!("batch traces byte-identical across --jobs 1 and --jobs {jobs}: {identical}\n");
@@ -64,7 +83,7 @@ fn run_e1(jobs: usize) -> bool {
         let expect = i == 0;
         ok &= r.accepted() == expect;
         let delim = DelimTree::build(t);
-        let (_, trace) = trace_run(&ex.program, &delim, Limits::default());
+        let (_, trace) = trace_one(&ex.program, &delim);
         println!(
             "-- tree {i} ({}) --",
             if r.accepted() { "accepted" } else { "rejected" }
@@ -104,7 +123,10 @@ fn run_fo() -> bool {
         x,
         fob::and([fob::lab(Label::Sym(delta), x), fob::not(fob::leaf(x))]),
     );
-    let (verdict, trace) = trace_sentence(&t, &sentence);
+    let mut c = TraceCollector::new();
+    let verdict = eval_sentence_in(&t, &sentence, &mut c, &mut NullGuard);
+    let mut trace = c.finish("eval_sentence");
+    trace.root.verdict = verdict.as_ref().ok().map(|&b| Verdict::Bool(b));
     let mut ok = matches!(verdict, Ok(true));
     print!("{}", explain_verdict(&trace, &names));
     println!();
@@ -116,7 +138,18 @@ fn run_fo() -> bool {
         fob::edge(fob::var(0), fob::var(1)),
         fob::lab(Label::Sym(sigma), fob::var(1)),
     ]);
-    let (selected, strace) = trace_select(&t, &phi, fob::var(0), t.root(), fob::var(1));
+    let mut c = TraceCollector::new();
+    let selected = select_in(
+        &t,
+        &phi,
+        fob::var(0),
+        t.root(),
+        fob::var(1),
+        &mut c,
+        &mut NullGuard,
+    );
+    let mut strace = c.finish("select");
+    strace.root.verdict = selected.as_ref().ok().map(|s| Verdict::Bool(!s.is_empty()));
     match &selected {
         Ok(s) => {
             let nodes: Vec<String> = s.iter().map(|u| node_namer(u64::from(u.0))).collect();

@@ -9,17 +9,16 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{
-    examples, run_batch, run_batch_guarded, run_on_tree, run_on_tree_guarded, Limits,
-};
+use twq::automata::{examples, run_batch, run_in, run_on_tree, Limits};
 use twq::exec::Pool;
 use twq::guard::ResourceGuard;
-use twq::logic::eval::{select, select_guarded};
+use twq::logic::eval::{select, select_in};
 use twq::logic::fo::build::exists;
+use twq::logic::select_batch;
 use twq::logic::{eval_sentence, eval_sentence_memo, eval_sentence_par, ExistsFormula};
-use twq::logic::{select_batch, select_batch_guarded};
+use twq::obs::NullCollector;
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{NodeId, Tree, Vocab};
+use twq::tree::{DelimTree, NodeId, Tree, Vocab};
 use twq::xpath::{compile, random_xpath, XPathGenConfig};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -81,8 +80,9 @@ proptest! {
         }
     }
 
-    /// Guarded batch runs reproduce the serial verdicts *and* the serial
-    /// guard errors — a fuel budget that exhausts mid-batch trips the
+    /// Guarded batch runs — `run_in` under a fresh guard per item, fanned
+    /// across the pool — reproduce the serial verdicts *and* the serial
+    /// guard errors: a fuel budget that exhausts mid-batch trips the
     /// same items with the same reasons regardless of worker count.
     #[test]
     fn run_batch_guarded_trips_like_serial(
@@ -94,17 +94,14 @@ proptest! {
         let mut vocab = Vocab::new();
         let ex = examples::example_32(&mut vocab);
         let trees = tree_batch(&mut vocab, count, nodes, seed);
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = trees
-            .iter()
-            .map(|t| {
-                let mut g = make();
-                run_on_tree_guarded(&ex.program, t, Limits::default(), &mut g)
-            })
-            .collect();
+        let governed = |t: &Tree| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            let dt = DelimTree::build(t);
+            run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, &mut g)
+        };
+        let serial: Vec<_> = trees.iter().map(governed).collect();
         for workers in WORKER_COUNTS {
-            let pool = Pool::new(workers);
-            let batch = run_batch_guarded(&ex.program, &trees, Limits::default(), &pool, make);
+            let batch = Pool::new(workers).scoped(trees.len(), |i| governed(&trees[i]));
             prop_assert_eq!(batch.len(), serial.len());
             for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
                 match (b, s) {
@@ -150,8 +147,10 @@ proptest! {
         }
     }
 
-    /// Guarded batch selection reproduces serial verdicts and serial trip
-    /// reasons under a fuel budget that exhausts on some contexts.
+    /// Guarded batch selection — `select_in` under a fresh guard per
+    /// context, fanned across the pool — reproduces serial verdicts and
+    /// serial trip reasons under a fuel budget that exhausts on some
+    /// contexts.
     #[test]
     fn select_batch_guarded_trips_like_serial(
         tree_seed in 0u64..10_000,
@@ -167,18 +166,13 @@ proptest! {
         let t = random_tree(&cfg, tree_seed);
         let formula = phi.to_formula();
         let us: Vec<NodeId> = t.node_ids().collect();
-        let make = || ResourceGuard::unlimited().with_budget(fuel);
-        let serial: Vec<_> = us
-            .iter()
-            .map(|&u| {
-                let mut g = make();
-                select_guarded(&t, &formula, phi.x(), u, phi.y(), &mut g)
-            })
-            .collect();
+        let governed = |u: NodeId| {
+            let mut g = ResourceGuard::unlimited().with_budget(fuel);
+            select_in(&t, &formula, phi.x(), u, phi.y(), &mut NullCollector, &mut g)
+        };
+        let serial: Vec<_> = us.iter().map(|&u| governed(u)).collect();
         for workers in WORKER_COUNTS {
-            let pool = Pool::new(workers);
-            let batch =
-                select_batch_guarded(&t, &formula, phi.x(), &us, phi.y(), &pool, make);
+            let batch = Pool::new(workers).scoped(us.len(), |i| governed(us[i]));
             prop_assert_eq!(batch.len(), serial.len());
             for (i, (b, s)) in batch.iter().zip(&serial).enumerate() {
                 match (b, s) {

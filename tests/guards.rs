@@ -16,14 +16,15 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, run_on_tree, run_on_tree_guarded, Limits};
+use twq::automata::{examples, run, run_in, Limits};
 use twq::guard::{DepthKind, FaultPlan, GaugeKind, ResourceGuard, TripReason, TwqError};
-use twq::logic::eval_sentence_guarded;
-use twq::protocol::{at_most_k_values_program, run_protocol_guarded, Markers};
+use twq::logic::eval_sentence_in;
+use twq::obs::NullCollector;
+use twq::protocol::{at_most_k_values_program, run_protocol_in, Markers};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Value, Vocab};
 use twq::xtm::machine::XtmLimits;
-use twq::xtm::{machines, run_alternating_guarded, run_xtm_guarded};
+use twq::xtm::{machines, run_alternating_guarded, run_xtm_in};
 
 /// The trip behind a guarded failure, with the invariant that guarded
 /// evaluators never return any other error on these healthy workloads.
@@ -38,25 +39,24 @@ fn engine_budget_boundary_is_exact() {
     let mut vocab = Vocab::new();
     let ex = examples::example_32(&mut vocab);
     let cfg = TreeGenConfig::example32(&mut vocab, 40, &[1, 2]);
-    let t = random_tree(&cfg, 7);
+    let dt = DelimTree::build(&random_tree(&cfg, 7));
+    let governed =
+        |g: &mut ResourceGuard| run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, g);
 
     let mut meter = ResourceGuard::unlimited();
-    let baseline = run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut meter)
-        .expect("unlimited guard never trips");
+    let baseline = governed(&mut meter).expect("unlimited guard never trips");
     let fuel = meter.fuel_spent();
     assert!(fuel > 0, "the run must charge fuel");
     assert_eq!(baseline.steps, fuel, "one fuel unit per engine step");
 
     // Exactly enough fuel: passes.
     let mut exact = ResourceGuard::unlimited().with_budget(fuel);
-    let replay = run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut exact)
-        .expect("exact budget admits the run");
+    let replay = governed(&mut exact).expect("exact budget admits the run");
     assert_eq!(replay.accepted(), baseline.accepted());
 
     // One unit short: trips with the budget reason and a partial report.
     let mut short = ResourceGuard::unlimited().with_budget(fuel - 1);
-    let err = run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut short)
-        .expect_err("budget fuel-1 must trip");
+    let err = governed(&mut short).expect_err("budget fuel-1 must trip");
     assert!(matches!(reason(&err), TripReason::Budget { limit } if *limit == fuel - 1));
     assert!(err.is_limit());
     // The partial covers all admitted fuel; the tripping step may already
@@ -70,21 +70,20 @@ fn engine_atp_depth_boundary_is_exact() {
     let mut vocab = Vocab::new();
     let ex = examples::example_32(&mut vocab);
     let cfg = TreeGenConfig::example32(&mut vocab, 40, &[1, 2]);
-    let t = random_tree(&cfg, 7);
+    let dt = DelimTree::build(&random_tree(&cfg, 7));
+    let governed =
+        |g: &mut ResourceGuard| run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, g);
 
     let mut meter = ResourceGuard::unlimited();
-    run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut meter)
-        .expect("unlimited guard never trips");
+    governed(&mut meter).expect("unlimited guard never trips");
     let depth = meter.depth_high_water(DepthKind::Atp);
     assert!(depth >= 1, "Example 3.2 uses atp look-ahead");
 
     let mut at = ResourceGuard::unlimited().with_depth_limit(DepthKind::Atp, depth);
-    run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut at)
-        .expect("the measured depth admits the run");
+    governed(&mut at).expect("the measured depth admits the run");
 
     let mut below = ResourceGuard::unlimited().with_depth_limit(DepthKind::Atp, depth - 1);
-    let err = run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut below)
-        .expect_err("depth-1 must trip");
+    let err = governed(&mut below).expect_err("depth-1 must trip");
     assert!(matches!(
         reason(&err),
         TripReason::Depth { kind: DepthKind::Atp, limit } if *limit == depth - 1
@@ -103,13 +102,12 @@ fn fo_quantifier_depth_boundary_is_exact() {
     );
 
     let mut at = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 2);
-    assert_eq!(
-        eval_sentence_guarded(&t, &phi, &mut at).expect("depth 2 admits the sentence"),
-        true
-    );
+    assert!(eval_sentence_in(&t, &phi, &mut NullCollector, &mut at)
+        .expect("depth 2 admits the sentence"));
 
     let mut below = ResourceGuard::unlimited().with_depth_limit(DepthKind::Quantifier, 1);
-    let err = eval_sentence_guarded(&t, &phi, &mut below).expect_err("depth 1 must trip");
+    let err =
+        eval_sentence_in(&t, &phi, &mut NullCollector, &mut below).expect_err("depth 1 must trip");
     assert!(matches!(
         reason(&err),
         TripReason::Depth {
@@ -126,21 +124,20 @@ fn xtm_tape_gauge_boundary_is_exact() {
     let m = machines::leaf_count_even(&cfg.symbols);
     let t = random_tree(&cfg, 5);
     let dt = DelimTree::build(&t);
+    let governed =
+        |g: &mut ResourceGuard| run_xtm_in(&m, &dt, XtmLimits::default(), &mut NullCollector, g);
 
     let mut meter = ResourceGuard::unlimited();
-    let baseline = run_xtm_guarded(&m, &dt, XtmLimits::default(), &mut meter)
-        .expect("unlimited guard never trips");
+    let baseline = governed(&mut meter).expect("unlimited guard never trips");
     let cells = meter.gauge_high_water(GaugeKind::TapeCells);
     assert!(cells >= 1, "the counter machine writes its tape");
     assert_eq!(baseline.space, cells, "gauge tracks the space meter");
 
     let mut at = ResourceGuard::unlimited().with_mem_limit(GaugeKind::TapeCells, cells);
-    run_xtm_guarded(&m, &dt, XtmLimits::default(), &mut at)
-        .expect("the measured tape size admits the run");
+    governed(&mut at).expect("the measured tape size admits the run");
 
     let mut below = ResourceGuard::unlimited().with_mem_limit(GaugeKind::TapeCells, cells - 1);
-    let err = run_xtm_guarded(&m, &dt, XtmLimits::default(), &mut below)
-        .expect_err("one cell less must trip");
+    let err = governed(&mut below).expect_err("one cell less must trip");
     assert!(matches!(
         reason(&err),
         TripReason::Mem {
@@ -174,15 +171,17 @@ proptest! {
         let ex = examples::example_32(&mut vocab);
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
         let t = random_tree(&cfg, seed);
-        match run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut chaos_guard(seed)) {
+        let dt = DelimTree::build(&t);
+        let mut g = chaos_guard(seed);
+        match run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, &mut g) {
             Ok(_) => {}
             Err(e) => prop_assert!(e.guard().is_some(), "typed trip expected, got {e}"),
         }
 
         // xTM runner (tape + tree walking).
         let m = machines::leaf_count_even(&cfg.symbols);
-        let dt = DelimTree::build(&t);
-        match run_xtm_guarded(&m, &dt, XtmLimits::default(), &mut chaos_guard(seed ^ 1)) {
+        let mut g = chaos_guard(seed ^ 1);
+        match run_xtm_in(&m, &dt, XtmLimits::default(), &mut NullCollector, &mut g) {
             Ok(_) => {}
             Err(e) => prop_assert!(e.guard().is_some(), "typed trip expected, got {e}"),
         }
@@ -213,8 +212,9 @@ proptest! {
         let prog = at_most_k_values_program(sym, attr, 3);
         let f = vec![data[0], data[(seed % 4) as usize]];
         let g = vec![data[((seed + 1) % 4) as usize]];
-        match run_protocol_guarded(
-            &prog, &f, &g, &markers, sym, attr, Limits::default(), &mut chaos_guard(seed),
+        match run_protocol_in(
+            &prog, &f, &g, &markers, sym, attr, Limits::default(), &mut NullCollector,
+            &mut chaos_guard(seed),
         ) {
             Ok(p) => prop_assert!(p.distinct_messages as u64 <= p.messages),
             Err(e) => prop_assert!(e.guard().is_some(), "typed trip expected, got {e}"),
@@ -229,10 +229,12 @@ fn fault_injection_is_deterministic() {
     let mut vocab = Vocab::new();
     let ex = examples::example_32(&mut vocab);
     let cfg = TreeGenConfig::example32(&mut vocab, 30, &[1, 2]);
-    let t = random_tree(&cfg, 3);
+    let dt = DelimTree::build(&random_tree(&cfg, 3));
+    let governed =
+        |g: &mut ResourceGuard| run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, g);
     let outcome = |seed: u64| {
         let mut g = ResourceGuard::unlimited().with_faults(FaultPlan::seeded(seed));
-        match run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut g) {
+        match governed(&mut g) {
             Ok(r) => format!("ok:{:?}:{}", r.halt, r.steps),
             Err(e) => format!("err:{e}"),
         }
@@ -242,8 +244,8 @@ fn fault_injection_is_deterministic() {
     }
     // And the ungoverned engine agrees with a quiet (all-zero-rate) plan.
     let mut quiet = ResourceGuard::unlimited().with_faults(FaultPlan::quiet(9));
-    let guarded = run_on_tree_guarded(&ex.program, &t, Limits::default(), &mut quiet).unwrap();
-    let plain = run_on_tree(&ex.program, &t, Limits::default());
+    let guarded = governed(&mut quiet).unwrap();
+    let plain = run(&ex.program, &dt, Limits::default());
     assert_eq!(guarded.accepted(), plain.accepted());
     assert_eq!(guarded.steps, plain.steps);
 }

@@ -3,13 +3,27 @@
 //! engine actually performed, and sinks must capture usable traces.
 
 use twq::automata::{
-    examples, run_on_tree, run_on_tree_with, Action, Dir, Halt, Limits, TwProgram, TwProgramBuilder,
+    examples, run_in, run_on_tree, Action, Dir, Halt, Limits, RunReport, TwProgram,
+    TwProgramBuilder,
 };
-use twq::obs::{Event, HaltKind, Json, JsonlSink, MetricsCollector, RingBufferSink};
-use twq::tree::{parse_tree, Label, Tree, Vocab};
+use twq::guard::NullGuard;
+use twq::obs::{Collector, Event, HaltKind, Json, JsonlSink, MetricsCollector, RingBufferSink};
+use twq::tree::{parse_tree, DelimTree, Label, Tree, Vocab};
 
 const ACCEPTED: &str = "sigma[a=0](delta[a=0](sigma[a=1],sigma[a=1]),sigma[a=2])";
 const REJECTED: &str = "sigma[a=0](delta[a=0](sigma[a=1],sigma[a=2]),sigma[a=2])";
+
+/// Run `prog` on `t` under collector `c` (and no guard).
+fn observe<C: Collector>(prog: &TwProgram, t: &Tree, c: &mut C) -> RunReport {
+    run_in(
+        prog,
+        &DelimTree::build(t),
+        Limits::default(),
+        c,
+        &mut NullGuard,
+    )
+    .unwrap()
+}
 
 /// Instrumentation must be an observer: the `NullCollector` run (the
 /// public entry point) and the `MetricsCollector` run of Example 3.2 end
@@ -22,7 +36,7 @@ fn collectors_agree_on_example_32() {
         let t = parse_tree(text, &mut vocab).unwrap();
         let plain = run_on_tree(&ex.program, &t, Limits::default());
         let mut mc = MetricsCollector::new();
-        let measured = run_on_tree_with(&ex.program, &t, Limits::default(), &mut mc);
+        let measured = observe(&ex.program, &t, &mut mc);
         let m = mc.into_metrics();
         assert_eq!(plain.accepted(), expect, "verdict on {text}");
         assert_eq!(plain.halt, measured.halt);
@@ -42,7 +56,7 @@ fn example_32_metrics_describe_the_run() {
     let ex = examples::example_32(&mut vocab);
     let t = parse_tree(ACCEPTED, &mut vocab).unwrap();
     let mut mc = MetricsCollector::new();
-    let report = run_on_tree_with(&ex.program, &t, Limits::default(), &mut mc);
+    let report = observe(&ex.program, &t, &mut mc);
     let m = mc.into_metrics();
     assert_eq!(m.steps_per_state.iter().sum::<u64>(), m.steps);
     assert!(
@@ -75,7 +89,7 @@ fn jsonl_sink_round_trips_a_real_run() {
     let t = parse_tree(ACCEPTED, &mut vocab).unwrap();
     let mut sink = JsonlSink::new();
     let mut mc = MetricsCollector::with_sink(&mut sink);
-    let report = run_on_tree_with(&ex.program, &t, Limits::default(), &mut mc);
+    let report = observe(&ex.program, &t, &mut mc);
     let steps = mc.metrics.steps;
     drop(mc);
     assert!(report.accepted());
@@ -115,7 +129,7 @@ fn ring_buffer_post_mortem_captures_the_stuck_tail() {
     let (prog, t) = stuck_walker(&mut vocab);
     let mut ring = RingBufferSink::new(3);
     let mut mc = MetricsCollector::with_sink(&mut ring);
-    let report = run_on_tree_with(&prog, &t, Limits::default(), &mut mc);
+    let report = observe(&prog, &t, &mut mc);
     assert_eq!(report.halt, Halt::Stuck);
     assert!(report.steps >= 2, "walks the spine before sticking");
     assert_eq!(mc.metrics.halt, Some(HaltKind::Stuck));

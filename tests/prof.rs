@@ -5,12 +5,14 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, run_batch_governed, run_batch_profiled, Limits};
+use twq::automata::{examples, run_batch_profiled, run_in, Limits};
 use twq::exec::Pool;
-use twq::guard::ResourceGuard;
-use twq::obs::{EventSink, FlameProfiler, Histogram, MetricsCollector, Registry, Snapshot};
+use twq::guard::{GuardStats, NullGuard, ResourceGuard};
+use twq::obs::{
+    EventSink, FlameProfiler, Histogram, MetricsCollector, NullCollector, Registry, Snapshot,
+};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{Tree, Vocab};
+use twq::tree::{DelimTree, Tree, Vocab};
 
 /// A deterministic value stream (splitmix64) — the vendored proptest
 /// shim has no collection strategies, so sample vectors derive from a
@@ -161,16 +163,31 @@ proptest! {
         prop_assert_eq!(t1.idle_spins, 0);
     }
 
-    /// Guard statistics from a governed batch are deterministic and
+    /// Guard statistics from a governed batch — a fresh guard per item,
+    /// its stats merged in input order — are deterministic and
     /// worker-count independent: same trips, same fuel, any pool.
     #[test]
     fn guard_stats_are_worker_count_independent(seed in 0u64..200, budget in 1u64..400) {
         let mut vocab = Vocab::new();
         let ex = examples::example_32(&mut vocab);
         let (_, trees) = batch(seed, 6);
-        let make = || ResourceGuard::unlimited().with_budget(budget);
-        let (r1, g1) = run_batch_governed(&ex.program, &trees, Limits::default(), &Pool::new(1), make);
-        let (r4, g4) = run_batch_governed(&ex.program, &trees, Limits::default(), &Pool::new(4), make);
+        let governed = |workers: usize| {
+            let runs = Pool::new(workers).scoped(trees.len(), |i| {
+                let mut g = ResourceGuard::unlimited().with_budget(budget);
+                let dt = DelimTree::build(&trees[i]);
+                let verdict = run_in(&ex.program, &dt, Limits::default(), &mut NullCollector, &mut g);
+                (verdict, g.stats())
+            });
+            let mut merged = GuardStats::default();
+            let mut verdicts = Vec::with_capacity(runs.len());
+            for (verdict, stats) in runs {
+                merged.merge(&stats);
+                verdicts.push(verdict);
+            }
+            (verdicts, merged)
+        };
+        let (r1, g1) = governed(1);
+        let (r4, g4) = governed(4);
         prop_assert_eq!(&g1, &g4);
         prop_assert_eq!(g1.budget_trips, r1.iter().filter(|r| r.is_err()).count() as u64);
         for (a, b) in r1.iter().zip(&r4) {
@@ -191,7 +208,7 @@ proptest! {
         let collapse = || {
             let mut flame = FlameProfiler::new();
             let mut mc = MetricsCollector::with_sink(&mut flame);
-            twq::automata::run_with(&ex.program, &dt, Limits::default(), &mut mc);
+            run_in(&ex.program, &dt, Limits::default(), &mut mc, &mut NullGuard).unwrap();
             let m = mc.into_metrics();
             (flame.collapsed(), flame.total_weight(), m.steps)
         };

@@ -4,14 +4,31 @@
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, trace_batch, trace_run, Limits};
+use twq::automata::{examples, run_in, Limits, RunReport, TwProgram};
 use twq::exec::Pool;
+use twq::guard::NullGuard;
 use twq::logic::eval::{eval, Assignment};
 use twq::logic::fo::build as fob;
-use twq::logic::{trace_sentence, Formula, Var};
-use twq::obs::{diff, Span, SpanKind, Trace, Verdict};
+use twq::logic::{eval_sentence_in, Formula, Var};
+use twq::obs::{diff, Span, SpanKind, Trace, TraceCollector, Verdict};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, NodeId, Tree, Vocab};
+
+/// Run `prog` on `dt` under a fresh trace collector.
+fn traced_run(prog: &TwProgram, dt: &DelimTree) -> (RunReport, Trace) {
+    let mut c = TraceCollector::new();
+    let report = run_in(prog, dt, Limits::default(), &mut c, &mut NullGuard).unwrap();
+    (report, c.finish("run"))
+}
+
+/// One trace per tree on `pool`, merged positionally into a batch trace.
+fn traced_batch(prog: &TwProgram, trees: &[Tree], pool: &Pool) -> (Vec<RunReport>, Trace) {
+    let runs = pool.scoped(trees.len(), |i| {
+        traced_run(prog, &DelimTree::build(&trees[i]))
+    });
+    let (reports, traces): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    (reports, Trace::merge_batch("run_batch", traces))
+}
 
 /// Follow the chain of successful ∃ spans: each true existential span
 /// carries its winning witness, and the successful candidate's recursion
@@ -71,8 +88,8 @@ proptest! {
         let ex = examples::example_32(&mut vocab);
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
         let trees: Vec<Tree> = (0..5).map(|i| random_tree(&cfg, seed + i)).collect();
-        let (r1, t1) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(1));
-        let (r4, t4) = trace_batch(&ex.program, &trees, Limits::default(), &Pool::new(4));
+        let (r1, t1) = traced_batch(&ex.program, &trees, &Pool::new(1));
+        let (r4, t4) = traced_batch(&ex.program, &trees, &Pool::new(4));
         prop_assert_eq!(
             r1.iter().map(|r| r.accepted()).collect::<Vec<_>>(),
             r4.iter().map(|r| r.accepted()).collect::<Vec<_>>()
@@ -95,7 +112,9 @@ proptest! {
         let sigma = Label::Sym(cfg.symbols[0]);
         let delta = Label::Sym(*cfg.symbols.last().unwrap());
         let (sentence, matrix) = exists_prefix_sentence(k, bits, sigma, delta);
-        let (verdict, trace) = trace_sentence(&t, &sentence);
+        let mut c = TraceCollector::new();
+        let verdict = eval_sentence_in(&t, &sentence, &mut c, &mut NullGuard);
+        let trace = c.finish("eval_sentence");
         prop_assume!(verdict == Ok(true));
         let outer = trace
             .root
@@ -121,7 +140,7 @@ proptest! {
         let ex = examples::example_32(&mut vocab);
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, seed));
-        let (_, trace) = trace_run(&ex.program, &dt, Limits::default());
+        let (_, trace) = traced_run(&ex.program, &dt);
         prop_assert_eq!(diff(&trace, &trace), None);
         let back = Trace::from_json_line(&trace.to_json_line()).unwrap();
         prop_assert_eq!(diff(&trace, &back), None);
