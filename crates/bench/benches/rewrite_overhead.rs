@@ -4,21 +4,22 @@
 //! * `analyze/*` — the price of a full `rewrite()` pass (normalize +
 //!   certify + diagnostics) per query shape, the cost a planner pays
 //!   before ever touching a tree;
-//! * `eval/*` — batch selection over a query mix, direct vs. through the
-//!   rewritten twin (`eval_from_rewritten` re-normalizes per call, so
-//!   this is the worst-case per-evaluation overhead);
+//! * `eval/*` — batch selection over a query mix, direct vs. rewrite then
+//!   walk the normal form (the rewrite runs again on every call, so this
+//!   is the worst-case per-evaluation overhead);
 //! * `stream/*` — a streamable query on a deep chain, relational
 //!   evaluator vs. the certified one-pass evaluator whose state is
 //!   bounded by `max_depth_state`.
 //!
 //! The analysis must stay cheap relative to a single evaluation over a
-//! modest tree, and the rewritten twins must not regress the direct
+//! modest tree, and walking the normal form must not regress the direct
 //! path — both are gated by `bench-diff` against `bench/baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_bench::Bench;
-use twq_rw::{eval_from_rewritten, rewrite, stream_select, Certificate};
+use twq_rw::{rewrite, stream_select, Certificate};
 use twq_tree::generate::chain_tree;
+use twq_tree::{NodeSet, Tree};
 use twq_xpath::{eval_from, random_xpath_shaped, XPath, XPathGenConfig, XPathShape};
 
 fn corpus(b: &mut Bench, shape: XPathShape, n: usize) -> Vec<XPath> {
@@ -32,6 +33,16 @@ fn corpus(b: &mut Bench, shape: XPathShape, n: usize) -> Vec<XPath> {
     (0..n as u64)
         .map(|s| random_xpath_shaped(&cfg, s, shape))
         .collect()
+}
+
+/// Rewrite `q`, short-circuit a provably-empty normal form, and walk the
+/// rest from the root.
+fn rewrite_then_walk(t: &Tree, q: &XPath) -> NodeSet {
+    let rw = rewrite(q);
+    if rw.provably_empty {
+        return NodeSet::new();
+    }
+    eval_from(t, &rw.output, t.root())
 }
 
 fn bench(c: &mut Criterion) {
@@ -52,7 +63,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Direct vs. rewritten batch selection on a mixed corpus. Sanity:
-    // the twins must agree before we price them.
+    // both sides must agree before we price them.
     let mix: Vec<XPath> = corpus(&mut b, XPathShape::Uniform, 16)
         .into_iter()
         .chain(corpus(&mut b, XPathShape::UnionHeavy, 16))
@@ -62,8 +73,8 @@ fn bench(c: &mut Criterion) {
     for q in &mix {
         assert_eq!(
             eval_from(&t, q, t.root()),
-            eval_from_rewritten(&t, q, t.root()),
-            "rewritten twin diverged on `{}`",
+            rewrite_then_walk(&t, q),
+            "normal form diverged on `{}`",
             q.display(&b.vocab)
         );
     }
@@ -77,7 +88,7 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("eval", "rewritten"), &mix, |bch, qs| {
         bch.iter(|| {
             qs.iter()
-                .map(|q| eval_from_rewritten(&t, q, t.root()).len())
+                .map(|q| rewrite_then_walk(&t, q).len())
                 .sum::<usize>()
         })
     });

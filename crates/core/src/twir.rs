@@ -20,7 +20,7 @@
 use twq_guard::{DepthKind, Guard, GuardError, NullGuard, TwqError};
 use twq_logic::store::sbuild;
 use twq_logic::{RegId, Relation, SFormula, Var};
-use twq_obs::{Collector, NullCollector, PhaseTimer};
+use twq_obs::{Collector, PhaseTimer};
 use twq_tree::{AttrId, Label, Value};
 
 use crate::program::{Action, Dir, ProgramError, State, TwProgram, TwProgramBuilder};
@@ -145,56 +145,48 @@ impl WalkerBuilder {
     /// of the delimited tree; falling off the end of the body is a reject
     /// (end with [`Instr::Accept`] to accept).
     pub fn compile(&self, body: &[Instr]) -> Result<TwProgram, ProgramError> {
-        self.compile_with(body, &mut NullCollector)
+        self.lower(body, &mut NullGuard)
+            .expect("NullGuard never trips")
+            .build()
     }
 
-    /// [`WalkerBuilder::compile`] with instrumentation: reports the
-    /// `twir.compile` phase timing and the `run/twir.states` /
-    /// `run/twir.rules` counters of the produced program.
-    pub fn compile_with<C: Collector>(
+    /// [`WalkerBuilder::compile`] with a collector and a guard.
+    ///
+    /// The collector sees the `twir.compile` phase timing and the
+    /// `run/twir.states` / `run/twir.rules` counters of the produced
+    /// program. The guard is charged one fuel unit per compiled instruction,
+    /// with body nesting tracked as [`DepthKind::Compile`]: compiled walkers
+    /// can be enormous (the Theorem 7.1 pebble constructions emit thousands
+    /// of states), so compilation itself is a governed phase. A trip
+    /// discards the partial program; a body the builder rejects surfaces as
+    /// [`TwqError::Invalid`].
+    pub fn compile_in<C: Collector, G: Guard>(
         &self,
         body: &[Instr],
         collector: &mut C,
-    ) -> Result<TwProgram, ProgramError> {
-        let mut guard = NullGuard;
+        guard: &mut G,
+    ) -> Result<TwProgram, TwqError> {
         let timer = C::ENABLED.then(|| PhaseTimer::start("twir.compile"));
-        let mut c = Compiler {
-            b: TwProgramBuilder::new(),
-            labels: &self.labels,
-            counter: 0,
-            guard: &mut guard,
-            trip: None,
-        };
-        for init in &self.regs {
-            c.b.register(init.arity(), init.clone());
-        }
-        let q_f = c.b.state("qF");
-        c.b.final_state(q_f);
-        // Fall-through continuation: a state with no rules (reject).
-        let dead = c.b.state("halt");
-        let entry = c.compile_seq(body, dead, q_f);
-        c.b.initial(entry);
-        let prog = c.b.build();
+        let built = self.lower(body, guard).map(TwProgramBuilder::build);
         if let Some(timer) = timer {
             timer.stop(collector);
         }
-        if let Ok(p) = &prog {
-            collector.counter("run/twir.states", p.state_count() as u64);
-            collector.counter("run/twir.rules", p.rules().len() as u64);
-        }
-        prog
+        let prog = built
+            .map_err(TwqError::Guard)?
+            .map_err(|e| TwqError::invalid("twir::compile", e.to_string()))?;
+        collector.counter("run/twir.states", prog.state_count() as u64);
+        collector.counter("run/twir.rules", prog.rules().len() as u64);
+        Ok(prog)
     }
 
-    /// [`WalkerBuilder::compile`] under a resource [`Guard`]: one fuel unit
-    /// per compiled instruction, body nesting tracked as
-    /// [`DepthKind::Compile`]. Compiled walkers can be enormous (the
-    /// Theorem 7.1 pebble constructions emit thousands of states), so
-    /// compilation itself is a governed phase.
-    pub fn compile_guarded<G: Guard>(
+    /// The one lowering behind [`WalkerBuilder::compile`] and
+    /// [`WalkerBuilder::compile_in`]: the builder holding every state and
+    /// rule of `body`, or the first guard trip.
+    fn lower<G: Guard>(
         &self,
         body: &[Instr],
         guard: &mut G,
-    ) -> Result<TwProgram, TwqError> {
+    ) -> Result<TwProgramBuilder, GuardError> {
         let mut c = Compiler {
             b: TwProgramBuilder::new(),
             labels: &self.labels,
@@ -207,14 +199,14 @@ impl WalkerBuilder {
         }
         let q_f = c.b.state("qF");
         c.b.final_state(q_f);
+        // Fall-through continuation: a state with no rules (reject).
         let dead = c.b.state("halt");
         let entry = c.compile_seq(body, dead, q_f);
         c.b.initial(entry);
-        if let Some(e) = c.trip {
-            return Err(TwqError::Guard(e));
+        match c.trip {
+            Some(e) => Err(e),
+            None => Ok(c.b),
         }
-        c.b.build()
-            .map_err(|e| TwqError::invalid("twir::compile", e.to_string()))
     }
 }
 
@@ -596,6 +588,7 @@ mod tests {
     use super::*;
     use crate::engine::{run_on_tree, Limits};
     use crate::program::TwClass;
+    use twq_obs::NullCollector;
     use twq_tree::generate::{random_tree, TreeGenConfig};
     use twq_tree::Vocab;
 
@@ -845,5 +838,81 @@ mod tests {
         let p = w.compile(&body).unwrap();
         let report = run_on_tree(&p, &t, Limits::default());
         assert!(report.accepted(), "{:?}", report.halt);
+    }
+
+    /// Five instructions over three nesting levels: the top-level body, the
+    /// branches of the outer `If`, and the branches of the inner one.
+    fn nested_body(sigma: Label) -> Vec<Instr> {
+        vec![
+            Instr::Move(Dir::Down),
+            Instr::If(
+                Cond::LabelIs(sigma),
+                vec![when(Cond::LabelIs(sigma), vec![Instr::Accept])],
+                vec![],
+            ),
+            Instr::Fail,
+        ]
+    }
+
+    #[test]
+    fn guarded_compile_trips_at_exact_fuel_and_depth() {
+        use twq_guard::{ResourceGuard, TripReason};
+        let (vocab, _, syms, _) = setup(4, 0);
+        let w = WalkerBuilder::new(&syms);
+        let body = nested_body(Label::Sym(vocab.sym_opt("sigma").unwrap()));
+        let trip = |mut g: ResourceGuard| {
+            let err = w.compile_in(&body, &mut NullCollector, &mut g).unwrap_err();
+            err.guard().map(|e| e.reason)
+        };
+        // One fuel unit per instruction: five fit, four trip.
+        let mut g = ResourceGuard::unlimited().with_budget(5);
+        assert!(w.compile_in(&body, &mut NullCollector, &mut g).is_ok());
+        assert_eq!(g.fuel_spent(), 5);
+        assert_eq!(
+            trip(ResourceGuard::unlimited().with_budget(4)),
+            Some(TripReason::Budget { limit: 4 })
+        );
+        // Three nested bodies: depth 3 fits, 2 trips.
+        let mut g = ResourceGuard::unlimited().with_depth_limit(DepthKind::Compile, 3);
+        assert!(w.compile_in(&body, &mut NullCollector, &mut g).is_ok());
+        assert_eq!(g.depth_high_water(DepthKind::Compile), 3);
+        assert_eq!(
+            trip(ResourceGuard::unlimited().with_depth_limit(DepthKind::Compile, 2)),
+            Some(TripReason::Depth {
+                kind: DepthKind::Compile,
+                limit: 2
+            })
+        );
+    }
+
+    #[test]
+    fn unlimited_guarded_compile_matches_compile() {
+        use twq_guard::ResourceGuard;
+        use twq_obs::MetricsCollector;
+        let (vocab, _, syms, _) = setup(4, 0);
+        let w = WalkerBuilder::new(&syms);
+        let body = nested_body(Label::Sym(vocab.sym_opt("sigma").unwrap()));
+        let plain = w.compile(&body).unwrap();
+        let mut mc = MetricsCollector::new();
+        let guarded = w
+            .compile_in(&body, &mut mc, &mut ResourceGuard::unlimited())
+            .unwrap();
+        // State names, entry/exit states and the rule list in order (the
+        // dispatch index is a hash map, so the whole `Debug` is unordered).
+        let shape = |p: &TwProgram| {
+            let names: Vec<String> = (0..p.state_count())
+                .map(|q| p.state_name(State(q as u16)).to_owned())
+                .collect();
+            (
+                names,
+                p.initial(),
+                p.final_state(),
+                format!("{:?}", p.rules()),
+            )
+        };
+        assert_eq!(shape(&guarded), shape(&plain));
+        let counters = mc.metrics.counters;
+        assert_eq!(counters["run/twir.states"], plain.state_count() as u64);
+        assert_eq!(counters["run/twir.rules"], plain.rules().len() as u64);
     }
 }

@@ -118,13 +118,14 @@ pub struct ProgramCase {
 
 /// A differential formula case: evaluate the binary `FO(∃*)` formula on
 /// `tree` through every FO evaluator pair, and — when the source XPath is
-/// known — every rewritten-vs-direct XPath pair too.
+/// known — every XPath query stage (rewrite, index plan, planners, routed
+/// acceptor) too.
 #[derive(Debug, Clone)]
 pub struct FormulaCase {
     /// The XPath-compiled binary formula.
     pub phi: ExistsFormula,
     /// The source XPath `phi` was compiled from (`None` only for the
-    /// fallback selector); drives the `twq-rw` rewritten-vs-direct pairs.
+    /// fallback selector); drives the XPath query-stage checks.
     pub path: Option<XPath>,
     /// The element alphabet the tree was generated over (a sound
     /// [`twq_rw::RewriteCtx`] assumption for the planner pair).

@@ -11,15 +11,11 @@
 //! | `eval_sentence` vs `_memo` vs `_par` | boolean verdict |
 //! | `select` vs `select_memo` vs `select_batch` vs `ExistsFormula::select` | node sets, every context node |
 //! | serial `select_in` vs `Pool::scoped` `select_in`, fresh guard per node | `Ok` set / trip reason, per node |
-//! | `eval_sentence` vs `eval_sentence_rewritten` | boolean verdict |
-//! | `select` vs `fo_select_rewritten` vs `normalize_exists(φ).select` | node sets, every context node |
-//! | `eval_from` vs `eval_from_rewritten` | node sets, every context node |
-//! | `eval_pairs` vs `eval_pairs_rewritten` | the full binary relation |
-//! | `eval_from` vs `run_query_planned` | root node set, certificate-chosen evaluator |
+//! | `eval_sentence` / `select` / `ExistsFormula::select` vs the same on `normalize_formula(φ)` / `normalize_exists(φ)` | boolean verdict; node sets, every context node |
 //! | `select` vs `fo_select_routed` | node sets, every context node, fragment-routed |
-//! | `eval_from` vs `select_indexed` | node sets, every context node, bitset algebra |
-//! | `eval_from` vs `run_query_indexed` | root node set, forced walk / forced index / cost-based |
-//! | `run_routed(compile(p))` vs `run_query_routed(p)` | acceptance, certificate-aware routing |
+//! | `eval_from` vs `eval_from` on `rewrite(p).output` and vs `eval_plan_from(compile_xpath(p))`; `eval_pairs` vs `eval_pairs` on the normal form | node sets, every context node; the full binary relation |
+//! | `eval_from` vs `run_query_planned` and `run_query_indexed` under every `Force` | root node set, case-alphabet context |
+//! | `run_routed(xpath_to_program(p))` vs the same on the normal form | acceptance; a provably-empty normal form takes the vacuous verdict |
 //! | near-miss builder spec | rejected with the intended `ProgramError` |
 //! | smelly program | analyzer diagnostics non-empty or pruner fired |
 //!
@@ -31,7 +27,7 @@ use twq_analyze::{analyze, prune, run_routed};
 use twq_automata::{run, run_batch, run_in, Limits, RunReport, TwProgram};
 use twq_exec::Pool;
 use twq_guard::{Guard, GuardError, NullGuard, ResourceGuard, TwqError};
-use twq_index::{fo_select_routed, select_indexed, CostModel, Force, TreeIndex};
+use twq_index::{compile_xpath, eval_plan_from, fo_select_routed, CostModel, Force, TreeIndex};
 use twq_logic::fo::build::exists;
 use twq_logic::{
     eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_batch, select_in,
@@ -41,11 +37,10 @@ use twq_obs::{
     diff as trace_diff, Divergence, MetricsCollector, NullCollector, Trace, TraceCollector, Verdict,
 };
 use twq_rw::{
-    eval_from_rewritten, eval_pairs_rewritten, eval_sentence_rewritten, fo_select_rewritten,
-    normalize_exists, run_query_indexed, run_query_planned, run_query_routed, RewriteCtx,
+    normalize_exists, normalize_formula, rewrite, run_query_indexed, run_query_planned, RewriteCtx,
 };
 use twq_tree::{DelimTree, NodeId, Tree};
-use twq_xpath::{eval_from, eval_pairs, xpath_to_program};
+use twq_xpath::{eval_from, eval_pairs, xpath_to_program, SelectionTest, XPath};
 
 use crate::gen::{BudgetSpec, FormulaCase, ProgramCase};
 
@@ -455,38 +450,39 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 3. The rewritten FO twins: normalization must change nothing
-    // observable, for the closed sentence, the raw matrix from every
-    // context node, and the prenex FO(∃*) backtracking selector.
-    match eval_sentence_rewritten(tree, &sentence) {
+    // 3. FO normal forms: normalization must change nothing observable,
+    // for the closed sentence, the raw matrix from every context node, and
+    // the prenex FO(∃*) backtracking selector.
+    match eval_sentence(tree, &normalize_formula(&sentence)) {
         Ok(b) if b == naive => {}
         other => {
             return Some(Discrepancy::new(
-                "eval_sentence vs eval_sentence_rewritten",
-                format!("naive={naive} rewritten={other:?}"),
+                "eval_sentence vs eval_sentence(normalize_formula)",
+                format!("naive={naive} normalized={other:?}"),
             ))
         }
     }
+    let formula_norm = normalize_formula(&formula);
     let phi_norm = normalize_exists(phi);
     let idx = TreeIndex::build(tree);
     for (i, &u) in us.iter().enumerate() {
-        match fo_select_rewritten(tree, &formula, phi.x(), u, phi.y()) {
+        match select(tree, &formula_norm, phi.x(), u, phi.y()) {
             Ok(s) if s == serial[i] => {}
             other => {
                 return Some(Discrepancy::new(
-                    "select vs fo_select_rewritten",
-                    format!("node {u}: naive={:?} rewritten={other:?}", serial[i]),
+                    "select vs select(normalize_formula)",
+                    format!("node {u}: naive={:?} normalized={other:?}", serial[i]),
                 ))
             }
         }
         let norm_sel = phi_norm.select(tree, u);
         if norm_sel != serial[i] {
             return Some(Discrepancy::new(
-                "select vs normalize_exists(phi).select",
+                "ExistsFormula::select vs normalize_exists(phi).select",
                 format!("node {u}: naive={:?} normalized={norm_sel:?}", serial[i]),
             ));
         }
-        // The index router: in-fragment formulas go through the bitset
+        // 4. The index router: in-fragment formulas go through the bitset
         // algebra, the rest fall back — either way the sets must match.
         let (routed_sel, indexed) = fo_select_routed(tree, &idx, phi, u);
         if routed_sel != serial[i] {
@@ -500,38 +496,46 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 4. The rewritten XPath twins, when the source query is known: the
-    // rewrite engine, the certificate-driven planner, and the
-    // certificate-aware routed acceptor must all reproduce the naive
-    // relational answers exactly.
+    // 5. The XPath query stages, when the source query is known, each
+    // checked against the plain evaluators on the query as given.
     if let Some(path) = &case.path {
+        // The unconstrained normal form answers like the query everywhere,
+        // and an emptiness verdict means the query selects nothing here.
+        let rw = rewrite(path);
         let direct_pairs = eval_pairs(tree, path);
-        let rewritten_pairs = eval_pairs_rewritten(tree, path);
-        if rewritten_pairs != direct_pairs {
+        let normal_pairs = eval_pairs(tree, &rw.output);
+        if normal_pairs != direct_pairs || (rw.provably_empty && !direct_pairs.is_empty()) {
             return Some(Discrepancy::new(
-                "eval_pairs vs eval_pairs_rewritten",
-                format!("direct={direct_pairs:?} rewritten={rewritten_pairs:?}"),
+                "eval_pairs vs eval_pairs(rewrite)",
+                format!(
+                    "provably_empty={}: direct={direct_pairs:?} normal form={normal_pairs:?}",
+                    rw.provably_empty
+                ),
             ));
         }
+        let plan = compile_xpath(path);
         for &u in &us {
             let direct = eval_from(tree, path, u);
-            let rewritten = eval_from_rewritten(tree, path, u);
-            if rewritten != direct {
+            let normal = eval_from(tree, &rw.output, u);
+            if normal != direct {
                 return Some(Discrepancy::new(
-                    "eval_from vs eval_from_rewritten",
-                    format!("node {u}: direct={direct:?} rewritten={rewritten:?}"),
+                    "eval_from vs eval_from(rewrite)",
+                    format!("node {u}: direct={direct:?} normal form={normal:?}"),
                 ));
             }
-            let via_index = select_indexed(tree, &idx, path, u);
+            let via_index = eval_plan_from(tree, &idx, &plan, u);
             if via_index != direct {
                 return Some(Discrepancy::new(
-                    "eval_from vs select_indexed",
+                    "eval_from vs eval_plan_from(compile_xpath)",
                     format!("node {u}: direct={direct:?} indexed={via_index:?}"),
                 ));
             }
         }
-        // The planner may route to the streaming evaluator or short-circuit
-        // on an Empty certificate; either way the root answer is fixed.
+
+        // The certificate planner may stream or short-circuit on an Empty
+        // certificate, and the cost-based planner runs under every override
+        // (forced walk, forced index, the cost model's own pick): either
+        // way the root answer is fixed.
         let ctx = RewriteCtx::unconstrained().with_alphabet(case.alphabet.iter().copied());
         let root_direct = eval_from(tree, path, tree.root());
         let (planned, plan) = run_query_planned(tree, path, &ctx);
@@ -544,9 +548,6 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
                 ),
             ));
         }
-        // The cost-based index planner, under every override: forced walk,
-        // forced index, and the cost model's own pick must all reproduce
-        // the naive root answer.
         let model = CostModel::default();
         for force in [Force::Auto, Force::Index, Force::Walk] {
             let (ix_out, ix_plan) = run_query_indexed(tree, &idx, path, &ctx, &model, force);
@@ -560,36 +561,34 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
                 ));
             }
         }
-        // Routed acceptance: compile the *unrewritten* query and route it
-        // naively; the certificate-aware router must agree even when it
-        // decides without walking (provably-empty short-circuit).
+
+        // Routed acceptance: the acceptor compiled from the normal form
+        // agrees with the one compiled from the query as given. A
+        // provably-empty normal form selects nothing, so only the vacuous
+        // `AllValue` test accepts.
         let delim = DelimTree::build(tree);
-        let naive_prog = xpath_to_program(path, &case.alphabet, case.id_attr, case.test);
-        let naive_routed = run_routed(&naive_prog, &delim, FUZZ_LIMITS);
-        let certified = run_query_routed(
-            path,
-            &delim,
-            &case.alphabet,
-            case.id_attr,
-            case.test,
-            FUZZ_LIMITS,
-        );
-        if certified.accepted != naive_routed.accepted {
+        let routed = |p: &XPath| {
+            let prog = xpath_to_program(p, &case.alphabet, case.id_attr, case.test);
+            run_routed(&prog, &delim, FUZZ_LIMITS).accepted
+        };
+        let direct_acc = routed(path);
+        let normal_acc = if rw.provably_empty {
+            matches!(case.test, SelectionTest::AllValue(..))
+        } else {
+            routed(&rw.output)
+        };
+        if normal_acc != direct_acc {
             return Some(Discrepancy::new(
-                "run_routed vs run_query_routed",
+                "run_routed vs run_routed(rewrite)",
                 format!(
-                    "test={:?}: naive accepted={} certified accepted={} (walked={}, {:?})",
-                    case.test,
-                    naive_routed.accepted,
-                    certified.accepted,
-                    certified.routed.is_some(),
-                    certified.rewritten.certificate
+                    "test={:?}: direct accepted={direct_acc} normal form accepted={normal_acc} ({:?})",
+                    case.test, rw.certificate
                 ),
             ));
         }
     }
 
-    // 5. Guarded selection: serial fresh-guard loop vs the same calls
+    // 6. Guarded selection: serial fresh-guard loop vs the same calls
     // fanned across the pool.
     if let Some(fuel) = case.fuel {
         let governed = |u: NodeId| {

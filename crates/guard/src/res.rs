@@ -698,7 +698,7 @@ mod tests {
     #[test]
     fn null_guard_is_free_and_disabled() {
         let mut g = NullGuard;
-        assert!(!NullGuard::ENABLED);
+        const { assert!(!NullGuard::ENABLED) };
         assert!(g.tick().is_ok());
         assert!(g.enter(DepthKind::Alternation).is_ok());
         g.exit(DepthKind::Alternation);

@@ -103,7 +103,7 @@ fn compile_back(path: &XPath, t: IxPlan) -> IxPlan {
 /// the formula leaves the positive two-variable fragment (quantifiers,
 /// negation, sibling-order atoms, cross-node value joins, delimiter
 /// labels). The resulting plan is valid for **singleton** contexts only —
-/// exactly how `fo_select_indexed` evaluates it.
+/// exactly how [`crate::fo_select_routed`] evaluates it.
 pub fn compile_exists(phi: &ExistsFormula) -> Option<IxPlan> {
     if !phi.is_positive_xy() {
         return None;

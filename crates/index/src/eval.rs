@@ -10,10 +10,9 @@
 use twq_logic::ExistsFormula;
 use twq_obs::{Collector, NullCollector};
 use twq_tree::{AttrId, NodeId, NodeSet, Tree};
-use twq_xpath::XPath;
 
 use crate::build::TreeIndex;
-use crate::compile::{compile_exists, compile_xpath};
+use crate::compile::compile_exists;
 use crate::plan::{Axis, IxPlan};
 
 /// Every pre-order position of the indexed tree.
@@ -165,7 +164,9 @@ fn expand(tree: &Tree, idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet 
 
 /// Evaluate a plan from one arena context node, returning an arena-space
 /// result — the indexed counterpart of `eval_from(tree, path, x)` when
-/// `plan = compile_xpath(path)`.
+/// `plan = compile_xpath(path)`. Compile once per query and reuse the
+/// plan across contexts; `tests/index.rs` and the fuzz oracle check the
+/// pair against `eval_from` at every context node.
 pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) -> NodeSet {
     debug_assert_eq!(idx.len(), tree.len(), "index built for another tree");
     let ctx = NodeSet::from([NodeId(idx.intervals().begin(x))]);
@@ -177,29 +178,11 @@ pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) ->
     out
 }
 
-/// The indexed twin of `eval_from`: compile and evaluate in one call.
-/// Identical results on every tree and query (`tests/index.rs` and the
-/// fuzz oracle enforce this); reuse the compiled plan via
-/// [`compile_xpath`] + [`eval_plan_from`] when running many contexts.
-pub fn select_indexed(tree: &Tree, idx: &TreeIndex, path: &XPath, x: NodeId) -> NodeSet {
-    eval_plan_from(tree, idx, &compile_xpath(path), x)
-}
-
-/// The indexed twin of [`ExistsFormula::select`], when the formula is in
-/// the positive two-variable fragment — `None` means out of fragment (the
-/// caller should walk).
-pub fn fo_select_indexed(
-    tree: &Tree,
-    idx: &TreeIndex,
-    phi: &ExistsFormula,
-    u: NodeId,
-) -> Option<NodeSet> {
-    compile_exists(phi).map(|plan| eval_plan_from(tree, idx, &plan, u))
-}
-
-/// [`fo_select_indexed`] with the walking fallback folded in: always
-/// answers, reporting whether the index (`true`) or the backtracking
-/// evaluator (`false`) produced the result.
+/// [`ExistsFormula::select`] through the index: formulas in the positive
+/// two-variable fragment ([`compile_exists`] returns a plan) run as
+/// bitset algebra, the rest fall back to the backtracking evaluator.
+/// Always answers, reporting whether the index (`true`) or the
+/// backtracking evaluator (`false`) produced the result.
 pub fn fo_select_routed(
     tree: &Tree,
     idx: &TreeIndex,
@@ -218,7 +201,7 @@ pub fn fo_select_routed_with<C: Collector>(
     u: NodeId,
     c: &mut C,
 ) -> (NodeSet, bool) {
-    match fo_select_indexed(tree, idx, phi, u) {
+    match compile_exists(phi).map(|plan| eval_plan_from(tree, idx, &plan, u)) {
         Some(out) => (out, true),
         None => {
             if C::ENABLED {

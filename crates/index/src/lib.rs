@@ -16,8 +16,10 @@
 //!   pre-order pass; [`build_indexes`] batches builds across a pool.
 //! * [`IxPlan`] ([`plan`] / [`compile`] / [`eval`]) — the index algebra,
 //!   compilers from XPath (total) and FO(∃*) (positive two-variable
-//!   fragment, `None` ⇒ walk), and the bitset evaluator with its
-//!   [`select_indexed`] / [`fo_select_indexed`] twins.
+//!   fragment, `None` ⇒ walk), and the bitset evaluator: an XPath query
+//!   runs as [`eval_plan_from`] over [`compile_xpath`]`(p)`, compiled once
+//!   per query, and [`fo_select_routed`] answers FO(∃*) selections,
+//!   walking when [`compile_exists`] returns `None`.
 //! * [`CostModel`] ([`cost`]) — calibrated unit costs pricing index plans
 //!   against [`twq_xpath::walk_cost`] estimates; `twq-rw`'s
 //!   `plan_indexed` routes on the verdict.
@@ -31,10 +33,7 @@ pub mod plan;
 pub use build::{build_indexes, IndexScratch, IndexStats, TreeIndex};
 pub use compile::{compile_exists, compile_xpath};
 pub use cost::{Choice, CostModel, Estimate, Force};
-pub use eval::{
-    eval_plan_from, eval_plan_pre, fo_select_indexed, fo_select_routed, fo_select_routed_with,
-    select_indexed,
-};
+pub use eval::{eval_plan_from, eval_plan_pre, fo_select_routed, fo_select_routed_with};
 pub use plan::{Axis, IxPlan};
 
 #[cfg(test)]
@@ -53,12 +52,13 @@ mod tests {
         (v, t)
     }
 
-    fn assert_twins(v: &mut Vocab, t: &Tree, expr: &str) {
+    fn assert_plan_matches_walk(v: &mut Vocab, t: &Tree, expr: &str) {
         let idx = TreeIndex::build(t);
         let p = parse_xpath(expr, v).unwrap();
+        let plan = compile_xpath(&p);
         for x in t.node_ids() {
             assert_eq!(
-                select_indexed(t, &idx, &p, x),
+                eval_plan_from(t, &idx, &plan, x),
                 eval_from(t, &p, x),
                 "query `{expr}` from {x:?}"
             );
@@ -81,7 +81,7 @@ mod tests {
             "//book[//title]",
             "ghost",
         ] {
-            assert_twins(&mut v, &t, expr);
+            assert_plan_matches_walk(&mut v, &t, expr);
         }
     }
 

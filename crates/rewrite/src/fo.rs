@@ -1,5 +1,6 @@
-//! Canonical normal form for FO formulas and the prenex FO(∃*) fragment,
-//! plus the `*_rewritten` evaluator twins for `twq-logic`.
+//! Canonical normal form for FO formulas and the prenex FO(∃*) fragment.
+//! Normal forms are ordinary [`Formula`]s and [`ExistsFormula`]s, so every
+//! `twq-logic` evaluator takes them unchanged.
 //!
 //! The normalizer is semantics-preserving over `Dom(t)` (which is never
 //! empty — every tree has a root, so vacuous quantifiers drop):
@@ -10,11 +11,8 @@
 //! * `¬¬φ = φ`, `¬⊤ = ⊥`, `¬⊥ = ⊤`, `x = x` is `⊤`;
 //! * `∃x φ = φ` and `∀x φ = φ` when `x` is not free in `φ`.
 
-use twq_guard::TwqError;
-use twq_logic::eval::{eval_sentence, select};
 use twq_logic::fo::{Formula, TreeAtom, Var};
 use twq_logic::ExistsFormula;
-use twq_tree::{NodeId, NodeSet, Tree};
 
 /// Normalize a formula. Equivalent to the input on every tree (proptests
 /// in `tests/rewrite.rs` check both sentence truth and `select` sets).
@@ -116,25 +114,10 @@ pub fn normalize_exists(phi: &ExistsFormula) -> ExistsFormula {
         .expect("normalization preserves the FO(∃*) invariants")
 }
 
-/// `eval_sentence` through the rewriter: normalize, then evaluate.
-pub fn eval_sentence_rewritten(tree: &Tree, f: &Formula) -> Result<bool, TwqError> {
-    eval_sentence(tree, &normalize_formula(f))
-}
-
-/// `select` through the rewriter: normalize, then select.
-pub fn fo_select_rewritten(
-    tree: &Tree,
-    f: &Formula,
-    x: Var,
-    u: NodeId,
-    y: Var,
-) -> Result<NodeSet, TwqError> {
-    select(tree, &normalize_formula(f), x, u, y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twq_logic::eval::eval_sentence;
     use twq_logic::fo::build as b;
     use twq_tree::{parse_tree, Vocab};
 
@@ -158,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_sentence_agrees() {
+    fn normalized_sentence_agrees() {
         let mut v = Vocab::new();
         let t = parse_tree("sigma(delta(sigma),sigma)", &mut v).unwrap();
         let x = b::var(0);
@@ -168,7 +151,7 @@ mod tests {
         );
         assert_eq!(
             eval_sentence(&t, &f).unwrap(),
-            eval_sentence_rewritten(&t, &f).unwrap()
+            eval_sentence(&t, &normalize_formula(&f)).unwrap()
         );
     }
 }

@@ -14,11 +14,21 @@
 //!   incomplete, brute-force-verified on bounded random trees);
 //! * [`stream`] — [`certify`] into [`Certificate`], plus the one-pass
 //!   [`stream_select`] evaluator that validates certificates;
-//! * [`fo`] — FO / FO(∃*) normal forms and the logic evaluator twins;
-//! * [`route`] — the xpath evaluator twins and certificate-aware
-//!   planning ([`plan_query`], [`run_query_routed`]);
+//! * [`fo`] — FO / FO(∃*) normal forms ([`normalize_formula`],
+//!   [`normalize_exists`]);
+//! * [`route`] — certificate-aware planning ([`plan_query`],
+//!   [`run_query_planned`]) and cost-based index planning
+//!   ([`plan_indexed`], [`run_query_indexed`]);
 //! * [`diag`] — the `RW`/`ST` diagnostic codes extending the
 //!   `twq-analyze` taxonomy to queries.
+//!
+//! Every stage hands its output to the plain evaluators unchanged: rewrite
+//! once with [`rewrite`] (or [`rewrite_in`]), then call `eval_from`,
+//! `eval_pairs` or `xpath_to_program` on [`Rewritten::output`] — skipping
+//! the call when [`Rewritten::provably_empty`] holds, since the answer is
+//! then empty. FO callers evaluate [`normalize_formula`]`(f)` with
+//! `eval_sentence` / `select`. The composite entry points above are the
+//! only calls that chain stages for the caller.
 //!
 //! The pass reports telemetry through the `twq-obs` [`Collector`] seam
 //! (`rewrite/rules_fired/<name>`, `rewrite/pruned_branches`,
@@ -38,13 +48,11 @@ use twq_xpath::XPath;
 
 pub use contain::{contains, is_self_relation, pred_tautology, provably_empty, RewriteCtx};
 pub use diag::{query_severity_counts, QueryDiagnostic, Severity};
-pub use fo::{eval_sentence_rewritten, fo_select_rewritten, normalize_exists, normalize_formula};
+pub use fo::{normalize_exists, normalize_formula};
 pub use norm::{apply_rule_deep, normalize, normalize_in, normalize_seeded};
 pub use route::{
-    eval_from_rewritten, eval_pairs_rewritten, plan_indexed, plan_indexed_with, plan_query,
-    run_query_indexed, run_query_indexed_with, run_query_planned, run_query_routed,
-    select_batch_rewritten, xpath_to_program_rewritten, IndexedEvaluator, IndexedPlan,
-    PlannedEvaluator, QueryPlan, QueryRouted,
+    plan_indexed, plan_indexed_with, plan_query, run_query_indexed, run_query_indexed_with,
+    run_query_planned, IndexedEvaluator, IndexedPlan, PlannedEvaluator, QueryPlan,
 };
 pub use rules::{rule, RwRule, CATALOG};
 pub use stream::{certify, stream_select, stream_select_gauged, Certificate, StreamStats};

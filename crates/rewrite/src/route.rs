@@ -1,59 +1,25 @@
-//! Certificate-aware query planning: the rewritten evaluator twins for
-//! `twq-xpath`, and the routing layer that consults the streamability
-//! certificate before picking an evaluator (the front half of the
-//! ROADMAP item 3 planner).
+//! Certificate-aware query planning: the routing layer that consults the
+//! rewrite record — emptiness, streamability certificate, compiled index
+//! plan — before picking an evaluator (the front half of the ROADMAP
+//! item 3 planner).
+//!
+//! Each stage is also usable on its own: [`crate::rewrite`] yields a normal
+//! form that any `twq-xpath` evaluator accepts unchanged, and
+//! `twq_index::compile_xpath` turns it into an index plan. The fuzz oracle
+//! checks every stage against the plain evaluators directly.
 
-use std::collections::BTreeSet;
 use std::time::Instant;
 
-use twq_analyze::{run_routed, Routed};
-use twq_automata::{Limits, TwProgram};
-use twq_exec::Pool;
 use twq_index::{
     compile_xpath, eval_plan_from, Choice, CostModel, Estimate, Force, IxPlan, TreeIndex,
 };
 use twq_obs::{Collector, NullCollector};
-use twq_tree::{AttrId, DelimTree, NodeId, NodeSet, SymId, Tree};
-use twq_xpath::{eval_from, eval_pairs, select_batch, xpath_to_program, SelectionTest, XPath};
+use twq_tree::{NodeSet, Tree};
+use twq_xpath::{eval_from, XPath};
 
 use crate::contain::RewriteCtx;
 use crate::stream::{stream_select, Certificate};
 use crate::{rewrite_in, Rewritten};
-
-/// `eval_from` through the rewriter: rewrite once, short-circuit provably
-/// empty queries, evaluate the normal form. Byte-identical results to the
-/// naive path (the fuzz oracle and `experiments --rewrite` enforce this).
-pub fn eval_from_rewritten(tree: &Tree, path: &XPath, x: NodeId) -> NodeSet {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return NodeSet::new();
-    }
-    eval_from(tree, &rw.output, x)
-}
-
-/// `eval_pairs` through the rewriter.
-pub fn eval_pairs_rewritten(tree: &Tree, path: &XPath) -> BTreeSet<(NodeId, NodeId)> {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return BTreeSet::new();
-    }
-    eval_pairs(tree, &rw.output)
-}
-
-/// `select_batch` through the rewriter: the rewrite runs once, the
-/// normal form is evaluated for every context.
-pub fn select_batch_rewritten(
-    tree: &Tree,
-    path: &XPath,
-    contexts: &[NodeId],
-    pool: &Pool,
-) -> Vec<NodeSet> {
-    let rw = rewrite_in(path, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        return contexts.iter().map(|_| NodeSet::new()).collect();
-    }
-    select_batch(tree, &rw.output, contexts, pool)
-}
 
 /// Which evaluator the planner picked for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,62 +69,6 @@ pub fn run_query_planned(tree: &Tree, q: &XPath, ctx: &RewriteCtx) -> (NodeSet, 
         PlannedEvaluator::Relational => eval_from(tree, &plan.rewritten.output, tree.root()),
     };
     (out, plan)
-}
-
-/// Compile the *rewritten* query to a `tw^{r,l}` acceptor, returning the
-/// rewrite record alongside (its certificate travels with the program).
-pub fn xpath_to_program_rewritten(
-    query: &XPath,
-    alphabet: &[SymId],
-    id_attr: AttrId,
-    test: SelectionTest,
-) -> (TwProgram, Rewritten) {
-    let rw = rewrite_in(query, &RewriteCtx::unconstrained());
-    let prog = xpath_to_program(&rw.output, alphabet, id_attr, test);
-    (prog, rw)
-}
-
-/// A certificate-aware routed run of a query acceptor.
-#[derive(Debug)]
-pub struct QueryRouted {
-    /// The rewrite record consulted before routing.
-    pub rewritten: Rewritten,
-    /// The analyze-layer routing record, when a walk actually ran
-    /// (`None` when the certificate short-circuited it).
-    pub routed: Option<Routed>,
-    /// The acceptance verdict.
-    pub accepted: bool,
-}
-
-/// Route a query end to end: consult the rewrite certificate first — a
-/// provably-empty query is decided without compiling or walking — then
-/// compile the normal form and hand it to `analyze::run_routed`.
-pub fn run_query_routed(
-    query: &XPath,
-    delim: &DelimTree,
-    alphabet: &[SymId],
-    id_attr: AttrId,
-    test: SelectionTest,
-    limits: Limits,
-) -> QueryRouted {
-    let rw = rewrite_in(query, &RewriteCtx::unconstrained());
-    if rw.provably_empty {
-        // An empty selection accepts exactly the vacuous test.
-        let accepted = matches!(test, SelectionTest::AllValue(..));
-        return QueryRouted {
-            rewritten: rw,
-            routed: None,
-            accepted,
-        };
-    }
-    let prog = xpath_to_program(&rw.output, alphabet, id_attr, test);
-    let routed = run_routed(&prog, delim, limits);
-    let accepted = routed.accepted;
-    QueryRouted {
-        rewritten: rw,
-        routed: Some(routed),
-        accepted,
-    }
 }
 
 /// Which evaluator the cost-based planner picked for a query against an
@@ -247,7 +157,7 @@ pub fn plan_indexed_with<C: Collector>(
 
 /// Evaluate `q` from the root along its cost-based plan. Equal to
 /// `eval_from(tree, q, tree.root())` whichever evaluator runs (the fuzz
-/// oracle and `experiments --index` enforce this).
+/// oracle and `tests/rewrite.rs` enforce this, under every [`Force`]).
 ///
 /// The walking fallback evaluates the query *as given*, not the rewrite
 /// normal form: the planner priced it against a direct walk, and the
@@ -415,26 +325,26 @@ mod tests {
         let t = parse_tree("sigma(delta)", &mut v).unwrap();
         let sigma = v.sym("sigma");
         let ghost = v.sym("ghost");
-        let id = v.attr("id");
         let ctx = RewriteCtx::unconstrained().with_alphabet([sigma]);
         let plan = plan_query(&xb::name(ghost), &ctx);
         assert_eq!(plan.evaluator, PlannedEvaluator::EmptyShortCircuit);
-        // Structurally-empty query: label clash needs no ctx at all.
+        // Structurally-empty query: label clash needs no ctx at all, and
+        // the walk over the query as given agrees with the vacuous verdict.
         let clash = twq_xpath::XPath::Filter(
             Box::new(xb::name(sigma)),
             Box::new(twq_xpath::Pred::Path(xb::name(ghost))),
         );
-        let delim = DelimTree::build(&t);
-        let routed = run_query_routed(
+        let plan = plan_query(&clash, &RewriteCtx::unconstrained());
+        assert!(plan.rewritten.provably_empty);
+        assert_eq!(plan.evaluator, PlannedEvaluator::EmptyShortCircuit);
+        let prog = twq_xpath::xpath_to_program(
             &clash,
-            &delim,
             &[sigma, ghost],
-            id,
-            SelectionTest::NonEmpty,
-            Limits::default(),
+            v.attr("id"),
+            twq_xpath::SelectionTest::NonEmpty,
         );
-        assert!(routed.rewritten.provably_empty);
-        assert!(routed.routed.is_none());
+        let delim = twq_tree::DelimTree::build(&t);
+        let routed = twq_analyze::run_routed(&prog, &delim, twq_automata::Limits::default());
         assert!(!routed.accepted);
     }
 }

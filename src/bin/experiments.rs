@@ -42,22 +42,11 @@
 //! collision-heavy corpus of `twq-fuzz`), stressing the value-comparison
 //! paths of E1's register automaton.
 //!
-//! A governed run that trips a limit prints its row with an explicit
-//! `limit-tripped` marker instead of hanging or aborting the sweep.
-//!
-//! `--rewrite` routes the query-shaped experiments through the `twq-rw`
-//! rewriter twins — E2's XPath evaluation through `eval_from_rewritten`,
-//! E7's sentence evaluation through `eval_sentence_rewritten` — asserting
-//! agreement with the naive path on every row. The printed output is
-//! byte-identical to a run without the flag (CI diffs the two), so the
-//! rewrite layer is exercised without perturbing a single table.
-//!
-//! `--index` routes E2's XPath evaluation through the `twq-index`
-//! bitset-algebra twins as well: every query row is re-answered by
-//! `select_indexed` over a per-tree `TreeIndex` and by the cost-based
-//! `run_query_indexed` planner under every `Force` override, asserting
-//! agreement with the naive path. Like `--rewrite`, the printed output is
-//! byte-identical to a run without the flag (CI diffs the two).
+//! Each evaluator call in a row goes through its `*_in` / `*_guarded`
+//! entry with a fresh guard built from these flags; without any of them
+//! that is `ResourceGuard::unlimited()`, which never trips. A governed run
+//! that trips a limit prints its row with an explicit `limit-tripped`
+//! marker instead of hanging or aborting the sweep.
 //!
 //! `--trace PATH` records one representative run per experiment (E1–E7)
 //! as a causal trace (`twq-obs`) and writes them as labeled JSONL —
@@ -68,14 +57,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use twq::analyze::{analyze, prune, severity_counts};
-use twq::automata::{
-    examples, run, run_graph, run_in, Limits, RunReport, State, TwClass, TwProgram,
-};
+use twq::automata::{examples, run_graph, run_in, Limits, RunReport, State, TwClass, TwProgram};
 use twq::exec::{Pool, PoolStats};
 use twq::guard::{FaultPlan, NullGuard, ResourceGuard, TripReason, TwqError};
-use twq::index::{select_indexed, CostModel, Force, TreeIndex};
+use twq::logic::eval_sentence_in;
 use twq::logic::types::{count_classes, TypeConfig};
-use twq::logic::{eval_sentence, eval_sentence_in};
 use twq::obs::{
     col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
     NullCollector, Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace, TraceCollector,
@@ -83,26 +69,23 @@ use twq::obs::{
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
-    random_hyperset, run_protocol, run_protocol_in, split_string_tree, HyperGenConfig, Markers,
-    ProtocolReport,
+    random_hyperset, run_protocol_in, split_string_tree, HyperGenConfig, Markers,
 };
-use twq::rw::{eval_from_rewritten, eval_sentence_rewritten, run_query_indexed, RewriteCtx};
 use twq::sim::{
     compile_logspace, compile_logspace_guarded, compile_pspace, compile_pspace_guarded,
-    delta_count_mod3, eliminate_store, eliminate_store_guarded,
+    delta_count_mod3, eliminate_store_guarded,
 };
 use twq::tree::generate::{monadic_tree, random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, Value, Vocab};
-use twq::xpath::{compile, eval_from, eval_from_in, parse_xpath};
-use twq::xtm::machine::{run_xtm, run_xtm_in, XtmLimits, XtmReport};
+use twq::xpath::{compile, eval_from_in, parse_xpath};
+use twq::xtm::machine::{run_xtm_in, XtmLimits, XtmReport};
 use twq::xtm::tm::tm_leaf_count_even;
-use twq::xtm::{
-    encode as xenc, machines, run_alternating, run_alternating_guarded, run_tm, to_bytes,
-};
+use twq::xtm::{encode as xenc, machines, run_alternating_guarded, run_tm, to_bytes};
 
 /// Resource-governance settings from `--budget`, `--timeout`, `--faults`.
-/// Each governed evaluator call gets a **fresh** guard built from these, so
-/// the budget and deadline are per invocation, not per sweep.
+/// Each evaluator call gets a **fresh** guard built from these, so the
+/// budget and deadline are per invocation, not per sweep; with no flag set
+/// the guard is unlimited and never trips.
 #[derive(Debug, Clone, Default)]
 struct Gov {
     budget: Option<u64>,
@@ -411,69 +394,8 @@ fn prof_summary(rep: &mut dyn Reporter, prof: &mut Prof) {
     }
 }
 
-/// Run the direct engine, governed when any `--budget`/`--timeout`/
-/// `--faults` flag is set.
-fn governed_run(
-    prog: &TwProgram,
-    dt: &DelimTree,
-    limits: Limits,
-    gov: &Gov,
-) -> Result<twq::automata::RunReport, TwqError> {
-    if gov.active() {
-        run_in(prog, dt, limits, &mut NullCollector, &mut gov.guard())
-    } else {
-        Ok(run(prog, dt, limits))
-    }
-}
-
-/// [`run_xtm`] under the session governance.
-fn governed_run_xtm(
-    m: &twq::xtm::Xtm,
-    dt: &DelimTree,
-    limits: XtmLimits,
-    gov: &Gov,
-) -> Result<XtmReport, TwqError> {
-    if gov.active() {
-        run_xtm_in(m, dt, limits, &mut NullCollector, &mut gov.guard())
-    } else {
-        Ok(run_xtm(m, dt, limits))
-    }
-}
-
-/// [`run_protocol`] under the session governance.
-#[allow(clippy::too_many_arguments)]
-fn governed_run_protocol(
-    prog: &TwProgram,
-    f: &[Value],
-    g: &[Value],
-    markers: &Markers,
-    sym: twq::tree::SymId,
-    attr: twq::tree::AttrId,
-    limits: Limits,
-    gov: &Gov,
-) -> Result<ProtocolReport, TwqError> {
-    if gov.active() {
-        let guard = &mut gov.guard();
-        run_protocol_in(
-            prog,
-            f,
-            g,
-            markers,
-            sym,
-            attr,
-            limits,
-            &mut NullCollector,
-            guard,
-        )
-    } else {
-        Ok(run_protocol(prog, f, g, markers, sym, attr, limits))
-    }
-}
-
 fn main() {
     let (mut json, mut profile, mut strict, mut do_analyze) = (false, false, false, false);
-    let mut use_rewrite = false;
-    let mut use_index = false;
     let mut gov = Gov::default();
     let mut jobs: Option<usize> = None;
     let mut collisions: Option<usize> = None;
@@ -482,7 +404,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     let usage = "expected --json, --profile, --flame PATH, --trace PATH, --analyze, --strict, \
-                 --rewrite, --index, --jobs N, --budget N, --timeout MS, --collisions K, and/or \
+                 --jobs N, --budget N, --timeout MS, --collisions K, and/or \
                  --faults SEED[:KIND=RATE,...]";
     let numeric = |flag: &str, v: Option<&String>| -> u64 {
         v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -508,8 +430,6 @@ fn main() {
             }
             "--strict" => strict = true,
             "--analyze" => do_analyze = true,
-            "--rewrite" => use_rewrite = true,
-            "--index" => use_index = true,
             "--jobs" => jobs = Some(numeric("--jobs", it.next()) as usize),
             "--budget" => gov.budget = Some(numeric("--budget", it.next())),
             "--timeout" => gov.timeout_ms = Some(numeric("--timeout", it.next())),
@@ -572,20 +492,12 @@ fn main() {
         e0_analyze(rep);
     }
     e1_example32(rep, &mut prof, &mut tracer, &gov, collisions, &pool);
-    e2_xpath(
-        rep,
-        &mut prof,
-        &mut tracer,
-        &gov,
-        &pool,
-        use_rewrite,
-        use_index,
-    );
+    e2_xpath(rep, &mut prof, &mut tracer, &gov, &pool);
     e3_logspace_pebbles(rep, &mut prof, &mut tracer, &gov, &pool);
     e4_twl_ptime(rep, &mut prof, &mut tracer, &gov, &pool);
     e5_twr_pspace(rep, &mut prof, &mut tracer, &gov, &pool);
     e6_twrl_exptime(rep, &mut prof, &mut tracer, &gov, &pool);
-    e7_lm_fo(rep, &mut tracer, &gov, use_rewrite);
+    e7_lm_fo(rep, &mut tracer, &gov);
     e8_protocol(rep, &gov);
     e9_counting(rep);
     e10_types(rep);
@@ -810,7 +722,13 @@ fn e1_example32(
             let cfg = if seed % 2 == 0 { mixed } else { uniform };
             let t = random_tree(cfg, seed);
             let dt = DelimTree::build(&t);
-            let r = match governed_run(&prog, &dt, Limits::default(), gov) {
+            let r = match run_in(
+                &prog,
+                &dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
                 Ok(r) => r,
                 Err(e) => {
                     trip = Some(e);
@@ -871,15 +789,7 @@ fn e1_example32(
     }
 }
 
-fn e2_xpath(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    pool: &Pool,
-    use_rewrite: bool,
-    use_index: bool,
-) {
+fn e2_xpath(rep: &mut dyn Reporter, prof: &mut Prof, tracer: &mut Tracer, gov: &Gov, pool: &Pool) {
     rep.experiment("E2", "Section 2.3: XPath ≡ compiled FO(∃*) selector");
     let mut vocab = Vocab::new();
     let queries = [
@@ -908,58 +818,11 @@ fn e2_xpath(
             inputs.push((n, q, trees.len() - 1, path));
         }
     }
-    // `--index`: per-tree indexes for the bitset-algebra twins, built
-    // serially so the parallel rows only read them.
-    let indexes: Vec<TreeIndex> = if use_index {
-        trees.iter().map(TreeIndex::build).collect()
-    } else {
-        Vec::new()
-    };
     // Execute (parallel): direct evaluation vs the compiled selector.
     let (rows, telemetry) = scoped_rows(pool, prof.active, inputs.len(), |i| {
         let (_, _, ti, path) = &inputs[i];
         let t = &trees[*ti];
-        let direct = if gov.active() {
-            eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard())
-        } else {
-            let d = eval_from(t, path, t.root());
-            if use_rewrite {
-                // --rewrite: the twin must reproduce the naive answer
-                // exactly; the printed row is built from the (identical)
-                // naive result, keeping the output byte-stable.
-                let twin = eval_from_rewritten(t, path, t.root());
-                assert_eq!(
-                    twin, d,
-                    "--rewrite: eval_from_rewritten diverged on `{}`",
-                    inputs[i].1
-                );
-            }
-            if use_index {
-                // --index: same byte-stable twin discipline for the index
-                // algebra — the direct index evaluator and the cost-based
-                // planner under every `Force` override must all reproduce
-                // the naive answer; rows still print from the naive result.
-                let idx = &indexes[*ti];
-                let twin = select_indexed(t, idx, path, t.root());
-                assert_eq!(
-                    twin, d,
-                    "--index: select_indexed diverged on `{}`",
-                    inputs[i].1
-                );
-                let ctx = RewriteCtx::unconstrained();
-                let model = CostModel::default();
-                for force in [Force::Auto, Force::Index, Force::Walk] {
-                    let (planned, _) = run_query_indexed(t, idx, path, &ctx, &model, force);
-                    assert_eq!(
-                        planned, d,
-                        "--index: run_query_indexed({force:?}) diverged on `{}`",
-                        inputs[i].1
-                    );
-                }
-            }
-            Ok(d)
-        };
-        direct.map(|d| {
+        eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard()).map(|d| {
             let agree = d == compile(path).select(t, t.root());
             (d.len(), agree)
         })
@@ -1011,22 +874,18 @@ fn e3_logspace_pebbles(
             machines::leftmost_depth_even(&base.symbols),
         ),
     ] {
-        let prog = if gov.active() {
-            match compile_logspace_guarded(
-                &machine,
-                &base.symbols,
-                id,
-                &mut vocab,
-                &mut gov.guard(),
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    rep.note(&format!("{name}: compilation limit-tripped: {e}"));
-                    continue;
-                }
+        let prog = match compile_logspace_guarded(
+            &machine,
+            &base.symbols,
+            id,
+            &mut vocab,
+            &mut gov.guard(),
+        ) {
+            Ok(p) => p,
+            Err(e) => {
+                rep.note(&format!("{name}: compilation limit-tripped: {e}"));
+                continue;
             }
-        } else {
-            compile_logspace(&machine, &base.symbols, id, &mut vocab).unwrap()
         };
         rep.note(&format!(
             "{name}: compiled to class {} ({} states, {} pebble registers)",
@@ -1076,7 +935,13 @@ fn e3_logspace_pebbles(
         // Execute (parallel): the xTM and the compiled walker per size.
         let (rows, telemetry) = scoped_rows(pool, profile, sizes.len(), |i| {
             let dt = &dts[i];
-            let xr = match governed_run_xtm(&machine, dt, XtmLimits::default(), gov) {
+            let xr = match run_xtm_in(
+                &machine,
+                dt,
+                XtmLimits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
                 Ok(r) => r,
                 Err(e) => return E3Row::XtmTrip(e),
             };
@@ -1086,7 +951,13 @@ fn e3_logspace_pebbles(
                 });
                 E3Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
             } else {
-                match governed_run(&prog.program, dt, Limits::long_walk(), gov) {
+                match run_in(
+                    &prog.program,
+                    dt,
+                    Limits::long_walk(),
+                    &mut NullCollector,
+                    &mut gov.guard(),
+                ) {
                     Ok(r) => E3Row::Done(xr, r, None),
                     Err(e) => E3Row::ProgTrip(xr, e),
                 }
@@ -1220,7 +1091,14 @@ fn e4_twl_ptime(
         // The direct engine is the governed witness: if the workload fits
         // the budget there, the breadth-first sweep is measured ungoverned.
         if gov.active() {
-            if let Err(e) = governed_run(&prog, dt, Limits::default(), gov) {
+            let governed = run_in(
+                &prog,
+                dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            );
+            if let Err(e) = governed {
                 return E4Row::Trip(e);
             }
         }
@@ -1287,17 +1165,14 @@ fn e5_twr_pspace(
     let base = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let id = vocab.attr("id");
     let machine = machines::leaf_count_even(&base.symbols);
-    let prog = if gov.active() {
+    let prog =
         match compile_pspace_guarded(&machine, &base.symbols, id, &mut vocab, &mut gov.guard()) {
             Ok(p) => p,
             Err(e) => {
                 rep.note(&format!("compilation limit-tripped: {e}"));
                 return;
             }
-        }
-    } else {
-        compile_pspace(&machine, &base.symbols, id, &mut vocab).unwrap()
-    };
+        };
     rep.table(
         None,
         0,
@@ -1331,7 +1206,13 @@ fn e5_twr_pspace(
     // Execute (parallel): the xTM and the compiled tw^r walker per size.
     let (rows, telemetry) = scoped_rows(pool, profile, sizes.len(), |i| {
         let dt = &dts[i];
-        let xr = match governed_run_xtm(&machine, dt, XtmLimits::default(), gov) {
+        let xr = match run_xtm_in(
+            &machine,
+            dt,
+            XtmLimits::default(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        ) {
             Ok(r) => r,
             Err(e) => return E5Row::Trip(e),
         };
@@ -1341,7 +1222,13 @@ fn e5_twr_pspace(
             });
             E5Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
         } else {
-            match governed_run(&prog.program, dt, Limits::long_walk(), gov) {
+            match run_in(
+                &prog.program,
+                dt,
+                Limits::long_walk(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
                 Ok(r) => E5Row::Done(xr, r, None),
                 Err(e) => E5Row::Trip(e),
             }
@@ -1447,7 +1334,13 @@ fn e6_twrl_exptime(
                 Capture::collect(|mc| run_in(prog, dt, Limits::default(), mc, &mut NullGuard));
             E6Row::Done(r.expect("NullGuard never trips"), Some(Box::new(cap)))
         } else {
-            match governed_run(prog, dt, Limits::default(), gov) {
+            match run_in(
+                prog,
+                dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
                 Ok(r) => E6Row::Done(r, None),
                 Err(e) => E6Row::Trip(e),
             }
@@ -1495,7 +1388,7 @@ fn e6_twrl_exptime(
     }
 }
 
-fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite: bool) {
+fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov) {
     rep.experiment("E7", "Lemma 4.2: L^m is FO-definable (sentence ≡ decoder)");
     let mut vocab = Vocab::new();
     let markers = Markers::new(2, &mut vocab);
@@ -1534,25 +1427,12 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov, use_rewrite:
                 w.extend(g.iter().copied());
                 let expect = in_lm(m, &w, &markers);
                 let t = split_string_tree(&f, &g, &markers, sym, attr);
-                let got = if gov.active() {
-                    match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            trip = Some(e);
-                            continue;
-                        }
+                let got = match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
+                    Ok(b) => b,
+                    Err(e) => {
+                        trip = Some(e);
+                        continue;
                     }
-                } else {
-                    let b = eval_sentence(&t, &phi).expect("L_m sentence is closed");
-                    if use_rewrite {
-                        let twin =
-                            eval_sentence_rewritten(&t, &phi).expect("normal form stays closed");
-                        assert_eq!(
-                            twin, b,
-                            "--rewrite: eval_sentence_rewritten diverged (m={m})"
-                        );
-                    }
-                    b
                 };
                 agree &= got == expect;
                 if expect {
@@ -1627,7 +1507,7 @@ fn e8_protocol(rep: &mut dyn Reporter, gov: &Gov) {
         for len in [2usize, 4, 8, 16, 32] {
             let f: Vec<Value> = (0..len).map(|i| data[i % data.len()]).collect();
             let g: Vec<Value> = (0..len).map(|i| data[(i + 1) % data.len()]).collect();
-            let p = match governed_run_protocol(
+            let p = match run_protocol_in(
                 prog,
                 &f,
                 &g,
@@ -1635,7 +1515,8 @@ fn e8_protocol(rep: &mut dyn Reporter, gov: &Gov) {
                 sym,
                 attr,
                 Limits::default(),
-                gov,
+                &mut NullCollector,
+                &mut gov.guard(),
             ) {
                 Ok(p) => p,
                 Err(e) => {
@@ -1788,7 +1669,13 @@ fn e11_xtm_vs_tm(rep: &mut dyn Reporter, gov: &Gov) {
             let t = random_tree(&cfg, 13);
             let dt = DelimTree::build(&t);
             let input = to_bytes(&xenc(&t, &[]).expect("generated trees have no delimiters"));
-            let xr = match governed_run_xtm(xtm, &dt, XtmLimits::default(), gov) {
+            let xr = match run_xtm_in(
+                xtm,
+                &dt,
+                XtmLimits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
                 Ok(r) => r,
                 Err(e) => {
                     rep.row(&[
@@ -1825,16 +1712,12 @@ fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
     let sigma = Label::Sym(base.symbols[0]);
     let delta = Label::Sym(base.symbols[1]);
     let src = delta_count_mod3(sigma, delta, &mut vocab);
-    let folded = if gov.active() {
-        match eliminate_store_guarded(&src, 10_000, &mut gov.guard()) {
-            Ok(p) => p,
-            Err(e) => {
-                rep.note(&format!("store elimination limit-tripped: {e}"));
-                return;
-            }
+    let folded = match eliminate_store_guarded(&src, 10_000, &mut gov.guard()) {
+        Ok(p) => p,
+        Err(e) => {
+            rep.note(&format!("store elimination limit-tripped: {e}"));
+            return;
         }
-    } else {
-        eliminate_store(&src, 10_000).unwrap()
     };
     rep.note(&format!(
         "source: {} states, {} registers ({}); folded: {} states, {} registers ({})",
@@ -1862,10 +1745,16 @@ fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
         };
         let t = random_tree(&cfg, 17);
         let dt = DelimTree::build(&t);
-        let (a, b) = match (
-            governed_run(&src, &dt, Limits::default(), gov),
-            governed_run(&folded, &dt, Limits::default(), gov),
-        ) {
+        let governed = |p: &TwProgram| {
+            run_in(
+                p,
+                &dt,
+                Limits::default(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            )
+        };
+        let (a, b) = match (governed(&src), governed(&folded)) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => {
                 rep.row(&[n.into(), Cell::str("-"), Cell::str("-"), trip_cell(&e)]);
@@ -1906,16 +1795,12 @@ fn e13_alternation(rep: &mut dyn Reporter, gov: &Gov) {
         };
         let t = random_tree(&cfg, 19);
         let dt = DelimTree::build(&t);
-        let r = if gov.active() {
-            match run_alternating_guarded(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
-                Ok(r) => r,
-                Err(e) => {
-                    rep.row(&[n.into(), trip_cell(&e), 0usize.into(), Cell::float(0.0, 2)]);
-                    continue;
-                }
+        let r = match run_alternating_guarded(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
+            Ok(r) => r,
+            Err(e) => {
+                rep.row(&[n.into(), trip_cell(&e), 0usize.into(), Cell::float(0.0, 2)]);
+                continue;
             }
-        } else {
-            run_alternating(&m, &dt, XtmLimits::default())
         };
         rep.row(&[
             n.into(),

@@ -49,7 +49,7 @@ fn junkify(prog: &TwProgram, seed: u64) -> TwProgram {
     let jb = b.state("junk_b");
     b.rule_true(Label::DelimRoot, ja, Action::Move(jb, Dir::Down));
     b.rule_true(Label::DelimRoot, jb, Action::Move(ja, Dir::Up));
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         b.rule_true(
             Label::DelimLeaf,
             ja,

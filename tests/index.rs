@@ -12,7 +12,8 @@ use proptest::prelude::*;
 
 use twq::exec::Pool;
 use twq::index::{
-    build_indexes, compile_exists, fo_select_routed, select_indexed, CostModel, Force, TreeIndex,
+    build_indexes, compile_exists, compile_xpath, eval_plan_from, fo_select_routed, CostModel,
+    Force, TreeIndex,
 };
 use twq::logic::fo::build as fb;
 use twq::logic::{ExistsFormula, Var};
@@ -41,12 +42,14 @@ fn xcfg(cfg: &TreeGenConfig) -> XPathGenConfig {
     }
 }
 
-/// Every context node, indexed vs walked, exact set equality.
-fn assert_index_twins(tree: &Tree, path: &XPath) {
+/// Every context node, indexed vs walked, exact set equality (the plan
+/// is compiled once and reused across contexts).
+fn assert_index_matches_walk(tree: &Tree, path: &XPath) {
     let idx = TreeIndex::build(tree);
+    let plan = compile_xpath(path);
     for u in tree.node_ids() {
         assert_eq!(
-            select_indexed(tree, &idx, path, u),
+            eval_plan_from(tree, &idx, &plan, u),
             eval_from(tree, path, u),
             "context {u:?}"
         );
@@ -69,7 +72,7 @@ proptest! {
         let cfg = hostile_cfg(&mut vocab, nodes, Some(collisions));
         let t = random_tree(&cfg, tree_seed);
         let p = random_xpath(&xcfg(&cfg), path_seed);
-        assert_index_twins(&t, &p);
+        assert_index_matches_walk(&t, &p);
     }
 
     /// The cost-based planner is transparent under every override.
@@ -165,7 +168,7 @@ fn shaped_trees_agree_on_axis_heavy_queries() {
     ];
     for t in &trees {
         for q in &queries {
-            assert_index_twins(t, q);
+            assert_index_matches_walk(t, q);
         }
     }
 }
@@ -189,8 +192,8 @@ fn word_boundary_sizes_are_exact() {
             // Empty postings: a symbol that never occurs.
             let ghost = vocab.sym("ghost");
             assert!(idx.label_posting(ghost).is_none());
-            assert_index_twins(&t, &q_all);
-            assert_index_twins(&t, &q_s);
+            assert_index_matches_walk(&t, &q_all);
+            assert_index_matches_walk(&t, &q_s);
         }
     }
 }
@@ -202,16 +205,17 @@ fn batch_builds_are_deterministic() {
     let cfg = hostile_cfg(&mut vocab, 150, Some(2));
     let trees: Vec<Tree> = (0..6).map(|seed| random_tree(&cfg, seed)).collect();
     let q = random_xpath(&xcfg(&cfg), 7);
+    let plan = compile_xpath(&q);
     let serial: Vec<NodeSet> = trees
         .iter()
-        .map(|t| select_indexed(t, &TreeIndex::build(t), &q, t.root()))
+        .map(|t| eval_plan_from(t, &TreeIndex::build(t), &plan, t.root()))
         .collect();
     for workers in [1, 4] {
         let built = build_indexes(&trees, &Pool::new(workers));
         let batch: Vec<NodeSet> = trees
             .iter()
             .zip(&built)
-            .map(|(t, idx)| select_indexed(t, idx, &q, t.root()))
+            .map(|(t, idx)| eval_plan_from(t, idx, &plan, t.root()))
             .collect();
         assert_eq!(batch, serial, "workers={workers}");
     }

@@ -8,17 +8,22 @@
 use proptest::prelude::*;
 
 use twq::guard::{GaugeKind, MemGauge};
+use twq::index::{compile_xpath, eval_plan_from, CostModel, Force, TreeIndex};
 use twq::logic::fo::build as fb;
 use twq::logic::{eval_sentence, select};
+use twq::protocol::{
+    encode, encode_shuffled, in_lm, lm_sentence, random_hyperset, split_string_tree,
+    HyperGenConfig, Markers,
+};
 use twq::rw::{
-    apply_rule_deep, contains, eval_sentence_rewritten, fo_select_rewritten, normalize,
-    normalize_formula, normalize_seeded, provably_empty, rewrite, rule, stream_select_gauged,
-    Certificate, RewriteCtx, CATALOG,
+    apply_rule_deep, contains, normalize, normalize_formula, normalize_seeded, provably_empty,
+    rewrite, rule, run_query_indexed, stream_select_gauged, Certificate, RewriteCtx, CATALOG,
 };
 use twq::tree::generate::{chain_tree, random_tree, TreeGenConfig};
-use twq::tree::{Tree, Vocab};
+use twq::tree::{NodeSet, Tree, Vocab};
 use twq::xpath::{
-    ast::xb, compile, eval_from, eval_pairs, random_xpath_shaped, XPathGenConfig, XPathShape,
+    ast::xb, compile, eval_from, eval_pairs, parse_xpath, random_xpath_shaped, XPathGenConfig,
+    XPathShape,
 };
 
 /// The shared fixture: the Example 3.2 `{σ, δ}` vocabulary, a tree
@@ -256,12 +261,13 @@ proptest! {
         let t = tree_for(&cfg, tree_seed, 2 + (tree_seed % 6) as usize);
         prop_assert_eq!(
             eval_sentence(&t, &sentence).unwrap(),
-            eval_sentence_rewritten(&t, &sentence).unwrap()
+            eval_sentence(&t, &normalize_formula(&sentence)).unwrap()
         );
+        let formula_norm = normalize_formula(&formula);
         for u in t.node_ids() {
             prop_assert_eq!(
                 select(&t, &formula, phi.x(), u, phi.y()).unwrap(),
-                fo_select_rewritten(&t, &formula, phi.x(), u, phi.y()).unwrap()
+                select(&t, &formula_norm, phi.x(), u, phi.y()).unwrap()
             );
         }
     }
@@ -348,9 +354,9 @@ fn streamability_certificates_hold_under_memgauge() {
 }
 
 /// The certificate-vs-evaluator contract from the other side: a
-/// `NotStreamable` witness never stops the relational twins from agreeing
-/// (spot check that `rewrite` + naive evaluation round-trips for every
-/// certificate variant).
+/// `NotStreamable` witness never stops the relational evaluator from
+/// agreeing (spot check that `rewrite` + naive evaluation round-trips for
+/// every certificate variant).
 #[test]
 fn certificates_partition_the_corpus() {
     let (_vocab, cfg, xcfg, ctx) = setup_ghost();
@@ -384,4 +390,85 @@ fn certificates_partition_the_corpus() {
     assert!(empty > 0, "no Empty certificates in 300 seeds");
     assert!(stream > 0, "no Streamable certificates in 300 seeds");
     assert!(relational > 0, "no NotStreamable certificates in 300 seeds");
+}
+
+/// The query stages on the `experiments` inputs: E2's three queries on its
+/// three trees answer the same through the rewrite normal form, the
+/// compiled index plan, and `run_query_indexed` under every `Force`; E7's
+/// `L^m` sentences (m = 1, 2) keep their verdict under `normalize_formula`
+/// on every split-string tree E7 builds.
+#[test]
+fn experiment_inputs_agree_through_every_query_stage() {
+    // E2: the vocabulary is threaded in the experiment's order, so the
+    // trees and queries are the ones its table reports.
+    let mut vocab = Vocab::new();
+    let queries = [
+        "sigma/delta",
+        "//delta[sigma]",
+        "sigma//sigma[@a=1] | delta",
+    ];
+    let model = CostModel::default();
+    let ctx = RewriteCtx::unconstrained();
+    for n in [30usize, 90, 270] {
+        let cfg = TreeGenConfig::example32(&mut vocab, n, &[1, 2]);
+        let t = random_tree(&cfg, 3);
+        let idx = TreeIndex::build(&t);
+        for q in queries {
+            let path = parse_xpath(q, &mut vocab).unwrap();
+            let want = eval_from(&t, &path, t.root());
+            let rw = rewrite(&path);
+            let normal = if rw.provably_empty {
+                NodeSet::new()
+            } else {
+                eval_from(&t, &rw.output, t.root())
+            };
+            assert_eq!(normal, want, "normal form of `{q}` (n={n})");
+            let plan = compile_xpath(&path);
+            assert_eq!(
+                eval_plan_from(&t, &idx, &plan, t.root()),
+                want,
+                "index plan of `{q}` (n={n})"
+            );
+            for force in [Force::Auto, Force::Index, Force::Walk] {
+                let (got, _) = run_query_indexed(&t, &idx, &path, &ctx, &model, force);
+                assert_eq!(got, want, "run_query_indexed({force:?}) on `{q}` (n={n})");
+            }
+        }
+    }
+
+    // E7: the same markers, data pool, hypersets and tree encodings.
+    let mut vocab = Vocab::new();
+    let markers = Markers::new(2, &mut vocab);
+    let data: Vec<_> = (100..104).map(|i| vocab.val_int(i)).collect();
+    let sym = vocab.sym("s");
+    let attr = vocab.attr("a");
+    for m in [1usize, 2] {
+        let phi = lm_sentence(m, attr, &markers);
+        let phi_norm = normalize_formula(&phi);
+        let cfg = HyperGenConfig {
+            level: m,
+            data: data.clone(),
+            max_members: 2,
+        };
+        for seed in 0..10u64 {
+            let h1 = random_hyperset(&cfg, seed);
+            let h2 = random_hyperset(&cfg, seed + 500);
+            for (f, g) in [
+                (encode(&h1, &markers), encode_shuffled(&h1, &markers, seed)),
+                (encode(&h1, &markers), encode(&h2, &markers)),
+            ] {
+                let mut w = f.clone();
+                w.push(markers.hash());
+                w.extend(g.iter().copied());
+                let t = split_string_tree(&f, &g, &markers, sym, attr);
+                let got = eval_sentence(&t, &phi).expect("L_m sentence is closed");
+                assert_eq!(got, in_lm(m, &w, &markers), "m={m} seed {seed}");
+                assert_eq!(
+                    eval_sentence(&t, &phi_norm).expect("normal form stays closed"),
+                    got,
+                    "normalize_formula changed the verdict (m={m}, seed {seed})"
+                );
+            }
+        }
+    }
 }
