@@ -2,14 +2,15 @@
 //! Four questions, one group, all over a 64k-node tree:
 //!
 //! * `selective_label/*` — `//rare` (one symbol in 64): the walking
-//!   evaluator's full document scan vs. the index plan's range
-//!   intersection, planner included on the index side;
+//!   evaluator's one set-at-a-time pass over the document vs. the index
+//!   plan's range intersection, planner included on the index side;
 //! * `selective_value/*` — `//*[@a=v]` (one value in thousands): same
 //!   comparison for the value postings;
 //! * `unselective/*` — a cross-attribute value join over high-cardinality
 //!   columns, where the cost model correctly refuses the index and the
 //!   planned run must stay within a few percent of the direct walk;
-//! * `build/*` — one full index build, the cost the first query amortizes.
+//! * `build/*` — one full index build, the cost the selective queries
+//!   amortize (several hundred of them, against a linear walk).
 //!
 //! The selective entries are the ≥10× speedup claim of DESIGN §16 and the
 //! README table; all entries are gated by `bench-diff` against

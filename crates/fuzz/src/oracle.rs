@@ -13,6 +13,7 @@
 //! | serial `select_in` vs `Pool::scoped` `select_in`, fresh guard per node | `Ok` set / trip reason, per node |
 //! | `eval_sentence` / `select` / `ExistsFormula::select` vs the same on `normalize_formula(φ)` / `normalize_exists(φ)` | boolean verdict; node sets, every context node |
 //! | `select` vs `fo_select_routed` | node sets, every context node, fragment-routed |
+//! | `eval_from` vs `ExistsFormula::select` of `compile(p)` (the §2.3 FO(∃*) translation the case carries as `phi`) | node sets, every context node |
 //! | `eval_from` vs `eval_from` on `rewrite(p).output` and vs `eval_plan_from(compile_xpath(p))`; `eval_pairs` vs `eval_pairs` on the normal form | node sets, every context node; the full binary relation |
 //! | `eval_from` vs `run_query_planned` and `run_query_indexed` under every `Force` | root node set, case-alphabet context |
 //! | `run_routed(xpath_to_program(p))` vs the same on the normal form | acceptance; a provably-empty normal form takes the vacuous verdict |
@@ -496,8 +497,9 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
     }
 
-    // 5. The XPath query stages, when the source query is known, each
-    // checked against the plain evaluators on the query as given.
+    // 5. The XPath query stages, when the source query is known: the
+    // walker against the FO(∃*) translation `phi`, then each stage against
+    // the walker on the query as given.
     if let Some(path) = &case.path {
         // The unconstrained normal form answers like the query everywhere,
         // and an emptiness verdict means the query selects nothing here.
@@ -515,7 +517,16 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         }
         let plan = compile_xpath(path);
         for &u in &us {
+            // `phi` is `compile(path)`, the paper's §2.3 FO(∃*) translation:
+            // the walker's definitional reference.
             let direct = eval_from(tree, path, u);
+            let defined = phi.select(tree, u);
+            if direct != defined {
+                return Some(Discrepancy::new(
+                    "eval_from vs ExistsFormula::select(compile)",
+                    format!("node {u}: walked={direct:?} FO(∃*)={defined:?}"),
+                ));
+            }
             let normal = eval_from(tree, &rw.output, u);
             if normal != direct {
                 return Some(Discrepancy::new(

@@ -327,6 +327,14 @@ const _: () = assert!(!NullGuard::ENABLED);
 /// deadline by at most 64 steps of work.
 const DEADLINE_STRIDE: u64 = 64;
 
+/// Whether a charge of `n` units that brought the fuel spent to `spent`
+/// passed a multiple of [`DEADLINE_STRIDE`]: for one tick, whether `spent`
+/// is one. A bulk charge thus consults the clock whenever the same fuel
+/// spent tick by tick would have.
+pub(crate) fn passes_stride(spent: u64, n: u64) -> bool {
+    spent % DEADLINE_STRIDE < n
+}
+
 /// Trip-and-fault telemetry for one [`ResourceGuard`] (or several,
 /// merged). Counts what the guard *did* — fuel charged, trips by reason,
 /// faults injected — so a batch harness can report governance activity
@@ -504,7 +512,7 @@ impl Guard for ResourceGuard {
             return Err(self.trip(r));
         }
         if let Some(d) = self.deadline {
-            if self.budget.spent().is_multiple_of(DEADLINE_STRIDE) {
+            if passes_stride(self.budget.spent(), n) {
                 if let Err(r) = d.check() {
                     return Err(self.trip(r));
                 }
@@ -648,6 +656,16 @@ mod tests {
             }
         }
         assert_eq!(tripped_at, Some(DEADLINE_STRIDE));
+    }
+
+    #[test]
+    fn bulk_charges_check_the_deadline_when_they_pass_a_stride() {
+        let mut g = ResourceGuard::unlimited().with_deadline(Duration::from_nanos(0));
+        std::thread::sleep(Duration::from_millis(1));
+        // 0 → 10 passes no multiple of the stride; 10 → 70 passes 64.
+        assert!(g.charge(10).is_ok());
+        let e = g.charge(60).unwrap_err();
+        assert!(matches!(e.reason, TripReason::Deadline { .. }));
     }
 
     #[test]

@@ -30,13 +30,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::faults::{FaultKind, FaultSite};
-use crate::res::{CancelToken, Deadline, DepthGuard, MemGauge};
+use crate::res::{passes_stride, CancelToken, Deadline, DepthGuard, MemGauge};
 use crate::{DepthKind, GaugeKind, Guard, GuardError, Partial, TripReason};
-
-/// How many ticks pass between wall-clock deadline checks (same rationale
-/// as the stride in [`ResourceGuard`](crate::ResourceGuard): `Instant::now`
-/// is too expensive for every tick).
-const DEADLINE_STRIDE: u64 = 64;
 
 /// An atomic fuel counter shared by every clone.
 ///
@@ -188,7 +183,9 @@ impl Guard for SharedGuard {
             return Err(self.trip(r));
         }
         if let Some(d) = &self.deadline {
-            if self.budget.spent().is_multiple_of(DEADLINE_STRIDE) {
+            // Same stride as `ResourceGuard`: `Instant::now` is too
+            // expensive for every tick.
+            if passes_stride(self.budget.spent(), n) {
                 if let Err(r) = d.check() {
                     return Err(self.trip(r));
                 }

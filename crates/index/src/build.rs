@@ -38,6 +38,9 @@ pub struct IndexStats {
     pub leaves: usize,
     /// Element symbols with at least one occurrence.
     pub distinct_labels: usize,
+    /// The root's element label (`None` for a delimiter): root-anchored
+    /// queries name it, so the walk model tests it exactly.
+    pub root_label: Option<SymId>,
     /// Distinct `(attribute, value)` groups across all columns.
     pub distinct_values: usize,
     /// Heap bytes held by all postings bitsets.
@@ -199,6 +202,7 @@ impl TreeIndex {
             avg_depth: depth_sum as f64 / n as f64,
             leaves: leaves.len(),
             distinct_labels: label_postings.iter().filter(|s| !s.is_empty()).count(),
+            root_label: tree.label(tree.root()).sym(),
             distinct_values,
             postings_bytes,
             build_ns: t0.elapsed().as_nanos() as u64,

@@ -6,12 +6,14 @@
 //! * `word_ns` — one 64-bit word touched by a bitset operation;
 //! * `row_ns` — one row materialized through a link-following expansion
 //!   (child/parent/ancestor steps, conversions);
-//! * `walk_node_ns` — one node visit of the walking evaluator (its visit
-//!   count comes from [`twq_xpath::walk_cost`]).
+//! * `walk_node_ns` — one node the walking evaluator touches (the count
+//!   comes from [`twq_xpath::walk_cost`]).
 //!
 //! Index-plan cost and cardinality are estimated bottom-up from postings
 //! lengths and the build-time [`IndexStats`]; walking cost mirrors
-//! `eval_from`'s recursion symbolically. The defaults are measured against
+//! `eval_from`'s set-at-a-time walk symbolically: the frontier each AST
+//! node maps, the subtree rows of each `//` step, and each path filter's
+//! forward reach plus its backward pass. The defaults are measured against
 //! the `index_speedup` bench; [`CostModel::calibrated`] rescales them from
 //! the `index/act_*` vs `index/est_*` registry counters a telemetered
 //! session accumulates, closing the estimated-vs-actual loop. Estimates
@@ -62,7 +64,7 @@ pub struct CostModel {
     pub word_ns: f64,
     /// ~ns per link-expanded row.
     pub row_ns: f64,
-    /// ~ns per walking-evaluator node visit.
+    /// ~ns per node the walking evaluator touches.
     pub walk_node_ns: f64,
     /// Plans larger than this (IR nodes) always walk — the guard against
     /// substitution blowup on pathologically nested unions.
@@ -76,7 +78,7 @@ impl Default for CostModel {
         CostModel {
             word_ns: 1.0,
             row_ns: 8.0,
-            walk_node_ns: 12.0,
+            walk_node_ns: 1.1,
             max_plan_size: 4096,
         }
     }
@@ -90,10 +92,12 @@ impl CostModel {
             avg_depth: stats.avg_depth,
             fanout: stats.fanout(),
             avg_subtree: stats.avg_subtree(),
+            labels: stats.distinct_labels as f64,
+            root_label: stats.root_label,
         }
     }
 
-    /// Estimated walking cost (~ns) for `path` from one context node.
+    /// Estimated walking cost (~ns) for `path` from the root.
     pub fn est_walk(&self, stats: &IndexStats, path: &XPath) -> f64 {
         self.walk_node_ns * walk_cost(path, &Self::walk_params(stats)).visits
     }

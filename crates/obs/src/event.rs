@@ -62,9 +62,9 @@ pub enum FoEval {
     Atom,
     /// A full FO sentence check (`eval_sentence`).
     Sentence,
-    /// One recursive XPath path-evaluation call.
+    /// One XPath AST-node evaluation (a whole frontier, set-at-a-time).
     Path,
-    /// One XPath filter-predicate check.
+    /// One XPath filter application (to a whole frontier).
     Pred,
 }
 

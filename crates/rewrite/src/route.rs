@@ -160,10 +160,8 @@ pub fn plan_indexed_with<C: Collector>(
 /// oracle and `tests/rewrite.rs` enforce this, under every [`Force`]).
 ///
 /// The walking fallback evaluates the query *as given*, not the rewrite
-/// normal form: the planner priced it against a direct walk, and the
-/// normal form (tuned for the index algebra and the streaming evaluator)
-/// can carry different walking constants — e.g. filter pushdown trades
-/// one filtered scan for a per-descendant evaluation. The rewrite still
+/// normal form the planner priced; the `twq-e2e` benchmark driver's split
+/// path mirrors that routing, so both move together. The rewrite still
 /// runs first for the emptiness certificate and plan compilation.
 pub fn run_query_indexed(
     tree: &Tree,

@@ -7,13 +7,14 @@
 //! * [`ast`] — union / root / child / descendant / filter / element test /
 //!   wildcard, plus attribute-comparison filters;
 //! * [`parse`] — a concrete syntax (`a/b[c//d] | //e[@k=3]`);
-//! * [`eval`] — the standard binary-relation reference semantics;
+//! * [`eval`] — the standard binary-relation semantics, evaluated
+//!   set-at-a-time in O(|q|·|t|);
 //! * [`compile()`](compile::compile) — the translation to binary `FO(∃*)` formulas, verified
-//!   equivalent to the reference semantics by property tests;
+//!   equivalent to [`eval`] by property tests and the fuzz oracle;
 //! * [`generate`] — random expression workloads;
 //! * [`to_program`] — the XSLT loop closed: XPath queries compiled into
 //!   `tw^{r,l}` acceptors whose `atp` uses the compiled selector;
-//! * [`cost`] — a symbolic estimate of the reference evaluator's work,
+//! * [`cost`] — a symbolic estimate of the walking evaluator's work,
 //!   consumed by the `twq-index` walk-vs-index planner.
 
 pub mod ast;

@@ -23,6 +23,7 @@ use twq::obs::NullCollector;
 use twq::protocol::{at_most_k_values_program, run_protocol_in, Markers};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Value, Vocab};
+use twq::xpath::{eval_from, eval_from_in, parse_xpath};
 use twq::xtm::machine::XtmLimits;
 use twq::xtm::{machines, run_alternating_guarded, run_xtm_in};
 
@@ -248,4 +249,36 @@ fn fault_injection_is_deterministic() {
     let plain = run(&ex.program, &dt, Limits::default());
     assert_eq!(guarded.accepted(), plain.accepted());
     assert_eq!(guarded.steps, plain.steps);
+}
+
+/// The walking XPath evaluator charges fuel for the nodes each step
+/// touches, not one tick per AST node, so a budget still bounds a walk over
+/// a large document: a limit below the tree's size trips, an unlimited
+/// guard passes with the plain answer, and the fuel spent stays within a
+/// constant times `|q|·n`.
+#[test]
+fn xpath_walk_fuel_is_proportional_to_work() {
+    let mut vocab = Vocab::new();
+    let cfg = TreeGenConfig::example32(&mut vocab, 4096, &[1, 2]);
+    let t = random_tree(&cfg, 5);
+    let n = t.len() as u64;
+    for q in [
+        "//delta[sigma]",
+        "//sigma | //delta",
+        "//*[//delta[@a=1]]/sigma",
+    ] {
+        let p = parse_xpath(q, &mut vocab).unwrap();
+        let mut tight = ResourceGuard::unlimited().with_budget(n - 1);
+        let err = eval_from_in(&t, &p, t.root(), &mut NullCollector, &mut tight).unwrap_err();
+        assert!(
+            matches!(reason(&err), TripReason::Budget { .. }),
+            "{q}: {err}"
+        );
+        let mut free = ResourceGuard::unlimited();
+        let out = eval_from_in(&t, &p, t.root(), &mut NullCollector, &mut free).unwrap();
+        assert_eq!(out, eval_from(&t, &p, t.root()), "{q}");
+        let spent = free.stats().ticks;
+        let bound = 4 * p.size() as u64 * n;
+        assert!(spent <= bound, "{q}: {spent} fuel > 4·|q|·n = {bound}");
+    }
 }

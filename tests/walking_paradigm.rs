@@ -4,10 +4,12 @@
 
 use twq::automata::caterpillar::{cat, select as cat_select};
 use twq::automata::{run_on_tree, Limits};
+use twq::guard::NullGuard;
 use twq::logic::{eval_sentence, parse_fo};
+use twq::obs::{FoEval, MetricsCollector};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{parse_xml, to_xml, Vocab};
-use twq::xpath::{eval_from, parse_xpath, xpath_to_program, SelectionTest};
+use twq::xpath::{eval_from, eval_from_in, parse_xpath, xpath_to_program, SelectionTest};
 
 /// The descendants relation agrees across all three formalisms:
 /// caterpillar `(down right*)+`, XPath `//*`-from-context, and FO `≺`.
@@ -28,6 +30,45 @@ fn three_views_of_descendants() {
                 .collect();
             assert_eq!(via_cat, via_fo, "caterpillar vs FO, seed {seed}");
             assert_eq!(via_xpath, via_fo, "xpath vs FO, seed {seed}");
+        }
+    }
+}
+
+/// The walking XPath evaluator is linear: it evaluates each AST node once
+/// per query, set-at-a-time, so its `FoEval::Path` count is the same on
+/// trees of 1k to 64k nodes and at most `|q|`. A per-context walker's
+/// count grows with the tree — quadratically on `//l//m`.
+#[test]
+fn walking_xpath_evaluates_each_ast_node_once_at_any_size() {
+    let mut vocab = Vocab::new();
+    // `l`, `m`, `n`, `x` are drawn five times as often as each `s{i}`, so
+    // every query selects something at every size.
+    let symbols: Vec<_> = (0..20)
+        .map(|i| format!("s{i}"))
+        .chain(["l", "m", "n", "x"].repeat(5).into_iter().map(String::from))
+        .map(|s| vocab.sym(&s))
+        .collect();
+    // `//*[//x]` is `//*[.//x]`: a filter path's leading `//` starts at
+    // the filtered node.
+    for q in ["//s17", "//l//m", "//l[m]/n", "//*[//x]"] {
+        let p = parse_xpath(q, &mut vocab).unwrap();
+        let mut first = None;
+        for nodes in [1 << 10, 1 << 12, 1 << 14, 1 << 16] {
+            let cfg = TreeGenConfig {
+                nodes,
+                max_children: 4,
+                symbols: symbols.clone(),
+                attributes: Vec::new(),
+                collision_pool: None,
+            };
+            let t = random_tree(&cfg, 7);
+            let mut c = MetricsCollector::new();
+            let out = eval_from_in(&t, &p, t.root(), &mut c, &mut NullGuard).unwrap();
+            assert!(!out.is_empty(), "{q} selects nothing on {nodes} nodes");
+            let calls = c.metrics.fo(FoEval::Path);
+            let first = *first.get_or_insert(calls);
+            assert_eq!(calls, first, "{q}: path evaluations grow with the tree");
+            assert!(calls <= p.size() as u64, "{q}: {calls} evaluations > |q|");
         }
     }
 }
