@@ -10,7 +10,9 @@
 //!   columns, where the cost model correctly refuses the index and the
 //!   planned run must stay within a few percent of the direct walk;
 //! * `build/*` — one full index build, the cost the selective queries
-//!   amortize (several hundred of them, against a linear walk).
+//!   amortize (several hundred of them, against a linear walk);
+//! * `parse_xml/*` — reading the same tree from its XML text, the other
+//!   half of ingesting a document.
 //!
 //! The selective entries are the ≥10× speedup claim of DESIGN §16 and the
 //! README table; all entries are gated by `bench-diff` against
@@ -20,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_index::{CostModel, Force, TreeIndex};
 use twq_rw::{plan_indexed, run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq_tree::generate::{random_tree, TreeGenConfig};
-use twq_tree::{Tree, Vocab};
+use twq_tree::{parse_xml, to_xml, tree_to_string, Tree, Vocab};
 use twq_xpath::ast::xb;
 use twq_xpath::{eval_from, XPath};
 
@@ -124,6 +126,23 @@ fn bench(c: &mut Criterion) {
     // Build amortization: one full index build over the 64k-node tree.
     group.bench_with_input(BenchmarkId::new("build", "64k"), &tree, |bch, t| {
         bch.iter(|| TreeIndex::build(t).stats().postings_bytes)
+    });
+
+    // Ingest's other half: the tree read back from its XML text, into a
+    // vocabulary that already knows every name and value.
+    let xml = to_xml(&tree, &vocab);
+    let mut read_vocab = vocab.clone();
+    let read = parse_xml(&xml, &mut read_vocab).expect("to_xml output parses");
+    assert_eq!(
+        tree_to_string(&read, &read_vocab),
+        tree_to_string(&tree, &vocab)
+    );
+    group.bench_with_input(BenchmarkId::new("parse_xml", "64k"), &xml, |bch, xml| {
+        bch.iter(|| {
+            parse_xml(xml, &mut read_vocab)
+                .expect("to_xml output parses")
+                .len()
+        })
     });
 
     group.finish();

@@ -10,6 +10,8 @@
 //! Thm 7.1). `stream_select` runs that pass; `tests/rewrite.rs` validates
 //! the certificate empirically with a `MemGauge` on the active set.
 
+use std::ops::Range;
+
 use twq_guard::{GaugeKind, MemGauge, TripReason};
 use twq_tree::{AttrId, Label, NodeId, NodeSet, SymId, Tree, Value};
 use twq_xpath::{Pred, XPath};
@@ -245,32 +247,39 @@ pub fn stream_select_gauged(
         max_active: 0,
         nodes_visited: 0,
     };
-    let mut stack: Vec<(NodeId, Vec<u32>)> = vec![(tree.root(), nfa.start.clone())];
+    // Active sets live in one arena. A pending node holds the range of its
+    // parent's successor set, shared with its siblings. Nodes pop depth
+    // first, so everything above a popped node's range belongs to subtrees
+    // already finished and is dropped.
+    let mut arena: Vec<u32> = nfa.start.clone();
+    let mut stack: Vec<(NodeId, Range<usize>)> = vec![(tree.root(), 0..arena.len())];
+    let mut next: Vec<u32> = Vec::new();
     while let Some((u, active)) = stack.pop() {
         stats.nodes_visited += 1;
-        let surviving: Vec<u32> = active
-            .into_iter()
-            .filter(|&s| {
-                nfa.states[s as usize]
-                    .tests
-                    .iter()
-                    .all(|t| t.passes(tree, u))
-            })
-            .collect();
-        stats.max_active = stats.max_active.max(surviving.len());
-        gauge.observe(GaugeKind::Relation, surviving.len())?;
-        if surviving.iter().any(|&s| nfa.states[s as usize].accept) {
+        arena.truncate(active.end);
+        next.clear();
+        let mut surviving = 0;
+        let mut accept = false;
+        for &s in &arena[active] {
+            let state = &nfa.states[s as usize];
+            if state.tests.iter().all(|t| t.passes(tree, u)) {
+                surviving += 1;
+                accept |= state.accept;
+                next.extend_from_slice(&state.out);
+            }
+        }
+        stats.max_active = stats.max_active.max(surviving);
+        gauge.observe(GaugeKind::Relation, surviving)?;
+        if accept {
             selected.insert(u);
         }
-        let mut next: Vec<u32> = surviving
-            .iter()
-            .flat_map(|&s| nfa.states[s as usize].out.iter().copied())
-            .collect();
         next.sort_unstable();
         next.dedup();
-        if !next.is_empty() {
+        if !next.is_empty() && !tree.is_leaf(u) {
+            let start = arena.len();
+            arena.extend_from_slice(&next);
             for c in tree.children(u) {
-                stack.push((c, next.clone()));
+                stack.push((c, start..arena.len()));
             }
         }
     }
