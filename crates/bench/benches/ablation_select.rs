@@ -1,8 +1,8 @@
-//! Ablation — the DNF-split pruning FO(∃*) evaluator vs. the naive
-//! nested-quantifier evaluator, on compiled XPath selectors (the design
-//! choice called out in DESIGN.md §4: naive evaluation of a union with k
-//! existential variables costs n^k; splitting per-disjunct makes it
-//! output-sensitive).
+//! Ablation — `ExistsFormula::select` vs. the naive nested-quantifier
+//! evaluator, on compiled XPath selectors (the design choice called out in
+//! DESIGN.md §4): naive evaluation of a union with k existential variables
+//! costs n^k, while the DNF split reduces each tree-shaped branch by
+//! semi-joins, linear in the tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_bench::Bench;
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     let mut b = Bench::new();
     // A union query: modest per-branch variable counts, but the naive
     // evaluator must still enumerate the union of both branches' variables
-    // (n^8-ish) while the DNF split stays per-branch (n^4-ish).
+    // (n^8-ish) while each DNF branch is one semi-join pass.
     let phi = compile(&parse_xpath("sigma/delta | delta/sigma", &mut b.vocab).unwrap());
     let formula = phi.to_formula();
     let mut group = c.benchmark_group("ablation_select");
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         let fast = phi.select(&t, t.root());
         let naive = naive_select(&t, &formula, phi.x(), t.root(), phi.y()).unwrap();
         assert_eq!(fast, naive);
-        group.bench_with_input(BenchmarkId::new("dnf_pruning", n), &t, |bch, t| {
+        group.bench_with_input(BenchmarkId::new("semijoin", n), &t, |bch, t| {
             bch.iter(|| phi.select(t, t.root()))
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &t, |bch, t| {

@@ -384,7 +384,20 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
                         }
                     }
                     self.atp_calls += 1;
-                    let selected = phi.select_with(self.tree, cfg.node, self.collector);
+                    let selected =
+                        match phi.select_in(self.tree, cfg.node, self.collector, self.guard) {
+                            Ok(s) => s,
+                            Err(e) => {
+                                // A trip inside the look-ahead unwinds like
+                                // one on a step.
+                                let e = *e.guard().expect("ExistsFormula fails only on trips");
+                                let h = self.record_trip(e);
+                                if G::ENABLED {
+                                    self.guard.exit(DepthKind::Atp);
+                                }
+                                return ChainEnd::Reject(h);
+                            }
+                        };
                     self.collector
                         .atp_enter(cfg.node.0 as u64, selected.len(), depth);
                     if C::ENABLED {
@@ -473,7 +486,10 @@ pub fn run(prog: &TwProgram, delim: &DelimTree, limits: Limits) -> RunReport {
 /// events into a causal span tree; a [`MetricsCollector`] into
 /// [`RunMetrics`].
 ///
-/// The guard's fuel budget is charged once per transition, `atp` nesting
+/// The guard's fuel budget is charged once per transition and, inside
+/// each `atp` look-ahead, as
+/// [`ExistsFormula::select_in`](twq_logic::ExistsFormula::select_in)
+/// charges it; `atp` nesting
 /// is tracked as [`DepthKind::Atp`], store sizes and cycle-table sizes
 /// feed [`GaugeKind::StoreTuples`] / [`GaugeKind::Configs`], and fault
 /// plans may drop transitions or corrupt the store. On a trip the run
@@ -882,13 +898,30 @@ mod tests {
             &mut NullGuard,
         );
         assert_eq!(guarded.unwrap(), plain);
-        // A generously-budgeted ResourceGuard agrees too, and a collector
-        // riding along sees exactly the steps the guard charged.
+        // A generously-budgeted ResourceGuard agrees too. It is charged one
+        // unit per step plus each look-ahead's own charge: φ₁ from ▽, then
+        // φ₂ from the δ-node φ₁ selects, each metered here on its own.
         let mut mc = MetricsCollector::new();
         let mut rg = twq_guard::ResourceGuard::unlimited().with_budget(1_000_000);
         let guarded = run_in(&ex.program, &dt, Limits::default(), &mut mc, &mut rg).unwrap();
         assert_eq!(plain, guarded);
-        assert_eq!(rg.fuel_spent(), plain.steps);
+        let metered = |phi: &twq_logic::ExistsFormula, u: NodeId| {
+            let mut g = twq_guard::ResourceGuard::unlimited();
+            phi.select_in(dt.tree(), u, &mut NullCollector, &mut g)
+                .unwrap();
+            g.fuel_spent()
+        };
+        let (phi1, phi2) = (
+            selectors::descendants_labeled(Label::Sym(ex.delta)),
+            selectors::delim_leaf_descendants(),
+        );
+        let root = dt.tree().root();
+        let deltas = phi1.select(dt.tree(), root);
+        assert_eq!(deltas.len(), 1);
+        let lookahead =
+            metered(&phi1, root) + deltas.iter().map(|v| metered(&phi2, v)).sum::<u64>();
+        assert_eq!(rg.fuel_spent(), plain.steps + lookahead);
+        // The collector riding along sees exactly the steps.
         assert_eq!(mc.metrics.steps, plain.steps);
     }
 

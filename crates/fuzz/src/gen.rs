@@ -12,8 +12,9 @@ use rand::{Rng, RngCore};
 use twq_automata::{Action, Dir, ProgramError, State, TwClass, TwProgram, TwProgramBuilder};
 use twq_guard::FaultPlan;
 use twq_logic::exists::selectors;
+use twq_logic::fo::build as fb;
 use twq_logic::store::sbuild;
-use twq_logic::{ExistsFormula, RegId, Relation, SFormula, Var};
+use twq_logic::{ExistsFormula, Formula, RegId, Relation, SFormula, Var};
 use twq_tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
@@ -122,10 +123,11 @@ pub struct ProgramCase {
 /// acceptor) too.
 #[derive(Debug, Clone)]
 pub struct FormulaCase {
-    /// The XPath-compiled binary formula.
+    /// The binary formula: XPath-compiled or drawn directly.
     pub phi: ExistsFormula,
-    /// The source XPath `phi` was compiled from (`None` only for the
-    /// fallback selector); drives the XPath query-stage checks.
+    /// The source XPath `phi` was compiled from (`None` for a directly
+    /// drawn formula and for the fallback selector); drives the XPath
+    /// query-stage checks.
     pub path: Option<XPath>,
     /// The element alphabet the tree was generated over (a sound
     /// [`twq_rw::RewriteCtx`] assumption for the planner pair).
@@ -474,37 +476,132 @@ pub fn gen_program_case(rng: &mut StdRng, uni: &Universe) -> ProgramCase {
     }
 }
 
-/// Generate a formula case: an XPath-compiled binary `FO(∃*)` formula
-/// small enough for the naive `O(|t|^q)` evaluator, on a small tree.
-///
-/// Half the corpus is drawn union-heavy or filter-heavy (see
-/// [`XPathShape`]) so the `twq-rw` rule set — union canonicalization,
-/// subsumption pruning, filter pushdown, tautology elimination — actually
-/// fires on fuzz inputs instead of idling on step-only paths.
-pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
-    let xcfg = XPathGenConfig {
-        symbols: uni.symbols.clone(),
-        attrs: vec![uni.attr],
-        values: vec![uni.values[0]],
-        max_depth: 2,
+/// A structural atom `R(a, b)` or `R(b, a)` between two variables: the
+/// edges of a formula's variable graph.
+fn gen_link(rng: &mut StdRng, a: Var, b: Var) -> Formula {
+    let (a, b) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+    match rng.gen_range(0..10u32) {
+        0..=2 => fb::edge(a, b),
+        3..=5 => fb::desc(a, b),
+        6 | 7 => fb::sib_less(a, b),
+        8 => fb::succ(a, b),
+        _ => fb::eq(a, b),
+    }
+}
+
+/// A literal over the one variable `v`, negated one time in four.
+fn gen_filter(rng: &mut StdRng, uni: &Universe, v: Var) -> Formula {
+    let atom = match rng.gen_range(0..9u32) {
+        0..=2 => {
+            let labels = uni.labels();
+            fb::lab(labels[rng.gen_range(0..labels.len())], v)
+        }
+        3 => fb::root(v),
+        4 => fb::leaf(v),
+        5 => fb::first(v),
+        6 => fb::last(v),
+        7 => fb::val_const(uni.attr, v, uni.value(rng)),
+        _ => fb::val_eq(uni.attr, v, uni.attr, v),
     };
-    let shape = match rng.gen_range(0..4u32) {
-        0 | 1 => XPathShape::Uniform,
-        2 => XPathShape::UnionHeavy,
-        _ => XPathShape::FilterHeavy,
-    };
-    let mut picked = None;
-    for _ in 0..32 {
-        let path = random_xpath_shaped(&xcfg, rng.next_u64(), shape);
-        let cand = compile(&path);
-        if cand.quantified().len() <= 4 {
-            picked = Some((cand, path));
-            break;
+    if rng.gen_bool(0.25) {
+        fb::not(atom)
+    } else {
+        atom
+    }
+}
+
+/// One conjunction over `vars` (`x`, `y`, then the ∃-variables): links
+/// mostly along a random spanning tree, a few filters, and in one branch
+/// in five a literal that leaves the semi-join path — a link closing a
+/// cycle or repeating a pair, a two-variable `val_eq`, or a negated link.
+fn gen_branch(rng: &mut StdRng, uni: &Universe, vars: &[Var]) -> Formula {
+    let mut lits = Vec::new();
+    for i in 1..vars.len() {
+        if rng.gen_bool(0.85) {
+            let j = rng.gen_range(0..i);
+            lits.push(gen_link(rng, vars[j], vars[i]));
         }
     }
-    let (phi, path) = match picked {
-        Some((phi, path)) => (phi, Some(path)),
-        None => (selectors::descendants(), None),
+    for _ in 0..rng.gen_range(0..=2u32) {
+        let v = vars[rng.gen_range(0..vars.len())];
+        lits.push(gen_filter(rng, uni, v));
+    }
+    if rng.gen_bool(0.2) {
+        let i = rng.gen_range(0..vars.len());
+        let j = (i + rng.gen_range(1..vars.len())) % vars.len();
+        let (a, b) = (vars[i], vars[j]);
+        lits.push(match rng.gen_range(0..3u32) {
+            0 => gen_link(rng, a, b),
+            1 => fb::val_eq(uni.attr, a, uni.attr, b),
+            _ => fb::not(gen_link(rng, a, b)),
+        });
+    }
+    for i in (1..lits.len()).rev() {
+        lits.swap(i, rng.gen_range(0..=i));
+    }
+    fb::and(lits)
+}
+
+/// A binary `FO(∃*)` formula drawn directly rather than compiled from
+/// XPath, so it reaches what compiled formulas never do: `<` and `succ`
+/// atoms, negation, cyclic variable graphs and two-variable value joins.
+///
+/// One formula in four is quantifier-free, positive and over `x` and `y`
+/// only, with an `E` or `≺` atom between them: the fragment
+/// `twq-index`'s `compile_exists` translates. The rest bind 0–3
+/// ∃-variables and are one conjunction, or a disjunction of 2–3, drawn by
+/// `gen_branch`.
+pub fn gen_exists(rng: &mut StdRng, uni: &Universe) -> ExistsFormula {
+    let (x, y) = (Var(0), Var(1));
+    if rng.gen_bool(0.25) {
+        let branches = (0..rng.gen_range(1..=2u32))
+            .map(|_| {
+                let (a, b) = if rng.gen_bool(0.5) { (x, y) } else { (y, x) };
+                let link = if rng.gen_bool(0.5) {
+                    fb::edge(a, b)
+                } else {
+                    fb::desc(a, b)
+                };
+                let mut lits = vec![link];
+                if rng.gen_bool(0.5) {
+                    let s = uni.symbols[rng.gen_range(0..uni.symbols.len())];
+                    lits.push(fb::lab(
+                        Label::Sym(s),
+                        if rng.gen_bool(0.5) { x } else { y },
+                    ));
+                }
+                fb::and(lits)
+            })
+            .collect::<Vec<_>>();
+        return ExistsFormula::new(x, y, Vec::new(), fb::or(branches)).expect("valid selector");
+    }
+    let quantified: Vec<Var> = (2..2 + rng.gen_range(0..=3u16)).map(Var).collect();
+    let vars: Vec<Var> = [x, y]
+        .into_iter()
+        .chain(quantified.iter().copied())
+        .collect();
+    let matrix = if rng.gen_bool(0.3) {
+        fb::or((0..rng.gen_range(2..=3u32)).map(|_| gen_branch(rng, uni, &vars)))
+    } else {
+        gen_branch(rng, uni, &vars)
+    };
+    ExistsFormula::new(x, y, quantified, matrix).expect("valid selector")
+}
+
+/// Generate a formula case: a binary `FO(∃*)` formula small enough for
+/// the naive `O(|t|^q)` evaluator, on a small tree.
+///
+/// Two cases in five draw the formula directly ([`gen_exists`]); the rest
+/// compile an XPath query. Half of those are drawn union-heavy or
+/// filter-heavy (see [`XPathShape`]) so the `twq-rw` rule set — union
+/// canonicalization, subsumption pruning, filter pushdown, tautology
+/// elimination — actually fires on fuzz inputs instead of idling on
+/// step-only paths.
+pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
+    let (phi, path) = if rng.gen_bool(0.4) {
+        (gen_exists(rng, uni), None)
+    } else {
+        gen_compiled(rng, uni)
     };
     let test = match rng.gen_range(0..4u32) {
         0 | 1 => SelectionTest::NonEmpty,
@@ -530,6 +627,30 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
         tree,
         fuel,
     }
+}
+
+/// An XPath-compiled formula with at most four ∃-variables and its
+/// source query, or the `descendants` selector when 32 draws miss.
+fn gen_compiled(rng: &mut StdRng, uni: &Universe) -> (ExistsFormula, Option<XPath>) {
+    let xcfg = XPathGenConfig {
+        symbols: uni.symbols.clone(),
+        attrs: vec![uni.attr],
+        values: vec![uni.values[0]],
+        max_depth: 2,
+    };
+    let shape = match rng.gen_range(0..4u32) {
+        0 | 1 => XPathShape::Uniform,
+        2 => XPathShape::UnionHeavy,
+        _ => XPathShape::FilterHeavy,
+    };
+    for _ in 0..32 {
+        let path = random_xpath_shaped(&xcfg, rng.next_u64(), shape);
+        let cand = compile(&path);
+        if cand.quantified().len() <= 4 {
+            return (cand, Some(path));
+        }
+    }
+    (selectors::descendants(), None)
 }
 
 /// The stable name of a [`ProgramError`] variant, used to assert that a

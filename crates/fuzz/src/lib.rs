@@ -3,10 +3,12 @@
 //! The paper gives one semantics per query class; this repo grew several
 //! evaluators for each (direct engine, guarded engine, batch engine,
 //! routed graph evaluator, naive/memoized/parallel FO evaluation,
-//! backtracking `FO(∃*)` selection). This crate generates seeded random
-//! well-formed programs (stratified by the Definition 5.1 classes), a
-//! hostile tree corpus, and adversarial budgets, then requires every
-//! applicable evaluator pair to agree — on answers *and* on failure modes.
+//! set-at-a-time `FO(∃*)` selection). This crate generates seeded random
+//! well-formed programs (stratified by the Definition 5.1 classes),
+//! `FO(∃*)` formulas (XPath-compiled and drawn directly), a hostile tree
+//! corpus, and adversarial budgets, then requires every applicable
+//! evaluator pair to agree — on answers *and* on failure modes. A
+//! campaign also tallies what its formulas reached ([`Reach`]).
 //! Disagreements are shrunk by delta debugging and written as replayable
 //! JSONL repros.
 //!
@@ -26,9 +28,9 @@ pub mod repro;
 
 pub use explain::{explain_repro, explain_with_names};
 pub use gen::{
-    gen_budget, gen_class, gen_formula_case, gen_near_miss, gen_program, gen_program_case,
-    gen_smelly_program, gen_tree, program_error_kind, BudgetSpec, FormulaCase, ProgramCase,
-    Universe,
+    gen_budget, gen_class, gen_exists, gen_formula_case, gen_near_miss, gen_program,
+    gen_program_case, gen_smelly_program, gen_tree, program_error_kind, BudgetSpec, FormulaCase,
+    ProgramCase, Universe,
 };
 pub use minimize::{copy_subtree, delete_subtree, minimize, with_rules};
 pub use oracle::{
@@ -40,6 +42,8 @@ pub use repro::{parse_jsonl, render_jsonl, Repro};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twq_exec::Pool;
+use twq_index::compile_exists;
+use twq_logic::{ExistsFormula, Formula, TreeAtom};
 
 use crate::gen::program_error_kind as error_kind;
 
@@ -101,6 +105,100 @@ impl CaseKind {
     }
 }
 
+/// What a campaign's formula cases reached, read off each case's formula:
+/// the DNF branches [`ExistsFormula::select`] reduces by semi-joins and
+/// those it backtracks over (its own branch analysis,
+/// [`ExistsFormula::branch_paths`]), and the structural atoms of the
+/// formulas `compile_exists` translates, by kind. A tally left at zero
+/// is a path no case compared, and the `fuzz` binary fails the campaign.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reach {
+    /// DNF branches evaluated by semi-joins.
+    pub semijoin: u64,
+    /// DNF branches evaluated by backtracking.
+    pub backtrack: u64,
+    /// Structural atoms of index-compiled formulas, in
+    /// [`Reach::COMPILED`] order.
+    pub compiled: [u64; 4],
+}
+
+impl Reach {
+    /// The structural atom kinds `compile_exists` translates.
+    pub const COMPILED: [&'static str; 4] = ["E(x,y)", "E(y,x)", "x≺y", "y≺x"];
+
+    /// The tallies of one formula.
+    pub fn of(phi: &ExistsFormula) -> Reach {
+        fn atoms(f: &Formula, x: twq_logic::Var, y: twq_logic::Var, out: &mut [u64; 4]) {
+            match f {
+                Formula::Atom(a) => {
+                    let kind = match *a {
+                        TreeAtom::Edge(p, q) if (p, q) == (x, y) => 0,
+                        TreeAtom::Edge(p, q) if (p, q) == (y, x) => 1,
+                        TreeAtom::Desc(p, q) if (p, q) == (x, y) => 2,
+                        TreeAtom::Desc(p, q) if (p, q) == (y, x) => 3,
+                        _ => return,
+                    };
+                    out[kind] += 1;
+                }
+                Formula::Not(g) | Formula::Exists(_, g) | Formula::Forall(_, g) => {
+                    atoms(g, x, y, out)
+                }
+                Formula::And(gs) | Formula::Or(gs) => gs.iter().for_each(|g| atoms(g, x, y, out)),
+                Formula::True | Formula::False => {}
+            }
+        }
+        let (semijoin, backtrack) = phi.branch_paths();
+        let mut reach = Reach {
+            semijoin: semijoin as u64,
+            backtrack: backtrack as u64,
+            compiled: [0; 4],
+        };
+        if compile_exists(phi).is_some() {
+            atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
+        }
+        reach
+    }
+
+    /// Add `other`'s tallies.
+    pub fn merge(&mut self, other: &Reach) {
+        self.semijoin += other.semijoin;
+        self.backtrack += other.backtrack;
+        for (a, b) in self.compiled.iter_mut().zip(other.compiled) {
+            *a += b;
+        }
+    }
+
+    /// The names of the tallies at zero.
+    pub fn unreached(&self) -> Vec<&'static str> {
+        let paths = [
+            ("semi-join", self.semijoin),
+            ("backtracking", self.backtrack),
+        ];
+        let kinds = Reach::COMPILED.into_iter().zip(self.compiled);
+        paths
+            .into_iter()
+            .chain(kinds)
+            .filter(|&(_, n)| n == 0)
+            .map(|(name, _)| name)
+            .collect()
+    }
+
+    /// One-line summary.
+    pub fn summary(&self) -> String {
+        let kinds: Vec<String> = Reach::COMPILED
+            .iter()
+            .zip(self.compiled)
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect();
+        format!(
+            "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}",
+            self.semijoin,
+            self.backtrack,
+            kinds.join(", ")
+        )
+    }
+}
+
 /// The outcome of one case.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
@@ -114,6 +212,8 @@ pub struct CaseOutcome {
     pub discrepancy: Option<Discrepancy>,
     /// The failing triple, for program-shaped cases (minimizable).
     pub case: Option<ProgramCase>,
+    /// What a formula case reached (zero for the other kinds).
+    pub reach: Reach,
 }
 
 /// Derive a per-case seed: splitmix64 over `(campaign seed, index)`, so
@@ -139,8 +239,10 @@ pub fn run_case(cfg: &FuzzConfig, uni: &Universe, index: u64, oracle_pool: &Pool
     let near_cut = formula_cut + cfg.near_miss_per_mille;
     let smelly_cut = near_cut + cfg.smelly_per_mille;
 
+    let mut reach = Reach::default();
     let (kind, discrepancy, case) = if roll < formula_cut {
         let case = gen_formula_case(&mut rng, uni);
+        reach = Reach::of(&case.phi);
         (
             CaseKind::Formula,
             check_formula_case(&case, oracle_pool),
@@ -187,6 +289,7 @@ pub fn run_case(cfg: &FuzzConfig, uni: &Universe, index: u64, oracle_pool: &Pool
         kind,
         case: if discrepancy.is_some() { case } else { None },
         discrepancy,
+        reach,
     }
 }
 
@@ -212,6 +315,8 @@ pub struct CampaignReport {
     pub counts: [u64; 4],
     /// All failures, in case order.
     pub failures: Vec<Failure>,
+    /// What the formula cases reached, summed.
+    pub reach: Reach,
 }
 
 impl CampaignReport {
@@ -263,6 +368,7 @@ pub fn run_campaign(cfg: &FuzzConfig, uni: &Universe, outer: &Pool) -> CampaignR
     let mut report = CampaignReport::default();
     for out in outcomes {
         report.counts[kind_slot(out.kind)] += 1;
+        report.reach.merge(&out.reach);
         let Some(discrepancy) = out.discrepancy else {
             continue;
         };

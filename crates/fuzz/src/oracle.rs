@@ -416,7 +416,8 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
     }
 
     // 2. Node selection from every context node: naive recursion vs
-    // memoized vs pooled batch vs the FO(∃*) backtracking selector.
+    // memoized vs pooled batch vs the FO(∃*) selector (semi-joins on
+    // tree-shaped branches, backtracking on the rest).
     let us: Vec<NodeId> = tree.node_ids().collect();
     let serial: Vec<_> = us
         .iter()
@@ -437,7 +438,7 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
         if direct != serial[i] {
             return Some(Discrepancy::new(
                 "select vs ExistsFormula::select",
-                format!("node {u}: naive={:?} backtracking={direct:?}", serial[i]),
+                format!("node {u}: naive={:?} selected={direct:?}", serial[i]),
             ));
         }
     }
@@ -453,7 +454,7 @@ pub fn check_formula_case(case: &FormulaCase, pool: &Pool) -> Option<Discrepancy
 
     // 3. FO normal forms: normalization must change nothing observable,
     // for the closed sentence, the raw matrix from every context node, and
-    // the prenex FO(∃*) backtracking selector.
+    // the prenex FO(∃*) selector.
     match eval_sentence(tree, &normalize_formula(&sentence)) {
         Ok(b) if b == naive => {}
         other => {

@@ -10,7 +10,7 @@
 //! **FO(∃*)** is covered on its positive two-variable fragment
 //! ([`ExistsFormula::is_positive_xy`] plus an atom whitelist):
 //! [`compile_exists`] returns `None` outside it and the caller falls back
-//! to the backtracking `select` evaluator. Atoms about `x` alone compile
+//! to [`ExistsFormula::select`]. Atoms about `x` alone compile
 //! to [`IxPlan::IfNonEmpty`] guards, which is sound because FO plans are
 //! only ever evaluated from singleton contexts (`select` runs from one
 //! `u`); XPath plans, which *are* substituted into set contexts, never use

@@ -180,9 +180,9 @@ pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) ->
 
 /// [`ExistsFormula::select`] through the index: formulas in the positive
 /// two-variable fragment ([`compile_exists`] returns a plan) run as
-/// bitset algebra, the rest fall back to the backtracking evaluator.
-/// Always answers, reporting whether the index (`true`) or the
-/// backtracking evaluator (`false`) produced the result.
+/// bitset algebra, the rest fall back to [`ExistsFormula::select`].
+/// Always answers, reporting whether the index (`true`) or the fallback
+/// (`false`) produced the result.
 pub fn fo_select_routed(
     tree: &Tree,
     idx: &TreeIndex,

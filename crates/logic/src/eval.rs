@@ -4,7 +4,10 @@
 //! evaluator is the textbook recursive one: quantifiers loop over `Dom(t)`,
 //! giving `O(|t|^q)` for `q` nested quantifiers. Structural atoms are O(1)
 //! thanks to the arena links, except `≺` and sibling `<` which walk
-//! parent/sibling chains.
+//! parent/sibling chains. It is the reference the faster evaluators are
+//! checked against: [`ExistsFormula::select`](crate::ExistsFormula::select)
+//! reduces tree-shaped `FO(∃*)` branches by semi-joins and backtracks over
+//! the rest with [`sat_exists`].
 //!
 //! That `O(|t|^q)` is exactly why every entry point here returns
 //! `Result<_, TwqError>` and the sentence and selection primitives have a
@@ -306,8 +309,11 @@ fn eval_partial_inner<C: Collector, G: Guard>(
 
 /// Backtracking satisfiability of a quantifier-free matrix over the given
 /// existential variables, with three-valued pruning after each binding.
-/// Exponential only in the worst case; on conjunctive matrices (the XPath
-/// compilation output) the pruning makes it effectively output-sensitive.
+/// Each variable ranges over all of `Dom(t)`, so a conjunction over `k`
+/// variables can cost `|t|^k`; [`ExistsFormula`](crate::ExistsFormula)
+/// uses it only for the DNF branches its semi-joins cannot reduce (a
+/// cyclic variable graph, a two-variable `val_eq`, a negated two-variable
+/// atom).
 ///
 /// # Errors
 /// [`TwqError::Invalid`] when the matrix still contains quantifiers (so its

@@ -23,6 +23,7 @@
 pub mod eval;
 pub mod exists;
 pub mod fo;
+mod join;
 pub mod memo;
 pub mod mso;
 pub mod parse;

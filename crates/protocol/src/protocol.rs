@@ -236,7 +236,9 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                         return Ok(PEnd::Reject(Halt::AtpDepthLimit));
                     }
                     let here = self.owner[cfg.node.0 as usize];
-                    let selected = phi.select_with(self.tree, cfg.node, self.collector);
+                    let selected = phi
+                        .select_in(self.tree, cfg.node, self.collector, self.guard)
+                        .map_err(|e| *e.guard().expect("ExistsFormula fails only on trips"))?;
                     self.collector
                         .atp_enter(cfg.node.0 as u64, selected.len(), depth);
                     if G::ENABLED {
@@ -337,8 +339,10 @@ pub fn run_protocol(
 /// land in the `run/protocol.crossings`, `run/protocol.atp_requests` and
 /// `run/protocol.dedup_messages` counters.
 ///
-/// The guard is charged one fuel unit per simulated computation step,
-/// `atp` nesting is tracked as [`DepthKind::Atp`], and the cycle table and
+/// The guard is charged one fuel unit per simulated computation step plus
+/// each `atp` look-ahead's
+/// [`ExistsFormula::select_in`](twq_logic::ExistsFormula::select_in) charge, `atp`
+/// nesting is tracked as [`DepthKind::Atp`], and the cycle table and
 /// register store are gauged as [`GaugeKind::Configs`] /
 /// [`GaugeKind::StoreTuples`]. Injected faults ([`FaultSite::Transition`],
 /// [`FaultSite::Store`]) degrade the simulated computation — a dropped

@@ -170,6 +170,22 @@ impl NodeSet {
         self.recount();
     }
 
+    /// Keep only the members for which `keep` holds, visiting them in
+    /// ascending id order.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            let mut bits = *w;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep(NodeId((i * BITS) as u32 + b)) {
+                    *w &= !(1u64 << b);
+                    self.len -= 1;
+                }
+            }
+        }
+    }
+
     fn recount(&mut self) {
         self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
@@ -360,6 +376,19 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert!(!s.contains(NodeId(6)));
+    }
+
+    #[test]
+    fn retain_keeps_members_in_order() {
+        let mut s: NodeSet = ids(&[1, 63, 64, 65, 200]).into_iter().collect();
+        let mut seen = Vec::new();
+        s.retain(|v| {
+            seen.push(v);
+            v.0 % 2 == 1
+        });
+        assert_eq!(seen, ids(&[1, 63, 64, 65, 200]));
+        assert_eq!(s.to_vec(), ids(&[1, 63, 65]));
+        assert_eq!(s.len(), 3);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::nodeset::NodeSet;
 use crate::vocab::{AttrId, SymId, Value, Vocab};
 
 /// A node identifier within one [`Tree`]'s arena.
@@ -270,6 +271,47 @@ impl Tree {
             cur = self.parent(u);
         }
         false
+    }
+
+    /// Every strict descendant of every member of `from`. A member already
+    /// reached lies inside a subtree walked before it (a parent's arena id
+    /// is below its children's), so its own subtree is skipped, and the
+    /// whole walk touches each node once.
+    pub fn descendants_of(&self, from: &NodeSet) -> NodeSet {
+        let mut out = NodeSet::with_capacity(self.len());
+        for u in from {
+            if out.contains(u) {
+                continue;
+            }
+            if u == self.root() {
+                // The root is id 0 and its subtree every id: one range
+                // fill covers every member.
+                let last = NodeId(self.len() as u32 - 1);
+                out.insert_range(NodeId(1), last);
+                break;
+            }
+            let Some(mut cur) = self.first_child(u) else {
+                continue;
+            };
+            'walk: loop {
+                out.insert(cur);
+                if let Some(c) = self.first_child(cur) {
+                    cur = c;
+                    continue;
+                }
+                loop {
+                    if let Some(s) = self.next_sibling(cur) {
+                        cur = s;
+                        break;
+                    }
+                    cur = self.parent(cur).expect("a walked node lies below `u`");
+                    if cur == u {
+                        break 'walk;
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Depth of `u` (root has depth 0).

@@ -346,44 +346,10 @@ impl<'a, C: Collector, G: Guard> Walker<'a, C, G> {
         out
     }
 
-    /// Every strict descendant of every member of `from`. A member
-    /// already reached lies inside a subtree walked before it (ancestors
-    /// have lower ids), so its own subtree is skipped.
+    /// Every strict descendant of every member of `from`, each subtree
+    /// walked once.
     fn descendants(&mut self, from: &NodeSet) -> NodeSet {
-        let tree = self.tree;
-        let mut out = self.empty();
-        for u in from {
-            if out.contains(u) {
-                continue;
-            }
-            if u == tree.root() {
-                // The root is id 0 and its subtree every id: one range
-                // fill covers every member.
-                let last = NodeId(tree.len() as u32 - 1);
-                out.insert_range(NodeId(1), last);
-                break;
-            }
-            let Some(mut cur) = tree.first_child(u) else {
-                continue;
-            };
-            'walk: loop {
-                out.insert(cur);
-                if let Some(c) = tree.first_child(cur) {
-                    cur = c;
-                    continue;
-                }
-                loop {
-                    if let Some(s) = tree.next_sibling(cur) {
-                        cur = s;
-                        break;
-                    }
-                    cur = tree.parent(cur).expect("a walked node lies below `u`");
-                    if cur == u {
-                        break 'walk;
-                    }
-                }
-            }
-        }
+        let out = self.tree.descendants_of(from);
         self.rows += (from.len() + out.len()) as u64;
         out
     }

@@ -14,9 +14,12 @@
 //! ```
 //!
 //! The campaign result is a pure function of `(--seed, --cases)`; `--jobs`
-//! only changes wall-clock time. Exit status: `0` for a clean campaign
-//! (or a passing self-test), `1` when discrepancies were found, `2` for
-//! usage errors.
+//! only changes wall-clock time. The summary tallies what the formula
+//! cases reached: `FO(∃*)` branches by evaluation path (semi-join or
+//! backtracking) and the structural atoms `compile_exists` translated.
+//! Exit status: `0` for a clean campaign (or a passing self-test), `1`
+//! when discrepancies were found or a tally stayed at zero, `2` for usage
+//! errors.
 //!
 //! `--replay --explain` additionally renders each repro's embedded
 //! first-divergence report and a traced walk transcript of the base run.
@@ -241,6 +244,11 @@ fn main() {
     let uni = Universe::standard();
     let report = run_campaign(&args.cfg, &uni, &pool);
     println!("fuzz --seed {} : {}", args.cfg.seed, report.summary());
+    println!("  {}", report.reach.summary());
+    let unreached = report.reach.unreached();
+    if !unreached.is_empty() {
+        println!("  unreached: {}", unreached.join(", "));
+    }
     for f in &report.failures {
         println!(
             "  case {} (seed {:#018x}, {}): [{}] {}",
@@ -273,5 +281,5 @@ fn main() {
             println!("wrote {} repro(s) to {path}", repros.len());
         }
     }
-    std::process::exit(i32::from(!report.clean()));
+    std::process::exit(i32::from(!report.clean() || !unreached.is_empty()));
 }

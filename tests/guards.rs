@@ -16,13 +16,15 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use twq::automata::{examples, run, run_in, Limits};
-use twq::guard::{DepthKind, FaultPlan, GaugeKind, ResourceGuard, TripReason, TwqError};
-use twq::logic::eval_sentence_in;
-use twq::obs::NullCollector;
+use twq::automata::{examples, run, run_in, Action, Limits, TwProgramBuilder};
+use twq::guard::{DepthKind, FaultPlan, GaugeKind, NullGuard, ResourceGuard, TripReason, TwqError};
+use twq::logic::exists::selectors;
+use twq::logic::fo::build::{and, desc, lab, var};
+use twq::logic::{eval_sentence_in, ExistsFormula};
+use twq::obs::{Collector, NullCollector};
 use twq::protocol::{at_most_k_values_program, run_protocol_in, Markers};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{DelimTree, Value, Vocab};
+use twq::tree::{parse_tree, DelimTree, Label, NodeId, Value, Vocab};
 use twq::xpath::{eval_from, eval_from_in, parse_xpath};
 use twq::xtm::machine::XtmLimits;
 use twq::xtm::{machines, run_alternating_guarded, run_xtm_in};
@@ -33,6 +35,24 @@ fn reason(e: &TwqError) -> &TripReason {
     &e.guard()
         .expect("healthy workload: only guard trips expected")
         .reason
+}
+
+/// Records the node of every `atp` look-ahead a run makes.
+#[derive(Default)]
+struct Lookaheads(Vec<NodeId>);
+
+impl Collector for Lookaheads {
+    fn atp_enter(&mut self, node: u64, _fanout: usize, _depth: u32) {
+        self.0.push(NodeId(node as u32));
+    }
+}
+
+/// `phi.select_in(u)`'s fuel, metered on a guard of its own.
+fn lookahead_fuel(phi: &ExistsFormula, dt: &DelimTree, u: NodeId) -> u64 {
+    let mut g = ResourceGuard::unlimited();
+    phi.select_in(dt.tree(), u, &mut NullCollector, &mut g)
+        .expect("unlimited guard never trips");
+    g.fuel_spent()
 }
 
 #[test]
@@ -48,7 +68,29 @@ fn engine_budget_boundary_is_exact() {
     let baseline = governed(&mut meter).expect("unlimited guard never trips");
     let fuel = meter.fuel_spent();
     assert!(fuel > 0, "the run must charge fuel");
-    assert_eq!(baseline.steps, fuel, "one fuel unit per engine step");
+    // One unit per engine step, plus each look-ahead's own charge: φ₁
+    // from ▽, φ₂ from every δ-node the run looked ahead from.
+    let mut seen = Lookaheads::default();
+    run_in(
+        &ex.program,
+        &dt,
+        Limits::default(),
+        &mut seen,
+        &mut NullGuard,
+    )
+    .unwrap();
+    let (phi1, phi2) = (
+        selectors::descendants_labeled(Label::Sym(ex.delta)),
+        selectors::delim_leaf_descendants(),
+    );
+    let root = dt.tree().root();
+    let lookahead: u64 = seen
+        .0
+        .iter()
+        .map(|&u| lookahead_fuel(if u == root { &phi1 } else { &phi2 }, &dt, u))
+        .sum();
+    assert!(seen.0.len() > 1, "the run must look ahead from a δ-node");
+    assert_eq!(fuel, baseline.steps + lookahead);
 
     // Exactly enough fuel: passes.
     let mut exact = ResourceGuard::unlimited().with_budget(fuel);
@@ -64,6 +106,85 @@ fn engine_budget_boundary_is_exact() {
     // be counted, so it can read one past the budget but never more.
     let partial = &err.guard().unwrap().partial;
     assert!(partial.fuel_spent >= fuel - 1 && partial.fuel_spent <= fuel);
+}
+
+/// A budget that admits the steps before Example 3.2's first φ₂
+/// look-ahead, and φ₁'s charge, but not all of φ₂'s: the trip lands
+/// inside the look-ahead, and its partial report counts the look-ahead
+/// fuel on top of the two steps taken.
+#[test]
+fn engine_budget_trips_inside_the_lookahead() {
+    let mut vocab = Vocab::new();
+    let ex = examples::example_32(&mut vocab);
+    let t = parse_tree(
+        "sigma[a=1](delta[a=1](sigma[a=1],sigma[a=1]),sigma[a=1])",
+        &mut vocab,
+    )
+    .unwrap();
+    let dt = DelimTree::build(&t);
+    let (phi1, phi2) = (
+        selectors::descendants_labeled(Label::Sym(ex.delta)),
+        selectors::delim_leaf_descendants(),
+    );
+    let root = dt.tree().root();
+    let first_delta = phi1.select(dt.tree(), root).first().expect("a δ-node");
+    // Step 1 looks ahead with φ₁ from ▽; step 2 with φ₂ from the δ-node.
+    let before = 2 + lookahead_fuel(&phi1, &dt, root);
+    let phi2_fuel = lookahead_fuel(&phi2, &dt, first_delta);
+    assert!(phi2_fuel > 1);
+    let budget = before + phi2_fuel - 1;
+
+    let mut seen = Lookaheads::default();
+    let mut g = ResourceGuard::unlimited().with_budget(budget);
+    let err = run_in(&ex.program, &dt, Limits::default(), &mut seen, &mut g)
+        .expect_err("φ₂'s charge must trip");
+    assert!(matches!(reason(&err), TripReason::Budget { limit } if *limit == budget));
+    // φ₁'s look-ahead completed; φ₂'s never reached its subcomputations.
+    assert_eq!(seen.0, vec![root]);
+    let partial = &err.guard().unwrap().partial;
+    assert!(partial.fuel_spent > budget, "{partial:?}");
+    assert!(partial.fuel_spent > 2, "{partial:?}");
+    // One more unit admits the look-ahead.
+    let mut seen = Lookaheads::default();
+    let mut g = ResourceGuard::unlimited().with_budget(budget + 1);
+    let _ = run_in(&ex.program, &dt, Limits::default(), &mut seen, &mut g);
+    assert_eq!(seen.0, vec![root, first_delta]);
+}
+
+/// A look-ahead whose one branch is cyclic backtracks over `n²`
+/// bindings — seconds on a 2,048-node tree — and still sees a 50 ms
+/// deadline: every binding is charged, so the run stops within a stride.
+#[test]
+fn engine_deadline_is_seen_inside_the_lookahead() {
+    let mut vocab = Vocab::new();
+    let cfg = TreeGenConfig::example32(&mut vocab, 2048, &[1]);
+    let dt = DelimTree::build(&random_tree(&cfg, 3));
+    // φ(x, y) = ∃z (x ≺ z ∧ z ≺ y ∧ x ≺ y ∧ O_△(z)): a cycle, so no
+    // semi-join plan, and `△`-nodes are leaves, so it selects nothing.
+    let (x, y, z) = (var(0), var(1), var(2));
+    let phi = ExistsFormula::new(
+        x,
+        y,
+        vec![z],
+        and([desc(x, z), desc(z, y), desc(x, y), lab(Label::DelimLeaf, z)]),
+    )
+    .unwrap();
+    assert_eq!(phi.branch_paths(), (0, 1));
+    let mut b = TwProgramBuilder::new();
+    let q0 = b.state("q0");
+    let qf = b.state("qF");
+    b.initial(q0).final_state(qf);
+    let x1 = b.unary_register();
+    b.rule_true(Label::DelimRoot, q0, Action::Atp(qf, phi, qf, x1));
+    let prog = b.build().unwrap();
+
+    let started = Instant::now();
+    let mut g = ResourceGuard::unlimited().with_deadline(Duration::from_millis(50));
+    let err = run_in(&prog, &dt, Limits::default(), &mut NullCollector, &mut g)
+        .expect_err("the deadline must trip");
+    let took = started.elapsed();
+    assert!(matches!(reason(&err), TripReason::Deadline { .. }), "{err}");
+    assert!(took < Duration::from_millis(100), "tripped after {took:?}");
 }
 
 #[test]

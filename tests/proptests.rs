@@ -2,7 +2,10 @@
 //! round trips, and evaluator cross-validation on randomized inputs.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
+use twq::fuzz::{gen_exists, Universe};
 use twq::logic::eval::select as naive_select;
 use twq::protocol::{
     decode as hs_decode, encode, encode_shuffled, random_hyperset, HyperGenConfig, Markers,
@@ -91,16 +94,42 @@ proptest! {
         }
     }
 
-    /// The DNF-pruning FO(∃*) evaluator agrees with the naive one. The
-    /// naive evaluator is `O(n^k)` in the quantifier count, so formulas
-    /// with many existentials are skipped — pruning-vs-naive at scale is
-    /// the `ablation_select` bench's job.
+    /// `ExistsFormula::select` agrees with the naive evaluator, on
+    /// XPath-compiled formulas and on formulas drawn directly by the fuzz
+    /// generator (`<`, `succ`, negation, cycles and value joins, so both
+    /// the semi-join and the backtracking branches run), on plain and
+    /// delimited trees. The naive evaluator is `O(n^k)` in the quantifier
+    /// count, so compiled formulas with many existentials are skipped —
+    /// selection against naive at scale is the `ablation_select` bench's
+    /// job.
     #[test]
     fn exists_evaluators_agree(
         tree_seed in 0u64..300,
         path_seed in 0u64..300,
         nodes in 2usize..8,
+        direct_seed in 0u64..10_000,
+        delimited in 0u8..2,
     ) {
+        let uni = Universe::standard();
+        let mut rng = StdRng::seed_from_u64(direct_seed);
+        let direct = gen_exists(&mut rng, &uni);
+        let cfg = TreeGenConfig {
+            // A delimited tree has 2–3 nodes per original one.
+            nodes: if delimited == 1 { nodes / 2 } else { nodes },
+            max_children: 3,
+            symbols: uni.symbols.clone(),
+            attributes: vec![(uni.attr, uni.values.clone())],
+            collision_pool: None,
+        };
+        let plain = random_tree(&cfg, tree_seed);
+        let t = if delimited == 1 { DelimTree::build(&plain).tree().clone() } else { plain };
+        let formula = direct.to_formula();
+        for u in t.node_ids() {
+            let fast = direct.select(&t, u);
+            let naive = naive_select(&t, &formula, direct.x(), u, direct.y()).unwrap();
+            prop_assert_eq!(&fast, &naive, "direct formula, node {}", u);
+        }
+
         let mut vocab = Vocab::new();
         let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1]);
         let t = random_tree(&cfg, tree_seed);

@@ -3,12 +3,14 @@
 //! and the parsed-FO front end against built formulas.
 
 use twq::automata::caterpillar::{cat, select as cat_select};
-use twq::automata::{run_on_tree, Limits};
-use twq::guard::NullGuard;
+use twq::automata::examples::{distinct_values_at_least, example_32};
+use twq::automata::{run_on_tree, Action, Limits};
+use twq::guard::{NullGuard, ResourceGuard};
+use twq::logic::exists::selectors;
 use twq::logic::{eval_sentence, parse_fo};
-use twq::obs::{FoEval, MetricsCollector};
+use twq::obs::{FoEval, MetricsCollector, NullCollector};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{parse_xml, to_xml, Vocab};
+use twq::tree::{parse_xml, to_xml, DelimTree, Label, NodeSet, Vocab};
 use twq::xpath::{eval_from, eval_from_in, parse_xpath, xpath_to_program, SelectionTest};
 
 /// The descendants relation agrees across all three formalisms:
@@ -71,6 +73,87 @@ fn walking_xpath_evaluates_each_ast_node_once_at_any_size() {
             assert!(calls <= p.size() as u64, "{q}: {calls} evaluations > |q|");
         }
     }
+}
+
+/// Set-at-a-time `FO(∃*)` selection is linear too. From the root of a
+/// delimited tree of 1k to 64k nodes, each of Example 3.2's selectors, the
+/// `parent` selector and `distinct_values_at_least`'s selector applies
+/// each literal once: its `FoEval::Atom` count is the same at every size
+/// and at most `|φ|`, and its fuel grows by at most 2.2× per doubling.
+/// A backtracking selector tries every node as `y`, so both grow with the
+/// tree — φ₂'s fuel quadratically.
+#[test]
+fn exists_selection_applies_each_literal_once_at_any_size() {
+    let mut vocab = Vocab::new();
+    let ex = example_32(&mut vocab);
+    let distinct = distinct_values_at_least(&[ex.sigma, ex.delta], ex.attr, 3);
+    let distinct_phi = distinct
+        .rules()
+        .iter()
+        .find_map(|r| match &r.action {
+            Action::Atp(_, phi, _, _) => Some(phi.clone()),
+            _ => None,
+        })
+        .expect("the program looks ahead");
+    let phis = [
+        ("φ₁", selectors::descendants_labeled(Label::Sym(ex.delta))),
+        ("φ₂", selectors::delim_leaf_descendants()),
+        ("parent", selectors::parent()),
+        ("distinct_values_at_least", distinct_phi),
+    ];
+    let mut last: Vec<Option<(u64, u64)>> = vec![None; phis.len()];
+    for nodes in (10..=16).map(|k| 1usize << k) {
+        let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1]);
+        let dt = DelimTree::build(&random_tree(&cfg, 7));
+        let t = dt.tree();
+        for ((name, phi), last) in phis.iter().zip(&mut last) {
+            let mut c = MetricsCollector::new();
+            let mut g = ResourceGuard::unlimited();
+            phi.select_in(t, t.root(), &mut c, &mut g).unwrap();
+            let (atoms, fuel) = (c.metrics.fo(FoEval::Atom), g.fuel_spent());
+            assert!(atoms <= phi.size() as u64, "{name}: {atoms} atoms > |φ|");
+            if let Some((a, f)) = *last {
+                assert_eq!(atoms, a, "{name}: atom count grows with the tree");
+                assert!(
+                    fuel * 10 <= f * 22,
+                    "{name}: fuel {f} → {fuel} from {} to {nodes} nodes",
+                    nodes / 2
+                );
+            }
+            *last = Some((atoms, fuel));
+        }
+    }
+}
+
+/// φ₂ = ∃z (x ≺ y ∧ E(y, z) ∧ O_△(z)) from a δ-node touches that node's
+/// subtree and the path above it, not the whole tree: from every δ-node
+/// `u` of a 4k-node tree, its fuel is at most
+/// `C·(|subtree(u)| + depth(u) + 1)` with `C = 8` (the worst node measures
+/// 4.8).
+#[test]
+fn delim_leaf_selection_stays_in_the_subtree() {
+    const C: u64 = 8;
+    let mut vocab = Vocab::new();
+    let ex = example_32(&mut vocab);
+    let cfg = TreeGenConfig::example32(&mut vocab, 1 << 12, &[1]);
+    let dt = DelimTree::build(&random_tree(&cfg, 5));
+    let t = dt.tree();
+    let phi2 = selectors::delim_leaf_descendants();
+    let mut checked = 0;
+    for u in t.node_ids().filter(|&u| t.label(u) == Label::Sym(ex.delta)) {
+        let mut g = ResourceGuard::unlimited();
+        phi2.select_in(t, u, &mut NullCollector, &mut g).unwrap();
+        let subtree = t.descendants_of(&NodeSet::from([u])).len() as u64 + 1;
+        let reach = subtree + t.depth(u) as u64 + 1;
+        assert!(
+            g.fuel_spent() <= C * reach,
+            "fuel {} from {u} (subtree {subtree}, depth {})",
+            g.fuel_spent(),
+            t.depth(u)
+        );
+        checked += 1;
+    }
+    assert!(checked > 1000, "only {checked} δ-nodes");
 }
 
 /// An XML document round-trips through the tree store and an
