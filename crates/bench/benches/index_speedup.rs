@@ -10,7 +10,9 @@
 //!   columns, where the cost model correctly refuses the index and the
 //!   planned run must stay within a few percent of the direct walk;
 //! * `build/*` — one full index build, the cost the selective queries
-//!   amortize (several hundred of them, against a linear walk);
+//!   amortize (about a hundred of them, against a linear walk), and the
+//!   same tree with unique ids in column `a` (the paper's §7 setting: a
+//!   value group per node, where postings must stay linear);
 //! * `parse_xml/*` — reading the same tree from its XML text, the other
 //!   half of ingesting a document.
 //!
@@ -123,10 +125,18 @@ fn bench(c: &mut Criterion) {
         },
     );
 
-    // Build amortization: one full index build over the 64k-node tree.
+    // Build amortization: one full index build over the 64k-node tree,
+    // then over a copy whose `a` column holds unique ids.
     group.bench_with_input(BenchmarkId::new("build", "64k"), &tree, |bch, t| {
         bch.iter(|| TreeIndex::build(t).stats().postings_bytes)
     });
+    let mut unique = tree.clone();
+    unique.assign_unique_ids(attr_a, &mut vocab.clone());
+    group.bench_with_input(
+        BenchmarkId::new("build", "64k_unique"),
+        &unique,
+        |bch, t| bch.iter(|| TreeIndex::build(t).stats().postings_bytes),
+    );
 
     // Ingest's other half: the tree read back from its XML text, into a
     // vocabulary that already knows every name and value.

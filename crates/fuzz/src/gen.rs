@@ -33,6 +33,9 @@ pub struct Universe {
     pub symbols: Vec<SymId>,
     /// The attribute `a`.
     pub attr: AttrId,
+    /// The attribute `b`, painted on formula-case trees only, so that a
+    /// compiled `@a=@b` filter joins two columns.
+    pub attr_b: AttrId,
     /// The datum pool (integers `0..=3`).
     pub values: Vec<Value>,
 }
@@ -43,10 +46,12 @@ impl Universe {
         let mut vocab = Vocab::new();
         let cfg = TreeGenConfig::example32(&mut vocab, 1, &[0, 1, 2, 3]);
         let attr = vocab.attr("a");
+        let attr_b = vocab.attr("b");
         let values = cfg.attributes[0].1.clone();
         Universe {
             symbols: cfg.symbols,
             attr,
+            attr_b,
             values,
             vocab,
         }
@@ -608,12 +613,16 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
         2 => SelectionTest::SomeValue(uni.attr, uni.value(rng)),
         _ => SelectionTest::AllValue(uni.attr, uni.value(rng)),
     };
-    // Naive selection is O(n^{q+2}); keep the tree tiny.
+    // Naive selection is O(n^{q+2}); keep the tree tiny. Column `b` is
+    // drawn after `a`, from the same pool, so `@a=@b` both hits and misses.
     let cfg = TreeGenConfig {
         nodes: rng.gen_range(1..=9),
         max_children: rng.gen_range(1..=4),
         symbols: uni.symbols.clone(),
-        attributes: vec![(uni.attr, uni.values.clone())],
+        attributes: vec![
+            (uni.attr, uni.values.clone()),
+            (uni.attr_b, uni.values.clone()),
+        ],
         collision_pool: rng.gen_bool(0.5).then(|| rng.gen_range(1..=2)),
     };
     let tree = random_tree(&cfg, rng.next_u64());
@@ -634,7 +643,7 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
 fn gen_compiled(rng: &mut StdRng, uni: &Universe) -> (ExistsFormula, Option<XPath>) {
     let xcfg = XPathGenConfig {
         symbols: uni.symbols.clone(),
-        attrs: vec![uni.attr],
+        attrs: vec![uni.attr, uni.attr_b],
         values: vec![uni.values[0]],
         max_depth: 2,
     };

@@ -42,8 +42,9 @@ pub use repro::{parse_jsonl, render_jsonl, Repro};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twq_exec::Pool;
-use twq_index::compile_exists;
+use twq_index::{compile_exists, compile_xpath, IxPlan};
 use twq_logic::{ExistsFormula, Formula, TreeAtom};
+use twq_xpath::XPath;
 
 use crate::gen::program_error_kind as error_kind;
 
@@ -105,12 +106,13 @@ impl CaseKind {
     }
 }
 
-/// What a campaign's formula cases reached, read off each case's formula:
-/// the DNF branches [`ExistsFormula::select`] reduces by semi-joins and
-/// those it backtracks over (its own branch analysis,
-/// [`ExistsFormula::branch_paths`]), and the structural atoms of the
-/// formulas `compile_exists` translates, by kind. A tally left at zero
-/// is a path no case compared, and the `fuzz` binary fails the campaign.
+/// What a campaign's formula cases reached, read off each case's formula
+/// and source query: the DNF branches [`ExistsFormula::select`] reduces by
+/// semi-joins and those it backtracks over (its own branch analysis,
+/// [`ExistsFormula::branch_paths`]), the structural atoms of the formulas
+/// `compile_exists` translates, by kind, and the value-postings scans of
+/// the plans `compile_xpath` builds. A tally left at zero is a path no
+/// case compared, and the `fuzz` binary fails the campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     /// DNF branches evaluated by semi-joins.
@@ -120,14 +122,20 @@ pub struct Reach {
     /// Structural atoms of index-compiled formulas, in
     /// [`Reach::COMPILED`] order.
     pub compiled: [u64; 4],
+    /// `ScanValue` leaves of compiled XPath plans.
+    pub scan_value: u64,
+    /// `ScanAttrPair(a, b)` leaves with `a ≠ b` of compiled XPath plans:
+    /// the value-group merge of two columns.
+    pub scan_pair: u64,
 }
 
 impl Reach {
     /// The structural atom kinds `compile_exists` translates.
     pub const COMPILED: [&'static str; 4] = ["E(x,y)", "E(y,x)", "x≺y", "y≺x"];
 
-    /// The tallies of one formula.
-    pub fn of(phi: &ExistsFormula) -> Reach {
+    /// The tallies of one formula and, when known, the query it was
+    /// compiled from.
+    pub fn of(phi: &ExistsFormula, path: Option<&XPath>) -> Reach {
         fn atoms(f: &Formula, x: twq_logic::Var, y: twq_logic::Var, out: &mut [u64; 4]) {
             match f {
                 Formula::Atom(a) => {
@@ -147,14 +155,32 @@ impl Reach {
                 Formula::True | Formula::False => {}
             }
         }
+        fn scans(p: &IxPlan, reach: &mut Reach) {
+            match p {
+                IxPlan::ScanValue(..) => reach.scan_value += 1,
+                IxPlan::ScanAttrPair(a, b) if a != b => reach.scan_pair += 1,
+                IxPlan::Intersect(ps) | IxPlan::Union(ps) => {
+                    ps.iter().for_each(|q| scans(q, reach))
+                }
+                IxPlan::Expand(_, q) => scans(q, reach),
+                IxPlan::IfNonEmpty(c, q) => {
+                    scans(c, reach);
+                    scans(q, reach);
+                }
+                _ => {}
+            }
+        }
         let (semijoin, backtrack) = phi.branch_paths();
         let mut reach = Reach {
             semijoin: semijoin as u64,
             backtrack: backtrack as u64,
-            compiled: [0; 4],
+            ..Reach::default()
         };
         if compile_exists(phi).is_some() {
             atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
+        }
+        if let Some(path) = path {
+            scans(&compile_xpath(path), &mut reach);
         }
         reach
     }
@@ -166,6 +192,8 @@ impl Reach {
         for (a, b) in self.compiled.iter_mut().zip(other.compiled) {
             *a += b;
         }
+        self.scan_value += other.scan_value;
+        self.scan_pair += other.scan_pair;
     }
 
     /// The names of the tallies at zero.
@@ -175,9 +203,14 @@ impl Reach {
             ("backtracking", self.backtrack),
         ];
         let kinds = Reach::COMPILED.into_iter().zip(self.compiled);
+        let scans = [
+            ("ScanValue", self.scan_value),
+            ("ScanAttrPair(a≠b)", self.scan_pair),
+        ];
         paths
             .into_iter()
             .chain(kinds)
+            .chain(scans)
             .filter(|&(_, n)| n == 0)
             .map(|(name, _)| name)
             .collect()
@@ -191,10 +224,13 @@ impl Reach {
             .map(|(name, n)| format!("{name} {n}"))
             .collect();
         format!(
-            "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}",
+            "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}; \
+             compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}",
             self.semijoin,
             self.backtrack,
-            kinds.join(", ")
+            kinds.join(", "),
+            self.scan_value,
+            self.scan_pair
         )
     }
 }
@@ -242,7 +278,7 @@ pub fn run_case(cfg: &FuzzConfig, uni: &Universe, index: u64, oracle_pool: &Pool
     let mut reach = Reach::default();
     let (kind, discrepancy, case) = if roll < formula_cut {
         let case = gen_formula_case(&mut rng, uni);
-        reach = Reach::of(&case.phi);
+        reach = Reach::of(&case.phi, case.path.as_ref());
         (
             CaseKind::Formula,
             check_formula_case(&case, oracle_pool),

@@ -6,17 +6,23 @@
 //!   `end`-by-pre-order table so descendant expansion never touches the
 //!   tree;
 //! * label postings: one [`NodeSet`] per element symbol;
-//! * value postings: per attribute column, a value-sorted list of
-//!   `(Value, NodeSet)` groups, plus the set of nodes where the column is
-//!   non-`⊥`;
+//! * value postings: per attribute column, one pre-order list sorted by
+//!   `(value, pre)` and cut into value-sorted groups, plus the set of
+//!   nodes where the column is non-`⊥`;
 //! * structural postings (leaves, first children, last children);
 //! * [`IndexStats`] feeding the cost model.
 //!
-//! **All postings live in pre-order space**: bit `j` of a posting refers to
-//! the node at pre-order position `j`, not to arena id `j`. The two orders
-//! differ for randomly grown trees, and pre-order is the one under which a
-//! subtree is a contiguous bit range. [`crate::eval_plan_from`] converts at
-//! the boundary.
+//! Labels, attribute presence and shape come from the finite `Σ` and `A`,
+//! so they are bitsets, one word per 64 nodes each. Values come from the
+//! infinite `D` — unique ids are the paper's §7 setting — so a value group
+//! is a sorted list of its members, and a column takes O(n) words however
+//! many values it holds.
+//!
+//! **All postings live in pre-order space**: bit (or entry) `j` of a
+//! posting refers to the node at pre-order position `j`, not to arena id
+//! `j`. The two orders differ for randomly grown trees, and pre-order is
+//! the one under which a subtree is a contiguous bit range.
+//! [`crate::eval_plan_from`] converts at the boundary.
 
 use std::time::Instant;
 
@@ -43,7 +49,8 @@ pub struct IndexStats {
     pub root_label: Option<SymId>,
     /// Distinct `(attribute, value)` groups across all columns.
     pub distinct_values: usize,
-    /// Heap bytes held by all postings bitsets.
+    /// Heap bytes held by all postings: 8 per bitset word, plus, per
+    /// attribute column, 4 per valued node and 8 per value group.
     pub postings_bytes: usize,
     /// Wall-clock build time in nanoseconds.
     pub build_ns: u64,
@@ -63,12 +70,42 @@ impl IndexStats {
 }
 
 /// Reusable working memory for [`TreeIndex::build_in`] — one sort buffer
-/// for the `(value, pre)` pairs of an attribute column. A worker threading
-/// one scratch through a batch ([`build_indexes`]) allocates it once.
+/// for an attribute column's packed `(value << 32) | pre` keys. A worker
+/// threading one scratch through a batch ([`build_indexes`]) allocates it
+/// once.
 #[derive(Debug, Default)]
 pub struct IndexScratch {
-    pairs: Vec<(Value, u32)>,
+    keys: Vec<u64>,
 }
+
+/// One attribute column's value postings: group `g` holds value
+/// `values[g]` and its nodes' ascending pre-order positions
+/// `pres[offsets[g]..offsets[g + 1]]`. Groups ascend by value.
+#[derive(Debug, Clone, Default)]
+pub struct ValueColumn {
+    values: Vec<Value>,
+    offsets: Vec<u32>,
+    pres: Vec<u32>,
+}
+
+impl ValueColumn {
+    /// The groups' values, ascending: group `g` holds `values()[g]`.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// Group `g`'s members, as ascending pre-order positions.
+    pub fn group(&self, g: usize) -> &[u32] {
+        &self.pres[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+    }
+}
+
+/// The column of an attribute the tree never materialized.
+static NO_VALUES: ValueColumn = ValueColumn {
+    values: Vec::new(),
+    offsets: Vec::new(),
+    pres: Vec::new(),
+};
 
 /// The per-tree index. Build once per frozen tree, query many times.
 #[derive(Debug, Clone)]
@@ -80,7 +117,7 @@ pub struct TreeIndex {
     /// Label postings by `SymId` index (missing tail ⇒ empty postings).
     label_postings: Vec<NodeSet>,
     /// Per attribute column: value-sorted postings groups.
-    value_postings: Vec<Vec<(Value, NodeSet)>>,
+    value_postings: Vec<ValueColumn>,
     /// Per attribute column: nodes with a non-`⊥` value.
     has_attr: Vec<NodeSet>,
     leaves: NodeSet,
@@ -92,16 +129,12 @@ pub struct TreeIndex {
 impl TreeIndex {
     /// Build with no instrumentation and fresh scratch.
     pub fn build(tree: &Tree) -> TreeIndex {
-        TreeIndex::build_with(tree, &mut NullCollector)
+        TreeIndex::build_in(tree, &mut IndexScratch::default(), &mut NullCollector)
     }
 
-    /// Build with instrumentation: reports `phase("index/build")` and the
-    /// `index/postings_bytes` / `index/built` counters through `c`.
-    pub fn build_with<C: Collector>(tree: &Tree, c: &mut C) -> TreeIndex {
-        TreeIndex::build_in(tree, &mut IndexScratch::default(), c)
-    }
-
-    /// Build reusing `scratch`'s allocations (the batch entry point).
+    /// Build reusing `scratch`'s allocations (the batch entry point),
+    /// reporting `phase("index/build")` and the `index/postings_bytes` /
+    /// `index/built` counters through `c`.
     pub fn build_in<C: Collector>(tree: &Tree, scratch: &mut IndexScratch, c: &mut C) -> TreeIndex {
         let t0 = Instant::now();
         let n = tree.len();
@@ -134,39 +167,37 @@ impl TreeIndex {
             }
         }
 
-        // Value postings: sort (value, pre) pairs per column, then group.
-        // Groups come out value-sorted for binary search; within a group
-        // the pre positions ascend, so inserts never backtrack.
-        let mut value_postings: Vec<Vec<(Value, NodeSet)>> = Vec::new();
-        let mut has_attr: Vec<NodeSet> = Vec::new();
-        let mut distinct_values = 0usize;
+        // Value postings: one sort of packed `(value << 32) | pre` keys per
+        // column. Groups come out value-sorted for binary search, each one
+        // listing its pre positions in ascending order.
+        let mut value_postings: Vec<ValueColumn> = Vec::with_capacity(tree.attr_columns());
+        let mut has_attr: Vec<NodeSet> = Vec::with_capacity(tree.attr_columns());
         for col in 0..tree.attr_columns() {
             let a = AttrId(col as u16);
             let mut has = NodeSet::with_capacity(n);
-            scratch.pairs.clear();
+            scratch.keys.clear();
             for pre in 0..n as u32 {
                 let v = tree.attr(intervals.node_at(pre), a);
                 if !v.is_bot() {
-                    scratch.pairs.push((v, pre));
+                    scratch.keys.push((u64::from(v.0) << 32) | u64::from(pre));
                     has.insert(NodeId(pre));
                 }
             }
-            scratch.pairs.sort_unstable();
-            let mut groups: Vec<(Value, NodeSet)> = Vec::new();
-            for &(v, pre) in &scratch.pairs {
-                match groups.last_mut() {
-                    Some((gv, set)) if *gv == v => {
-                        set.insert(NodeId(pre));
-                    }
-                    _ => {
-                        let mut set = NodeSet::new();
-                        set.insert(NodeId(pre));
-                        groups.push((v, set));
-                    }
+            scratch.keys.sort_unstable();
+            let mut column = ValueColumn {
+                pres: Vec::with_capacity(scratch.keys.len()),
+                ..ValueColumn::default()
+            };
+            for (i, &key) in scratch.keys.iter().enumerate() {
+                let v = Value((key >> 32) as u32);
+                if column.values.last() != Some(&v) {
+                    column.values.push(v);
+                    column.offsets.push(i as u32);
                 }
+                column.pres.push(key as u32);
             }
-            distinct_values += groups.len();
-            value_postings.push(groups);
+            column.offsets.push(column.pres.len() as u32);
+            value_postings.push(column);
             has_attr.push(has);
         }
 
@@ -183,18 +214,16 @@ impl TreeIndex {
             depth_sum += depth[i] as u64;
         }
 
-        let postings_bytes = 8
-            * (label_postings
+        let postings_bytes = 8 * label_postings
+            .iter()
+            .chain(has_attr.iter())
+            .chain([&leaves, &firsts, &lasts])
+            .map(NodeSet::word_count)
+            .sum::<usize>()
+            + value_postings
                 .iter()
-                .chain(has_attr.iter())
-                .chain([&leaves, &firsts, &lasts])
-                .map(NodeSet::word_count)
-                .sum::<usize>()
-                + value_postings
-                    .iter()
-                    .flatten()
-                    .map(|(_, s)| s.word_count())
-                    .sum::<usize>());
+                .map(|col| 4 * col.pres.len() + 8 * col.values.len())
+                .sum::<usize>();
 
         let stats = IndexStats {
             nodes: n,
@@ -203,7 +232,7 @@ impl TreeIndex {
             leaves: leaves.len(),
             distinct_labels: label_postings.iter().filter(|s| !s.is_empty()).count(),
             root_label: tree.label(tree.root()).sym(),
-            distinct_values,
+            distinct_values: value_postings.iter().map(|col| col.values.len()).sum(),
             postings_bytes,
             build_ns: t0.elapsed().as_nanos() as u64,
         };
@@ -255,20 +284,19 @@ impl TreeIndex {
             .filter(|p| !p.is_empty())
     }
 
-    /// Value postings group for `(a, v)` (`None` ⇔ empty). `v` must be a
-    /// domain value; `⊥` has no postings by construction.
-    pub fn value_posting(&self, a: AttrId, v: Value) -> Option<&NodeSet> {
-        let groups = self.value_postings.get(a.0 as usize)?;
-        let i = groups.binary_search_by_key(&v, |&(gv, _)| gv).ok()?;
-        Some(&groups[i].1)
+    /// Value postings group for `(a, v)`: the ascending pre-order
+    /// positions of its nodes (`None` ⇔ empty). `v` must be a domain
+    /// value; `⊥` has no postings by construction.
+    pub fn value_posting(&self, a: AttrId, v: Value) -> Option<&[u32]> {
+        let col = self.value_postings.get(a.0 as usize)?;
+        let g = col.values.binary_search(&v).ok()?;
+        Some(col.group(g))
     }
 
-    /// All value groups of column `a`, value-sorted (empty if the column
-    /// does not exist).
-    pub fn value_groups(&self, a: AttrId) -> &[(Value, NodeSet)] {
-        self.value_postings
-            .get(a.0 as usize)
-            .map_or(&[], Vec::as_slice)
+    /// All value groups of column `a` (none if the column does not
+    /// exist).
+    pub fn value_groups(&self, a: AttrId) -> &ValueColumn {
+        self.value_postings.get(a.0 as usize).unwrap_or(&NO_VALUES)
     }
 
     /// Nodes with a non-`⊥` value in column `a` (`None` ⇔ none).

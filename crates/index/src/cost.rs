@@ -131,11 +131,16 @@ impl CostModel {
                 if a == b {
                     return (set_op, n);
                 }
-                let (ga, gb) = (idx.value_groups(*a), idx.value_groups(*b));
-                // One word-wide intersect+union per shared value group.
-                let common = ga.len().min(gb.len()) as f64;
-                let cost =
-                    self.word_ns * words * (2.0 * common + 3.0) + (ga.len() + gb.len()) as f64;
+                let (ga, gb) = (
+                    idx.value_groups(*a).values().len(),
+                    idx.value_groups(*b).values().len(),
+                );
+                // One word-wide intersect+union per shared value group: a
+                // deliberate over-estimate of the sorted-list merge, kept so
+                // that no planner verdict moves until plans are priced per
+                // node.
+                let common = ga.min(gb) as f64;
+                let cost = self.word_ns * words * (2.0 * common + 3.0) + (ga + gb) as f64;
                 let (ha, hb) = (
                     idx.has_attr(*a).map_or(0.0, |p| p.len() as f64),
                     idx.has_attr(*b).map_or(0.0, |p| p.len() as f64),

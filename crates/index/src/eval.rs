@@ -1,11 +1,14 @@
 //! Evaluation of index plans over pre-order bitsets.
 //!
 //! Everything inside [`eval_plan_pre`] lives in pre-order space: a set bit
-//! `j` means "the node at pre-order position `j`". The tree is only
+//! `j` means "the node at pre-order position `j`". Value scans turn their
+//! sorted pre-order lists into bitsets at the leaf. The tree is only
 //! touched for link-following expansions (child/parent/ancestor);
 //! descendant expansion is pure range arithmetic over the interval
 //! encoding. [`eval_plan_from`] converts a single arena context in and the
 //! result back out.
+
+use std::cmp::Ordering;
 
 use twq_logic::ExistsFormula;
 use twq_obs::{Collector, NullCollector};
@@ -33,7 +36,7 @@ pub fn eval_plan_pre(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet)
         IxPlan::All => all_pre(idx),
         IxPlan::Empty => NodeSet::new(),
         IxPlan::ScanLabel(s) => idx.label_posting(*s).cloned().unwrap_or_default(),
-        IxPlan::ScanValue(a, v) => idx.value_posting(*a, *v).cloned().unwrap_or_default(),
+        IxPlan::ScanValue(a, v) => idx.value_posting(*a, *v).map_or_else(NodeSet::new, set_of),
         IxPlan::ScanAttrBot(a) => {
             let mut s = all_pre(idx);
             if let Some(h) = idx.has_attr(*a) {
@@ -77,23 +80,44 @@ pub fn eval_plan_pre(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet)
     }
 }
 
-/// `{y : val_a(y) = val_b(y)}` — matching value groups pairwise, plus the
-/// nodes where both columns are `⊥` (equal by totality of `attr`).
+/// The set of an ascending pre-order list, sized to its last member.
+fn set_of(pres: &[u32]) -> NodeSet {
+    let mut s = NodeSet::with_capacity(pres.last().map_or(0, |&p| p as usize + 1));
+    for &p in pres {
+        s.insert(NodeId(p));
+    }
+    s
+}
+
+/// `{y : val_a(y) = val_b(y)}` — the value groups both columns share,
+/// merged pairwise as sorted lists, plus the nodes where both columns are
+/// `⊥` (equal by totality of `attr`).
 fn scan_attr_pair(idx: &TreeIndex, a: AttrId, b: AttrId) -> NodeSet {
     if a == b {
         return all_pre(idx);
     }
     let mut out = NodeSet::with_capacity(idx.len());
     let (ga, gb) = (idx.value_groups(a), idx.value_groups(b));
+    let (va, vb) = (ga.values(), gb.values());
     let (mut i, mut j) = (0, 0);
-    while i < ga.len() && j < gb.len() {
-        match ga[i].0.cmp(&gb[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let mut both = ga[i].1.clone();
-                both.intersect_with(&gb[j].1);
-                out.union_with(&both);
+    while i < va.len() && j < vb.len() {
+        match va[i].cmp(&vb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let (pa, pb) = (ga.group(i), gb.group(j));
+                let (mut x, mut y) = (0, 0);
+                while x < pa.len() && y < pb.len() {
+                    match pa[x].cmp(&pb[y]) {
+                        Ordering::Less => x += 1,
+                        Ordering::Greater => y += 1,
+                        Ordering::Equal => {
+                            out.insert(NodeId(pa[x]));
+                            x += 1;
+                            y += 1;
+                        }
+                    }
+                }
                 i += 1;
                 j += 1;
             }

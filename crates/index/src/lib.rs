@@ -30,7 +30,7 @@ pub mod cost;
 pub mod eval;
 pub mod plan;
 
-pub use build::{build_indexes, IndexScratch, IndexStats, TreeIndex};
+pub use build::{build_indexes, IndexScratch, IndexStats, TreeIndex, ValueColumn};
 pub use compile::{compile_exists, compile_xpath};
 pub use cost::{Choice, CostModel, Estimate, Force};
 pub use eval::{eval_plan_from, eval_plan_pre, fo_select_routed, fo_select_routed_with};

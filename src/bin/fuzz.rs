@@ -16,7 +16,10 @@
 //! The campaign result is a pure function of `(--seed, --cases)`; `--jobs`
 //! only changes wall-clock time. The summary tallies what the formula
 //! cases reached: `FO(∃*)` branches by evaluation path (semi-join or
-//! backtracking) and the structural atoms `compile_exists` translated.
+//! backtracking), the structural atoms `compile_exists` translated, and
+//! the value-postings scans of `compile_xpath` plans (`ScanValue`, and
+//! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
+//! formula-case trees).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`
 //! when discrepancies were found or a tally stayed at zero, `2` for usage
 //! errors.

@@ -21,7 +21,7 @@ use twq::rw::{run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq::tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
-use twq::tree::{Label, NodeSet, Tree, Vocab};
+use twq::tree::{AttrId, Label, NodeSet, Tree, Value, Vocab};
 use twq::xpath::{eval_from, random_xpath, XPath, XPathGenConfig};
 
 fn hostile_cfg(vocab: &mut Vocab, nodes: usize, collisions: Option<usize>) -> TreeGenConfig {
@@ -198,25 +198,91 @@ fn word_boundary_sizes_are_exact() {
     }
 }
 
-/// Batch index builds across a pool are identical to serial builds.
+/// Per attribute column, its `(value, members)` groups, members as
+/// ascending pre-order positions.
+type Groups = Vec<Vec<(Value, Vec<u32>)>>;
+
+fn value_groups(t: &Tree, idx: &TreeIndex) -> Groups {
+    (0..t.attr_columns())
+        .map(|c| {
+            let col = idx.value_groups(AttrId(c as u16));
+            let groups = col.values().iter().enumerate();
+            groups.map(|(g, &v)| (v, col.group(g).to_vec())).collect()
+        })
+        .collect()
+}
+
+/// Batch index builds across a pool are identical to serial builds, in
+/// their answers and in every value group. The trees come largest first,
+/// so a sort key one worker's scratch kept from its previous tree would
+/// land in a smaller tree's groups.
 #[test]
 fn batch_builds_are_deterministic() {
     let mut vocab = Vocab::new();
-    let cfg = hostile_cfg(&mut vocab, 150, Some(2));
-    let trees: Vec<Tree> = (0..6).map(|seed| random_tree(&cfg, seed)).collect();
+    let mut cfg = hostile_cfg(&mut vocab, 300, None);
+    let trees: Vec<Tree> = (0..6u64)
+        .map(|seed| {
+            cfg.nodes = 300 - 50 * seed as usize;
+            random_tree(&cfg, seed)
+        })
+        .collect();
     let q = random_xpath(&xcfg(&cfg), 7);
     let plan = compile_xpath(&q);
-    let serial: Vec<NodeSet> = trees
-        .iter()
-        .map(|t| eval_plan_from(t, &TreeIndex::build(t), &plan, t.root()))
-        .collect();
-    for workers in [1, 4] {
-        let built = build_indexes(&trees, &Pool::new(workers));
-        let batch: Vec<NodeSet> = trees
+    let answers = |idxs: &[TreeIndex]| -> Vec<(NodeSet, Groups)> {
+        trees
             .iter()
-            .zip(&built)
-            .map(|(t, idx)| eval_plan_from(t, idx, &plan, t.root()))
-            .collect();
+            .zip(idxs)
+            .map(|(t, idx)| {
+                (
+                    eval_plan_from(t, idx, &plan, t.root()),
+                    value_groups(t, idx),
+                )
+            })
+            .collect()
+    };
+    let serial = answers(&trees.iter().map(TreeIndex::build).collect::<Vec<_>>());
+    for workers in [1, 4] {
+        let batch = answers(&build_indexes(&trees, &Pool::new(workers)));
         assert_eq!(batch, serial, "workers={workers}");
+    }
+}
+
+/// Unique ids, the paper's §7 setting, give every node a value group of
+/// its own: postings stay linear in the tree, and each group answers its
+/// `//*[@a=v]` lookup with exactly the node carrying `v`.
+#[test]
+fn unique_id_postings_stay_linear() {
+    use twq::xpath::ast::xb;
+    for nodes in [1usize << 10, 1 << 12, 1 << 14, 1 << 16] {
+        let mut vocab = Vocab::new();
+        let symbols = (0..16).map(|i| vocab.sym(&format!("s{i}"))).collect();
+        let a = vocab.attr("a");
+        let cfg = TreeGenConfig {
+            nodes,
+            max_children: 4,
+            symbols,
+            attributes: Vec::new(),
+            collision_pool: None,
+        };
+        let mut t = random_tree(&cfg, nodes as u64);
+        t.assign_unique_ids(a, &mut vocab);
+        let idx = TreeIndex::build(&t);
+        let stats = idx.stats();
+        assert_eq!(stats.distinct_values, nodes);
+        assert!(
+            stats.postings_bytes <= 32 * nodes,
+            "{nodes} nodes: {} postings bytes",
+            stats.postings_bytes
+        );
+        for u in t.node_ids().skip(1).step_by(nodes / 8) {
+            let v = t.attr(u, a);
+            let owner = t.node_with_id(a, v).expect("every id is assigned");
+            let q = xb::filter_attr_const(xb::from_desc(xb::wild()), a, v);
+            assert_eq!(
+                eval_plan_from(&t, &idx, &compile_xpath(&q), t.root()),
+                NodeSet::from([owner]),
+                "{nodes} nodes, id of {u:?}"
+            );
+        }
     }
 }
