@@ -131,7 +131,7 @@ impl Diagnostic {
         )
     }
 
-    /// The JSONL record for the finding, matching the obs sink format.
+    /// The JSONL record for the finding, as an `obs::json` object.
     pub fn to_json(&self, prog: &TwProgram) -> Json {
         Json::obj([
             ("severity", Json::str(self.severity.name())),

@@ -3,7 +3,7 @@
 //! monomorphizes over `NullCollector`), through `run_in` with an
 //! explicit `NullCollector` (must be indistinguishable from `run`),
 //! through `run_in` with a `MetricsCollector`, and through a
-//! `MetricsCollector` with a `Registry` attached (the `twq-prof` sink).
+//! `MetricsCollector` with a `twq-prof` `Registry` attached.
 //! The first two quantify the zero-cost claim — enforced here with a
 //! generous runtime assertion, not just eyeballed — and the last two
 //! price full metrics collection with and without registry export.
@@ -76,7 +76,7 @@ fn bench(c: &mut Criterion) {
     // The zero-cost assertion: with `NullCollector` the instrumented entry
     // point must cost the same as the uninstrumented one. The 2x bound is
     // deliberately generous — it tolerates shared-CI noise while still
-    // catching the failure mode that matters (a registry/sink check
+    // catching the failure mode that matters (a registry check
     // accidentally leaking onto the `C::ENABLED = false` path, which
     // shows up as an integer multiple, not a few percent).
     let t = b.tree(8, &[1], 5);

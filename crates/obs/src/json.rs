@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a writer and a recursive-descent parser.
 //!
-//! The build environment has no access to crates.io, so the JSONL sinks
-//! and the machine-readable experiment reports cannot use `serde_json`;
+//! The build environment has no access to crates.io, so the causal
+//! traces and the machine-readable experiment reports cannot use `serde_json`;
 //! this module implements exactly the subset they need. Object key order
 //! is preserved (objects are association lists), numbers are `i64` when
 //! integral and `f64` otherwise, and the writer emits ASCII-safe output

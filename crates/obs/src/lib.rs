@@ -7,20 +7,17 @@
 //! * [`Collector`] — the hook trait threaded through the hot loops.
 //!   [`NullCollector`] (`ENABLED = false`) monomorphizes to the
 //!   uninstrumented loop at zero cost; [`MetricsCollector`] records
-//!   [`RunMetrics`] and optionally forwards span-style [`Event`]s to a
-//!   sink.
+//!   [`RunMetrics`]; a pair `(A, B)` of collectors feeds one run to both.
 //! * [`RunMetrics`] — steps per state, `atp` depth and fan-out,
 //!   register-store and cycle-check high-water marks, FO-evaluation call
 //!   counts, tape cells, protocol messages, phase timings.
-//! * Sinks — [`HumanSink`] (readable trace), [`JsonlSink`] (one JSON
-//!   object per event), [`RingBufferSink`] (the last `N` events, for
-//!   post-mortems of `Stuck`/`Nondeterministic` halts).
 //! * `twq-prof` — the profiling layer on top of the seam:
 //!   [`Histogram`]/[`DenseHistogram`] (log2-bucketed latencies, exact
 //!   value counts), [`Registry`] (named counters/gauges/histograms with
-//!   delta [`Snapshot`]s and JSONL export), and [`FlameProfiler`] (a
-//!   span-stack self-time profiler over the event stream emitting
-//!   flamegraph-collapsed stacks).
+//!   delta [`Snapshot`]s and JSONL export), [`FlameProfiler`] (a
+//!   span-stack self-time profiler emitting flamegraph-collapsed stacks)
+//!   and [`Tail`] (the last `N` hook calls, for post-mortems of
+//!   `Stuck`/`Nondeterministic` halts) — both collectors.
 //! * `twq-trace` — the causal trace layer: [`TraceCollector`] records a
 //!   run as a [`Trace`] span tree with deterministic causal IDs, witness
 //!   valuations, and walk paths; [`diff`] pinpoints the first
@@ -46,18 +43,16 @@ pub mod metrics;
 pub mod profile;
 pub mod registry;
 pub mod report;
-pub mod sink;
 pub mod trace;
 
 pub use collect::{Collector, MetricsCollector, NullCollector, PhaseTimer};
-pub use event::{Event, FoEval, HaltKind};
+pub use event::{FoEval, HaltKind};
 pub use hist::{DenseHistogram, Histogram};
 pub use json::Json;
 pub use metrics::RunMetrics;
-pub use profile::{FlameProfiler, Frame};
+pub use profile::{FlameProfiler, Tail};
 pub use registry::{Registry, Snapshot};
 pub use report::{col, Cell, Col, HumanReporter, JsonlReporter, Reporter};
-pub use sink::{EventSink, HumanSink, JsonlSink, RingBufferSink, TeeSink};
 pub use trace::{
     diff, explain_verdict, Divergence, Namer, Span, SpanKind, Trace, TraceCollector, TraceDepth,
     Verdict,

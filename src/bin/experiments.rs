@@ -16,16 +16,19 @@
 //! ```
 //!
 //! `--profile` re-runs one representative workload per complexity-class
-//! experiment (E1, E3–E6) under a [`MetricsCollector`] and reports the
-//! top-k states by interpreter steps — per-state evidence for the
-//! theorem's resource claim. It also times every row of the parallel
-//! sweeps (p50/p90/p99 latency histograms), prints the pool's per-worker
-//! telemetry, surfaces a ring-buffer post-mortem when a profiled run
+//! experiment (E1 n=540, E3 n=8, E4 n=20, E5 n=64, E6 k=8) after its
+//! sweep, under the collector pair `(MetricsCollector, (FlameProfiler,
+//! Tail))`, and reports the top-k states by interpreter steps —
+//! per-state evidence for the theorem's resource claim. The table rows
+//! themselves are the same governed calls as without the flag. It also
+//! times every row of the parallel sweeps (p50/p90/p99 latency
+//! histograms), prints the pool's per-worker telemetry, prints the
+//! [`Tail`]'s last 16 hook calls as a post-mortem when a profiled run
 //! halts abnormally (`Stuck`/`Nondeterministic` or any guard-limit
-//! halt), and closes with a `PROF` summary of
-//! the session's metric registry. `--flame <path>` (implies `--profile`)
-//! additionally writes the profiled runs' self-time stacks in
-//! flamegraph-collapsed form (`E1;q0;atp;q_sel 1234`).
+//! halt), and closes with a `PROF` summary of the session's metric
+//! registry. `--flame <path>` (implies `--profile`) additionally writes
+//! the profiled runs' self-time stacks in flamegraph-collapsed form
+//! (`E1;q0;atp;q_sel 1234`).
 //!
 //! Resource governance (`twq-guard`) is wired in through three flags:
 //!
@@ -64,8 +67,7 @@ use twq::logic::eval_sentence_in;
 use twq::logic::types::{count_classes, TypeConfig};
 use twq::obs::{
     col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
-    NullCollector, Registry, Reporter, RingBufferSink, RunMetrics, TeeSink, Trace, TraceCollector,
-    Verdict,
+    NullCollector, Registry, Reporter, RunMetrics, Tail, Trace, TraceCollector, Verdict,
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
@@ -262,34 +264,34 @@ fn pool_telemetry(rep: &mut dyn Reporter, prof: &mut Prof, id: &str, t: &(Histog
 struct Capture {
     metrics: RunMetrics,
     flame: FlameProfiler,
-    ring: RingBufferSink,
+    tail: Tail,
 }
 
 impl Capture {
-    /// Run `f` under a collector whose event stream is teed into a flame
-    /// profiler and a ring buffer, then package everything observed.
-    fn collect<R>(f: impl FnOnce(&mut MetricsCollector) -> R) -> (R, Capture) {
-        let mut flame = FlameProfiler::new();
-        let mut ring = RingBufferSink::new(16);
-        let (out, metrics) = {
-            let mut tee = TeeSink::new(&mut flame, &mut ring);
-            let mut mc = MetricsCollector::with_sink(&mut tee);
-            let out = f(&mut mc);
-            (out, mc.into_metrics())
-        };
+    /// Run `f` under a metrics collector paired with a flame profiler and
+    /// a 16-entry tail, then package everything observed.
+    fn collect<R>(
+        f: impl FnOnce(&mut (MetricsCollector<'static>, (FlameProfiler, Tail))) -> R,
+    ) -> (R, Capture) {
+        let mut c = (
+            MetricsCollector::new(),
+            (FlameProfiler::new(), Tail::new(16)),
+        );
+        let out = f(&mut c);
+        let (mc, (flame, tail)) = c;
         (
             out,
             Capture {
-                metrics,
+                metrics: mc.into_metrics(),
                 flame,
-                ring,
+                tail,
             },
         )
     }
 }
 
 /// Emit one profiled run: the one-line summary, hot states, top self-time
-/// stacks, a ring-buffer post-mortem when the run halted abnormally, plus
+/// stacks, a tail post-mortem when the run halted abnormally, plus
 /// the registry and `--flame` feeds.
 fn emit_capture(
     rep: &mut dyn Reporter,
@@ -335,9 +337,9 @@ fn emit_capture(
         rep.note(&format!(
             "post-mortem ({what}): halted {}, last {} event(s) follow",
             cap.metrics.halt.map_or("?", |h| h.name()),
-            cap.ring.len()
+            cap.tail.len()
         ));
-        for line in cap.ring.post_mortem().lines() {
+        for line in cap.tail.post_mortem().lines() {
             rep.note(&format!("  {line}"));
         }
     }
@@ -776,7 +778,7 @@ fn e1_example32(
         let cfg = TreeGenConfig::example32(&mut vocab, 540, &[1, 2]);
         let dt = DelimTree::build(&random_tree(&cfg, 0));
         let (_, cap) =
-            Capture::collect(|mc| run_in(&prog, &dt, Limits::default(), mc, &mut NullGuard));
+            Capture::collect(|c| run_in(&prog, &dt, Limits::default(), c, &mut NullGuard));
         emit_capture(rep, prof, "E1", "n=540, seed 0", &prog, &cap);
     }
     if tracer.active() {
@@ -859,7 +861,6 @@ fn e3_logspace_pebbles(
     gov: &Gov,
     pool: &Pool,
 ) {
-    let profile = prof.active;
     rep.experiment(
         "E3",
         "Theorem 7.1(1): logspace xTM ≡ compiled TW pebble walker (unique IDs)",
@@ -930,10 +931,10 @@ fn e3_logspace_pebbles(
         enum E3Row {
             XtmTrip(TwqError),
             ProgTrip(XtmReport, TwqError),
-            Done(XtmReport, RunReport, Option<Box<Capture>>),
+            Done(XtmReport, RunReport),
         }
         // Execute (parallel): the xTM and the compiled walker per size.
-        let (rows, telemetry) = scoped_rows(pool, profile, sizes.len(), |i| {
+        let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
             let dt = &dts[i];
             let xr = match run_xtm_in(
                 &machine,
@@ -945,25 +946,17 @@ fn e3_logspace_pebbles(
                 Ok(r) => r,
                 Err(e) => return E3Row::XtmTrip(e),
             };
-            if profile && sizes[i] == 8 {
-                let (r, cap) = Capture::collect(|mc| {
-                    run_in(&prog.program, dt, Limits::long_walk(), mc, &mut NullGuard)
-                });
-                E3Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
-            } else {
-                match run_in(
-                    &prog.program,
-                    dt,
-                    Limits::long_walk(),
-                    &mut NullCollector,
-                    &mut gov.guard(),
-                ) {
-                    Ok(r) => E3Row::Done(xr, r, None),
-                    Err(e) => E3Row::ProgTrip(xr, e),
-                }
+            match run_in(
+                &prog.program,
+                dt,
+                Limits::long_walk(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            ) {
+                Ok(r) => E3Row::Done(xr, r),
+                Err(e) => E3Row::ProgTrip(xr, e),
             }
         });
-        let mut captured: Option<Box<Capture>> = None;
         for (i, row) in rows.into_iter().enumerate() {
             let n = sizes[i];
             match row {
@@ -981,25 +974,23 @@ fn e3_logspace_pebbles(
                     0u64.into(),
                     trip_cell(&e),
                 ]),
-                E3Row::Done(xr, pr, cap) => {
-                    if let Some(cap) = cap {
-                        captured = Some(cap);
-                    }
-                    rep.row(&[
-                        n.into(),
-                        xr.steps.into(),
-                        xr.space.into(),
-                        pr.steps.into(),
-                        (xr.accepted() == pr.accepted()).into(),
-                    ]);
-                }
+                E3Row::Done(xr, pr) => rep.row(&[
+                    n.into(),
+                    xr.steps.into(),
+                    xr.space.into(),
+                    pr.steps.into(),
+                    (xr.accepted() == pr.accepted()).into(),
+                ]),
             }
         }
         if let Some(t) = &telemetry {
             pool_telemetry(rep, prof, "E3", t);
         }
-        if let Some(cap) = captured {
-            emit_capture(rep, prof, "E3", "n=8", &prog.program, &cap);
+        if prof.active {
+            let p = &prog.program;
+            let (_, cap) =
+                Capture::collect(|c| run_in(p, &dts[2], Limits::long_walk(), c, &mut NullGuard));
+            emit_capture(rep, prof, "E3", "n=8", p, &cap);
         }
         if tracer.active() {
             // Both sides of the Theorem 7.1(1) equivalence, on the
@@ -1029,7 +1020,6 @@ fn e4_twl_ptime(
     gov: &Gov,
     pool: &Pool,
 ) {
-    let profile = prof.active;
     rep.experiment(
         "E4",
         "Theorem 7.1(2): tw^l configuration count grows polynomially (PTIME)",
@@ -1083,10 +1073,10 @@ fn e4_twl_ptime(
         .collect();
     enum E4Row {
         Trip(TwqError),
-        Done(usize, usize, Option<Box<Capture>>),
+        Done(usize, usize),
     }
     // Execute (parallel): the breadth-first configuration sweep per size.
-    let (rows, telemetry) = scoped_rows(pool, profile, sizes.len(), |i| {
+    let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
         let dt = &dts[i];
         // The direct engine is the governed witness: if the workload fits
         // the budget there, the breadth-first sweep is measured ungoverned.
@@ -1104,26 +1094,15 @@ fn e4_twl_ptime(
         }
         let g = run_graph(&prog, dt, Limits::default());
         assert!(!g.accepted(), "distinct values admit no match");
-        let cap = if profile && sizes[i] == 20 {
-            let (_, cap) =
-                Capture::collect(|mc| run_in(&prog, dt, Limits::default(), mc, &mut NullGuard));
-            Some(Box::new(cap))
-        } else {
-            None
-        };
-        E4Row::Done(g.distinct_configs, dt.tree().len(), cap)
+        E4Row::Done(g.distinct_configs, dt.tree().len())
     });
-    let mut captured: Option<Box<Capture>> = None;
     for (i, row) in rows.into_iter().enumerate() {
         let n = sizes[i];
         match row {
             E4Row::Trip(e) => {
                 rep.row(&[n.into(), 0usize.into(), Cell::float(0.0, 2), trip_cell(&e)]);
             }
-            E4Row::Done(distinct_configs, dn, cap) => {
-                if let Some(cap) = cap {
-                    captured = Some(cap);
-                }
+            E4Row::Done(distinct_configs, dn) => {
                 let bound = prog.state_count() * dn * (n + 1);
                 rep.row(&[
                     n.into(),
@@ -1138,7 +1117,9 @@ fn e4_twl_ptime(
     if let Some(t) = &telemetry {
         pool_telemetry(rep, prof, "E4", t);
     }
-    if let Some(cap) = captured {
+    if prof.active {
+        let (_, cap) =
+            Capture::collect(|c| run_in(&prog, &dts[0], Limits::default(), c, &mut NullGuard));
         emit_capture(rep, prof, "E4", "direct engine, n=20", &prog, &cap);
     }
     if tracer.active() {
@@ -1156,7 +1137,6 @@ fn e5_twr_pspace(
     gov: &Gov,
     pool: &Pool,
 ) {
-    let profile = prof.active;
     rep.experiment(
         "E5",
         "Theorem 7.1(3): compiled tw^r keeps a linear store (PSPACE shape)",
@@ -1201,10 +1181,10 @@ fn e5_twr_pspace(
         .collect();
     enum E5Row {
         Trip(TwqError),
-        Done(XtmReport, RunReport, Option<Box<Capture>>),
+        Done(XtmReport, RunReport),
     }
     // Execute (parallel): the xTM and the compiled tw^r walker per size.
-    let (rows, telemetry) = scoped_rows(pool, profile, sizes.len(), |i| {
+    let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
         let dt = &dts[i];
         let xr = match run_xtm_in(
             &machine,
@@ -1216,25 +1196,17 @@ fn e5_twr_pspace(
             Ok(r) => r,
             Err(e) => return E5Row::Trip(e),
         };
-        if profile && sizes[i] == 64 {
-            let (r, cap) = Capture::collect(|mc| {
-                run_in(&prog.program, dt, Limits::long_walk(), mc, &mut NullGuard)
-            });
-            E5Row::Done(xr, r.expect("NullGuard never trips"), Some(Box::new(cap)))
-        } else {
-            match run_in(
-                &prog.program,
-                dt,
-                Limits::long_walk(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            ) {
-                Ok(r) => E5Row::Done(xr, r, None),
-                Err(e) => E5Row::Trip(e),
-            }
+        match run_in(
+            &prog.program,
+            dt,
+            Limits::long_walk(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        ) {
+            Ok(r) => E5Row::Done(xr, r),
+            Err(e) => E5Row::Trip(e),
         }
     });
-    let mut captured: Option<Box<Capture>> = None;
     for (i, row) in rows.into_iter().enumerate() {
         let n = sizes[i];
         let dn = dts[i].tree().len();
@@ -1246,25 +1218,23 @@ fn e5_twr_pspace(
                 0usize.into(),
                 trip_cell(&e),
             ]),
-            E5Row::Done(xr, sr, cap) => {
-                if let Some(cap) = cap {
-                    captured = Some(cap);
-                }
-                rep.row(&[
-                    n.into(),
-                    dn.into(),
-                    sr.steps.into(),
-                    sr.max_store_tuples.into(),
-                    (xr.accepted() == sr.accepted()).into(),
-                ]);
-            }
+            E5Row::Done(xr, sr) => rep.row(&[
+                n.into(),
+                dn.into(),
+                sr.steps.into(),
+                sr.max_store_tuples.into(),
+                (xr.accepted() == sr.accepted()).into(),
+            ]),
         }
     }
     if let Some(t) = &telemetry {
         pool_telemetry(rep, prof, "E5", t);
     }
-    if let Some(cap) = captured {
-        emit_capture(rep, prof, "E5", "n=64", &prog.program, &cap);
+    if prof.active {
+        let p = &prog.program;
+        let (_, cap) =
+            Capture::collect(|c| run_in(p, &dts[3], Limits::long_walk(), c, &mut NullGuard));
+        emit_capture(rep, prof, "E5", "n=64", p, &cap);
     }
     if tracer.active() {
         let (_, t) = traced("run", |c| {
@@ -1287,7 +1257,6 @@ fn e6_twrl_exptime(
     gov: &Gov,
     pool: &Pool,
 ) {
-    let profile = prof.active;
     rep.experiment(
         "E6",
         "Theorem 7.1(4): tw^{r,l} registers range over subsets (EXPTIME bound)",
@@ -1324,29 +1293,22 @@ fn e6_twrl_exptime(
         .collect();
     enum E6Row {
         Trip(TwqError),
-        Done(RunReport, Option<Box<Capture>>),
+        Done(RunReport),
     }
     // Execute (parallel): the register walker per k.
-    let (rows, telemetry) = scoped_rows(pool, profile, ks.len(), |i| {
+    let (rows, telemetry) = scoped_rows(pool, prof.active, ks.len(), |i| {
         let (prog, dt) = &items[i];
-        if profile && ks[i] == 8 {
-            let (r, cap) =
-                Capture::collect(|mc| run_in(prog, dt, Limits::default(), mc, &mut NullGuard));
-            E6Row::Done(r.expect("NullGuard never trips"), Some(Box::new(cap)))
-        } else {
-            match run_in(
-                prog,
-                dt,
-                Limits::default(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            ) {
-                Ok(r) => E6Row::Done(r, None),
-                Err(e) => E6Row::Trip(e),
-            }
+        match run_in(
+            prog,
+            dt,
+            Limits::default(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        ) {
+            Ok(r) => E6Row::Done(r),
+            Err(e) => E6Row::Trip(e),
         }
     });
-    let mut captured: Option<(TwProgram, Box<Capture>)> = None;
     for (i, row) in rows.into_iter().enumerate() {
         let k = ks[i];
         let (prog, dt) = &items[i];
@@ -1359,25 +1321,22 @@ fn e6_twrl_exptime(
                 (prog.state_count() * n * (k + 1)).into(),
                 Cell::str(format!("{}·2^{}", prog.state_count() * n, k)),
             ]),
-            E6Row::Done(r, cap) => {
-                if let Some(cap) = cap {
-                    captured = Some((prog.clone(), cap));
-                }
-                rep.row(&[
-                    k.into(),
-                    r.accepted().into(),
-                    r.max_store_tuples.into(),
-                    (prog.state_count() * n * (k + 1)).into(),
-                    Cell::str(format!("{}·2^{}", prog.state_count() * n, k)),
-                ]);
-            }
+            E6Row::Done(r) => rep.row(&[
+                k.into(),
+                r.accepted().into(),
+                r.max_store_tuples.into(),
+                (prog.state_count() * n * (k + 1)).into(),
+                Cell::str(format!("{}·2^{}", prog.state_count() * n, k)),
+            ]),
         }
     }
     if let Some(t) = &telemetry {
         pool_telemetry(rep, prof, "E6", t);
     }
-    if let Some((pr, cap)) = captured {
-        emit_capture(rep, prof, "E6", "k=8", &pr, &cap);
+    if prof.active {
+        let (prog, dt) = &items[3];
+        let (_, cap) = Capture::collect(|c| run_in(prog, dt, Limits::default(), c, &mut NullGuard));
+        emit_capture(rep, prof, "E6", "k=8", prog, &cap);
     }
     if tracer.active() {
         let (prog, dt) = &items[0];

@@ -1,14 +1,18 @@
 //! Integration tests for the `twq-obs` instrumentation seam: collectors
 //! must not change run semantics, metrics must describe the run the
-//! engine actually performed, and sinks must capture usable traces.
+//! engine actually performed, a pair of collectors must each see the
+//! whole run, and the post-mortem tail must hold a run's last moments.
 
 use twq::automata::{
     examples, run_in, run_on_tree, Action, Dir, Halt, Limits, RunReport, TwProgram,
     TwProgramBuilder,
 };
-use twq::guard::NullGuard;
-use twq::obs::{Collector, Event, HaltKind, Json, JsonlSink, MetricsCollector, RingBufferSink};
+use twq::guard::{NullGuard, ResourceGuard};
+use twq::logic::fo::build as fob;
+use twq::logic::select_in;
+use twq::obs::{Collector, HaltKind, MetricsCollector, Tail, TraceCollector};
 use twq::tree::{parse_tree, DelimTree, Label, Tree, Vocab};
+use twq::xpath::{eval_from_in, parse_xpath};
 
 const ACCEPTED: &str = "sigma[a=0](delta[a=0](sigma[a=1],sigma[a=1]),sigma[a=2])";
 const REJECTED: &str = "sigma[a=0](delta[a=0](sigma[a=1],sigma[a=2]),sigma[a=2])";
@@ -80,28 +84,84 @@ fn example_32_metrics_describe_the_run() {
     assert!(m.cycle_inserts > 0);
 }
 
-/// A JSONL event sink attached to a real run emits one parseable record
-/// per event, with exactly one `step` record per engine transition.
-#[test]
-fn jsonl_sink_round_trips_a_real_run() {
+/// The runs the pair is checked on, between them reaching every hook a
+/// trace or the metrics record.
+#[derive(Debug, Clone, Copy)]
+enum Case {
+    /// Example 3.2 on [`ACCEPTED`]: chains, steps, nested `atp`s, FO
+    /// guards and updates, store sizes, cycle bookkeeping, the halt.
+    Engine,
+    /// The same run on a 20-fuel budget, which trips.
+    Budgeted,
+    /// An FO `select_in` whose formula nests `∃` and `∀`.
+    FoSelect,
+    /// An XPath `eval_from_in` with a filter.
+    XPath,
+}
+
+/// Run `case` under `c`.
+fn run_case<C: Collector>(case: Case, c: &mut C) {
     let mut vocab = Vocab::new();
     let ex = examples::example_32(&mut vocab);
     let t = parse_tree(ACCEPTED, &mut vocab).unwrap();
-    let mut sink = JsonlSink::new();
-    let mut mc = MetricsCollector::with_sink(&mut sink);
-    let report = observe(&ex.program, &t, &mut mc);
-    let steps = mc.metrics.steps;
-    drop(mc);
-    assert!(report.accepted());
-    let mut step_events = 0u64;
-    for line in sink.lines() {
-        let j = Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e:?}"));
-        if j.get("ev").and_then(Json::as_str) == Some("step") {
-            step_events += 1;
+    match case {
+        Case::Engine => assert!(observe(&ex.program, &t, c).accepted()),
+        Case::Budgeted => {
+            let mut g = ResourceGuard::unlimited().with_budget(20);
+            let dt = DelimTree::build(&t);
+            assert!(run_in(&ex.program, &dt, Limits::default(), c, &mut g).is_err());
+        }
+        Case::FoSelect => {
+            // y is a grandchild of x all of whose children are leaves.
+            let (x, y, z, w) = (fob::var(0), fob::var(1), fob::var(2), fob::var(3));
+            let phi = fob::and([
+                fob::exists(z, fob::and([fob::edge(x, z), fob::edge(z, y)])),
+                fob::forall(w, fob::implies(fob::edge(y, w), fob::leaf(w))),
+            ]);
+            let s = select_in(&t, &phi, x, t.root(), y, c, &mut NullGuard).unwrap();
+            assert_eq!(s.len(), 2);
+        }
+        Case::XPath => {
+            let q = parse_xpath("//delta[sigma]/sigma", &mut vocab).unwrap();
+            let s = eval_from_in(&t, &q, t.root(), c, &mut NullGuard).unwrap();
+            assert_eq!(s.len(), 2);
         }
     }
-    assert!(steps > 0);
-    assert_eq!(step_events, steps);
+}
+
+/// A pair hands every hook to both sides: on each case, each side of a
+/// `(TraceCollector, TraceCollector)` records the trace a single
+/// `TraceCollector` does, and each side of a
+/// `(MetricsCollector, MetricsCollector)` the single one's metrics. A
+/// pair arm that drops or swaps a hook fails here.
+#[test]
+fn pairs_record_what_one_collector_records() {
+    for (case, reaches) in [
+        (Case::Engine, "atp"),
+        (Case::Budgeted, "trip"),
+        (Case::FoSelect, "quant"),
+        (Case::XPath, "axis"),
+    ] {
+        let mut one = TraceCollector::new();
+        run_case(case, &mut one);
+        let want = one.finish("run");
+        assert!(
+            want.to_json_line()
+                .contains(&format!("\"k\":\"{reaches}\"")),
+            "{case:?} reaches no {reaches} span"
+        );
+        let mut pair = (TraceCollector::new(), TraceCollector::new());
+        run_case(case, &mut pair);
+        assert_eq!(pair.0.finish("run"), want, "{case:?}, left side");
+        assert_eq!(pair.1.finish("run"), want, "{case:?}, right side");
+
+        let mut one = MetricsCollector::new();
+        run_case(case, &mut one);
+        let mut pair = (MetricsCollector::new(), MetricsCollector::new());
+        run_case(case, &mut pair);
+        assert_eq!(pair.0.metrics, one.metrics, "{case:?}, left side");
+        assert_eq!(pair.1.metrics, one.metrics, "{case:?}, right side");
+    }
 }
 
 /// A walker that marches down the spine (hopping right over each `⊳`
@@ -120,28 +180,21 @@ fn stuck_walker(vocab: &mut Vocab) -> (TwProgram, Tree) {
     (b.build().unwrap(), t)
 }
 
-/// The ring-buffer flight recorder holds the final moments of a `Stuck`
-/// run: the last retained event is the failing chain's exit, even after
-/// earlier events have been evicted.
+/// The ring-buffer flight recorder, a [`Tail`], holds the final moments
+/// of a `Stuck` run: the last retained entry is the failing chain's exit,
+/// even after earlier entries have been evicted.
 #[test]
 fn ring_buffer_post_mortem_captures_the_stuck_tail() {
     let mut vocab = Vocab::new();
     let (prog, t) = stuck_walker(&mut vocab);
-    let mut ring = RingBufferSink::new(3);
-    let mut mc = MetricsCollector::with_sink(&mut ring);
-    let report = observe(&prog, &t, &mut mc);
+    let mut c = (MetricsCollector::new(), Tail::new(3));
+    let report = observe(&prog, &t, &mut c);
+    let (mc, tail) = c;
     assert_eq!(report.halt, Halt::Stuck);
     assert!(report.steps >= 2, "walks the spine before sticking");
     assert_eq!(mc.metrics.halt, Some(HaltKind::Stuck));
-    drop(mc);
-    assert!(ring.dropped() > 0, "the run outgrew the 3-event window");
-    let last = ring.events().last().expect("events retained");
-    assert_eq!(
-        *last,
-        Event::ChainExit {
-            depth: 0,
-            halt: HaltKind::Stuck
-        }
-    );
-    assert!(ring.post_mortem().contains("< chain: stuck"));
+    assert!(tail.dropped() > 0, "the run outgrew the 3-entry window");
+    assert_eq!(tail.len(), 3);
+    let pm = tail.post_mortem();
+    assert_eq!(pm.lines().last(), Some("< chain: stuck"), "{pm}");
 }

@@ -9,10 +9,10 @@ use twq::automata::{examples, run_batch_profiled, run_in, Limits};
 use twq::exec::Pool;
 use twq::guard::{GuardStats, NullGuard, ResourceGuard};
 use twq::obs::{
-    EventSink, FlameProfiler, Histogram, MetricsCollector, NullCollector, Registry, Snapshot,
+    Collector, FlameProfiler, Histogram, MetricsCollector, NullCollector, Registry, Snapshot, Tail,
 };
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{DelimTree, Tree, Vocab};
+use twq::tree::{parse_tree, DelimTree, Tree, Vocab};
 
 /// A deterministic value stream (splitmix64) — the vendored proptest
 /// shim has no collection strategies, so sample vectors derive from a
@@ -206,11 +206,10 @@ proptest! {
         let t = random_tree(&cfg, seed);
         let dt = twq::tree::DelimTree::build(&t);
         let collapse = || {
-            let mut flame = FlameProfiler::new();
-            let mut mc = MetricsCollector::with_sink(&mut flame);
-            run_in(&ex.program, &dt, Limits::default(), &mut mc, &mut NullGuard).unwrap();
-            let m = mc.into_metrics();
-            (flame.collapsed(), flame.total_weight(), m.steps)
+            let mut c = (MetricsCollector::new(), FlameProfiler::new());
+            run_in(&ex.program, &dt, Limits::default(), &mut c, &mut NullGuard).unwrap();
+            let (mc, flame) = c;
+            (flame.collapsed(), flame.total_weight(), mc.metrics.steps)
         };
         let (c1, w1, steps) = collapse();
         let (c2, w2, _) = collapse();
@@ -221,24 +220,57 @@ proptest! {
     }
 }
 
-/// Non-proptest sanity check: a tee'd profiler and ring buffer see the
-/// same stream, so the post-mortem tail is consistent with the profile.
+/// Non-proptest sanity check: a paired profiler and tail see the same
+/// hook calls, so the post-mortem tail is consistent with the profile.
 #[test]
 fn tee_profile_and_ring_agree_on_event_count() {
-    use twq::obs::{Event, RingBufferSink, TeeSink};
-    let mut flame = FlameProfiler::new();
-    let mut ring = RingBufferSink::new(4);
-    {
-        let mut tee = TeeSink::new(&mut flame, &mut ring);
-        for i in 0..10u64 {
-            tee.emit(&Event::Step {
-                depth: 0,
-                node: i,
-                state: 0,
-            });
-        }
+    let mut c = (FlameProfiler::new(), Tail::new(4));
+    for i in 0..10u64 {
+        c.step(i, 0, 0);
     }
+    let (flame, tail) = c;
     assert_eq!(flame.total_weight(), 10);
-    assert_eq!(ring.len(), 4);
-    assert_eq!(ring.dropped(), 6);
+    assert_eq!(tail.len(), 4);
+    assert_eq!(tail.dropped(), 6);
+}
+
+/// The flame profile of one real run, pinned line for line: Example 3.2
+/// on its accepted tree. A drift in how hooks map to frames (a chain
+/// named by the wrong state, an `atp` frame left open, an FO leaf on the
+/// wrong stack) changes these lines.
+#[test]
+fn example_32_flame_profile_is_pinned() {
+    let mut vocab = Vocab::new();
+    let ex = examples::example_32(&mut vocab);
+    let t = parse_tree(
+        "sigma[a=0](delta[a=0](sigma[a=1],sigma[a=1]),sigma[a=2])",
+        &mut vocab,
+    )
+    .unwrap();
+    let mut flame = FlameProfiler::new();
+    let r = run_in(
+        &ex.program,
+        &DelimTree::build(&t),
+        Limits::default(),
+        &mut flame,
+        &mut NullGuard,
+    )
+    .unwrap();
+    assert!(r.accepted());
+    assert_eq!(
+        flame.collapsed(),
+        "state0 2
+state0;atp;state2 2
+state0;atp;state2;atp;state4 2
+state0;atp;state2;atp;state4;fo_guard 2
+state0;atp;state2;atp;state4;fo_update 2
+state0;atp;state2;fo_guard 2
+state0;atp;state2;fo_select 1
+state0;atp;state2;fo_atom 3
+state0;fo_guard 2
+state0;fo_select 1
+state0;fo_atom 2
+"
+    );
+    assert_eq!(flame.total_weight(), 21);
 }
