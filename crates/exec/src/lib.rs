@@ -11,7 +11,7 @@
 //! [`Pool::scoped`] runs `n` independent jobs `f(0), …, f(n-1)` across a
 //! fixed number of workers and returns the results **in index order**,
 //! whatever interleaving the scheduler chose. Jobs borrow from the caller's
-//! stack (the workers are `std::thread::scope` threads), so no `'static`
+//! stack (the workers are scoped threads), so no `'static`
 //! bounds infect call sites.
 //!
 //! Scheduling is work-stealing over index ranges: the indices are split
@@ -31,7 +31,7 @@
 //!   path is not merely equivalent but *identical* to a hand-written loop.
 //!
 //! Jobs must therefore not communicate through shared mutable state unless
-//! that state is order-insensitive (an atomic flag, a shared fuel counter).
+//! that state is order-insensitive (an atomic flag or counter).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -39,10 +39,10 @@ use std::sync::Mutex;
 /// A fixed-size scoped thread pool.
 ///
 /// The pool is a *policy* object — it owns no threads. Every call to
-/// [`scoped`](Pool::scoped) spins up its workers inside a
-/// [`std::thread::scope`] and joins them before returning, which is what
-/// lets jobs borrow locals. For the coarse jobs the workspace runs
-/// (whole-tree evaluations, experiment rows), thread start-up is noise.
+/// [`scoped`](Pool::scoped) spins up scoped worker threads and joins them
+/// before returning, which is what lets jobs borrow locals. For the coarse
+/// jobs the workspace runs (whole-tree evaluations, experiment rows),
+/// thread start-up is noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,
@@ -92,51 +92,7 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-
-        // One contiguous index range per worker, packed (start, end) in a
-        // single word so pop-front and steal-back are one CAS each.
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<AtomicU64> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n) as u64;
-                let hi = ((w + 1) * chunk).min(n) as u64;
-                AtomicU64::new(lo << 32 | hi)
-            })
-            .collect();
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-
-        let work = |me: usize| {
-            let mut local: Vec<(usize, T)> = Vec::new();
-            loop {
-                let i = match pop_front(&ranges[me]) {
-                    Some(i) => i,
-                    None => match steal(&ranges, me) {
-                        Some(i) => i,
-                        None => break,
-                    },
-                };
-                local.push((i, f(i)));
-            }
-            if !local.is_empty() {
-                results.lock().expect("pool results poisoned").extend(local);
-            }
-        };
-
-        std::thread::scope(|s| {
-            for me in 1..workers {
-                s.spawn(move || work(me));
-            }
-            work(0);
-        });
-
-        let mut pairs = results.into_inner().expect("pool results poisoned");
-        debug_assert_eq!(pairs.len(), n);
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, v)| v).collect()
+        self.run(n, || (), |_, i| f(i)).0
     }
 
     /// [`Pool::scoped`] with one reusable scratch value per worker: each
@@ -157,55 +113,9 @@ impl Pool {
         M: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> T + Sync,
     {
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 {
-            let mut scratch = make();
-            return (0..n).map(|i| f(&mut scratch, i)).collect();
-        }
-
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<AtomicU64> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n) as u64;
-                let hi = ((w + 1) * chunk).min(n) as u64;
-                AtomicU64::new(lo << 32 | hi)
-            })
-            .collect();
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-
-        let work = |me: usize| {
-            let mut scratch = make();
-            let mut local: Vec<(usize, T)> = Vec::new();
-            loop {
-                let i = match pop_front(&ranges[me]) {
-                    Some(i) => i,
-                    None => match steal(&ranges, me) {
-                        Some(i) => i,
-                        None => break,
-                    },
-                };
-                local.push((i, f(&mut scratch, i)));
-            }
-            if !local.is_empty() {
-                results.lock().expect("pool results poisoned").extend(local);
-            }
-        };
-
-        std::thread::scope(|s| {
-            for me in 1..workers {
-                s.spawn(move || work(me));
-            }
-            work(0);
-        });
-
-        let mut pairs = results.into_inner().expect("pool results poisoned");
-        debug_assert_eq!(pairs.len(), n);
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, v)| v).collect()
+        self.run(n, make, f).0
     }
-}
 
-impl Pool {
     /// [`Pool::scoped`] plus per-worker telemetry: how many jobs each
     /// worker executed, how often it stole (and failed to steal), how many
     /// full idle scans it made before exiting, and its initial chunk size.
@@ -219,71 +129,61 @@ impl Pool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        self.run(n, || (), |_, i| f(i))
+    }
+
+    /// The one scheduling loop behind every `scoped*` call: per-worker
+    /// scratch, index-ordered results, and telemetry (a few counter bumps
+    /// per job, so every caller pays for it and the public entries differ
+    /// only in what they hand back).
+    fn run<S, T, M, F>(&self, n: usize, make: M, f: F) -> (Vec<T>, PoolStats)
+    where
+        T: Send,
+        M: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
         let workers = self.workers.min(n.max(1));
         if workers <= 1 {
-            let out: Vec<T> = (0..n).map(f).collect();
-            let stats = PoolStats {
-                workers: vec![WorkerStats {
-                    tasks: n as u64,
-                    chunk: n as u64,
-                    ..WorkerStats::default()
-                }],
+            let mut scratch = make();
+            let out = (0..n).map(|i| f(&mut scratch, i)).collect();
+            let ws = WorkerStats {
+                tasks: n as u64,
+                chunk: n as u64,
+                ..WorkerStats::default()
             };
+            let stats = PoolStats { workers: vec![ws] };
             return (out, stats);
         }
 
+        // One contiguous index range per worker, packed (start, end) in a
+        // single word so pop-front and steal-back are one CAS each.
         let chunk = n.div_ceil(workers);
+        let bounds = |w: usize| ((w * chunk).min(n) as u64, ((w + 1) * chunk).min(n) as u64);
         let ranges: Vec<AtomicU64> = (0..workers)
             .map(|w| {
-                let lo = (w * chunk).min(n) as u64;
-                let hi = ((w + 1) * chunk).min(n) as u64;
+                let (lo, hi) = bounds(w);
                 AtomicU64::new(lo << 32 | hi)
             })
             .collect();
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-        let stats: Vec<Mutex<WorkerStats>> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n) as u64;
-                let hi = ((w + 1) * chunk).min(n) as u64;
-                Mutex::new(WorkerStats {
-                    chunk: hi - lo,
-                    ..WorkerStats::default()
-                })
-            })
-            .collect();
 
+        // Each worker reports `(worker, telemetry, results)` once, on exit.
+        let parts = Mutex::new(Vec::with_capacity(workers));
         let work = |me: usize| {
+            let (lo, hi) = bounds(me);
+            let mut ws = WorkerStats {
+                chunk: hi - lo,
+                ..WorkerStats::default()
+            };
+            let mut scratch = make();
             let mut local: Vec<(usize, T)> = Vec::new();
-            let mut ws = WorkerStats::default();
-            loop {
-                let i = match pop_front(&ranges[me]) {
-                    Some(i) => i,
-                    None => {
-                        let (found, failures) = steal_counted(&ranges, me);
-                        ws.steal_failures += failures;
-                        match found {
-                            Some(i) => {
-                                ws.steals += 1;
-                                i
-                            }
-                            None => {
-                                ws.idle_spins += 1;
-                                break;
-                            }
-                        }
-                    }
-                };
+            while let Some(i) = pop_front(&ranges[me]).or_else(|| steal(&ranges, me, &mut ws)) {
                 ws.tasks += 1;
-                local.push((i, f(i)));
+                local.push((i, f(&mut scratch, i)));
             }
-            if !local.is_empty() {
-                results.lock().expect("pool results poisoned").extend(local);
-            }
-            let mut slot = stats[me].lock().expect("pool stats poisoned");
-            slot.tasks = ws.tasks;
-            slot.steals = ws.steals;
-            slot.steal_failures = ws.steal_failures;
-            slot.idle_spins = ws.idle_spins;
+            parts
+                .lock()
+                .expect("pool results poisoned")
+                .push((me, ws, local));
         };
 
         std::thread::scope(|s| {
@@ -293,17 +193,17 @@ impl Pool {
             work(0);
         });
 
-        let mut pairs = results.into_inner().expect("pool results poisoned");
+        let mut parts = parts.into_inner().expect("pool results poisoned");
+        parts.sort_unstable_by_key(|&(me, _, _)| me);
+        let mut pairs: Vec<(usize, T)> = Vec::with_capacity(n);
+        let mut stats = PoolStats::default();
+        for (_, ws, local) in parts {
+            pairs.extend(local);
+            stats.workers.push(ws);
+        }
         debug_assert_eq!(pairs.len(), n);
         pairs.sort_unstable_by_key(|&(i, _)| i);
-        let out = pairs.into_iter().map(|(_, v)| v).collect();
-        let stats = PoolStats {
-            workers: stats
-                .into_iter()
-                .map(|m| m.into_inner().expect("pool stats poisoned"))
-                .collect(),
-        };
-        (out, stats)
+        (pairs.into_iter().map(|(_, v)| v).collect(), stats)
     }
 }
 
@@ -414,8 +314,11 @@ fn pop_front(range: &AtomicU64) -> Option<usize> {
     }
 }
 
-/// Steal one index from the back of some other worker's range.
-fn steal(ranges: &[AtomicU64], me: usize) -> Option<usize> {
+/// Steal one index from the back of the first non-empty range after
+/// `me`'s, counting into `ws` each empty victim probed, the steal, or —
+/// when every victim is empty — the idle scan after which the worker
+/// exits.
+fn steal(ranges: &[AtomicU64], me: usize, ws: &mut WorkerStats) -> Option<usize> {
     // Start scanning after our own slot so thieves spread out instead of
     // all hammering worker 0's range.
     let k = ranges.len();
@@ -425,6 +328,7 @@ fn steal(ranges: &[AtomicU64], me: usize) -> Option<usize> {
         loop {
             let (s, e) = (cur >> 32, cur & 0xffff_ffff);
             if s >= e {
+                ws.steal_failures += 1;
                 break;
             }
             match victim.compare_exchange_weak(
@@ -433,40 +337,16 @@ fn steal(ranges: &[AtomicU64], me: usize) -> Option<usize> {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return Some((e - 1) as usize),
+                Ok(_) => {
+                    ws.steals += 1;
+                    return Some((e - 1) as usize);
+                }
                 Err(seen) => cur = seen,
             }
         }
     }
+    ws.idle_spins += 1;
     None
-}
-
-/// [`steal`], but also reporting how many victims were probed and found
-/// empty before either succeeding or giving up.
-fn steal_counted(ranges: &[AtomicU64], me: usize) -> (Option<usize>, u64) {
-    let k = ranges.len();
-    let mut failures = 0u64;
-    for off in 1..k {
-        let victim = &ranges[(me + off) % k];
-        let mut cur = victim.load(Ordering::Acquire);
-        loop {
-            let (s, e) = (cur >> 32, cur & 0xffff_ffff);
-            if s >= e {
-                failures += 1;
-                break;
-            }
-            match victim.compare_exchange_weak(
-                cur,
-                s << 32 | (e - 1),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return (Some((e - 1) as usize), failures),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-    (None, failures)
 }
 
 #[cfg(test)]

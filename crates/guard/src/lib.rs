@@ -15,10 +15,11 @@
 //!   evaluation),
 //! * [`MemGauge`] — high-water caps keyed by [`GaugeKind`] (store tuples,
 //!   chain configurations, tape cells, product states, relation sizes),
-//! * [`CancelToken`] — cooperative cancellation from another thread,
-//! * [`SharedBudget`]/[`SharedGuard`] — the atomic variants whose clones
-//!   pool fuel, deadline, and cancellation across the workers of a
-//!   parallel batch (see `twq-exec`).
+//! * [`CancelToken`] — cooperative cancellation from another thread.
+//!
+//! Guards are never shared: a parallel batch (see `twq-exec`) builds a
+//! fresh guard per item, so each item's fuel accounting is the serial
+//! run's.
 //!
 //! All of these compose behind the [`Guard`] trait, which mirrors the
 //! `obs::Collector` design: [`NullGuard`] has `ENABLED = false` and
@@ -42,7 +43,6 @@
 mod error;
 pub mod faults;
 mod res;
-mod shared;
 
 pub use error::{DepthKind, GaugeKind, GuardError, Partial, TripReason, TwqError};
 pub use faults::{FaultKind, FaultPlan, FaultPlanParseError, FaultSite};
@@ -50,4 +50,3 @@ pub use res::{
     Budget, CancelToken, Deadline, DepthGuard, Guard, GuardStats, MemGauge, NullGuard,
     ResourceGuard,
 };
-pub use shared::{SharedBudget, SharedGuard};

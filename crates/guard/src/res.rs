@@ -331,7 +331,7 @@ const DEADLINE_STRIDE: u64 = 64;
 /// passed a multiple of [`DEADLINE_STRIDE`]: for one tick, whether `spent`
 /// is one. A bulk charge thus consults the clock whenever the same fuel
 /// spent tick by tick would have.
-pub(crate) fn passes_stride(spent: u64, n: u64) -> bool {
+fn passes_stride(spent: u64, n: u64) -> bool {
     spent % DEADLINE_STRIDE < n
 }
 

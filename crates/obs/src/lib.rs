@@ -24,7 +24,9 @@
 //!   [`Divergence`] between two traces of the same input; and
 //!   [`explain_verdict`] answers "why accepted / why rejected".
 //! * [`report`] — the experiment reporting layer: the same stream of
-//!   tables rendered as aligned text or as JSON Lines.
+//!   tables rendered as aligned text or as JSON Lines, printed through
+//!   [`write_stdout`], which ends the program quietly when stdout's reader
+//!   has gone away.
 //! * [`json`] — a small self-contained JSON value/writer/parser (the
 //!   build environment is offline, so no `serde_json`).
 //!
@@ -52,7 +54,7 @@ pub use json::Json;
 pub use metrics::RunMetrics;
 pub use profile::{FlameProfiler, Tail};
 pub use registry::{Registry, Snapshot};
-pub use report::{col, Cell, Col, HumanReporter, JsonlReporter, Reporter};
+pub use report::{col, write_stdout, Cell, Col, HumanReporter, JsonlReporter, Reporter};
 pub use trace::{
     diff, explain_verdict, Divergence, Namer, Span, SpanKind, Trace, TraceCollector, TraceDepth,
     Verdict,

@@ -4,6 +4,22 @@
 
 use crate::json::Json;
 
+/// Print `text` to stdout as is. When the reader has gone away (a closed
+/// pipe, as in `experiments | head -3`), end the program quietly with exit
+/// status `closed` instead of the panic `print!` raises; any other write
+/// error is reported on stderr and exits with status 1.
+pub fn write_stdout(text: &str, closed: i32) {
+    use std::io::{ErrorKind, Write};
+    let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) else {
+        return;
+    };
+    if e.kind() == ErrorKind::BrokenPipe {
+        std::process::exit(closed);
+    }
+    eprintln!("cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 /// A table column: header text plus the column's print width.
 #[derive(Debug, Clone)]
 pub struct Col {
@@ -130,7 +146,8 @@ pub struct HumanReporter {
 }
 
 impl HumanReporter {
-    /// Print each line to stdout as it arrives.
+    /// Print each line to stdout as it arrives; a closed stdout ends the
+    /// program quietly with status 0 ([`write_stdout`]).
     pub fn stdout() -> Self {
         HumanReporter {
             buf: None,
@@ -157,7 +174,7 @@ impl HumanReporter {
                 buf.push_str(text);
                 buf.push('\n');
             }
-            None => println!("{text}"),
+            None => write_stdout(&format!("{text}\n"), 0),
         }
     }
 
@@ -210,7 +227,8 @@ pub struct JsonlReporter {
 }
 
 impl JsonlReporter {
-    /// Print each record to stdout as it arrives.
+    /// Print each record to stdout as it arrives; a closed stdout ends the
+    /// program quietly with status 0 ([`write_stdout`]).
     pub fn stdout() -> Self {
         JsonlReporter {
             buf: None,
@@ -238,7 +256,7 @@ impl JsonlReporter {
                 buf.push_str(&text);
                 buf.push('\n');
             }
-            None => println!("{text}"),
+            None => write_stdout(&format!("{text}\n"), 0),
         }
     }
 }

@@ -15,20 +15,29 @@
 //! cargo run --release --bin experiments -- --profile # + hot-state profiles
 //! ```
 //!
-//! `--profile` re-runs one representative workload per complexity-class
-//! experiment (E1 n=540, E3 n=8, E4 n=20, E5 n=64, E6 k=8) after its
-//! sweep, under the collector pair `(MetricsCollector, (FlameProfiler,
-//! Tail))`, and reports the top-k states by interpreter steps —
-//! per-state evidence for the theorem's resource claim. The table rows
-//! themselves are the same governed calls as without the flag. It also
-//! times every row of the parallel sweeps (p50/p90/p99 latency
-//! histograms), prints the pool's per-worker telemetry, prints the
-//! [`Tail`]'s last 16 hook calls as a post-mortem when a profiled run
-//! halts abnormally (`Stuck`/`Nondeterministic` or any guard-limit
-//! halt), and closes with a `PROF` summary of the session's metric
-//! registry. `--flame <path>` (implies `--profile`) additionally writes
-//! the profiled runs' self-time stacks in flamegraph-collapsed form
-//! (`E1;q0;atp;q_sel 1234`).
+//! Each experiment is one [`Experiment`] entry of [`EXPERIMENTS`]: its
+//! id, the claim it exercises, and a `run` that prepares its inputs
+//! serially and hands them to the [`Session`], which has exactly two
+//! paths. [`Session::sweep`] computes each input's row on the `--jobs`
+//! pool and prints the rows in input order, so every table is the same
+//! for any worker count. [`Session::profile`] and [`Session::trace`]
+//! re-run one representative input ungoverned, and are no-ops unless
+//! their flag is on. E0, E9 and E10 call no governed evaluator and print
+//! their tables directly.
+//!
+//! `--profile` times every sweep's rows (p50/p90/p99 latency histograms)
+//! and prints the pool's per-worker telemetry. It re-runs one
+//! representative workload per complexity-class experiment (E1 n=540, E3
+//! n=8, E4 n=20, E5 n=64, E6 k=8) under the collector pair
+//! `(MetricsCollector, (FlameProfiler, Tail))` and reports the top-k
+//! states by interpreter steps — per-state evidence for the theorem's
+//! resource claim. The table rows themselves are the same governed calls
+//! as without the flag. It prints the [`Tail`]'s last 16 hook calls as a
+//! post-mortem when a profiled run halts abnormally (`Stuck`/
+//! `Nondeterministic` or any guard-limit halt), and closes with a `PROF`
+//! summary of the session's metric registry. `--flame <path>` (implies
+//! `--profile`) additionally writes the profiled runs' self-time stacks in
+//! flamegraph-collapsed form (`E1;q0;atp;q_sel 1234`).
 //!
 //! Resource governance (`twq-guard`) is wired in through three flags:
 //!
@@ -56,18 +65,19 @@
 //! machine-readable provenance for every table. The regular output is
 //! byte-identical with and without the flag.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use twq::analyze::{analyze, prune, severity_counts};
-use twq::automata::{examples, run_graph, run_in, Limits, RunReport, State, TwClass, TwProgram};
-use twq::exec::{Pool, PoolStats};
+use twq::automata::{examples, run_graph, run_in, Limits, State, TwClass, TwProgram};
+use twq::exec::Pool;
 use twq::guard::{FaultPlan, NullGuard, ResourceGuard, TripReason, TwqError};
-use twq::logic::eval_sentence_in;
 use twq::logic::types::{count_classes, TypeConfig};
+use twq::logic::{eval_sentence_in, Formula};
 use twq::obs::{
-    col, Cell, FlameProfiler, HaltKind, Histogram, HumanReporter, JsonlReporter, MetricsCollector,
-    NullCollector, Registry, Reporter, RunMetrics, Tail, Trace, TraceCollector, Verdict,
+    col, write_stdout, Cell, Collector, FlameProfiler, HaltKind, Histogram, HumanReporter,
+    JsonlReporter, MetricsCollector, NullCollector, Registry, Reporter, Tail, TraceCollector,
+    Verdict,
 };
 use twq::protocol::{
     at_most_k_values_program, counting_table, encode, encode_shuffled, in_lm, lm_sentence,
@@ -78,22 +88,112 @@ use twq::sim::{
     delta_count_mod3, eliminate_store_guarded,
 };
 use twq::tree::generate::{monadic_tree, random_tree, TreeGenConfig};
-use twq::tree::{DelimTree, Label, Value, Vocab};
-use twq::xpath::{compile, eval_from_in, parse_xpath};
-use twq::xtm::machine::{run_xtm_in, XtmLimits, XtmReport};
+use twq::tree::{DelimTree, Label, Tree, Value, Vocab};
+use twq::xpath::{compile, eval_from_in, parse_xpath, XPath};
+use twq::xtm::machine::{run_xtm_in, XtmLimits};
 use twq::xtm::tm::tm_leaf_count_even;
-use twq::xtm::{encode as xenc, machines, run_alternating_guarded, run_tm, to_bytes};
+use twq::xtm::{encode as xenc, machines, run_alternating_guarded, run_tm, to_bytes, Xtm};
 
-/// Resource-governance settings from `--budget`, `--timeout`, `--faults`.
-/// Each evaluator call gets a **fresh** guard built from these, so the
-/// budget and deadline are per invocation, not per sweep; with no flag set
-/// the guard is unlimited and never trips.
-#[derive(Debug, Clone, Default)]
+/// One experiment: the table header's id and claim, and the body that
+/// prepares its inputs and drives the [`Session`].
+struct Experiment {
+    id: &'static str,
+    claim: &'static str,
+    run: fn(&mut Session),
+}
+
+/// Every experiment, in output order. E0 runs only under `--analyze`.
+const EXPERIMENTS: [Experiment; 14] = [
+    Experiment {
+        id: "E0",
+        claim: "static analysis: class inference and prune over all programs",
+        run: e0_analyze,
+    },
+    Experiment {
+        id: "E1",
+        claim: "Example 3.2: the worked tw^{r,l} automaton vs its oracle",
+        run: e1_example32,
+    },
+    Experiment {
+        id: "E2",
+        claim: "Section 2.3: XPath ≡ compiled FO(∃*) selector",
+        run: e2_xpath,
+    },
+    Experiment {
+        id: "E3",
+        claim: "Theorem 7.1(1): logspace xTM ≡ compiled TW pebble walker (unique IDs)",
+        run: e3_logspace_pebbles,
+    },
+    Experiment {
+        id: "E4",
+        claim: "Theorem 7.1(2): tw^l configuration count grows polynomially (PTIME)",
+        run: e4_twl_ptime,
+    },
+    Experiment {
+        id: "E5",
+        claim: "Theorem 7.1(3): compiled tw^r keeps a linear store (PSPACE shape)",
+        run: e5_twr_pspace,
+    },
+    Experiment {
+        id: "E6",
+        claim: "Theorem 7.1(4): tw^{r,l} registers range over subsets (EXPTIME bound)",
+        run: e6_twrl_exptime,
+    },
+    Experiment {
+        id: "E7",
+        claim: "Lemma 4.2: L^m is FO-definable (sentence ≡ decoder)",
+        run: e7_lm_fo,
+    },
+    Experiment {
+        id: "E8",
+        claim: "Lemma 4.5: protocol ≡ direct run; alphabet does not grow with input",
+        run: e8_protocol,
+    },
+    Experiment {
+        id: "E9",
+        claim: "Lemma 4.6 / Theorem 4.1: hypersets out-tower any dialogue bound",
+        run: e9_counting,
+    },
+    Experiment {
+        id: "E10",
+        claim: "Lemma 4.3(2): realized ≡_k classes stay bounded as strings grow",
+        run: e10_types,
+    },
+    Experiment {
+        id: "E11",
+        claim: "Theorem 6.2: xTM on trees ≡ ordinary TM on encodings",
+        run: e11_xtm_vs_tm,
+    },
+    Experiment {
+        id: "E12",
+        claim: "Proposition 7.2 (A=∅): store folds into states, language preserved",
+        run: e12_prop72,
+    },
+    Experiment {
+        id: "E13",
+        claim: "Alternation (ALOGSPACE=PTIME bridge): alternating xTM configs grow linearly",
+        run: e13_alternation,
+    },
+];
+
+/// Resource-governance settings from `--budget`, `--timeout`, `--faults`,
+/// and the trips of the rows they governed. Each evaluator call gets a
+/// **fresh** guard built from these, so the budget and deadline are per
+/// invocation, not per sweep; with no flag set the guard is unlimited and
+/// never trips.
+#[derive(Default)]
 struct Gov {
     budget: Option<u64>,
     timeout_ms: Option<u64>,
     faults: Option<FaultPlan>,
+    /// Rows that ended in `limit-tripped(..)`, by [`TRIP_REASONS`] index
+    /// (rows run on pool workers, hence atomics). The `--profile` summary
+    /// reports them as `guard/trips/<reason>`; `--strict` fails on any.
+    trips: [AtomicU64; 6],
 }
+
+/// The reasons a governed row trips on, in [`Gov::trips`] order.
+const TRIP_REASONS: [&str; 6] = ["budget", "deadline", "depth", "mem", "cancelled", "error"];
 
 impl Gov {
     fn active(&self) -> bool {
@@ -113,285 +213,288 @@ impl Gov {
         }
         g
     }
+
+    /// The row marker for a governed run that hit a limit, counted once
+    /// per row.
+    fn trip(&self, e: &TwqError) -> Cell {
+        let idx = match e.guard().map(|g| &g.reason) {
+            Some(TripReason::Budget { .. }) => 0,
+            Some(TripReason::Deadline { .. }) => 1,
+            Some(TripReason::Depth { .. }) => 2,
+            Some(TripReason::Mem { .. }) => 3,
+            Some(TripReason::Cancelled) => 4,
+            None => 5,
+        };
+        self.trips[idx].fetch_add(1, Ordering::Relaxed);
+        Cell::str(format!("limit-tripped({})", TRIP_REASONS[idx]))
+    }
 }
 
-/// Whether any row ended in `limit-tripped(...)`; `--strict` turns this
-/// into a nonzero exit so CI sweeps cannot silently under-measure.
-static TRIPPED: AtomicBool = AtomicBool::new(false);
-
-/// Guard trips by reason, counted across the whole session (rows run on
-/// pool workers, hence atomics) and reported by the `--profile` summary
-/// as `guard/trips/<reason>` counters.
-static TRIP_COUNTS: [(&str, AtomicU64); 6] = [
-    ("budget", AtomicU64::new(0)),
-    ("deadline", AtomicU64::new(0)),
-    ("depth", AtomicU64::new(0)),
-    ("mem", AtomicU64::new(0)),
-    ("cancelled", AtomicU64::new(0)),
-    ("error", AtomicU64::new(0)),
-];
-
-/// The row marker for a governed run that hit a limit.
-fn trip_cell(e: &TwqError) -> Cell {
-    TRIPPED.store(true, Ordering::Relaxed);
-    let idx = match e.guard().map(|g| &g.reason) {
-        Some(TripReason::Budget { .. }) => 0,
-        Some(TripReason::Deadline { .. }) => 1,
-        Some(TripReason::Depth { .. }) => 2,
-        Some(TripReason::Mem { .. }) => 3,
-        Some(TripReason::Cancelled) => 4,
-        None => 5,
-    };
-    let (reason, count) = &TRIP_COUNTS[idx];
-    count.fetch_add(1, Ordering::Relaxed);
-    Cell::str(format!("limit-tripped({reason})"))
-}
-
-/// Session-wide profiling state behind `--profile` / `--flame`.
+/// What `--profile` accumulates across the session.
+#[derive(Default)]
 struct Prof {
-    /// Whether `--profile` (or `--flame`, which implies it) is on.
-    active: bool,
-    /// Where `--flame` writes the collapsed stacks, if anywhere.
-    flame_path: Option<String>,
-    /// Flamegraph-collapsed lines accumulated across the profiled runs,
-    /// each prefixed with its experiment id.
-    flame: String,
-    /// The session metric registry: sweep latency histograms, pool
-    /// telemetry totals, per-run step counters, guard trips. Dumped as
-    /// the closing `PROF` section.
+    /// Sweep latency histograms, pool telemetry totals, per-run step
+    /// counters, guard trips: dumped as the closing `PROF` section.
     registry: Registry,
+    /// Flamegraph-collapsed lines of the profiled runs, each prefixed
+    /// with its experiment id; `--flame` writes them.
+    flame: String,
 }
 
-/// Session-wide trace capture behind `--trace PATH`: each experiment
-/// re-runs one representative workload under a trace collector and
-/// records the resulting causal [`Trace`] as a labeled JSONL line.
-/// When inactive no traced re-runs happen at all, so the table output
-/// stays byte-identical to a flagless invocation.
-struct Tracer {
-    /// Where `--trace` writes the JSONL lines, if anywhere.
-    path: Option<String>,
-    /// One `to_json_line()` per recorded trace, labeled `<EXP>:<entry>`.
-    lines: Vec<String>,
+/// One representative call a `--profile` or `--trace` re-run makes,
+/// always ungoverned.
+enum Probe<'a> {
+    Run(&'a TwProgram, &'a DelimTree, Limits),
+    Xtm(&'a Xtm, &'a DelimTree),
+    Xpath(&'a Tree, &'a XPath),
+    Sentence(&'a Tree, &'a Formula),
 }
 
-impl Tracer {
-    fn active(&self) -> bool {
-        self.path.is_some()
+impl Probe<'_> {
+    /// Make the call under `c`. Returns the evaluator's name and, for the
+    /// calls that answer with a value rather than a run report, the
+    /// verdict a trace's root should carry.
+    fn call<C: Collector>(self, c: &mut C) -> (&'static str, Option<Verdict>) {
+        match self {
+            Probe::Run(prog, dt, limits) => {
+                let _ = run_in(prog, dt, limits, c, &mut NullGuard);
+                ("run", None)
+            }
+            Probe::Xtm(m, dt) => {
+                let _ = run_xtm_in(m, dt, XtmLimits::default(), c, &mut NullGuard);
+                ("run_xtm", None)
+            }
+            Probe::Xpath(t, path) => {
+                let out = eval_from_in(t, path, t.root(), c, &mut NullGuard);
+                ("xpath", out.ok().map(|s| Verdict::Bool(!s.is_empty())))
+            }
+            Probe::Sentence(t, phi) => {
+                let out = eval_sentence_in(t, phi, c, &mut NullGuard);
+                ("eval_sentence", out.ok().map(Verdict::Bool))
+            }
+        }
+    }
+}
+
+/// One `experiments` invocation: where rows go, the pool that computes
+/// them, the governance they run under, and the instrumentation the flags
+/// chose.
+struct Session<'a> {
+    rep: &'a mut dyn Reporter,
+    /// Rows are computed across this pool (default: all cores) and
+    /// printed serially in input order; `--jobs 1` computes them inline.
+    pool: Pool,
+    gov: Gov,
+    /// `--collisions K`: E1's generated trees draw attribute values from
+    /// a `K`-value per-seed pool.
+    collisions: Option<usize>,
+    /// `Some` under `--profile` (or `--flame`).
+    prof: Option<Prof>,
+    /// `Some` under `--trace`: one JSONL line per recorded trace.
+    traces: Option<Vec<String>>,
+}
+
+impl Session<'_> {
+    /// Compute one row of cells per input on the pool, and print the rows
+    /// in input order. Under `--profile`, also print the rows' wall-clock
+    /// latencies and the pool's per-worker telemetry, and fold both into
+    /// the registry (`latency/<id>` histogram, `pool/*` counters).
+    fn sweep<I: Sync>(
+        &mut self,
+        id: &str,
+        inputs: &[I],
+        row: impl Fn(&Gov, &I) -> Vec<Cell> + Sync,
+    ) {
+        let gov = &self.gov;
+        let (rows, stats) = self.pool.scoped_with_stats(inputs.len(), |i| {
+            let t0 = Instant::now();
+            let cells = row(gov, &inputs[i]);
+            (
+                cells,
+                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            )
+        });
+        let mut h = Histogram::new();
+        for (cells, ns) in &rows {
+            self.rep.row(cells);
+            h.record(*ns);
+        }
+        let Some(prof) = &mut self.prof else { return };
+        self.rep
+            .note(&format!("latency ({id}): {}", h.summary("ns")));
+        self.rep.table(
+            Some("pool"),
+            2,
+            &[
+                col("worker", 7),
+                col("tasks", 6),
+                col("steals", 7),
+                col("steal-fails", 12),
+                col("idle", 6),
+                col("chunk", 6),
+            ],
+        );
+        for (w, ws) in stats.workers.iter().enumerate() {
+            self.rep.row(&[
+                w.into(),
+                ws.tasks.into(),
+                ws.steals.into(),
+                ws.steal_failures.into(),
+                ws.idle_spins.into(),
+                ws.chunk.into(),
+            ]);
+        }
+        prof.registry.hist_merge(&format!("latency/{id}"), &h);
+        let tot = stats.totals();
+        prof.registry.counter_add("pool/tasks", tot.tasks);
+        prof.registry.counter_add("pool/steals", tot.steals);
+        prof.registry
+            .counter_add("pool/steal_failures", tot.steal_failures);
+        prof.registry.counter_add("pool/idle_spins", tot.idle_spins);
     }
 
-    /// Record one representative trace under an experiment label.
-    fn record(&mut self, id: &str, mut trace: Trace) {
-        trace.label = format!("{id}:{}", trace.label);
-        self.lines.push(trace.to_json_line());
-    }
-}
-
-/// Run `f` under a fresh [`TraceCollector`] and finish the trace as
-/// `label` (the evaluator's name in the recorded JSONL).
-fn traced<R>(label: &str, f: impl FnOnce(&mut TraceCollector) -> R) -> (R, Trace) {
-    let mut c = TraceCollector::new();
-    let out = f(&mut c);
-    (out, c.finish(label))
-}
-
-/// [`Pool::scoped`] plus, when profiling, per-row wall-clock latencies
-/// and the pool's per-worker telemetry. The inactive arm is the exact
-/// `Pool::scoped` call the harness always made, so non-profile output is
-/// unchanged byte for byte.
-fn scoped_rows<T: Send>(
-    pool: &Pool,
-    active: bool,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> (Vec<T>, Option<(Histogram, PoolStats)>) {
-    if !active {
-        return (pool.scoped(n, f), None);
-    }
-    let (timed, stats) = pool.scoped_with_stats(n, |i| {
-        let t0 = Instant::now();
-        let v = f(i);
-        (v, t0.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-    });
-    let mut h = Histogram::new();
-    let mut rows = Vec::with_capacity(timed.len());
-    for (v, ns) in timed {
-        h.record(ns);
-        rows.push(v);
-    }
-    (rows, Some((h, stats)))
-}
-
-/// Print a profiled sweep's latency summary and per-worker telemetry,
-/// and fold both into the session registry (`latency/<id>` histogram,
-/// `pool/*` counters).
-fn pool_telemetry(rep: &mut dyn Reporter, prof: &mut Prof, id: &str, t: &(Histogram, PoolStats)) {
-    let (h, stats) = t;
-    rep.note(&format!("latency ({id}): {}", h.summary("ns")));
-    rep.table(
-        Some("pool"),
-        2,
-        &[
-            col("worker", 7),
-            col("tasks", 6),
-            col("steals", 7),
-            col("steal-fails", 12),
-            col("idle", 6),
-            col("chunk", 6),
-        ],
-    );
-    for (w, ws) in stats.workers.iter().enumerate() {
-        rep.row(&[
-            w.into(),
-            ws.tasks.into(),
-            ws.steals.into(),
-            ws.steal_failures.into(),
-            ws.idle_spins.into(),
-            ws.chunk.into(),
-        ]);
-    }
-    prof.registry.hist_merge(&format!("latency/{id}"), h);
-    let tot = stats.totals();
-    prof.registry.counter_add("pool/tasks", tot.tasks);
-    prof.registry.counter_add("pool/steals", tot.steals);
-    prof.registry
-        .counter_add("pool/steal_failures", tot.steal_failures);
-    prof.registry.counter_add("pool/idle_spins", tot.idle_spins);
-}
-
-/// Everything `--profile` captures from one representative run: the
-/// aggregate metrics, the self-time flame profile, and a short
-/// flight-recorder tail for post-mortems.
-struct Capture {
-    metrics: RunMetrics,
-    flame: FlameProfiler,
-    tail: Tail,
-}
-
-impl Capture {
-    /// Run `f` under a metrics collector paired with a flame profiler and
-    /// a 16-entry tail, then package everything observed.
-    fn collect<R>(
-        f: impl FnOnce(&mut (MetricsCollector<'static>, (FlameProfiler, Tail))) -> R,
-    ) -> (R, Capture) {
+    /// `--profile`: re-run `prog` on `dt` under `(MetricsCollector,
+    /// (FlameProfiler, Tail))` and print the run's one-line summary, its
+    /// top states by interpreter steps, its top self-time stacks, and a
+    /// tail post-mortem when it halted abnormally; feed the registry and
+    /// `--flame`.
+    fn profile(&mut self, id: &str, what: &str, prog: &TwProgram, dt: &DelimTree, limits: Limits) {
+        let Some(prof) = &mut self.prof else { return };
         let mut c = (
             MetricsCollector::new(),
             (FlameProfiler::new(), Tail::new(16)),
         );
-        let out = f(&mut c);
+        Probe::Run(prog, dt, limits).call(&mut c);
         let (mc, (flame, tail)) = c;
-        (
-            out,
-            Capture {
-                metrics: mc.into_metrics(),
-                flame,
-                tail,
-            },
-        )
-    }
-}
-
-/// Emit one profiled run: the one-line summary, hot states, top self-time
-/// stacks, a tail post-mortem when the run halted abnormally, plus
-/// the registry and `--flame` feeds.
-fn emit_capture(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    id: &str,
-    what: &str,
-    prog: &TwProgram,
-    cap: &Capture,
-) {
-    profile_note(rep, what, &cap.metrics);
-    hot_states(rep, prog, &cap.metrics, "hot-states");
-    let namer = |q: u32| prog.state_name(State(q as u16)).to_owned();
-    if !cap.flame.is_empty() {
-        rep.table(
-            Some("self-time"),
-            2,
-            &[col("stack", 44), col("samples", 9), col("share", 7)],
-        );
-        let total = cap.flame.total_weight().max(1);
-        for (stack, w) in cap.flame.top_self(5, namer) {
-            rep.row(&[
-                Cell::str(stack),
-                w.into(),
-                Cell::float(w as f64 / total as f64, 3),
-            ]);
-        }
-    }
-    // Anomalous halts get a flight-recorder dump: stuck walks and
-    // nondeterministic splits (the original post-mortems), and since the
-    // trace layer landed also guard trips — fuel, deadline, and depth
-    // limit halts — which previously vanished into a bare `limit-tripped`
-    // row marker.
-    if matches!(
-        cap.metrics.halt,
-        Some(
-            HaltKind::Stuck
-                | HaltKind::Nondeterministic
-                | HaltKind::StepLimit
-                | HaltKind::AtpDepthLimit
-                | HaltKind::SpaceLimit
-        )
-    ) {
+        let m = mc.into_metrics();
+        let rep = &mut *self.rep;
         rep.note(&format!(
-            "post-mortem ({what}): halted {}, last {} event(s) follow",
-            cap.metrics.halt.map_or("?", |h| h.name()),
-            cap.tail.len()
+            "profile ({what}): halt {}, steps {}, max atp depth {}, max atp fan-out {}, \
+             max store tuples {}, max tracked configs {}",
+            m.halt.map_or("?", |h| h.name()),
+            m.steps,
+            m.max_atp_depth,
+            m.max_atp_fanout,
+            m.max_store_tuples,
+            m.max_tracked_configs,
         ));
-        for line in cap.tail.post_mortem().lines() {
-            rep.note(&format!("  {line}"));
-        }
-    }
-    if prof.flame_path.is_some() {
-        prof.flame.push_str(&cap.flame.collapsed_with(id, namer));
-    }
-    prof.registry
-        .counter_add(&format!("run/{id}/steps"), cap.metrics.steps);
-    prof.registry
-        .counter_add(&format!("run/{id}/samples"), cap.flame.total_weight());
-}
-
-/// The closing `PROF` section: everything the session registry
-/// accumulated — pool telemetry totals, per-run step counters, guard
-/// trips, and the latency histograms with their quantiles.
-fn prof_summary(rep: &mut dyn Reporter, prof: &mut Prof) {
-    for (name, count) in &TRIP_COUNTS {
-        let n = count.load(Ordering::Relaxed);
-        if n > 0 {
-            prof.registry.counter_add(&format!("guard/trips/{name}"), n);
-        }
-    }
-    rep.experiment("PROF", "session metric registry (twq-prof)");
-    let snap = prof.registry.snapshot();
-    if !snap.counters.is_empty() {
-        rep.table(Some("counters"), 0, &[col("name", 32), col("value", 12)]);
-        for (name, v) in &snap.counters {
-            rep.row(&[Cell::str(name.clone()), (*v).into()]);
-        }
-    }
-    if !snap.hists.is_empty() {
+        let namer = |q: u32| prog.state_name(State(q as u16)).to_owned();
         rep.table(
-            Some("histograms"),
-            0,
-            &[
-                col("name", 24),
-                col("n", 6),
-                col("p50", 10),
-                col("p90", 10),
-                col("p99", 10),
-                col("max", 10),
-            ],
+            Some("hot-states"),
+            2,
+            &[col("state", 20), col("steps", 10), col("share", 7)],
         );
-        for (name, h) in &snap.hists {
+        for (q, steps) in m.top_states(5) {
             rep.row(&[
-                Cell::str(name.clone()),
-                h.count().into(),
-                h.p50().unwrap_or(0).into(),
-                h.p90().unwrap_or(0).into(),
-                h.p99().unwrap_or(0).into(),
-                h.max().unwrap_or(0).into(),
+                Cell::str(namer(q)),
+                steps.into(),
+                Cell::float(steps as f64 / m.steps.max(1) as f64, 3),
             ]);
+        }
+        if !flame.is_empty() {
+            rep.table(
+                Some("self-time"),
+                2,
+                &[col("stack", 44), col("samples", 9), col("share", 7)],
+            );
+            let total = flame.total_weight().max(1);
+            for (stack, w) in flame.top_self(5, namer) {
+                rep.row(&[
+                    Cell::str(stack),
+                    w.into(),
+                    Cell::float(w as f64 / total as f64, 3),
+                ]);
+            }
+        }
+        // Anomalous halts get a flight-recorder dump: stuck walks,
+        // nondeterministic splits, and guard trips (fuel, deadline, and
+        // depth limit halts), which would otherwise vanish into a bare
+        // `limit-tripped` row marker.
+        if matches!(
+            m.halt,
+            Some(
+                HaltKind::Stuck
+                    | HaltKind::Nondeterministic
+                    | HaltKind::StepLimit
+                    | HaltKind::AtpDepthLimit
+                    | HaltKind::SpaceLimit
+            )
+        ) {
+            rep.note(&format!(
+                "post-mortem ({what}): halted {}, last {} event(s) follow",
+                m.halt.map_or("?", |h| h.name()),
+                tail.len()
+            ));
+            for line in tail.post_mortem().lines() {
+                rep.note(&format!("  {line}"));
+            }
+        }
+        prof.flame.push_str(&flame.collapsed_with(id, namer));
+        prof.registry
+            .counter_add(&format!("run/{id}/steps"), m.steps);
+        prof.registry
+            .counter_add(&format!("run/{id}/samples"), flame.total_weight());
+    }
+
+    /// `--trace`: re-run `probe` under a [`TraceCollector`] and record the
+    /// causal trace as one JSONL line labeled `<id>:<evaluator>`.
+    fn trace(&mut self, id: &str, probe: Probe) {
+        let Some(lines) = &mut self.traces else {
+            return;
+        };
+        let mut c = TraceCollector::new();
+        let (label, verdict) = probe.call(&mut c);
+        let mut t = c.finish(label);
+        if verdict.is_some() {
+            t.root.verdict = verdict;
+        }
+        t.label = format!("{id}:{label}");
+        lines.push(t.to_json_line());
+    }
+
+    /// The closing `PROF` section: everything the session registry
+    /// accumulated — pool telemetry totals, per-run step counters, guard
+    /// trips, and the latency histograms with their quantiles.
+    fn prof_summary(&mut self) {
+        let Some(prof) = &mut self.prof else { return };
+        for (name, count) in TRIP_REASONS.iter().zip(&self.gov.trips) {
+            let n = count.load(Ordering::Relaxed);
+            if n > 0 {
+                prof.registry.counter_add(&format!("guard/trips/{name}"), n);
+            }
+        }
+        let rep = &mut *self.rep;
+        rep.experiment("PROF", "session metric registry (twq-prof)");
+        let snap = prof.registry.snapshot();
+        if !snap.counters.is_empty() {
+            rep.table(Some("counters"), 0, &[col("name", 32), col("value", 12)]);
+            for (name, v) in &snap.counters {
+                rep.row(&[Cell::str(name.clone()), (*v).into()]);
+            }
+        }
+        if !snap.hists.is_empty() {
+            rep.table(
+                Some("histograms"),
+                0,
+                &[
+                    col("name", 24),
+                    col("n", 6),
+                    col("p50", 10),
+                    col("p90", 10),
+                    col("p99", 10),
+                    col("max", 10),
+                ],
+            );
+            for (name, h) in &snap.hists {
+                rep.row(&[
+                    Cell::str(name.clone()),
+                    h.count().into(),
+                    h.p50().unwrap_or(0).into(),
+                    h.p90().unwrap_or(0).into(),
+                    h.p99().unwrap_or(0).into(),
+                    h.max().unwrap_or(0).into(),
+                ]);
+            }
         }
     }
 }
@@ -449,94 +552,67 @@ fn main() {
             }
         }
     }
-    // `--flame` needs the profiled runs it dumps stacks for.
-    profile |= flame_path.is_some();
-    let mut prof = Prof {
-        active: profile,
-        flame_path,
-        flame: String::new(),
-        registry: Registry::new(),
-    };
-    let mut tracer = Tracer {
-        path: trace_path,
-        lines: Vec::new(),
-    };
-    // Rows within E1–E6 are computed across this pool (default: all cores)
-    // and printed serially in input order, so the output is independent of
-    // the worker count; `--jobs 1` computes inline exactly as the serial
-    // harness did.
-    let pool = match jobs {
-        Some(n) => Pool::new(n),
-        None => Pool::with_default_parallelism(),
-    };
     let mut rep: Box<dyn Reporter> = if json {
         Box::new(JsonlReporter::stdout())
     } else {
         Box::new(HumanReporter::stdout())
     };
-    let rep = rep.as_mut();
-    if gov.active() {
-        rep.note(&format!(
+    let mut s = Session {
+        rep: rep.as_mut(),
+        pool: jobs.map_or_else(Pool::with_default_parallelism, Pool::new),
+        gov,
+        collisions,
+        // `--flame` needs the profiled runs it dumps stacks for.
+        prof: (profile || flame_path.is_some()).then(Prof::default),
+        traces: trace_path.as_ref().map(|_| Vec::new()),
+    };
+    if s.gov.active() {
+        let g = &s.gov;
+        s.rep.note(&format!(
             "governance: budget {:?}, timeout {:?} ms, fault plan {} (per invocation)",
-            gov.budget,
-            gov.timeout_ms,
-            gov.faults
+            g.budget,
+            g.timeout_ms,
+            g.faults
                 .as_ref()
                 .map_or_else(|| "none".to_owned(), |p| p.to_string())
         ));
     }
     if let Some(k) = collisions {
-        rep.note(&format!(
+        s.rep.note(&format!(
             "collisions: generated trees draw attribute values from a {k}-value per-seed pool"
         ));
     }
-    if do_analyze {
-        e0_analyze(rep);
+    for e in EXPERIMENTS.iter().filter(|e| do_analyze || e.id != "E0") {
+        s.rep.experiment(e.id, e.claim);
+        (e.run)(&mut s);
     }
-    e1_example32(rep, &mut prof, &mut tracer, &gov, collisions, &pool);
-    e2_xpath(rep, &mut prof, &mut tracer, &gov, &pool);
-    e3_logspace_pebbles(rep, &mut prof, &mut tracer, &gov, &pool);
-    e4_twl_ptime(rep, &mut prof, &mut tracer, &gov, &pool);
-    e5_twr_pspace(rep, &mut prof, &mut tracer, &gov, &pool);
-    e6_twrl_exptime(rep, &mut prof, &mut tracer, &gov, &pool);
-    e7_lm_fo(rep, &mut tracer, &gov);
-    e8_protocol(rep, &gov);
-    e9_counting(rep);
-    e10_types(rep);
-    e11_xtm_vs_tm(rep, &gov);
-    e12_prop72(rep, &gov);
-    e13_alternation(rep, &gov);
-    if prof.active {
-        prof_summary(rep, &mut prof);
-    }
-    if let Some(path) = &prof.flame_path {
+    s.prof_summary();
+    if let (Some(path), Some(prof)) = (&flame_path, &s.prof) {
         if let Err(e) = std::fs::write(path, &prof.flame) {
             eprintln!("--flame: cannot write {path}: {e}");
             std::process::exit(4);
         }
-        rep.note(&format!(
+        s.rep.note(&format!(
             "flame: wrote {} stack line(s) to {path}",
             prof.flame.lines().count()
         ));
     }
-    if let Some(path) = &tracer.path {
-        let mut out = tracer.lines.join("\n");
-        out.push('\n');
-        if let Err(e) = std::fs::write(path, out) {
+    if let (Some(path), Some(lines)) = (&trace_path, &s.traces) {
+        if let Err(e) = std::fs::write(path, lines.join("\n") + "\n") {
             eprintln!("--trace: cannot write {path}: {e}");
             std::process::exit(4);
         }
-        rep.note(&format!(
+        s.rep.note(&format!(
             "trace: wrote {} causal trace(s) to {path}",
-            tracer.lines.len()
+            lines.len()
         ));
     }
-    if strict && TRIPPED.load(Ordering::Relaxed) {
+    if strict && s.gov.trips.iter().any(|n| n.load(Ordering::Relaxed) > 0) {
         eprintln!("--strict: at least one row ended in limit-tripped");
         std::process::exit(3);
     }
     if !json {
-        println!("\nall experiments completed.");
+        write_stdout("\nall experiments completed.\n", 0);
     }
 }
 
@@ -545,11 +621,7 @@ fn main() {
 /// semantics-preserving prune would remove. E1 and E4 actually run the
 /// pruned program (see their notes); this table is the evidence that the
 /// rest are already clean.
-fn e0_analyze(rep: &mut dyn Reporter) {
-    rep.experiment(
-        "E0",
-        "static analysis: class inference and prune over all programs",
-    );
+fn e0_analyze(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let a = vocab.attr_opt("a").unwrap();
@@ -591,7 +663,7 @@ fn e0_analyze(rep: &mut dyn Reporter) {
         ),
         ("traversal (E8)", examples::traversal_program(&base.symbols)),
     ];
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -608,7 +680,7 @@ fn e0_analyze(rep: &mut dyn Reporter) {
         let an = analyze(prog);
         let (errors, warnings, infos) = severity_counts(&an.diagnostics);
         let pr = prune(prog);
-        rep.row(&[
+        s.rep.row(&[
             (*name).into(),
             Cell::str(an.inference.class.to_string()),
             errors.into(),
@@ -620,50 +692,7 @@ fn e0_analyze(rep: &mut dyn Reporter) {
     }
 }
 
-/// The `--profile` view: top-k states by interpreter steps, with the
-/// share of the run's total each is responsible for.
-fn hot_states(rep: &mut dyn Reporter, prog: &TwProgram, m: &RunMetrics, label: &'static str) {
-    rep.table(
-        Some(label),
-        2,
-        &[col("state", 20), col("steps", 10), col("share", 7)],
-    );
-    let total = m.steps.max(1);
-    for (q, steps) in m.top_states(5) {
-        rep.row(&[
-            Cell::str(prog.state_name(State(q as u16))),
-            steps.into(),
-            Cell::float(steps as f64 / total as f64, 3),
-        ]);
-    }
-}
-
-/// The `--profile` one-line summary of a measured run.
-fn profile_note(rep: &mut dyn Reporter, what: &str, m: &RunMetrics) {
-    rep.note(&format!(
-        "profile ({what}): halt {}, steps {}, max atp depth {}, max atp fan-out {}, \
-         max store tuples {}, max tracked configs {}",
-        m.halt.map_or("?", |h| h.name()),
-        m.steps,
-        m.max_atp_depth,
-        m.max_atp_fanout,
-        m.max_store_tuples,
-        m.max_tracked_configs,
-    ));
-}
-
-fn e1_example32(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    collisions: Option<usize>,
-    pool: &Pool,
-) {
-    rep.experiment(
-        "E1",
-        "Example 3.2: the worked tw^{r,l} automaton vs its oracle",
-    );
+fn e1_example32(s: &mut Session) {
     let mut vocab = Vocab::new();
     let ex = examples::example_32(&mut vocab);
     // The sweep runs the statically pruned program — identical language
@@ -671,12 +700,12 @@ fn e1_example32(
     // certifies the prune.
     let pruned = prune(&ex.program);
     let prog = pruned.program;
-    rep.note(&format!(
+    s.rep.note(&format!(
         "pre-pruned: {} rule(s), {} state(s) removed",
         pruned.removed_rules.len(),
         pruned.removed_states.len()
     ));
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -688,56 +717,36 @@ fn e1_example32(
             col("agree", 9),
         ],
     );
-    let sizes = [20usize, 60, 180, 540];
-    // Prepare (serial): generator configs need the vocabulary. Half the
-    // trials use a single-value pool (always accepted) so the table shows
-    // both verdicts at every size.
-    let cfgs: Vec<(TreeGenConfig, TreeGenConfig)> = sizes
+    // Generator configs need the vocabulary. Half the trials use a
+    // single-value pool (always accepted) so the table shows both
+    // verdicts at every size; `--collisions K` draws attribute values
+    // from a K-value per-seed pool (the twq-fuzz hostile corpus knob).
+    let inputs: Vec<(usize, TreeGenConfig, TreeGenConfig)> = [20usize, 60, 180, 540]
         .iter()
         .map(|&n| {
             let mut mixed = TreeGenConfig::example32(&mut vocab, n, &[1, 2]);
             let mut uniform = TreeGenConfig::example32(&mut vocab, n, &[7]);
-            // `--collisions K`: draw attribute values from a K-value
-            // per-seed pool (the twq-fuzz hostile corpus knob).
-            mixed.collision_pool = collisions;
-            uniform.collision_pool = collisions;
-            (mixed, uniform)
+            mixed.collision_pool = s.collisions;
+            uniform.collision_pool = s.collisions;
+            (n, mixed, uniform)
         })
         .collect();
-    struct E1Row {
-        acc: u64,
-        steps: u64,
-        subs: u64,
-        configs: u64,
-        agree: bool,
-        done: u64,
-        trip: Option<TwqError>,
-    }
-    // Execute (parallel): one row per size, printed in order below.
-    let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
-        let (mixed, uniform) = &cfgs[i];
+    s.sweep("E1", &inputs, |gov, (n, mixed, uniform)| {
         let (mut acc, mut steps, mut subs, mut configs, mut agree) = (0u64, 0u64, 0u64, 0u64, true);
-        let trials = 10;
         let mut done = 0u64;
         let mut trip: Option<TwqError> = None;
-        for seed in 0..trials {
-            let cfg = if seed % 2 == 0 { mixed } else { uniform };
-            let t = random_tree(cfg, seed);
+        for seed in 0..10 {
+            let t = random_tree(if seed % 2 == 0 { mixed } else { uniform }, seed);
             let dt = DelimTree::build(&t);
-            let r = match run_in(
-                &prog,
-                &dt,
-                Limits::default(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            ) {
+            let limits = Limits::default();
+            let r = match run_in(&prog, &dt, limits, &mut NullCollector, &mut gov.guard()) {
                 Ok(r) => r,
                 Err(e) => {
                     trip = Some(e);
                     continue;
                 }
             };
-            let g = run_graph(&prog, &dt, Limits::default());
+            let g = run_graph(&prog, &dt, limits);
             let oracle = examples::oracle_example_32(&t, ex.delta, ex.attr);
             agree &= r.accepted() == oracle && g.accepted() == oracle;
             acc += u64::from(r.accepted());
@@ -746,60 +755,30 @@ fn e1_example32(
             configs += g.distinct_configs as u64;
             done += 1;
         }
-        E1Row {
-            acc,
-            steps,
-            subs,
-            configs,
-            agree,
-            done,
-            trip,
-        }
+        let d = done.max(1);
+        vec![
+            (*n).into(),
+            Cell::str(format!("{acc}/{done}")),
+            (steps / d).into(),
+            (subs / d).into(),
+            (configs / d).into(),
+            trip.map_or(agree.into(), |e| gov.trip(&e)),
+        ]
     });
-    for (i, row) in rows.into_iter().enumerate() {
-        let agree_cell = match &row.trip {
-            Some(e) => trip_cell(e),
-            None => row.agree.into(),
-        };
-        let d = row.done.max(1);
-        rep.row(&[
-            sizes[i].into(),
-            Cell::str(format!("{}/{}", row.acc, row.done)),
-            (row.steps / d).into(),
-            (row.subs / d).into(),
-            (row.configs / d).into(),
-            agree_cell,
-        ]);
-    }
-    if let Some(t) = &telemetry {
-        pool_telemetry(rep, prof, "E1", t);
-    }
-    if prof.active {
-        let cfg = TreeGenConfig::example32(&mut vocab, 540, &[1, 2]);
-        let dt = DelimTree::build(&random_tree(&cfg, 0));
-        let (_, cap) =
-            Capture::collect(|c| run_in(&prog, &dt, Limits::default(), c, &mut NullGuard));
-        emit_capture(rep, prof, "E1", "n=540, seed 0", &prog, &cap);
-    }
-    if tracer.active() {
-        let cfg = TreeGenConfig::example32(&mut vocab, 60, &[1, 2]);
-        let dt = DelimTree::build(&random_tree(&cfg, 0));
-        let (_, t) = traced("run", |c| {
-            run_in(&prog, &dt, Limits::default(), c, &mut NullGuard)
-        });
-        tracer.record("E1", t);
-    }
+    // The representative inputs: each size's seed-0 tree.
+    let seed0 = |i: usize| DelimTree::build(&random_tree(&inputs[i].1, 0));
+    s.profile("E1", "n=540, seed 0", &prog, &seed0(3), Limits::default());
+    s.trace("E1", Probe::Run(&prog, &seed0(1), Limits::default()));
 }
 
-fn e2_xpath(rep: &mut dyn Reporter, prof: &mut Prof, tracer: &mut Tracer, gov: &Gov, pool: &Pool) {
-    rep.experiment("E2", "Section 2.3: XPath ≡ compiled FO(∃*) selector");
+fn e2_xpath(s: &mut Session) {
     let mut vocab = Vocab::new();
     let queries = [
         "sigma/delta",
         "//delta[sigma]",
         "sigma//sigma[@a=1] | delta",
     ];
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -809,7 +788,7 @@ fn e2_xpath(rep: &mut dyn Reporter, prof: &mut Prof, tracer: &mut Tracer, gov: &
             col("agree", 7),
         ],
     );
-    // Prepare (serial): trees and parsed queries need the vocabulary.
+    // Trees and parsed queries need the vocabulary.
     let mut trees = Vec::new();
     let mut inputs = Vec::new();
     for n in [30usize, 90, 270] {
@@ -820,51 +799,24 @@ fn e2_xpath(rep: &mut dyn Reporter, prof: &mut Prof, tracer: &mut Tracer, gov: &
             inputs.push((n, q, trees.len() - 1, path));
         }
     }
-    // Execute (parallel): direct evaluation vs the compiled selector.
-    let (rows, telemetry) = scoped_rows(pool, prof.active, inputs.len(), |i| {
-        let (_, _, ti, path) = &inputs[i];
-        let t = &trees[*ti];
-        eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard()).map(|d| {
-            let agree = d == compile(path).select(t, t.root());
-            (d.len(), agree)
-        })
-    });
-    for (i, row) in rows.into_iter().enumerate() {
-        let (n, q, _, _) = &inputs[i];
-        match row {
-            Ok((selected, agree)) => {
-                rep.row(&[(*n).into(), (*q).into(), selected.into(), agree.into()])
+    // Direct evaluation vs the compiled selector.
+    s.sweep("E2", &inputs, |gov, &(n, q, ti, ref path)| {
+        let t = &trees[ti];
+        match eval_from_in(t, path, t.root(), &mut NullCollector, &mut gov.guard()) {
+            Ok(d) => {
+                let agree = d == compile(path).select(t, t.root());
+                vec![n.into(), q.into(), d.len().into(), agree.into()]
             }
-            Err(e) => rep.row(&[(*n).into(), (*q).into(), 0usize.into(), trip_cell(&e)]),
+            Err(e) => vec![n.into(), q.into(), 0usize.into(), gov.trip(&e)],
         }
-    }
-    if let Some(t) = &telemetry {
-        pool_telemetry(rep, prof, "E2", t);
-    }
-    if tracer.active() {
-        // Representative: the smallest tree under the union-with-filter
-        // query — each axis step's node frontier lands in the trace.
-        let (_, _, ti, path) = &inputs[2];
-        let t = &trees[*ti];
-        let (out, mut tr) = traced("xpath", |c| {
-            eval_from_in(t, path, t.root(), c, &mut NullGuard)
-        });
-        tr.root.verdict = out.ok().map(|s| Verdict::Bool(!s.is_empty()));
-        tracer.record("E2", tr);
-    }
+    });
+    // Representative: the smallest tree under the union-with-filter
+    // query — each axis step's node frontier lands in the trace.
+    let (_, _, ti, path) = &inputs[2];
+    s.trace("E2", Probe::Xpath(&trees[*ti], path));
 }
 
-fn e3_logspace_pebbles(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    pool: &Pool,
-) {
-    rep.experiment(
-        "E3",
-        "Theorem 7.1(1): logspace xTM ≡ compiled TW pebble walker (unique IDs)",
-    );
+fn e3_logspace_pebbles(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let id = vocab.attr("id");
@@ -875,26 +827,23 @@ fn e3_logspace_pebbles(
             machines::leftmost_depth_even(&base.symbols),
         ),
     ] {
-        let prog = match compile_logspace_guarded(
-            &machine,
-            &base.symbols,
-            id,
-            &mut vocab,
-            &mut gov.guard(),
-        ) {
-            Ok(p) => p,
+        let compiled =
+            compile_logspace_guarded(&machine, &base.symbols, id, &mut vocab, &mut s.gov.guard());
+        let prog = match compiled {
+            Ok(p) => p.program,
             Err(e) => {
-                rep.note(&format!("{name}: compilation limit-tripped: {e}"));
+                s.rep
+                    .note(&format!("{name}: compilation limit-tripped: {e}"));
                 continue;
             }
         };
-        rep.note(&format!(
+        s.rep.note(&format!(
             "{name}: compiled to class {} ({} states, {} pebble registers)",
-            prog.program.classify(),
-            prog.program.state_count(),
-            prog.program.reg_count()
+            prog.classify(),
+            prog.state_count(),
+            prog.reg_count()
         ));
-        rep.table(
+        s.rep.table(
             Some(name),
             2,
             &[
@@ -905,12 +854,11 @@ fn e3_logspace_pebbles(
                 col("agree", 7),
             ],
         );
-        let sizes = [4usize, 6, 8];
-        // Prepare (serial): trees and unique ids need the vocabulary.
-        // Chains give leftmost_depth_even a growing spine; random trees
-        // exercise leaf_count_even. The leaf count of a chain is 1 (odd),
-        // and the spine is n-1.
-        let dts: Vec<DelimTree> = sizes
+        // Trees and unique ids need the vocabulary. Chains give
+        // leftmost_depth_even a growing spine; random trees exercise
+        // leaf_count_even. The leaf count of a chain is 1 (odd), and the
+        // spine is n-1.
+        let inputs: Vec<(usize, DelimTree)> = [4usize, 6, 8]
             .iter()
             .map(|&n| {
                 let t = if name == "leftmost_depth_even" {
@@ -925,17 +873,11 @@ fn e3_logspace_pebbles(
                 };
                 let mut dt = DelimTree::build(&t);
                 dt.assign_unique_ids(id, &mut vocab);
-                dt
+                (n, dt)
             })
             .collect();
-        enum E3Row {
-            XtmTrip(TwqError),
-            ProgTrip(XtmReport, TwqError),
-            Done(XtmReport, RunReport),
-        }
-        // Execute (parallel): the xTM and the compiled walker per size.
-        let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
-            let dt = &dts[i];
+        // The xTM and the compiled walker per size.
+        s.sweep("E3", &inputs, |gov, (n, dt)| {
             let xr = match run_xtm_in(
                 &machine,
                 dt,
@@ -944,86 +886,46 @@ fn e3_logspace_pebbles(
                 &mut gov.guard(),
             ) {
                 Ok(r) => r,
-                Err(e) => return E3Row::XtmTrip(e),
+                Err(e) => {
+                    return vec![
+                        (*n).into(),
+                        0u64.into(),
+                        0usize.into(),
+                        0u64.into(),
+                        gov.trip(&e),
+                    ]
+                }
             };
-            match run_in(
-                &prog.program,
+            let pr = run_in(
+                &prog,
                 dt,
                 Limits::long_walk(),
                 &mut NullCollector,
                 &mut gov.guard(),
-            ) {
-                Ok(r) => E3Row::Done(xr, r),
-                Err(e) => E3Row::ProgTrip(xr, e),
-            }
+            );
+            let (tw_steps, agree) = match pr {
+                Ok(pr) => (pr.steps, (xr.accepted() == pr.accepted()).into()),
+                Err(e) => (0, gov.trip(&e)),
+            };
+            vec![
+                (*n).into(),
+                xr.steps.into(),
+                xr.space.into(),
+                tw_steps.into(),
+                agree,
+            ]
         });
-        for (i, row) in rows.into_iter().enumerate() {
-            let n = sizes[i];
-            match row {
-                E3Row::XtmTrip(e) => rep.row(&[
-                    n.into(),
-                    0u64.into(),
-                    0usize.into(),
-                    0u64.into(),
-                    trip_cell(&e),
-                ]),
-                E3Row::ProgTrip(xr, e) => rep.row(&[
-                    n.into(),
-                    xr.steps.into(),
-                    xr.space.into(),
-                    0u64.into(),
-                    trip_cell(&e),
-                ]),
-                E3Row::Done(xr, pr) => rep.row(&[
-                    n.into(),
-                    xr.steps.into(),
-                    xr.space.into(),
-                    pr.steps.into(),
-                    (xr.accepted() == pr.accepted()).into(),
-                ]),
-            }
-        }
-        if let Some(t) = &telemetry {
-            pool_telemetry(rep, prof, "E3", t);
-        }
-        if prof.active {
-            let p = &prog.program;
-            let (_, cap) =
-                Capture::collect(|c| run_in(p, &dts[2], Limits::long_walk(), c, &mut NullGuard));
-            emit_capture(rep, prof, "E3", "n=8", p, &cap);
-        }
-        if tracer.active() {
-            // Both sides of the Theorem 7.1(1) equivalence, on the
-            // smallest tree: the xTM and its compiled pebble walker.
-            let (_, xt) = traced("run_xtm", |c| {
-                run_xtm_in(&machine, &dts[0], XtmLimits::default(), c, &mut NullGuard)
-            });
-            tracer.record(&format!("E3/{name}/xtm"), xt);
-            let (_, pt) = traced("run", |c| {
-                run_in(
-                    &prog.program,
-                    &dts[0],
-                    Limits::long_walk(),
-                    c,
-                    &mut NullGuard,
-                )
-            });
-            tracer.record(&format!("E3/{name}"), pt);
-        }
+        s.profile("E3", "n=8", &prog, &inputs[2].1, Limits::long_walk());
+        // Both sides of the Theorem 7.1(1) equivalence, on the smallest
+        // tree: the xTM and its compiled pebble walker.
+        let dt = &inputs[0].1;
+        s.trace(&format!("E3/{name}/xtm"), Probe::Xtm(&machine, dt));
+        let walker = Probe::Run(&prog, dt, Limits::long_walk());
+        s.trace(&format!("E3/{name}"), walker);
     }
 }
 
-fn e4_twl_ptime(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    pool: &Pool,
-) {
-    rep.experiment(
-        "E4",
-        "Theorem 7.1(2): tw^l configuration count grows polynomially (PTIME)",
-    );
+fn e4_twl_ptime(s: &mut Session) {
     let mut vocab = Vocab::new();
     let cfg0 = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let a = vocab.attr_opt("a").unwrap();
@@ -1035,12 +937,12 @@ fn e4_twl_ptime(
     twq::analyze::certify(&prog, TwClass::TwL).expect("parent_child_match is tw^l");
     let pruned = prune(&prog);
     let prog = pruned.program;
-    rep.note(&format!(
+    s.rep.note(&format!(
         "pre-pruned: {} rule(s), {} state(s) removed",
         pruned.removed_rules.len(),
         pruned.removed_states.len()
     ));
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1050,11 +952,10 @@ fn e4_twl_ptime(
             col("bound |Q|·N·(n+1)", 18),
         ],
     );
-    let sizes = [20usize, 60, 180, 540];
-    // Prepare (serial): every node gets a distinct value, so no
-    // parent-child match exists and the program performs its full
-    // polynomial sweep (worst case). Attribute values need the vocabulary.
-    let dts: Vec<DelimTree> = sizes
+    // Every node gets a distinct value, so no parent-child match exists
+    // and the program performs its full polynomial sweep (worst case).
+    // Attribute values need the vocabulary.
+    let inputs: Vec<(usize, DelimTree)> = [20usize, 60, 180, 540]
         .iter()
         .map(|&n| {
             let cfg = TreeGenConfig {
@@ -1068,92 +969,54 @@ fn e4_twl_ptime(
                 let val = vocab.val_int(1000 + i as i64);
                 t.set_attr(u, a, val);
             }
-            DelimTree::build(&t)
+            (n, DelimTree::build(&t))
         })
         .collect();
-    enum E4Row {
-        Trip(TwqError),
-        Done(usize, usize),
-    }
-    // Execute (parallel): the breadth-first configuration sweep per size.
-    let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
-        let dt = &dts[i];
-        // The direct engine is the governed witness: if the workload fits
-        // the budget there, the breadth-first sweep is measured ungoverned.
-        if gov.active() {
-            let governed = run_in(
-                &prog,
-                dt,
-                Limits::default(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            );
-            if let Err(e) = governed {
-                return E4Row::Trip(e);
-            }
+    // The breadth-first configuration sweep per size. The direct engine
+    // is the governed witness: if the workload fits the guard there, the
+    // sweep is measured ungoverned.
+    s.sweep("E4", &inputs, |gov, &(n, ref dt)| {
+        let witness = run_in(
+            &prog,
+            dt,
+            Limits::default(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        );
+        if let Err(e) = witness {
+            return vec![n.into(), 0usize.into(), Cell::float(0.0, 2), gov.trip(&e)];
         }
         let g = run_graph(&prog, dt, Limits::default());
         assert!(!g.accepted(), "distinct values admit no match");
-        E4Row::Done(g.distinct_configs, dt.tree().len())
+        let dn = dt.tree().len();
+        let bound = prog.state_count() * dn * (n + 1);
+        assert!(g.distinct_configs <= bound);
+        vec![
+            n.into(),
+            g.distinct_configs.into(),
+            Cell::float(g.distinct_configs as f64 / dn as f64, 2),
+            bound.into(),
+        ]
     });
-    for (i, row) in rows.into_iter().enumerate() {
-        let n = sizes[i];
-        match row {
-            E4Row::Trip(e) => {
-                rep.row(&[n.into(), 0usize.into(), Cell::float(0.0, 2), trip_cell(&e)]);
-            }
-            E4Row::Done(distinct_configs, dn) => {
-                let bound = prog.state_count() * dn * (n + 1);
-                rep.row(&[
-                    n.into(),
-                    distinct_configs.into(),
-                    Cell::float(distinct_configs as f64 / dn as f64, 2),
-                    bound.into(),
-                ]);
-                assert!(distinct_configs <= bound);
-            }
-        }
-    }
-    if let Some(t) = &telemetry {
-        pool_telemetry(rep, prof, "E4", t);
-    }
-    if prof.active {
-        let (_, cap) =
-            Capture::collect(|c| run_in(&prog, &dts[0], Limits::default(), c, &mut NullGuard));
-        emit_capture(rep, prof, "E4", "direct engine, n=20", &prog, &cap);
-    }
-    if tracer.active() {
-        let (_, t) = traced("run", |c| {
-            run_in(&prog, &dts[0], Limits::default(), c, &mut NullGuard)
-        });
-        tracer.record("E4", t);
-    }
+    let dt = &inputs[0].1;
+    s.profile("E4", "direct engine, n=20", &prog, dt, Limits::default());
+    s.trace("E4", Probe::Run(&prog, dt, Limits::default()));
 }
 
-fn e5_twr_pspace(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    pool: &Pool,
-) {
-    rep.experiment(
-        "E5",
-        "Theorem 7.1(3): compiled tw^r keeps a linear store (PSPACE shape)",
-    );
+fn e5_twr_pspace(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let id = vocab.attr("id");
     let machine = machines::leaf_count_even(&base.symbols);
     let prog =
-        match compile_pspace_guarded(&machine, &base.symbols, id, &mut vocab, &mut gov.guard()) {
-            Ok(p) => p,
+        match compile_pspace_guarded(&machine, &base.symbols, id, &mut vocab, &mut s.gov.guard()) {
+            Ok(p) => p.program,
             Err(e) => {
-                rep.note(&format!("compilation limit-tripped: {e}"));
+                s.rep.note(&format!("compilation limit-tripped: {e}"));
                 return;
             }
         };
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1164,107 +1027,65 @@ fn e5_twr_pspace(
             col("agree", 7),
         ],
     );
-    let sizes = [8usize, 16, 32, 64];
-    // Prepare (serial): unique ids mutate the vocabulary.
-    let dts: Vec<DelimTree> = sizes
+    // Unique ids mutate the vocabulary.
+    let inputs: Vec<(usize, DelimTree)> = [8usize, 16, 32, 64]
         .iter()
         .map(|&n| {
             let cfg = TreeGenConfig {
                 nodes: n,
                 ..base.clone()
             };
-            let t = random_tree(&cfg, 5);
-            let mut dt = DelimTree::build(&t);
+            let mut dt = DelimTree::build(&random_tree(&cfg, 5));
             dt.assign_unique_ids(id, &mut vocab);
-            dt
+            (n, dt)
         })
         .collect();
-    enum E5Row {
-        Trip(TwqError),
-        Done(XtmReport, RunReport),
-    }
-    // Execute (parallel): the xTM and the compiled tw^r walker per size.
-    let (rows, telemetry) = scoped_rows(pool, prof.active, sizes.len(), |i| {
-        let dt = &dts[i];
-        let xr = match run_xtm_in(
+    // The xTM and the compiled tw^r walker per size.
+    s.sweep("E5", &inputs, |gov, &(n, ref dt)| {
+        let dn = dt.tree().len();
+        let runs = run_xtm_in(
             &machine,
             dt,
             XtmLimits::default(),
             &mut NullCollector,
             &mut gov.guard(),
-        ) {
-            Ok(r) => r,
-            Err(e) => return E5Row::Trip(e),
-        };
-        match run_in(
-            &prog.program,
-            dt,
-            Limits::long_walk(),
-            &mut NullCollector,
-            &mut gov.guard(),
-        ) {
-            Ok(r) => E5Row::Done(xr, r),
-            Err(e) => E5Row::Trip(e),
-        }
-    });
-    for (i, row) in rows.into_iter().enumerate() {
-        let n = sizes[i];
-        let dn = dts[i].tree().len();
-        match row {
-            E5Row::Trip(e) => rep.row(&[
-                n.into(),
-                dn.into(),
-                0u64.into(),
-                0usize.into(),
-                trip_cell(&e),
-            ]),
-            E5Row::Done(xr, sr) => rep.row(&[
+        )
+        .and_then(|xr| {
+            let sr = run_in(
+                &prog,
+                dt,
+                Limits::long_walk(),
+                &mut NullCollector,
+                &mut gov.guard(),
+            )?;
+            Ok((xr, sr))
+        });
+        match runs {
+            Ok((xr, sr)) => vec![
                 n.into(),
                 dn.into(),
                 sr.steps.into(),
                 sr.max_store_tuples.into(),
                 (xr.accepted() == sr.accepted()).into(),
-            ]),
+            ],
+            Err(e) => vec![
+                n.into(),
+                dn.into(),
+                0u64.into(),
+                0usize.into(),
+                gov.trip(&e),
+            ],
         }
-    }
-    if let Some(t) = &telemetry {
-        pool_telemetry(rep, prof, "E5", t);
-    }
-    if prof.active {
-        let p = &prog.program;
-        let (_, cap) =
-            Capture::collect(|c| run_in(p, &dts[3], Limits::long_walk(), c, &mut NullGuard));
-        emit_capture(rep, prof, "E5", "n=64", p, &cap);
-    }
-    if tracer.active() {
-        let (_, t) = traced("run", |c| {
-            run_in(
-                &prog.program,
-                &dts[0],
-                Limits::long_walk(),
-                c,
-                &mut NullGuard,
-            )
-        });
-        tracer.record("E5", t);
-    }
+    });
+    s.profile("E5", "n=64", &prog, &inputs[3].1, Limits::long_walk());
+    s.trace("E5", Probe::Run(&prog, &inputs[0].1, Limits::long_walk()));
 }
 
-fn e6_twrl_exptime(
-    rep: &mut dyn Reporter,
-    prof: &mut Prof,
-    tracer: &mut Tracer,
-    gov: &Gov,
-    pool: &Pool,
-) {
-    rep.experiment(
-        "E6",
-        "Theorem 7.1(4): tw^{r,l} registers range over subsets (EXPTIME bound)",
-    );
+fn e6_twrl_exptime(s: &mut Session) {
     let mut vocab = Vocab::new();
     let cfg0 = TreeGenConfig::example32(&mut vocab, 1, &[1]);
     let a = vocab.attr_opt("a").unwrap();
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1275,9 +1096,8 @@ fn e6_twrl_exptime(
             col("tw^{r,l} bound 2^v", 22),
         ],
     );
-    let ks = [2usize, 4, 6, 8];
-    // Prepare (serial): attribute value pools mutate the vocabulary.
-    let items: Vec<(TwProgram, DelimTree)> = ks
+    // Attribute value pools mutate the vocabulary.
+    let inputs: Vec<(usize, TwProgram, DelimTree)> = [2usize, 4, 6, 8]
         .iter()
         .map(|&k| {
             let values: Vec<Value> = (1..=k as i64).map(|i| vocab.val_int(i)).collect();
@@ -1287,74 +1107,44 @@ fn e6_twrl_exptime(
                 attributes: vec![(a, values)],
                 ..cfg0.clone()
             };
-            let t = random_tree(&cfg, 11);
-            (prog, DelimTree::build(&t))
+            (k, prog, DelimTree::build(&random_tree(&cfg, 11)))
         })
         .collect();
-    enum E6Row {
-        Trip(TwqError),
-        Done(RunReport),
-    }
-    // Execute (parallel): the register walker per k.
-    let (rows, telemetry) = scoped_rows(pool, prof.active, ks.len(), |i| {
-        let (prog, dt) = &items[i];
-        match run_in(
+    // The register walker per k.
+    s.sweep("E6", &inputs, |gov, &(k, ref prog, ref dt)| {
+        let run = run_in(
             prog,
             dt,
             Limits::default(),
             &mut NullCollector,
             &mut gov.guard(),
-        ) {
-            Ok(r) => E6Row::Done(r),
-            Err(e) => E6Row::Trip(e),
-        }
+        );
+        let (accepts, tuples) = match run {
+            Ok(r) => (r.accepted().into(), r.max_store_tuples),
+            Err(e) => (gov.trip(&e), 0),
+        };
+        let states = prog.state_count() * dt.tree().len();
+        vec![
+            k.into(),
+            accepts,
+            tuples.into(),
+            (states * (k + 1)).into(),
+            Cell::str(format!("{states}·2^{k}")),
+        ]
     });
-    for (i, row) in rows.into_iter().enumerate() {
-        let k = ks[i];
-        let (prog, dt) = &items[i];
-        let n = dt.tree().len();
-        match row {
-            E6Row::Trip(e) => rep.row(&[
-                k.into(),
-                trip_cell(&e),
-                0usize.into(),
-                (prog.state_count() * n * (k + 1)).into(),
-                Cell::str(format!("{}·2^{}", prog.state_count() * n, k)),
-            ]),
-            E6Row::Done(r) => rep.row(&[
-                k.into(),
-                r.accepted().into(),
-                r.max_store_tuples.into(),
-                (prog.state_count() * n * (k + 1)).into(),
-                Cell::str(format!("{}·2^{}", prog.state_count() * n, k)),
-            ]),
-        }
-    }
-    if let Some(t) = &telemetry {
-        pool_telemetry(rep, prof, "E6", t);
-    }
-    if prof.active {
-        let (prog, dt) = &items[3];
-        let (_, cap) = Capture::collect(|c| run_in(prog, dt, Limits::default(), c, &mut NullGuard));
-        emit_capture(rep, prof, "E6", "k=8", prog, &cap);
-    }
-    if tracer.active() {
-        let (prog, dt) = &items[0];
-        let (_, t) = traced("run", |c| {
-            run_in(prog, dt, Limits::default(), c, &mut NullGuard)
-        });
-        tracer.record("E6", t);
-    }
+    let (_, prog, dt) = &inputs[3];
+    s.profile("E6", "k=8", prog, dt, Limits::default());
+    let (_, prog, dt) = &inputs[0];
+    s.trace("E6", Probe::Run(prog, dt, Limits::default()));
 }
 
-fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov) {
-    rep.experiment("E7", "Lemma 4.2: L^m is FO-definable (sentence ≡ decoder)");
+fn e7_lm_fo(s: &mut Session) {
     let mut vocab = Vocab::new();
     let markers = Markers::new(2, &mut vocab);
     let data: Vec<Value> = (100..104).map(|i| vocab.val_int(i)).collect();
     let sym = vocab.sym("s");
     let attr = vocab.attr("a");
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1365,13 +1155,14 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov) {
             col("agree", 7),
         ],
     );
-    for m in [1usize, 2] {
+    let hypersets = |m: usize| HyperGenConfig {
+        level: m,
+        data: data.clone(),
+        max_members: 2,
+    };
+    s.sweep("E7", &[1usize, 2], |gov, &m| {
         let phi = lm_sentence(m, attr, &markers);
-        let cfg = HyperGenConfig {
-            level: m,
-            data: data.clone(),
-            max_members: 2,
-        };
+        let cfg = hypersets(m);
         let (mut inn, mut out, mut agree) = (0, 0, true);
         let mut trip: Option<TwqError> = None;
         for seed in 0..10u64 {
@@ -1386,14 +1177,13 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov) {
                 w.extend(g.iter().copied());
                 let expect = in_lm(m, &w, &markers);
                 let t = split_string_tree(&f, &g, &markers, sym, attr);
-                let got = match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
-                    Ok(b) => b,
+                match eval_sentence_in(&t, &phi, &mut NullCollector, &mut gov.guard()) {
+                    Ok(got) => agree &= got == expect,
                     Err(e) => {
                         trip = Some(e);
                         continue;
                     }
-                };
-                agree &= got == expect;
+                }
                 if expect {
                     inn += 1;
                 } else {
@@ -1401,44 +1191,23 @@ fn e7_lm_fo(rep: &mut dyn Reporter, tracer: &mut Tracer, gov: &Gov) {
                 }
             }
         }
-        let agree_cell = match &trip {
-            Some(e) => trip_cell(e),
-            None => agree.into(),
-        };
-        rep.row(&[
+        vec![
             m.into(),
             phi.size().into(),
             Cell::int(inn),
             Cell::int(out),
-            agree_cell,
-        ]);
-    }
-    if tracer.active() {
-        // Representative: the m=1 sentence on an in-L^m pair, with the
-        // quantifier witnesses that satisfy it in the trace.
-        let phi = lm_sentence(1, attr, &markers);
-        let cfg = HyperGenConfig {
-            level: 1,
-            data: data.clone(),
-            max_members: 2,
-        };
-        let h = random_hyperset(&cfg, 0);
-        let f = encode(&h, &markers);
-        let g = encode_shuffled(&h, &markers, 0);
-        let t = split_string_tree(&f, &g, &markers, sym, attr);
-        let (verdict, mut tr) = traced("eval_sentence", |c| {
-            eval_sentence_in(&t, &phi, c, &mut NullGuard)
-        });
-        tr.root.verdict = verdict.ok().map(Verdict::Bool);
-        tracer.record("E7", tr);
-    }
+            trip.map_or(agree.into(), |e| gov.trip(&e)),
+        ]
+    });
+    // Representative: the m=1 sentence on an in-L^m pair, with the
+    // quantifier witnesses that satisfy it in the trace.
+    let h = random_hyperset(&hypersets(1), 0);
+    let (f, g) = (encode(&h, &markers), encode_shuffled(&h, &markers, 0));
+    let t = split_string_tree(&f, &g, &markers, sym, attr);
+    s.trace("E7", Probe::Sentence(&t, &lm_sentence(1, attr, &markers)));
 }
 
-fn e8_protocol(rep: &mut dyn Reporter, gov: &Gov) {
-    rep.experiment(
-        "E8",
-        "Lemma 4.5: protocol ≡ direct run; alphabet does not grow with input",
-    );
+fn e8_protocol(s: &mut Session) {
     let mut vocab = Vocab::new();
     let markers = Markers::new(2, &mut vocab);
     let data: Vec<Value> = (100..103).map(|i| vocab.val_int(i)).collect();
@@ -1446,7 +1215,7 @@ fn e8_protocol(rep: &mut dyn Reporter, gov: &Gov) {
     let attr = vocab.attr("a");
     let atp_prog = at_most_k_values_program(sym, attr, 4);
     let walker = examples::traversal_program(&[sym]);
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1459,59 +1228,58 @@ fn e8_protocol(rep: &mut dyn Reporter, gov: &Gov) {
             col("agree", 7),
         ],
     );
+    let mut inputs = Vec::new();
     for (name, prog) in [
         ("atp(at-most-4)", &atp_prog),
         ("walking traversal", &walker),
     ] {
         for len in [2usize, 4, 8, 16, 32] {
-            let f: Vec<Value> = (0..len).map(|i| data[i % data.len()]).collect();
-            let g: Vec<Value> = (0..len).map(|i| data[(i + 1) % data.len()]).collect();
-            let p = match run_protocol_in(
-                prog,
-                &f,
-                &g,
-                &markers,
-                sym,
-                attr,
-                Limits::default(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            ) {
-                Ok(p) => p,
-                Err(e) => {
-                    rep.row(&[
-                        name.into(),
-                        len.into(),
-                        trip_cell(&e),
-                        0u64.into(),
-                        0usize.into(),
-                        0u64.into(),
-                        Cell::str("-"),
-                    ]);
-                    continue;
-                }
-            };
-            let t = split_string_tree(&f, &g, &markers, sym, attr);
-            let d = twq::automata::run_on_tree(prog, &t, Limits::default());
-            rep.row(&[
-                name.into(),
-                len.into(),
-                if p.accepted() { "accept" } else { "reject" }.into(),
-                p.messages.into(),
-                p.distinct_messages.into(),
-                p.crossings.into(),
-                (p.accepted() == d.accepted()).into(),
-            ]);
+            inputs.push((name, prog, len));
         }
     }
+    s.sweep("E8", &inputs, |gov, &(name, prog, len)| {
+        let f: Vec<Value> = (0..len).map(|i| data[i % data.len()]).collect();
+        let g: Vec<Value> = (0..len).map(|i| data[(i + 1) % data.len()]).collect();
+        let p = match run_protocol_in(
+            prog,
+            &f,
+            &g,
+            &markers,
+            sym,
+            attr,
+            Limits::default(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        ) {
+            Ok(p) => p,
+            Err(e) => {
+                return vec![
+                    name.into(),
+                    len.into(),
+                    gov.trip(&e),
+                    0u64.into(),
+                    0usize.into(),
+                    0u64.into(),
+                    Cell::str("-"),
+                ]
+            }
+        };
+        let t = split_string_tree(&f, &g, &markers, sym, attr);
+        let d = twq::automata::run_on_tree(prog, &t, Limits::default());
+        vec![
+            name.into(),
+            len.into(),
+            if p.accepted() { "accept" } else { "reject" }.into(),
+            p.messages.into(),
+            p.distinct_messages.into(),
+            p.crossings.into(),
+            (p.accepted() == d.accepted()).into(),
+        ]
+    });
 }
 
-fn e9_counting(rep: &mut dyn Reporter) {
-    rep.experiment(
-        "E9",
-        "Lemma 4.6 / Theorem 4.1: hypersets out-tower any dialogue bound",
-    );
-    rep.table(
+fn e9_counting(s: &mut Session) {
+    s.rep.table(
         None,
         0,
         &[
@@ -1523,7 +1291,7 @@ fn e9_counting(rep: &mut dyn Reporter) {
         ],
     );
     for row in counting_table(&[1, 2, 3, 4, 5, 6, 7], &[2, 3], 0) {
-        rep.row(&[
+        s.rep.row(&[
             u64::from(row.m).into(),
             Cell::int(i64::try_from(row.d).unwrap_or(i64::MAX)),
             row.hypersets.into(),
@@ -1538,22 +1306,18 @@ fn e9_counting(rep: &mut dyn Reporter) {
     }
 }
 
-fn e10_types(rep: &mut dyn Reporter) {
-    rep.experiment(
-        "E10",
-        "Lemma 4.3(2): realized ≡_k classes stay bounded as strings grow",
-    );
+fn e10_types(s: &mut Session) {
     let mut vocab = Vocab::new();
-    let s = vocab.sym("s");
+    let sym = vocab.sym("s");
     let a = vocab.attr("a");
     let pool: Vec<Value> = [1i64, 2].iter().map(|&i| vocab.val_int(i)).collect();
     let cfg = TypeConfig {
         k: 1,
-        labels: vec![Label::Sym(s)],
+        labels: vec![Label::Sym(sym)],
         attrs: vec![a],
         dvalues: pool.clone(),
     };
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1569,28 +1333,25 @@ fn e10_types(rep: &mut dyn Reporter) {
                 let vals: Vec<Value> = (0..len)
                     .map(|i| pool[usize::from(mask >> i & 1 == 1)])
                     .collect();
-                trees.push(monadic_tree(s, a, &vals));
+                trees.push(monadic_tree(sym, a, &vals));
             }
         }
         let classes = count_classes(trees.iter(), &cfg);
-        rep.row(&[max_len.into(), trees.len().into(), classes.into()]);
+        s.rep
+            .row(&[max_len.into(), trees.len().into(), classes.into()]);
     }
     // Lemma 4.3(1) companion: types compose over concatenation (the
     // checker panics on any violation).
-    let checked = twq::logic::types::check_composition_on_strings(s, a, &pool, 4, &cfg);
-    rep.note(&format!(
+    let checked = twq::logic::types::check_composition_on_strings(sym, a, &pool, 4, &cfg);
+    s.rep.note(&format!(
         "Lemma 4.3(1) composition: {checked} class pairs verified, no violations"
     ));
 }
 
-fn e11_xtm_vs_tm(rep: &mut dyn Reporter, gov: &Gov) {
-    rep.experiment(
-        "E11",
-        "Theorem 6.2: xTM on trees ≡ ordinary TM on encodings",
-    );
+fn e11_xtm_vs_tm(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[1]);
-    let pairs: Vec<(&str, twq::xtm::Xtm, twq::xtm::Tm)> = vec![
+    let pairs: Vec<(&str, Xtm, twq::xtm::Tm)> = vec![
         (
             "leaf_count_even",
             machines::leaf_count_even(&base.symbols),
@@ -1607,7 +1368,7 @@ fn e11_xtm_vs_tm(rep: &mut dyn Reporter, gov: &Gov) {
             twq::xtm::tm::tm_leftmost_depth_even(),
         ),
     ];
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1619,66 +1380,58 @@ fn e11_xtm_vs_tm(rep: &mut dyn Reporter, gov: &Gov) {
             col("agree", 7),
         ],
     );
-    for (name, xtm, tm) in &pairs {
+    let mut inputs = Vec::new();
+    for pair in &pairs {
         for n in [30usize, 90, 270] {
-            let cfg = TreeGenConfig {
-                nodes: n,
-                ..base.clone()
-            };
-            let t = random_tree(&cfg, 13);
-            let dt = DelimTree::build(&t);
-            let input = to_bytes(&xenc(&t, &[]).expect("generated trees have no delimiters"));
-            let xr = match run_xtm_in(
-                xtm,
-                &dt,
-                XtmLimits::default(),
-                &mut NullCollector,
-                &mut gov.guard(),
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    rep.row(&[
-                        (*name).into(),
-                        n.into(),
-                        0u64.into(),
-                        0u64.into(),
-                        input.len().into(),
-                        trip_cell(&e),
-                    ]);
-                    continue;
-                }
-            };
-            let tr = run_tm(tm, &input, 100_000_000);
-            rep.row(&[
-                (*name).into(),
-                n.into(),
-                xr.steps.into(),
-                tr.steps.into(),
-                input.len().into(),
-                (xr.accepted() == tr.accepted()).into(),
-            ]);
+            inputs.push((pair, n));
         }
     }
+    s.sweep("E11", &inputs, |gov, &((name, xtm, tm), n)| {
+        let cfg = TreeGenConfig {
+            nodes: n,
+            ..base.clone()
+        };
+        let t = random_tree(&cfg, 13);
+        let dt = DelimTree::build(&t);
+        let input = to_bytes(&xenc(&t, &[]).expect("generated trees have no delimiters"));
+        let (xtm_steps, tm_steps, agree) = match run_xtm_in(
+            xtm,
+            &dt,
+            XtmLimits::default(),
+            &mut NullCollector,
+            &mut gov.guard(),
+        ) {
+            Ok(xr) => {
+                let tr = run_tm(tm, &input, 100_000_000);
+                (xr.steps, tr.steps, (xr.accepted() == tr.accepted()).into())
+            }
+            Err(e) => (0, 0, gov.trip(&e)),
+        };
+        vec![
+            (*name).into(),
+            n.into(),
+            xtm_steps.into(),
+            tm_steps.into(),
+            input.len().into(),
+            agree,
+        ]
+    });
 }
 
-fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
-    rep.experiment(
-        "E12",
-        "Proposition 7.2 (A=∅): store folds into states, language preserved",
-    );
+fn e12_prop72(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[]);
     let sigma = Label::Sym(base.symbols[0]);
     let delta = Label::Sym(base.symbols[1]);
     let src = delta_count_mod3(sigma, delta, &mut vocab);
-    let folded = match eliminate_store_guarded(&src, 10_000, &mut gov.guard()) {
+    let folded = match eliminate_store_guarded(&src, 10_000, &mut s.gov.guard()) {
         Ok(p) => p,
         Err(e) => {
-            rep.note(&format!("store elimination limit-tripped: {e}"));
+            s.rep.note(&format!("store elimination limit-tripped: {e}"));
             return;
         }
     };
-    rep.note(&format!(
+    s.rep.note(&format!(
         "source: {} states, {} registers ({}); folded: {} states, {} registers ({})",
         src.state_count(),
         src.reg_count(),
@@ -1687,7 +1440,7 @@ fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
         folded.reg_count(),
         folded.classify()
     ));
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1697,13 +1450,12 @@ fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
             col("agree", 7),
         ],
     );
-    for n in [30usize, 90, 270] {
+    s.sweep("E12", &[30usize, 90, 270], |gov, &n| {
         let cfg = TreeGenConfig {
             nodes: n,
             ..base.clone()
         };
-        let t = random_tree(&cfg, 17);
-        let dt = DelimTree::build(&t);
+        let dt = DelimTree::build(&random_tree(&cfg, 17));
         let governed = |p: &TwProgram| {
             run_in(
                 p,
@@ -1713,31 +1465,25 @@ fn e12_prop72(rep: &mut dyn Reporter, gov: &Gov) {
                 &mut gov.guard(),
             )
         };
-        let (a, b) = match (governed(&src), governed(&folded)) {
-            (Ok(a), Ok(b)) => (a, b),
+        match (governed(&src), governed(&folded)) {
+            (Ok(a), Ok(b)) => vec![
+                n.into(),
+                if a.accepted() { "accept" } else { "reject" }.into(),
+                if b.accepted() { "accept" } else { "reject" }.into(),
+                (a.accepted() == b.accepted()).into(),
+            ],
             (Err(e), _) | (_, Err(e)) => {
-                rep.row(&[n.into(), Cell::str("-"), Cell::str("-"), trip_cell(&e)]);
-                continue;
+                vec![n.into(), Cell::str("-"), Cell::str("-"), gov.trip(&e)]
             }
-        };
-        rep.row(&[
-            n.into(),
-            if a.accepted() { "accept" } else { "reject" }.into(),
-            if b.accepted() { "accept" } else { "reject" }.into(),
-            (a.accepted() == b.accepted()).into(),
-        ]);
-    }
+        }
+    });
 }
 
-fn e13_alternation(rep: &mut dyn Reporter, gov: &Gov) {
-    rep.experiment(
-        "E13",
-        "Alternation (ALOGSPACE=PTIME bridge): alternating xTM configs grow linearly",
-    );
+fn e13_alternation(s: &mut Session) {
     let mut vocab = Vocab::new();
     let base = TreeGenConfig::example32(&mut vocab, 1, &[]);
     let m = machines::alt_all_leaves_even_depth(&base.symbols);
-    rep.table(
+    s.rep.table(
         None,
         0,
         &[
@@ -1747,25 +1493,20 @@ fn e13_alternation(rep: &mut dyn Reporter, gov: &Gov) {
             col("configs/node", 14),
         ],
     );
-    for n in [20usize, 60, 180, 540] {
+    s.sweep("E13", &[20usize, 60, 180, 540], |gov, &n| {
         let cfg = TreeGenConfig {
             nodes: n,
             ..base.clone()
         };
-        let t = random_tree(&cfg, 19);
-        let dt = DelimTree::build(&t);
-        let r = match run_alternating_guarded(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
-            Ok(r) => r,
-            Err(e) => {
-                rep.row(&[n.into(), trip_cell(&e), 0usize.into(), Cell::float(0.0, 2)]);
-                continue;
-            }
-        };
-        rep.row(&[
-            n.into(),
-            if r.accepted { "accept" } else { "reject" }.into(),
-            r.configs.into(),
-            Cell::float(r.configs as f64 / dt.tree().len() as f64, 2),
-        ]);
-    }
+        let dt = DelimTree::build(&random_tree(&cfg, 19));
+        match run_alternating_guarded(&m, &dt, XtmLimits::default(), &mut gov.guard()) {
+            Ok(r) => vec![
+                n.into(),
+                if r.accepted { "accept" } else { "reject" }.into(),
+                r.configs.into(),
+                Cell::float(r.configs as f64 / dt.tree().len() as f64, 2),
+            ],
+            Err(e) => vec![n.into(), gov.trip(&e), 0usize.into(), Cell::float(0.0, 2)],
+        }
+    });
 }

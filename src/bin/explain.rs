@@ -20,8 +20,9 @@
 //!   first-divergence report plus a traced transcript of the base run
 //!   (the same renderer as `fuzz --replay --explain`).
 //!
-//! Exit status: `0` when every internal self-check holds, `1` otherwise,
-//! `2` for usage errors.
+//! Exit status: `0` when every internal self-check holds (or stdout
+//! closed early, which ends the program quietly), `1` otherwise, `2` for
+//! usage errors.
 
 use twq::automata::{examples, run_in, Limits, RunReport, TwProgram};
 use twq::exec::Pool;
@@ -29,8 +30,16 @@ use twq::fuzz::{explain_repro, explain_with_names, parse_jsonl};
 use twq::guard::NullGuard;
 use twq::logic::fo::build as fob;
 use twq::logic::{eval_sentence_in, select_in};
-use twq::obs::{explain_verdict, Namer, Trace, TraceCollector, Verdict};
+use twq::obs::{explain_verdict, write_stdout, Namer, Trace, TraceCollector, Verdict};
 use twq::tree::{DelimTree, Label, Tree, Value, Vocab};
+
+/// `println!` through [`write_stdout`]: a reader that has gone away ends
+/// the program quietly, with status 0.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)), 0)
+    };
+}
 
 fn usage() -> ! {
     eprintln!("usage: explain [--e1] [--fo] [--replay PATH] [--jobs N]");
@@ -76,23 +85,20 @@ fn run_e1(jobs: usize) -> bool {
     let (reports, merged) = batch(jobs);
     let (_, serial) = batch(1);
     let identical = merged.to_json_line() == serial.to_json_line();
-    println!("== E1: Example 3.2 (all leaf-descendants of every δ share one a-value) ==");
-    println!("batch traces byte-identical across --jobs 1 and --jobs {jobs}: {identical}\n");
+    outln!("== E1: Example 3.2 (all leaf-descendants of every δ share one a-value) ==");
+    outln!("batch traces byte-identical across --jobs 1 and --jobs {jobs}: {identical}\n");
     let mut ok = identical;
     for (i, (t, r)) in trees.iter().zip(&reports).enumerate() {
         let expect = i == 0;
         ok &= r.accepted() == expect;
         let delim = DelimTree::build(t);
         let (_, trace) = trace_one(&ex.program, &delim);
-        println!(
+        outln!(
             "-- tree {i} ({}) --",
             if r.accepted() { "accepted" } else { "rejected" }
         );
-        print!(
-            "{}",
-            explain_with_names(&trace, &ex.program, &delim, &vocab)
-        );
-        println!();
+        write_stdout(&explain_with_names(&trace, &ex.program, &delim, &vocab), 0);
+        outln!("");
     }
     ok
 }
@@ -117,7 +123,7 @@ fn run_fo() -> bool {
         node: &node_namer,
     };
 
-    println!("== FO: ∃x (O_δ(x) ∧ ¬leaf(x)) — which node witnesses the sentence? ==");
+    outln!("== FO: ∃x (O_δ(x) ∧ ¬leaf(x)) — which node witnesses the sentence? ==");
     let x = fob::var(0);
     let sentence = fob::exists(
         x,
@@ -128,12 +134,12 @@ fn run_fo() -> bool {
     let mut trace = c.finish("eval_sentence");
     trace.root.verdict = verdict.as_ref().ok().map(|&b| Verdict::Bool(b));
     let mut ok = matches!(verdict, Ok(true));
-    print!("{}", explain_verdict(&trace, &names));
-    println!();
-    print!("{}", trace.render_with(&names));
+    write_stdout(&explain_verdict(&trace, &names), 0);
+    outln!("");
+    write_stdout(&trace.render_with(&names), 0);
     ok &= trace.render().contains("witness");
 
-    println!("\n== FO select: φ(x, y) = E(x, y) ∧ O_σ(y), from the root ==");
+    outln!("\n== FO select: φ(x, y) = E(x, y) ∧ O_σ(y), from the root ==");
     let phi = fob::and([
         fob::edge(fob::var(0), fob::var(1)),
         fob::lab(Label::Sym(sigma), fob::var(1)),
@@ -153,15 +159,15 @@ fn run_fo() -> bool {
     match &selected {
         Ok(s) => {
             let nodes: Vec<String> = s.iter().map(|u| node_namer(u64::from(u.0))).collect();
-            println!("selected: [{}]", nodes.join(", "));
+            outln!("selected: [{}]", nodes.join(", "));
             ok &= s.len() == 1;
         }
         Err(e) => {
-            println!("selection failed: {e}");
+            outln!("selection failed: {e}");
             ok = false;
         }
     }
-    print!("{}", strace.render_with(&names));
+    write_stdout(&strace.render_with(&names), 0);
     ok
 }
 
@@ -182,11 +188,11 @@ fn run_replay(path: &str) -> bool {
         }
     };
     for (i, r) in repros.iter().enumerate() {
-        println!("== repro {} ==", i + 1);
-        print!("{}", explain_repro(r));
-        println!();
+        outln!("== repro {} ==", i + 1);
+        write_stdout(&explain_repro(r), 0);
+        outln!("");
     }
-    println!("explained {} repro(s)", repros.len());
+    outln!("explained {} repro(s)", repros.len());
     true
 }
 
@@ -223,7 +229,7 @@ fn main() {
         }
         if fo {
             if e1 {
-                println!();
+                outln!("");
             }
             ok &= run_fo();
         }

@@ -21,8 +21,8 @@
 //! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
 //! formula-case trees).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`
-//! when discrepancies were found or a tally stayed at zero, `2` for usage
-//! errors.
+//! when discrepancies were found, a tally stayed at zero, or stdout closed
+//! before the report was written, `2` for usage errors.
 //!
 //! `--replay --explain` additionally renders each repro's embedded
 //! first-divergence report and a traced walk transcript of the base run.
@@ -38,6 +38,16 @@ use twq::fuzz::{
     explain_repro, minimize, parse_jsonl, render_jsonl, replay, run_campaign, FuzzConfig,
     InjectedBug, Repro, Universe,
 };
+use twq::obs::write_stdout;
+
+/// `println!` through [`write_stdout`]: a reader that has gone away ends
+/// the program quietly, with status 1 — a campaign that cannot report is
+/// not a pass.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(&format!("{}\n", format_args!($($arg)*)), 1)
+    };
+}
 
 struct Args {
     cfg: FuzzConfig,
@@ -130,7 +140,7 @@ fn run_replay(path: &str, pool: &Pool, explain: bool) -> i32 {
         } else {
             "no longer fails"
         };
-        println!(
+        outln!(
             "repro {}: [{}] {} — {status}",
             i + 1,
             r.pair,
@@ -138,11 +148,11 @@ fn run_replay(path: &str, pool: &Pool, explain: bool) -> i32 {
         );
         if explain {
             for line in explain_repro(r).lines() {
-                println!("    {line}");
+                outln!("    {line}");
             }
         }
     }
-    println!(
+    outln!(
         "replayed {} repro(s): {} still failing",
         repros.len(),
         failing.len()
@@ -222,7 +232,7 @@ fn run_self_test(jobs: Option<usize>) -> i32 {
         eprintln!("self-test FAILED: minimization is not idempotent");
         return 1;
     }
-    println!(
+    outln!(
         "self-test PASSED: {} failure(s) caught, minimized to {states} state(s) / {nodes} node(s), \
          repro replays, divergence pins the flip at {}",
         report.failures.len(),
@@ -246,14 +256,14 @@ fn main() {
 
     let uni = Universe::standard();
     let report = run_campaign(&args.cfg, &uni, &pool);
-    println!("fuzz --seed {} : {}", args.cfg.seed, report.summary());
-    println!("  {}", report.reach.summary());
+    outln!("fuzz --seed {} : {}", args.cfg.seed, report.summary());
+    outln!("  {}", report.reach.summary());
     let unreached = report.reach.unreached();
     if !unreached.is_empty() {
-        println!("  unreached: {}", unreached.join(", "));
+        outln!("  unreached: {}", unreached.join(", "));
     }
     for f in &report.failures {
-        println!(
+        outln!(
             "  case {} (seed {:#018x}, {}): [{}] {}",
             f.index,
             f.seed,
@@ -262,7 +272,7 @@ fn main() {
             f.discrepancy.detail.lines().next().unwrap_or("")
         );
         if let Some(r) = &f.repro {
-            println!(
+            outln!(
                 "    minimized: {} state(s), {} tree node(s)",
                 r.case.program.state_count(),
                 r.case.tree.len()
@@ -276,12 +286,12 @@ fn main() {
             .filter_map(|f| f.repro.clone())
             .collect();
         if repros.is_empty() {
-            println!("no repros to write; {path} not created");
+            outln!("no repros to write; {path} not created");
         } else if let Err(e) = std::fs::write(path, render_jsonl(&repros)) {
             eprintln!("fuzz: cannot write {path}: {e}");
             std::process::exit(2);
         } else {
-            println!("wrote {} repro(s) to {path}", repros.len());
+            outln!("wrote {} repro(s) to {path}", repros.len());
         }
     }
     std::process::exit(i32::from(!report.clean() || !unreached.is_empty()));
