@@ -1,7 +1,9 @@
 //! Execution-layer scaling — the two speedups the exec layer claims:
 //! batch tree runs fanned across the worker pool (the E4-style
 //! polynomial-sweep workload), and memoized FO evaluation against the
-//! naive recursive evaluator on deep trees.
+//! naive recursive evaluator on deep trees — plus the walking step those
+//! batches are made of (`walk_step`): one program run on a prebuilt
+//! `delim(t)`, and `delim(t)` built alone.
 //!
 //! On a single-core host the pool rows collapse to the serial inline
 //! path, so the worker sweep then prices pool overhead rather than
@@ -9,12 +11,12 @@
 //! equality across worker counts *is* asserted before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twq_automata::{examples, run_batch, Limits};
+use twq_automata::{examples, run, run_batch, run_on_tree, Limits};
 use twq_bench::Bench;
 use twq_exec::Pool;
 use twq_logic::fo::build::*;
 use twq_logic::{eval_sentence, eval_sentence_memo, eval_sentence_par, select, select_memo};
-use twq_tree::Tree;
+use twq_tree::{DelimTree, Tree};
 
 fn batch_scaling(c: &mut Criterion) {
     let mut b = Bench::new();
@@ -101,5 +103,38 @@ fn memo_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_scaling, memo_speedup);
+/// The engine's own cost per run, with `delim(t)` built once outside the
+/// loop: `even_leaves` is all `true` guards and moves, `distinct_values`
+/// one look-ahead of a subcomputation per node, each an update and a
+/// union, then a three-variable quantified guard.
+fn walk_step(c: &mut Criterion) {
+    let mut b = Bench::new();
+    let a = b.attr;
+    let tree = b.tree(2048, &[1, 2], 11);
+    let delim = DelimTree::build(&tree);
+    let programs = [
+        ("even_leaves", examples::even_leaves_program(&b.symbols)),
+        (
+            "distinct_values",
+            examples::distinct_values_at_least(&b.symbols, a, 3),
+        ),
+    ];
+    let mut group = c.benchmark_group("walk_step");
+    group.sample_size(10);
+    for (name, prog) in &programs {
+        let want = run_on_tree(prog, &tree, Limits::default());
+        let got = run(prog, &delim, Limits::default());
+        assert_eq!(got.accepted(), want.accepted(), "{name}");
+        assert_eq!(got.steps, want.steps, "{name}");
+        group.bench_with_input(BenchmarkId::new(*name, 2048), &delim, |bch, d| {
+            bch.iter(|| run(prog, d, Limits::default()))
+        });
+    }
+    group.bench_with_input(BenchmarkId::new("delim_build", 2048), &tree, |bch, t| {
+        bch.iter(|| DelimTree::build(t))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, batch_scaling, memo_speedup, walk_step);
 criterion_main!(benches);

@@ -47,14 +47,18 @@ pub struct Limits {
     pub max_steps: u64,
     /// Maximum `atp` nesting depth.
     pub max_atp_depth: u32,
-    /// Cycle-detection sampling interval: `1` records every configuration
-    /// (exact, the default), `k > 1` records every `k`-th — a cycle of
-    /// length `L` is still caught within `O(L·k)` steps, at `1/k` of the
-    /// bookkeeping cost. `0` disables cycle detection entirely: no
-    /// configurations are recorded, a looping run is stopped only by
-    /// `max_steps` (or a guard budget), and it reports [`Halt::StepLimit`]
-    /// — never [`Halt::Cycle`]. Long-running compiled pebble walkers use a
-    /// sparse interval.
+    /// Cycle-detection sampling interval. Every `interval` steps a chain
+    /// compares its configuration with the one configuration it keeps
+    /// (Brent's tortoise, re-anchored at each power of two samples). With
+    /// `1`, the default, every configuration is a sample, and a chain with
+    /// preperiod `μ` and period `λ` is called within `O(μ + λ)` steps: a
+    /// few bounded steps after its first repeat, not at it. `k > 1`
+    /// compares every `k`-th configuration, at `1/k` of the comparisons,
+    /// and calls the cycle within `O(μ + k·λ)` steps. `0` disables cycle
+    /// detection entirely: no configuration is kept, a looping run is
+    /// stopped only by `max_steps` (or a guard budget), and it reports
+    /// [`Halt::StepLimit`] — never [`Halt::Cycle`]. Long-running compiled
+    /// pebble walkers use a sparse interval.
     pub cycle_check_interval: u32,
 }
 
@@ -161,6 +165,37 @@ pub fn move_dir(tree: &Tree, u: NodeId, d: Dir) -> Option<NodeId> {
     }
 }
 
+/// Select the unique rule applicable to `[u, q, τ]`: `Ok(None)` in the
+/// final state, `Ok(Some(i))` for rule `i`, or why none or several apply
+/// ([`Halt::Stuck`], [`Halt::Nondeterministic`]). The guards of
+/// [`TwProgram::rules_for`]`(label(u), q)` are tried in that order, each
+/// reported to `c` as one [`FoEval::Guard`]; a second match stops the
+/// search. Every runner of `tw` programs selects its rules here.
+pub fn select_rule<C: Collector>(
+    prog: &TwProgram,
+    tree: &Tree,
+    u: NodeId,
+    q: State,
+    store: &Store,
+    c: &mut C,
+) -> Result<Option<usize>, Halt> {
+    if q == prog.final_state() {
+        return Ok(None);
+    }
+    let env = AttrEnv::of(tree, u);
+    let mut chosen = None;
+    for &idx in prog.rules_for(tree.label(u), q) {
+        c.fo_eval(FoEval::Guard);
+        if twq_logic::eval_guard(store, &env, &prog.rules()[idx].guard) {
+            if chosen.is_some() {
+                return Err(Halt::Nondeterministic);
+            }
+            chosen = Some(idx);
+        }
+    }
+    chosen.map(Some).ok_or(Halt::Stuck)
+}
+
 pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     pub prog: &'a TwProgram,
     pub tree: &'a Tree,
@@ -175,6 +210,9 @@ pub(crate) struct Exec<'a, C: Collector, G: Guard> {
     /// First guard trip, if any — surfaced as `Err(TwqError::Guard)` by
     /// [`run_in`]; internally it unwinds as a limit-style [`Halt`].
     trip: Option<GuardError>,
+    /// Stores of finished chains and tortoises, reused for later ones:
+    /// copying into one allocates only where a register outgrows it.
+    spare: Vec<Store>,
 }
 
 /// What happened to one computation chain.
@@ -214,6 +252,18 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             collector,
             guard,
             trip: None,
+            spare: Vec::new(),
+        }
+    }
+
+    /// A copy of `src`, in a spare buffer when there is one.
+    fn copy_store(&mut self, src: &Store) -> Store {
+        match self.spare.pop() {
+            Some(mut st) => {
+                st.clone_from(src);
+                st
+            }
+            None => src.clone(),
         }
     }
 
@@ -231,31 +281,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             self.trip = Some(e);
         }
         halt
-    }
-
-    /// Select the unique applicable rule for `cfg`, or report why none /
-    /// several apply. `None` = accept (final state).
-    fn pick_rule(&mut self, cfg: &Config) -> Result<Option<usize>, Halt> {
-        if cfg.state == self.prog.final_state() {
-            return Ok(None);
-        }
-        let env = AttrEnv::of(self.tree, cfg.node);
-        let label = self.tree.label(cfg.node);
-        let mut chosen = None;
-        for &idx in self.prog.rules_for(label, cfg.state) {
-            let rule = &self.prog.rules()[idx];
-            self.collector.fo_eval(FoEval::Guard);
-            if twq_logic::eval_guard(&cfg.store, &env, &rule.guard) {
-                if chosen.is_some() {
-                    return Err(Halt::Nondeterministic);
-                }
-                chosen = Some(idx);
-            }
-        }
-        match chosen {
-            Some(idx) => Ok(Some(idx)),
-            None => Err(Halt::Stuck),
-        }
     }
 
     /// Charge one transition: enforce the step budget and the guard's fuel
@@ -280,12 +305,21 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
     pub(crate) fn run_chain(&mut self, cfg: Config, depth: u32) -> ChainEnd {
         self.collector
             .chain_enter(cfg.node.0 as u64, cfg.state.0 as u32, depth);
-        let end = self.chain_loop(cfg, depth);
+        let mut tortoise = None;
+        let end = self.chain_loop(cfg, depth, &mut tortoise);
+        if let Some(t) = tortoise {
+            self.spare.push(t.store);
+        }
         self.collector.chain_exit(end.halt().kind(), depth);
         end
     }
 
-    fn chain_loop(&mut self, mut cfg: Config, depth: u32) -> ChainEnd {
+    fn chain_loop(
+        &mut self,
+        mut cfg: Config,
+        depth: u32,
+        tortoise: &mut Option<Config>,
+    ) -> ChainEnd {
         // Brent's cycle detection over the sampled configuration sequence:
         // one retained configuration (the "teleporting tortoise") and a
         // comparison per sample, O(1) memory where a seen-set grows with the
@@ -295,7 +329,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
         // behavioural difference from exact first-revisit detection is that
         // a cycling chain may take a few more (bounded) steps to be called.
         let interval = self.limits.cycle_check_interval as u64;
-        let mut tortoise: Option<Config> = None;
         let mut power: u64 = 1;
         let mut lam: u64 = 0;
         let mut tracked: usize = 0;
@@ -311,17 +344,25 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             }
             if interval > 0 && local_step.is_multiple_of(interval) {
                 tracked += 1;
-                match &tortoise {
+                match tortoise {
                     Some(t) if *t == cfg => return ChainEnd::Reject(Halt::Cycle),
-                    Some(_) => {
+                    Some(t) => {
                         lam += 1;
                         if lam == power {
-                            tortoise = Some(cfg.clone());
+                            t.node = cfg.node;
+                            t.state = cfg.state;
+                            t.store.clone_from(&cfg.store);
                             power *= 2;
                             lam = 0;
                         }
                     }
-                    None => tortoise = Some(cfg.clone()),
+                    None => {
+                        *tortoise = Some(Config {
+                            node: cfg.node,
+                            state: cfg.state,
+                            store: self.copy_store(&cfg.store),
+                        })
+                    }
                 }
                 self.collector.cycle_bookkeeping(tracked);
                 if G::ENABLED {
@@ -332,7 +373,15 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
             }
             local_step += 1;
             self.max_chain_configs = self.max_chain_configs.max(tracked);
-            let rule_idx = match self.pick_rule(&cfg) {
+            let picked = select_rule(
+                self.prog,
+                self.tree,
+                cfg.node,
+                cfg.state,
+                &cfg.store,
+                self.collector,
+            );
+            let rule_idx = match picked {
                 Ok(None) => return ChainEnd::Accept(cfg.store),
                 Ok(Some(i)) => i,
                 Err(h) => return ChainEnd::Reject(h),
@@ -410,10 +459,13 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
                         let sub = Config {
                             node: v,
                             state: *p,
-                            store: cfg.store.clone(),
+                            store: self.copy_store(&cfg.store),
                         };
                         match self.run_chain(sub, depth + 1) {
-                            ChainEnd::Accept(st) => acc.union_with(st.get(RegId(0))),
+                            ChainEnd::Accept(st) => {
+                                acc.union_with(st.get(RegId(0)));
+                                self.spare.push(st);
+                            }
                             ChainEnd::Reject(h) => {
                                 // "When one subcomputation rejects, the
                                 // whole computation rejects."

@@ -16,9 +16,10 @@ use std::collections::HashMap;
 
 use twq_logic::store::AttrEnv;
 use twq_logic::{eval_query, RegId, Relation};
+use twq_obs::NullCollector;
 use twq_tree::{DelimTree, Tree};
 
-use crate::engine::{move_dir, Config, Halt, Limits};
+use crate::engine::{move_dir, select_rule, Config, Halt, Limits};
 use crate::program::{Action, TwProgram};
 
 /// Outcome of a fully evaluated configuration.
@@ -84,30 +85,17 @@ impl<'a> GraphExec<'a> {
             path.push(cfg.clone());
             path_set.insert(cfg.clone(), ());
 
-            // Acceptance check.
-            if cfg.state == self.prog.final_state() {
-                break Memo::Accept(cfg.store.get(RegId(0)).clone());
-            }
-            // Rule selection.
-            let env = AttrEnv::of(self.tree, cfg.node);
-            let label = self.tree.label(cfg.node);
-            let mut chosen = None;
-            let mut nondet = false;
-            for &idx in self.prog.rules_for(label, cfg.state) {
-                let rule = &self.prog.rules()[idx];
-                if twq_logic::eval_guard(&cfg.store, &env, &rule.guard) {
-                    if chosen.is_some() {
-                        nondet = true;
-                        break;
-                    }
-                    chosen = Some(idx);
-                }
-            }
-            if nondet {
-                break Memo::Reject(Halt::Nondeterministic);
-            }
-            let Some(rule_idx) = chosen else {
-                break Memo::Reject(Halt::Stuck);
+            let rule_idx = match select_rule(
+                self.prog,
+                self.tree,
+                cfg.node,
+                cfg.state,
+                &cfg.store,
+                &mut NullCollector,
+            ) {
+                Ok(Some(i)) => i,
+                Ok(None) => break Memo::Accept(cfg.store.get(RegId(0)).clone()),
+                Err(h) => break Memo::Reject(h),
             };
             if self.steps >= self.limits.max_steps {
                 break Memo::Reject(Halt::StepLimit);

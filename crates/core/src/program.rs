@@ -21,12 +21,23 @@
 //! immediately re-type `τ` as mapping registers to *relations*. We let
 //! `τ₀` assign an arbitrary finite relation (usually empty or a singleton),
 //! which subsumes the paper's typing.
+//!
+//! ## Rule dispatch
+//!
+//! [`TwProgramBuilder::build`] sorts the rules into a table by
+//! `(state, label)`, so a transition finds its candidate rules with one
+//! lookup. The table's columns are the four delimiters and the symbols
+//! some rule mentions, not every id up to the largest `SymId`: for `|Q|`
+//! states and `s` mentioned symbols it holds `|Q|·(4 + s) + 1` group
+//! boundaries and one index per rule. One counting sort fills it in
+//! `O(|rules| + |Q|·(4 + s))`, and [`TwProgram::rules_for`] returns each
+//! group in ascending rule order.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use twq_logic::{ExistsFormula, RegId, Relation, SAtom, SFormula, STerm};
-use twq_tree::{Label, Vocab};
+use twq_tree::{Label, SymId, Vocab};
 
 /// An automaton state `q ∈ Q`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -185,8 +196,84 @@ pub struct TwProgram {
     reg_arities: Vec<usize>,
     init_regs: Vec<Relation>,
     rules: Vec<Rule>,
-    /// Rules indexed by `(label, state)` for O(1) dispatch.
-    index: HashMap<(Label, State), Vec<usize>>,
+    dispatch: Dispatch,
+}
+
+/// The rule table by `(state, label)`, in compressed-row form: the
+/// columns are the four delimiters and then the symbols rules mention, in
+/// `SymId` order, and cell `q·cols + c` owns the rule indices
+/// `order[starts[cell]..starts[cell + 1]]`, ascending.
+#[derive(Debug, Clone)]
+struct Dispatch {
+    /// The symbols some rule mentions, sorted: column `4 + i` is `syms[i]`.
+    syms: Vec<SymId>,
+    /// `|Q|·cols + 1` group boundaries.
+    starts: Vec<u32>,
+    /// Every rule index, grouped by cell.
+    order: Vec<usize>,
+}
+
+impl Dispatch {
+    /// One counting sort of the rules by cell: stable, so each group keeps
+    /// ascending rule order.
+    fn new(states: usize, rules: &[Rule]) -> Dispatch {
+        let mut syms: Vec<SymId> = rules.iter().filter_map(|r| r.label.sym()).collect();
+        syms.sort_unstable();
+        syms.dedup();
+        let mut d = Dispatch {
+            syms,
+            starts: Vec::new(),
+            order: vec![0; rules.len()],
+        };
+        let cell = |d: &Dispatch, r: &Rule| {
+            d.cell(r.label, r.state)
+                .expect("every rule's label has a column")
+        };
+        let mut counts = vec![0u32; states * d.cols() + 1];
+        for r in rules {
+            counts[cell(&d, r) + 1] += 1;
+        }
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+        let mut next = counts.clone();
+        for (i, r) in rules.iter().enumerate() {
+            let c = cell(&d, r);
+            d.order[next[c] as usize] = i;
+            next[c] += 1;
+        }
+        d.starts = counts;
+        d
+    }
+
+    fn cols(&self) -> usize {
+        4 + self.syms.len()
+    }
+
+    /// The cell of `(label, state)`, or `None` for a symbol no rule
+    /// mentions.
+    #[inline]
+    fn cell(&self, label: Label, state: State) -> Option<usize> {
+        let col = match label {
+            Label::DelimRoot => 0,
+            Label::DelimOpen => 1,
+            Label::DelimClose => 2,
+            Label::DelimLeaf => 3,
+            Label::Sym(s) => 4 + self.syms.binary_search(&s).ok()?,
+        };
+        Some(state.0 as usize * self.cols() + col)
+    }
+
+    #[inline]
+    fn rules_for(&self, label: Label, state: State) -> &[usize] {
+        let Some(cell) = self.cell(label, state) else {
+            return &[];
+        };
+        match (self.starts.get(cell), self.starts.get(cell + 1)) {
+            (Some(&lo), Some(&hi)) => &self.order[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl TwProgram {
@@ -234,11 +321,11 @@ impl TwProgram {
         &self.rules
     }
 
-    /// Rules matching `(label, state)`.
+    /// Rules matching `(label, state)`, in ascending index order: one
+    /// table lookup.
+    #[inline]
     pub fn rules_for(&self, label: Label, state: State) -> &[usize] {
-        self.index
-            .get(&(label, state))
-            .map_or(&[], |v| v.as_slice())
+        self.dispatch.rules_for(label, state)
     }
 
     /// The paper's size measure (Definition 3.1):
@@ -551,10 +638,7 @@ impl TwProgramBuilder {
                 )));
             }
         }
-        let mut index: HashMap<(Label, State), Vec<usize>> = HashMap::new();
-        for (i, r) in self.rules.iter().enumerate() {
-            index.entry((r.label, r.state)).or_default().push(i);
-        }
+        let dispatch = Dispatch::new(nstates, &self.rules);
         Ok(TwProgram {
             state_names: self.state_names,
             initial,
@@ -562,7 +646,7 @@ impl TwProgramBuilder {
             reg_arities: self.reg_arities,
             init_regs: self.init_regs,
             rules: self.rules,
-            index,
+            dispatch,
         })
     }
 }
@@ -597,6 +681,33 @@ mod tests {
         assert_eq!(p.final_state(), qf);
         assert_eq!(p.rules_for(Label::DelimRoot, q0).len(), 1);
         assert!(p.rules_for(sigma(), q0).is_empty());
+    }
+
+    #[test]
+    fn dispatch_groups_rules_by_state_and_label_in_rule_order() {
+        // The only symbol has the largest id: the table gets one column
+        // for it beside the four delimiters, not one per id below it.
+        let top = Label::Sym(SymId(u16::MAX));
+        let (mut b, q0, qf) = trivial_builder();
+        let q1 = b.state("q1");
+        b.rule_true(top, q0, Action::Move(q1, Dir::Down));
+        b.rule_true(Label::DelimRoot, q0, Action::Move(q0, Dir::Down));
+        b.rule_true(top, q1, Action::Move(qf, Dir::Stay));
+        b.rule_true(top, q0, Action::Move(qf, Dir::Stay));
+        b.rule_true(top, q0, Action::Move(q1, Dir::Up));
+        let p = b.build().unwrap();
+        assert_eq!(p.rules_for(top, q0), &[0, 3, 4]);
+        assert_eq!(p.rules_for(top, q1), &[2]);
+        assert_eq!(p.rules_for(Label::DelimRoot, q0), &[1]);
+        assert!(p.rules_for(top, qf).is_empty());
+        for unmentioned in [SymId(0), SymId(u16::MAX - 1)] {
+            assert!(p.rules_for(Label::Sym(unmentioned), q0).is_empty());
+        }
+        for delim in [Label::DelimOpen, Label::DelimClose, Label::DelimLeaf] {
+            assert!(p.rules_for(delim, q0).is_empty());
+        }
+        assert!(p.rules_for(Label::DelimRoot, q1).is_empty());
+        assert_eq!(p.dispatch.starts.len(), p.state_count() * 5 + 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 
-use twq_automata::engine::move_dir;
+use twq_automata::engine::{move_dir, select_rule};
 use twq_automata::{Action, Halt, Limits, State, TwProgram};
 use twq_guard::{
     DepthKind, FaultKind, FaultSite, GaugeKind, Guard, GuardError, NullGuard, TwqError,
@@ -166,24 +166,17 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                 self.guard
                     .gauge(GaugeKind::StoreTuples, cfg.store.total_tuples())?;
             }
-            if cfg.state == self.prog.final_state() {
-                return Ok(PEnd::Accept(cfg.store));
-            }
-            let env = AttrEnv::of(self.tree, cfg.node);
-            let label = self.tree.label(cfg.node);
-            let mut chosen = None;
-            for &idx in self.prog.rules_for(label, cfg.state) {
-                let rule = &self.prog.rules()[idx];
-                self.collector.fo_eval(FoEval::Guard);
-                if twq_logic::eval_guard(&cfg.store, &env, &rule.guard) {
-                    if chosen.is_some() {
-                        return Ok(PEnd::Reject(Halt::Nondeterministic));
-                    }
-                    chosen = Some(idx);
-                }
-            }
-            let Some(rule_idx) = chosen else {
-                return Ok(PEnd::Reject(Halt::Stuck));
+            let rule_idx = match select_rule(
+                self.prog,
+                self.tree,
+                cfg.node,
+                cfg.state,
+                &cfg.store,
+                self.collector,
+            ) {
+                Ok(Some(i)) => i,
+                Ok(None) => return Ok(PEnd::Accept(cfg.store)),
+                Err(h) => return Ok(PEnd::Reject(h)),
             };
             if self.steps >= self.limits.max_steps {
                 return Ok(PEnd::Reject(Halt::StepLimit));
@@ -227,6 +220,7 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                 },
                 Action::Update(q, psi, i) => {
                     self.collector.fo_eval(FoEval::Update);
+                    let env = AttrEnv::of(self.tree, cfg.node);
                     let rel = eval_query(&cfg.store, &env, psi);
                     cfg.store.set(*i, rel);
                     cfg.state = *q;

@@ -14,8 +14,15 @@
 //! of `△`-nodes — the paper leans on this in Example 3.2 ("by
 //! leaf-descendants we do not mean nodes labeled with △ but the parents of
 //! those nodes").
+//!
+//! [`DelimTree::build`] knows the size of `delim(t)` before it starts:
+//! `n + 2·internal + leaves + 3` nodes for `n` nodes, of which `internal`
+//! have children. It allocates the arena once at that size and fills it in
+//! one pass over `t` in document order, appending each node's delimited
+//! child list under its image; attribute columns are then copied whole.
 
 use crate::tree::{Label, NodeId, Tree};
+use crate::vocab::AttrId;
 
 /// A delimited tree together with the two-way node correspondence to the
 /// original tree it was built from.
@@ -32,70 +39,64 @@ pub struct DelimTree {
 impl DelimTree {
     /// Build `delim(t)`. Attribute values of original nodes are copied;
     /// delimiter nodes keep the default `⊥` for every attribute.
+    ///
+    /// One pass over `t` in document order emits each node's delimited
+    /// child list — `⊳ c₁ … cₖ ⊲`, or `△` under a leaf — into an arena
+    /// allocated once at its final size, `n + 2·internal + leaves + 3`.
     pub fn build(orig: &Tree) -> DelimTree {
-        let mut tree = Tree::new(Label::DelimRoot);
-        let mut orig_of: Vec<Option<NodeId>> = vec![None];
-        let mut image_of: Vec<NodeId> = vec![NodeId(0); orig.len()];
+        let n = orig.len();
+        let leaves = orig.node_ids().filter(|&u| orig.is_leaf(u)).count();
+        let size = n + 2 * (n - leaves) + leaves + 3;
+        let mut dt = DelimTree {
+            tree: Tree::with_capacity(Label::DelimRoot, size),
+            orig_of: Vec::with_capacity(size),
+            image_of: vec![NodeId(0); n],
+        };
+        dt.orig_of.push(None);
 
         // Wrap the original root: ▽(⊳, image(root), ⊲).
-        let sup = tree.root();
-        let open = tree.add_child(sup, Label::DelimOpen);
-        orig_of.push(None);
-        debug_assert_eq!(open.idx() + 1, orig_of.len());
-
-        // Depth-first copy. Stack items: (original node, delim parent).
-        let root_img = tree.add_child(sup, orig.label(orig.root()));
-        orig_of.push(Some(orig.root()));
-        image_of[orig.root().idx()] = root_img;
-        let close = tree.add_child(sup, Label::DelimClose);
-        orig_of.push(None);
-        let _ = close;
-
-        // Recursively attach children; explicit stack to avoid recursion.
-        let mut stack: Vec<(NodeId, NodeId)> = vec![(orig.root(), root_img)];
-        while let Some((u, img)) = stack.pop() {
+        let sup = dt.tree.root();
+        dt.add(sup, Label::DelimOpen, None);
+        dt.add(sup, orig.label(orig.root()), Some(orig.root()));
+        dt.add(sup, Label::DelimClose, None);
+        // Every node's image exists before the node is reached: its
+        // parent's child list was emitted first.
+        for u in orig.nodes() {
+            let img = dt.image_of[u.idx()];
             if orig.is_leaf(u) {
-                tree.add_child(img, Label::DelimLeaf);
-                orig_of.push(None);
+                dt.add(img, Label::DelimLeaf, None);
                 continue;
             }
-            tree.add_child(img, Label::DelimOpen);
-            orig_of.push(None);
-            // Collect children first so that images appear left-to-right.
-            let kids: Vec<NodeId> = orig.children(u).collect();
-            let mut imgs = Vec::with_capacity(kids.len());
-            for &c in &kids {
-                let ci = tree.add_child(img, orig.label(c));
-                orig_of.push(Some(c));
-                image_of[c.idx()] = ci;
-                imgs.push(ci);
+            dt.add(img, Label::DelimOpen, None);
+            for c in orig.children(u) {
+                dt.add(img, orig.label(c), Some(c));
             }
-            tree.add_child(img, Label::DelimClose);
-            orig_of.push(None);
-            // Push in reverse so the leftmost child is processed first
-            // (order only matters for arena locality, not correctness).
-            for (&c, &ci) in kids.iter().zip(&imgs).rev() {
-                stack.push((c, ci));
-            }
+            dt.add(img, Label::DelimClose, None);
         }
+        debug_assert_eq!(dt.tree.len(), size);
 
-        // Copy attribute values onto the images.
-        let mut dt = DelimTree {
-            tree,
-            orig_of,
-            image_of,
-        };
-        for u in orig.node_ids() {
-            let img = dt.image_of[u.idx()];
-            for a in 0..orig.attr_columns() as u16 {
-                let a = crate::vocab::AttrId(a);
-                let v = orig.attr(u, a);
-                if !v.is_bot() {
-                    dt.tree.set_attr(img, a, v);
-                }
+        // Copy attribute values onto the images, one column at a time, up
+        // to the last column holding a value.
+        let cols = (0..orig.attr_columns() as u16)
+            .rev()
+            .find(|&a| orig.node_ids().any(|u| !orig.attr(u, AttrId(a)).is_bot()))
+            .map_or(0, |a| a + 1);
+        for a in (0..cols).map(AttrId) {
+            let col = dt.tree.attr_column_mut(a);
+            for (u, img) in orig.node_ids().zip(&dt.image_of) {
+                col[img.idx()] = orig.attr(u, a);
             }
         }
         dt
+    }
+
+    /// Append a last child of `parent`, the image of `of` if any.
+    fn add(&mut self, parent: NodeId, label: Label, of: Option<NodeId>) {
+        let v = self.tree.add_child(parent, label);
+        self.orig_of.push(of);
+        if let Some(u) = of {
+            self.image_of[u.idx()] = v;
+        }
     }
 
     /// The underlying delimited tree.

@@ -100,16 +100,23 @@ pub struct Tree {
 impl Tree {
     /// Create a single-node tree with the given root label.
     pub fn new(root_label: Label) -> Self {
+        Tree::with_capacity(root_label, 1)
+    }
+
+    /// [`Tree::new`] with room for `nodes` nodes in the arena.
+    pub(crate) fn with_capacity(root_label: Label, nodes: usize) -> Self {
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(NodeData {
+            label: root_label,
+            parent: None,
+            first_child: None,
+            last_child: None,
+            prev_sibling: None,
+            next_sibling: None,
+            child_count: 0,
+        });
         Tree {
-            nodes: vec![NodeData {
-                label: root_label,
-                parent: None,
-                first_child: None,
-                last_child: None,
-                prev_sibling: None,
-                next_sibling: None,
-                child_count: 0,
-            }],
+            nodes: arena,
             root: NodeId(0),
             attrs: Vec::new(),
         }
@@ -367,6 +374,12 @@ impl Tree {
         while self.attrs.len() < need {
             self.attrs.push(vec![Value::BOT; self.nodes.len()]);
         }
+    }
+
+    /// Column `a`, materialized (all `⊥`) if it was not yet.
+    pub(crate) fn attr_column_mut(&mut self, a: AttrId) -> &mut [Value] {
+        self.ensure_attr(a);
+        &mut self.attrs[a.0 as usize]
     }
 
     /// Set `λ_a(u) = v`.

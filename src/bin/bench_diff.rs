@@ -111,11 +111,12 @@ fn run(opts: &Opts) -> ExitCode {
         }
         return match std::fs::write(&opts.baseline, rendered) {
             Ok(()) => {
-                println!(
-                    "bench-diff: baseline {} updated ({} labels)",
+                let note = format!(
+                    "bench-diff: baseline {} updated ({} labels)\n",
                     opts.baseline,
                     current.len()
                 );
+                twq::obs::write_stdout(&note, 0);
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -148,16 +149,18 @@ fn run(opts: &Opts) -> ExitCode {
         opts.max_regress,
         opts.normalize,
     );
-    print!("{}", report.render());
-    if report.rows.is_empty() {
+    // The verdict is fixed before printing, so a reader that has gone away
+    // cannot turn a regression into a pass.
+    let status = if report.rows.is_empty() {
         eprintln!("bench-diff: no shared labels between baseline and current");
-        return ExitCode::from(2);
-    }
-    if report.regressions() > 0 {
-        ExitCode::FAILURE
+        2
+    } else if report.regressions() > 0 {
+        1
     } else {
-        ExitCode::SUCCESS
-    }
+        0
+    };
+    twq::obs::write_stdout(&report.render(), status);
+    ExitCode::from(status as u8)
 }
 
 /// Read a flat `{"label": ns}` report.

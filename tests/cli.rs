@@ -31,10 +31,18 @@ fn experiments_regenerates_the_measured_tables() {
 /// A reader that has gone away before the first write (`<bin> | true`)
 /// ends each printing binary quietly, with no `failed printing to stdout`
 /// panic: status 0, except `fuzz`, for which a campaign it cannot report
-/// is not a pass.
+/// is not a pass, and `bench-diff`, which keeps its verdict's status (1 for
+/// a label at twice its baseline).
 #[test]
 fn a_closed_stdout_ends_each_binary_quietly() {
-    let runs: [(&str, &[&str], i32); 4] = [
+    let base = concat!(env!("CARGO_MANIFEST_DIR"), "/bench/baseline.json");
+    let dir = std::env::temp_dir().join(format!("twq-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let slower = dir.join("current.json");
+    std::fs::write(&slower, one_label_doubled(base)).expect("write current");
+    let slower = slower.to_str().expect("utf-8 temp path");
+    let bench_diff = env!("CARGO_BIN_EXE_bench-diff");
+    let runs: [(&str, &[&str], i32); 6] = [
         (env!("CARGO_BIN_EXE_experiments"), &["--jobs", "1"], 0),
         (env!("CARGO_BIN_EXE_lint"), &["--jobs", "1"], 0),
         (env!("CARGO_BIN_EXE_explain"), &["--jobs", "1"], 0),
@@ -43,6 +51,8 @@ fn a_closed_stdout_ends_each_binary_quietly() {
             &["--cases", "4", "--jobs", "1"],
             1,
         ),
+        (bench_diff, &["--baseline", base, "--current", base], 0),
+        (bench_diff, &["--baseline", base, "--current", slower], 1),
     ];
     for (bin, args, status) in runs {
         let (reader, writer) = std::io::pipe().expect("pipe");
@@ -57,4 +67,14 @@ fn a_closed_stdout_ends_each_binary_quietly() {
         assert_eq!(out.status.code(), Some(status), "{bin} {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The baseline report at `path` with its first label's median doubled.
+fn one_label_doubled(path: &str) -> String {
+    let text = std::fs::read_to_string(path).expect("read the baseline");
+    let (head, rest) = text.split_once(": ").expect("a first label");
+    let (ns, tail) = rest.split_once(',').expect("a second label");
+    let ns: u64 = ns.trim().parse().expect("nanoseconds");
+    format!("{head}: {},{tail}", 2 * ns)
 }
