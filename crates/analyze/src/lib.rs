@@ -67,11 +67,6 @@ impl Analysis {
             .iter()
             .any(|d| d.severity == Severity::Error)
     }
-
-    /// The diagnostics carrying a given code.
-    pub fn with_code(&self, code: &str) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.code == code).collect()
-    }
 }
 
 /// Run every pass (no class requirement).

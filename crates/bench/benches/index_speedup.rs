@@ -14,7 +14,10 @@
 //!   same tree with unique ids in column `a` (the paper's §7 setting: a
 //!   value group per node, where postings must stay linear);
 //! * `parse_xml/*` — reading the same tree from its XML text, the other
-//!   half of ingesting a document.
+//!   half of ingesting a document (`64k`), and reading ~8k-node documents
+//!   that vary what reading depends on: how many distinct values, of
+//!   which kind, how many element names, how large a document
+//!   ([`parse_cases`]).
 //!
 //! The selective entries are the ≥10× speedup claim of DESIGN §16 and the
 //! README table; all entries are gated by `bench-diff` against
@@ -24,7 +27,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use twq_index::{CostModel, Force, TreeIndex};
 use twq_rw::{plan_indexed, run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq_tree::generate::{random_tree, TreeGenConfig};
-use twq_tree::{parse_xml, to_xml, tree_to_string, Tree, Vocab};
+use twq_tree::{parse_xml, to_xml, tree_to_string, SymId, Tree, Value, Vocab};
 use twq_xpath::ast::xb;
 use twq_xpath::{eval_from, XPath};
 
@@ -47,6 +50,66 @@ fn workload(vocab: &mut Vocab) -> (Tree, TreeGenConfig) {
         collision_pool: None,
     };
     (random_tree(&cfg, 42), cfg)
+}
+
+/// The parser matrix: per case, documents of about 8 192 nodes in all,
+/// with 16 element names and two attribute columns drawing from one pool.
+///
+/// * `ints_16`, `ints_4096` — integer pools in `0..2^16`, the range
+///   `Vocab` interns through its table;
+/// * `ints_wide` — 4 096 integers outside that range, interned through a
+///   hashed map;
+/// * `strs_4096` — a pool of 4 096 strings;
+/// * `unique_strs` — column `a` holds a distinct string on every node;
+/// * `docs_96` — 85 documents of 96 nodes, so per-call set-up shows;
+/// * `names_4096` — 4 096 distinct element names.
+fn parse_cases(vocab: &mut Vocab) -> Vec<(&'static str, Vec<(Tree, String)>)> {
+    let names16: Vec<SymId> = (0..16).map(|i| vocab.sym(&format!("s{i}"))).collect();
+    let names4096: Vec<SymId> = (0..4096).map(|i| vocab.sym(&format!("n{i}"))).collect();
+    let ints = |vocab: &mut Vocab, from: i64, n: i64| -> Vec<Value> {
+        (from..from + n).map(|i| vocab.val_int(i)).collect()
+    };
+    let ints16 = ints(vocab, 0, 16);
+    let ints4096 = ints(vocab, 0, 4096);
+    let wide = ints(vocab, 1 << 20, 4096);
+    let strs: Vec<Value> = (0..4096).map(|i| vocab.val_str(&format!("v{i}"))).collect();
+    let (a, b) = (vocab.attr("a"), vocab.attr("b"));
+    let docs = |symbols: &[SymId], pool: &[Value], nodes: usize, count: usize| {
+        let cfg = TreeGenConfig {
+            nodes,
+            max_children: 4,
+            symbols: symbols.to_vec(),
+            attributes: vec![(a, pool.to_vec()), (b, pool.to_vec())],
+            collision_pool: None,
+        };
+        (0..count as u64)
+            .map(|seed| random_tree(&cfg, seed))
+            .collect::<Vec<_>>()
+    };
+    let mut unique = docs(&names16, &ints4096, 8192, 1);
+    unique[0].assign_unique_ids(a, vocab);
+    let trees = [
+        ("ints_16", docs(&names16, &ints16, 8192, 1)),
+        ("ints_4096", docs(&names16, &ints4096, 8192, 1)),
+        ("ints_wide", docs(&names16, &wide, 8192, 1)),
+        ("strs_4096", docs(&names16, &strs, 8192, 1)),
+        ("unique_strs", unique),
+        ("docs_96", docs(&names16, &ints4096, 96, 85)),
+        ("names_4096", docs(&names4096, &ints4096, 8192, 1)),
+    ];
+    trees
+        .into_iter()
+        .map(|(case, trees)| {
+            let docs = trees
+                .into_iter()
+                .map(|t| {
+                    let xml = to_xml(&t, vocab);
+                    (t, xml)
+                })
+                .collect();
+            (case, docs)
+        })
+        .collect()
 }
 
 fn bench(c: &mut Criterion) {
@@ -154,6 +217,28 @@ fn bench(c: &mut Criterion) {
                 .len()
         })
     });
+
+    // The parser matrix, each case read into a vocabulary that already
+    // knows every token, after the same round-trip check.
+    let mut matrix_vocab = Vocab::new();
+    let cases = parse_cases(&mut matrix_vocab);
+    for (case, docs) in &cases {
+        for (t, xml) in docs {
+            let read = parse_xml(xml, &mut matrix_vocab).expect("to_xml output parses");
+            assert_eq!(
+                tree_to_string(&read, &matrix_vocab),
+                tree_to_string(t, &matrix_vocab),
+                "{case}"
+            );
+        }
+        group.bench_with_input(BenchmarkId::new("parse_xml", case), docs, |bch, docs| {
+            bch.iter(|| {
+                docs.iter()
+                    .map(|(_, xml)| parse_xml(xml, &mut matrix_vocab).map_or(0, |t| t.len()))
+                    .sum::<usize>()
+            })
+        });
+    }
 
     group.finish();
 }

@@ -12,7 +12,7 @@
 //! executable. The [`GraphReport::distinct_configs`] counter is exactly
 //! the quantity whose growth the E4/E6 experiments plot.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use twq_logic::store::AttrEnv;
 use twq_logic::{eval_query, RegId, Relation};
@@ -68,22 +68,20 @@ impl<'a> GraphExec<'a> {
     /// Evaluate the chain starting at `cfg`, consulting and filling the
     /// global memo table.
     fn eval(&mut self, start: Config, depth: u32) -> Memo {
-        // The configurations of the current chain, in order; they all share
-        // the final outcome (the run from each is a suffix of the run from
-        // the first).
-        let mut path: Vec<Config> = Vec::new();
-        let mut path_set: HashMap<Config, ()> = HashMap::new();
+        // The configurations of the current chain: the cycle check, and the
+        // keys that all share the final outcome (the run from each is a
+        // suffix of the run from the first), so their order does not matter.
+        let mut path: HashSet<Config> = HashSet::new();
         let mut cfg = start;
         let outcome = loop {
             if let Some(m) = self.memo.get(&cfg) {
                 break m.clone();
             }
-            if path_set.contains_key(&cfg) {
+            if path.contains(&cfg) {
                 break Memo::Reject(Halt::Cycle);
             }
             self.max_store_tuples = self.max_store_tuples.max(cfg.store.total_tuples());
-            path.push(cfg.clone());
-            path_set.insert(cfg.clone(), ());
+            path.insert(cfg.clone());
 
             let rule_idx = match select_rule(
                 self.prog,

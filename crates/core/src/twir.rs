@@ -58,13 +58,6 @@ pub enum Cond {
     Any(Vec<Cond>),
 }
 
-impl Cond {
-    /// Convenience negation.
-    pub fn negate(self) -> Cond {
-        Cond::Not(Box::new(self))
-    }
-}
-
 /// A structured walker instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {

@@ -89,11 +89,6 @@ pub struct BudgetSpec {
 }
 
 impl BudgetSpec {
-    /// Whether no constraint is configured.
-    pub fn is_unlimited(&self) -> bool {
-        self.fuel.is_none() && self.deadline_ms.is_none() && self.faults.is_none()
-    }
-
     /// Build a fresh guard enforcing this spec.
     pub fn guard(&self) -> twq_guard::ResourceGuard {
         let mut g = twq_guard::ResourceGuard::unlimited();

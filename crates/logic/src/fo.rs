@@ -365,12 +365,6 @@ pub mod build {
     pub fn forall(x: Var, f: Formula) -> Formula {
         Formula::Forall(x, Box::new(f))
     }
-
-    /// `∀x₁…∀xₙ φ`.
-    pub fn forall_many(xs: impl IntoIterator<Item = Var>, f: Formula) -> Formula {
-        let xs: Vec<Var> = xs.into_iter().collect();
-        xs.into_iter().rev().fold(f, |acc, x| forall(x, acc))
-    }
 }
 
 #[cfg(test)]

@@ -55,15 +55,6 @@ impl Json {
         }
     }
 
-    /// The value as a float (integers convert).
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::Int(n) => Some(n as f64),
-            Json::Float(f) => Some(f),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -128,11 +128,6 @@ impl DelimTree {
         self.image_of[u.idx()]
     }
 
-    /// Number of original (non-delimiter) nodes.
-    pub fn original_len(&self) -> usize {
-        self.image_of.len()
-    }
-
     /// Reconstruct the original tree (inverse of [`DelimTree::build`]),
     /// used by round-trip tests.
     pub fn strip(&self) -> Tree {

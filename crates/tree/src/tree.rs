@@ -181,11 +181,6 @@ impl Tree {
         self.nodes[u.idx()].label
     }
 
-    /// Relabel a node.
-    pub fn set_label(&mut self, u: NodeId, label: Label) {
-        self.nodes[u.idx()].label = label;
-    }
-
     /// Parent (`m_↑`), if `u` is not the root.
     #[inline]
     pub fn parent(&self, u: NodeId) -> Option<NodeId> {

@@ -65,35 +65,66 @@ impl fmt::Display for ValueRepr {
     }
 }
 
+/// Integers in `0..SMALL_INTS` are interned through a direct-indexed table
+/// instead of a hashed map. The bound is fixed: at 4 bytes an entry the
+/// table holds at most 256 KiB.
+const SMALL_INTS: usize = 1 << 16;
+
 /// Shared vocabulary: the interners for `Σ`, `A`, and `D`.
 ///
 /// A `Vocab` defines a *universe*: two trees (or a tree and a formula, or a
 /// tree and an automaton) can only be used together when their identifiers
 /// were issued by the same `Vocab`.
-#[derive(Debug, Clone, Default)]
+///
+/// Data values are interned by kind. An integer in `0..2^16` indexes a
+/// table of ids, so its lookup cannot collide; the table holds 256, 4 096
+/// or 2^16 entries, the fewest that cover the largest such integer so far,
+/// and an entry of 0 (`⊥`'s id, never an integer's) means "not yet
+/// interned". Other integers and all strings go through maps with the
+/// default, collision-resistant hasher; strings are looked up by `&str`,
+/// so a hit allocates nothing.
+#[derive(Clone)]
 pub struct Vocab {
     syms: Vec<String>,
     sym_ids: HashMap<String, SymId>,
     attrs: Vec<String>,
     attr_ids: HashMap<String, AttrId>,
     values: Vec<ValueRepr>,
-    value_ids: HashMap<ValueRepr, Value>,
+    small_int_ids: Vec<u32>,
+    int_ids: HashMap<i64, Value>,
+    str_ids: HashMap<Box<str>, Value>,
+}
+
+impl fmt::Debug for Vocab {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The id maps and the table are derived from these three lists.
+        f.debug_struct("Vocab")
+            .field("syms", &self.syms)
+            .field("attrs", &self.attrs)
+            .field("values", &self.values)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for Vocab {
+    fn default() -> Self {
+        Vocab::new()
+    }
 }
 
 impl Vocab {
     /// Create an empty vocabulary. `⊥` is pre-interned as [`Value::BOT`].
     pub fn new() -> Self {
-        let mut v = Vocab {
+        Vocab {
             syms: Vec::new(),
             sym_ids: HashMap::new(),
             attrs: Vec::new(),
             attr_ids: HashMap::new(),
-            values: Vec::new(),
-            value_ids: HashMap::new(),
-        };
-        let bot = v.intern_value(ValueRepr::Bot);
-        debug_assert_eq!(bot, Value::BOT);
-        v
+            values: vec![ValueRepr::Bot],
+            small_int_ids: Vec::new(),
+            int_ids: HashMap::new(),
+            str_ids: HashMap::new(),
+        }
     }
 
     /// Intern an element symbol, returning its id.
@@ -158,34 +189,67 @@ impl Vocab {
         (0..self.attrs.len()).map(|i| AttrId(i as u16))
     }
 
-    fn intern_value(&mut self, repr: ValueRepr) -> Value {
-        if let Some(&id) = self.value_ids.get(&repr) {
-            return id;
-        }
+    /// Append `repr` to the values and return its new id.
+    fn push_value(&mut self, repr: ValueRepr) -> Value {
         let id = Value(u32::try_from(self.values.len()).expect("too many values"));
-        self.values.push(repr.clone());
-        self.value_ids.insert(repr, id);
+        self.values.push(repr);
         id
     }
 
     /// Intern a string-shaped data value.
     pub fn val_str(&mut self, s: &str) -> Value {
-        self.intern_value(ValueRepr::Str(s.to_owned()))
+        if let Some(&id) = self.str_ids.get(s) {
+            return id;
+        }
+        let id = self.push_value(ValueRepr::Str(s.to_owned()));
+        self.str_ids.insert(s.into(), id);
+        id
     }
 
     /// Intern an integer-shaped data value.
     pub fn val_int(&mut self, i: i64) -> Value {
-        self.intern_value(ValueRepr::Int(i))
+        if let Some(k) = small_int(i) {
+            if k >= self.small_int_ids.len() {
+                // Sixteenfold steps, so a vocabulary of few small integers
+                // pays for a small table and at most three are allocated.
+                let mut len = self.small_int_ids.len().max(1 << 8);
+                while len <= k {
+                    len <<= 4;
+                }
+                let mut table = vec![0; len];
+                table[..self.small_int_ids.len()].copy_from_slice(&self.small_int_ids);
+                self.small_int_ids = table;
+            }
+            if self.small_int_ids[k] != 0 {
+                return Value(self.small_int_ids[k]);
+            }
+            let id = self.push_value(ValueRepr::Int(i));
+            self.small_int_ids[k] = id.0;
+            return id;
+        }
+        if let Some(&id) = self.int_ids.get(&i) {
+            return id;
+        }
+        let id = self.push_value(ValueRepr::Int(i));
+        self.int_ids.insert(i, id);
+        id
     }
 
     /// Look up a string-shaped value without interning.
     pub fn val_str_opt(&self, s: &str) -> Option<Value> {
-        self.value_ids.get(&ValueRepr::Str(s.to_owned())).copied()
+        self.str_ids.get(s).copied()
     }
 
     /// Look up an integer-shaped value without interning.
     pub fn val_int_opt(&self, i: i64) -> Option<Value> {
-        self.value_ids.get(&ValueRepr::Int(i)).copied()
+        match small_int(i) {
+            Some(k) => self
+                .small_int_ids
+                .get(k)
+                .filter(|&&id| id != 0)
+                .map(|&id| Value(id)),
+            None => self.int_ids.get(&i).copied(),
+        }
     }
 
     /// The payload of an interned value.
@@ -208,15 +272,21 @@ impl Vocab {
     /// Used for example by [`crate::Tree::assign_unique_ids`]; `D` is
     /// infinite, so fresh values always exist.
     pub fn fresh_value(&mut self) -> Value {
-        let mut n = self.values.len() as i64;
+        let mut n = self.values.len();
         loop {
-            let repr = ValueRepr::Str(format!("#fresh{n}"));
-            if !self.value_ids.contains_key(&repr) {
-                return self.intern_value(repr);
+            let name = format!("#fresh{n}");
+            if !self.str_ids.contains_key(name.as_str()) {
+                return self.val_str(&name);
             }
             n += 1;
         }
     }
+}
+
+/// `i`'s index in the small-integer table, if it has one.
+#[inline]
+fn small_int(i: i64) -> Option<usize> {
+    usize::try_from(i).ok().filter(|&k| k < SMALL_INTS)
 }
 
 #[cfg(test)]
@@ -229,6 +299,53 @@ mod tests {
         assert_eq!(v.value_repr(Value::BOT), &ValueRepr::Bot);
         assert!(Value::BOT.is_bot());
         assert_eq!(v.value_count(), 1);
+    }
+
+    #[test]
+    fn default_preinterns_bot() {
+        let mut v = Vocab::default();
+        let five = v.val_int(5);
+        assert!(!five.is_bot());
+        assert_eq!(v.value_display(five), "5");
+        assert_eq!(v.value_display(Value::BOT), "⊥");
+        assert_eq!(v.value_count(), 2);
+    }
+
+    #[test]
+    fn integers_intern_in_first_occurrence_order_in_and_out_of_the_table() {
+        let mut v = Vocab::new();
+        assert_eq!(v.val_int_opt(0), None);
+        // The table grows at 256 and at 4 096, keeping what it held.
+        let ints = [
+            0,
+            255,
+            256,
+            4_095,
+            4_096,
+            65_535,
+            65_536,
+            -1,
+            i64::MIN,
+            i64::MAX,
+            7,
+            0,
+            256,
+            65_536,
+            -1,
+        ];
+        let ids: Vec<Value> = ints.iter().map(|&i| v.val_int(i)).collect();
+        assert_eq!(
+            ids,
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 3, 7, 8].map(Value)
+        );
+        for (&i, &id) in ints.iter().zip(&ids) {
+            assert_eq!(v.val_int_opt(i), Some(id));
+            assert_eq!(v.value_repr(id), &ValueRepr::Int(i));
+        }
+        assert_eq!(v.val_int_opt(8), None);
+        assert_eq!(v.val_int_opt(1 << 20), None);
+        assert_eq!(v.val_str_opt("0"), None);
+        assert_eq!(v.value_count(), 12);
     }
 
     #[test]

@@ -104,11 +104,28 @@ impl Reader<'_, '_> {
         })
     }
 
+    /// Skip whitespace. After a newline, the indentation's spaces are
+    /// skipped eight bytes at a time: `to_xml` indents by depth, so on a
+    /// pretty-printed document most bytes are these spaces.
     fn ws(&mut self) {
-        self.pos += self.src.as_bytes()[self.pos..]
-            .iter()
-            .take_while(|c| c.is_ascii_whitespace())
-            .count();
+        let bytes = self.src.as_bytes();
+        while let Some(&c) = bytes.get(self.pos) {
+            if !c.is_ascii_whitespace() {
+                return;
+            }
+            self.pos += 1;
+            if c == b'\n' {
+                while let Some(word) = bytes.get(self.pos..self.pos + 8) {
+                    let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+                    // The number of spaces the word starts with.
+                    let spaces = (word ^ u64::from_le_bytes([b' '; 8])).trailing_zeros() / 8;
+                    self.pos += spaces as usize;
+                    if spaces < 8 {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     fn peek(&self) -> Option<u8> {

@@ -161,11 +161,6 @@ pub mod xb {
         XPath::Filter(Box::new(p), Box::new(Pred::Path(super::relativize(q))))
     }
 
-    /// `p[q]` with a raw (non-relativized) predicate path.
-    pub fn filter_raw(p: XPath, q: XPath) -> XPath {
-        XPath::Filter(Box::new(p), Box::new(Pred::Path(q)))
-    }
-
     /// `p[@a = d]`.
     pub fn filter_attr_const(p: XPath, a: AttrId, d: Value) -> XPath {
         XPath::Filter(Box::new(p), Box::new(Pred::AttrEqConst(a, d)))

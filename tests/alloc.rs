@@ -1,17 +1,20 @@
-//! Heap allocations of the walking engine, counted by a global allocator.
+//! Heap allocations of the walking engine, the configuration-graph runner
+//! and the XML reader, counted by a global allocator.
 //!
 //! A transition of a program whose guards are `true`, quantifier-free, or
 //! quantified over a register costs a table lookup, a guard evaluation and
 //! a move: no allocation. The runs below therefore allocate the same
-//! number of times on a 512-node tree as on a 2 048-node one.
+//! number of times on a 512-node tree as on a 2 048-node one. Reading a
+//! document whose names and values the vocabulary already holds allocates
+//! nothing per token either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use twq::automata::examples::{all_leaves_equal_program, even_leaves_program};
-use twq::automata::{run, Limits, RunReport, TwProgram};
+use twq::automata::examples::{all_leaves_equal_program, even_leaves_program, example_32};
+use twq::automata::{run, run_graph, Limits};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{DelimTree, Vocab};
+use twq::tree::{parse_xml, to_xml, DelimTree, Vocab};
 
 /// Counts the allocations of the calling thread, so harness threads add
 /// nothing.
@@ -44,11 +47,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// The report of `run` and the allocations made inside it.
-fn counted_run(prog: &TwProgram, delim: &DelimTree) -> (RunReport, u64) {
+/// The result of `f` and the allocations made inside it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
-    let report = run(prog, delim, Limits::default());
-    (report, ALLOCS.with(Cell::get) - before)
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
 }
 
 #[test]
@@ -74,7 +77,7 @@ fn runs_allocate_independently_of_tree_size() {
                 collision_pool: None,
             };
             let delim = DelimTree::build(&random_tree(&cfg, 3));
-            let (report, allocs) = counted_run(prog, &delim);
+            let (report, allocs) = counted(|| run(prog, &delim, Limits::default()));
             assert!(report.steps > nodes as u64, "{name}/{nodes}: {report:?}");
             seen.push((report, allocs));
         }
@@ -90,4 +93,68 @@ fn runs_allocate_independently_of_tree_size() {
         }
     }
     assert!(growing.is_empty(), "{}", growing.join("; "));
+}
+
+#[test]
+fn the_graph_runner_copies_each_configuration_once() {
+    // Example 3.2 on one-valued trees: it accepts and runs its whole
+    // look-ahead. Copying each configuration of a chain twice, into a
+    // vector and into a set beside it, made 14.15–14.81 allocations a step
+    // on these trees; one set that serves as both makes 11.10–11.75.
+    let mut vocab = Vocab::new();
+    let ex = example_32(&mut vocab);
+    for nodes in [40, 160, 640] {
+        let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[1]);
+        let delim = DelimTree::build(&random_tree(&cfg, 3));
+        let (report, allocs) = counted(|| run_graph(&ex.program, &delim, Limits::default()));
+        assert!(report.accepted(), "{nodes}: {report:?}");
+        let per_step = allocs as f64 / report.steps as f64;
+        assert!(
+            per_step < 13.0,
+            "{nodes} nodes: {per_step:.2} allocations a step"
+        );
+    }
+}
+
+#[test]
+fn reading_known_tokens_allocates_nothing_per_token() {
+    let mut vocab = Vocab::new();
+    let ints = (0..64).map(|i| vocab.val_int(i)).collect();
+    let big = (0..64).map(|i| vocab.val_int(1 << 40 | i)).collect();
+    let strs = (0..64).map(|i| vocab.val_str(&format!("v{i} x"))).collect();
+    let columns = vec![
+        (vocab.attr("n"), ints),
+        (vocab.attr("big"), big),
+        (vocab.attr("s"), strs),
+    ];
+    let symbols = ["a", "b", "c"].iter().map(|s| vocab.sym(s)).collect();
+    let mut cfg = TreeGenConfig {
+        nodes: 0,
+        max_children: 4,
+        symbols,
+        attributes: columns,
+        collision_pool: None,
+    };
+    let mut seen = Vec::new();
+    for nodes in [512, 2048] {
+        cfg.nodes = nodes;
+        let xml = to_xml(&random_tree(&cfg, 5), &vocab);
+        let mut known = vocab.clone();
+        let (tree, allocs) = counted(|| parse_xml(&xml, &mut known).expect("to_xml output parses"));
+        assert_eq!(
+            (tree.len(), known.value_count()),
+            (nodes, vocab.value_count())
+        );
+        seen.push(allocs);
+    }
+    // From 512 to 2 048 entries, a vector that doubles as it grows does
+    // so twice more: the arena, each attribute column and the stack of
+    // open elements.
+    let slack = 2 * (1 + cfg.attributes.len() + 1) as u64;
+    assert!(
+        seen[1] <= seen[0] + slack,
+        "512 nodes: {} allocations, 2 048: {}",
+        seen[0],
+        seen[1]
+    );
 }
