@@ -1,5 +1,5 @@
 //! Index speedup — what the inverted indexes buy and what they cost.
-//! Four questions, one group, all over a 64k-node tree:
+//! Six questions, one group, all over a 64k-node tree:
 //!
 //! * `selective_label/*` — `//rare` (one symbol in 64): the walking
 //!   evaluator's one set-at-a-time pass over the document vs. the index
@@ -9,6 +9,10 @@
 //! * `unselective/*` — a cross-attribute value join over high-cardinality
 //!   columns, where the cost model correctly refuses the index and the
 //!   planned run must stay within a few percent of the direct walk;
+//! * `axis/*` — one compiled plan per axis step, run from the root:
+//!   `child` (`//s17/*`), `parent` (`//*[s17]`), `ancestor`
+//!   (`//s17[s18//s19]`) and `desc_set` (`//s17//s18`, a descendant step
+//!   from a set of ~1 000 scattered nodes);
 //! * `build/*` — one full index build, the cost the selective queries
 //!   amortize (about a hundred of them, against a linear walk), and the
 //!   same tree with unique ids in column `a` (the paper's §7 setting: a
@@ -24,12 +28,12 @@
 //! `bench/baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use twq_index::{CostModel, Force, TreeIndex};
+use twq_index::{compile_xpath, eval_plan_from, CostModel, Force, TreeIndex};
 use twq_rw::{plan_indexed, run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq_tree::generate::{random_tree, TreeGenConfig};
 use twq_tree::{parse_xml, to_xml, tree_to_string, SymId, Tree, Value, Vocab};
 use twq_xpath::ast::xb;
-use twq_xpath::{eval_from, XPath};
+use twq_xpath::{eval_from, parse_xpath, XPath};
 
 const NODES: usize = 65_536;
 
@@ -187,6 +191,26 @@ fn bench(c: &mut Criterion) {
             })
         },
     );
+
+    // Axis steps: each compiled plan runs from the root, after an untimed
+    // check against the walker.
+    for (step, expr) in [
+        ("child", "//s17/*"),
+        ("parent", "//*[s17]"),
+        ("ancestor", "//s17[s18//s19]"),
+        ("desc_set", "//s17//s18"),
+    ] {
+        let q = parse_xpath(expr, &mut vocab).expect("bench query parses");
+        let plan = compile_xpath(&q);
+        assert_eq!(
+            eval_plan_from(&tree, &idx, &plan, tree.root()),
+            eval_from(&tree, &q, tree.root()),
+            "{expr}"
+        );
+        group.bench_with_input(BenchmarkId::new("axis", step), &plan, |bch, plan| {
+            bch.iter(|| eval_plan_from(&tree, &idx, plan, tree.root()).len())
+        });
+    }
 
     // Build amortization: one full index build over the 64k-node tree,
     // then over a copy whose `a` column holds unique ids.

@@ -42,7 +42,7 @@ pub use repro::{parse_jsonl, render_jsonl, Repro};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twq_exec::Pool;
-use twq_index::{compile_exists, compile_xpath, IxPlan};
+use twq_index::{compile_exists, compile_xpath, Axis, IxPlan};
 use twq_logic::{ExistsFormula, Formula, TreeAtom};
 use twq_xpath::XPath;
 
@@ -110,9 +110,10 @@ impl CaseKind {
 /// and source query: the DNF branches [`ExistsFormula::select`] reduces by
 /// semi-joins and those it backtracks over (its own branch analysis,
 /// [`ExistsFormula::branch_paths`]), the structural atoms of the formulas
-/// `compile_exists` translates, by kind, and the value-postings scans of
-/// the plans `compile_xpath` builds. A tally left at zero is a path no
-/// case compared, and the `fuzz` binary fails the campaign.
+/// `compile_exists` translates, by kind, and the value-postings scans and
+/// axis expansions of the plans `compile_xpath` builds. A tally left at
+/// zero is a path no case compared, and the `fuzz` binary fails the
+/// campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     /// DNF branches evaluated by semi-joins.
@@ -127,11 +128,22 @@ pub struct Reach {
     /// `ScanAttrPair(a, b)` leaves with `a ≠ b` of compiled XPath plans:
     /// the value-group merge of two columns.
     pub scan_pair: u64,
+    /// `Expand` nodes of compiled XPath plans, per axis, in
+    /// [`Reach::AXES`] order.
+    pub expand: [u64; 4],
 }
 
 impl Reach {
     /// The structural atom kinds `compile_exists` translates.
     pub const COMPILED: [&'static str; 4] = ["E(x,y)", "E(y,x)", "x≺y", "y≺x"];
+
+    /// The axis expansions of `compile_xpath` plans.
+    pub const AXES: [&'static str; 4] = [
+        "Expand(child)",
+        "Expand(parent)",
+        "Expand(desc)",
+        "Expand(ancestor)",
+    ];
 
     /// The tallies of one formula and, when known, the query it was
     /// compiled from.
@@ -155,17 +167,26 @@ impl Reach {
                 Formula::True | Formula::False => {}
             }
         }
-        fn scans(p: &IxPlan, reach: &mut Reach) {
+        fn operators(p: &IxPlan, reach: &mut Reach) {
             match p {
                 IxPlan::ScanValue(..) => reach.scan_value += 1,
                 IxPlan::ScanAttrPair(a, b) if a != b => reach.scan_pair += 1,
                 IxPlan::Intersect(ps) | IxPlan::Union(ps) => {
-                    ps.iter().for_each(|q| scans(q, reach))
+                    ps.iter().for_each(|q| operators(q, reach))
                 }
-                IxPlan::Expand(_, q) => scans(q, reach),
+                IxPlan::Expand(axis, q) => {
+                    let slot = match axis {
+                        Axis::Child => 0,
+                        Axis::Parent => 1,
+                        Axis::Descendant => 2,
+                        Axis::Ancestor => 3,
+                    };
+                    reach.expand[slot] += 1;
+                    operators(q, reach);
+                }
                 IxPlan::IfNonEmpty(c, q) => {
-                    scans(c, reach);
-                    scans(q, reach);
+                    operators(c, reach);
+                    operators(q, reach);
                 }
                 _ => {}
             }
@@ -180,7 +201,7 @@ impl Reach {
             atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
         }
         if let Some(path) = path {
-            scans(&compile_xpath(path), &mut reach);
+            operators(&compile_xpath(path), &mut reach);
         }
         reach
     }
@@ -194,6 +215,9 @@ impl Reach {
         }
         self.scan_value += other.scan_value;
         self.scan_pair += other.scan_pair;
+        for (a, b) in self.expand.iter_mut().zip(other.expand) {
+            *a += b;
+        }
     }
 
     /// The names of the tallies at zero.
@@ -207,10 +231,12 @@ impl Reach {
             ("ScanValue", self.scan_value),
             ("ScanAttrPair(a≠b)", self.scan_pair),
         ];
+        let axes = Reach::AXES.into_iter().zip(self.expand);
         paths
             .into_iter()
             .chain(kinds)
             .chain(scans)
+            .chain(axes)
             .filter(|&(_, n)| n == 0)
             .map(|(name, _)| name)
             .collect()
@@ -218,19 +244,24 @@ impl Reach {
 
     /// One-line summary.
     pub fn summary(&self) -> String {
-        let kinds: Vec<String> = Reach::COMPILED
-            .iter()
-            .zip(self.compiled)
-            .map(|(name, n)| format!("{name} {n}"))
-            .collect();
+        let tallies = |names: [&str; 4], counts: [u64; 4]| {
+            let named: Vec<String> = names
+                .iter()
+                .zip(counts)
+                .map(|(name, n)| format!("{name} {n}"))
+                .collect();
+            named.join(", ")
+        };
         format!(
             "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}; \
-             compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}",
+             compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}; \
+             compile_xpath axis steps: {}",
             self.semijoin,
             self.backtrack,
-            kinds.join(", "),
+            tallies(Reach::COMPILED, self.compiled),
             self.scan_value,
-            self.scan_pair
+            self.scan_pair,
+            tallies(Reach::AXES, self.expand)
         )
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A [`TreeIndex`] holds, for one frozen [`Tree`]:
 //!
-//! * the document-order interval encoding ([`DocIntervals`]), plus an
-//!   `end`-by-pre-order table so descendant expansion never touches the
-//!   tree;
+//! * the document-order interval encoding ([`DocIntervals`]), whose
+//!   pre-order `end` and parent columns let every axis expansion run
+//!   without touching the tree;
 //! * label postings: one [`NodeSet`] per element symbol;
 //! * value postings: per attribute column, one pre-order list sorted by
 //!   `(value, pre)` and cut into value-sorted groups, plus the set of
@@ -111,9 +111,6 @@ static NO_VALUES: ValueColumn = ValueColumn {
 #[derive(Debug, Clone)]
 pub struct TreeIndex {
     intervals: DocIntervals,
-    /// `end_of_pre[j] = end(node at pre-order position j)` — the subtree
-    /// range bound, pre-permuted for the descendant expansion loop.
-    end_of_pre: Vec<u32>,
     /// Label postings by `SymId` index (missing tail ⇒ empty postings).
     label_postings: Vec<NodeSet>,
     /// Per attribute column: value-sorted postings groups.
@@ -140,14 +137,12 @@ impl TreeIndex {
         let n = tree.len();
         let intervals = DocIntervals::build(tree);
 
-        let mut end_of_pre = vec![0u32; n];
         let mut label_postings: Vec<NodeSet> = Vec::new();
         let mut leaves = NodeSet::with_capacity(n);
         let mut firsts = NodeSet::with_capacity(n);
         let mut lasts = NodeSet::with_capacity(n);
         for pre in 0..n as u32 {
             let u = intervals.node_at(pre);
-            end_of_pre[pre as usize] = intervals.end(u);
             let p = NodeId(pre);
             if let Label::Sym(s) = tree.label(u) {
                 let slot = s.0 as usize;
@@ -245,7 +240,6 @@ impl TreeIndex {
 
         TreeIndex {
             intervals,
-            end_of_pre,
             label_postings,
             value_postings,
             has_attr,
@@ -269,12 +263,6 @@ impl TreeIndex {
     /// The interval encoding.
     pub fn intervals(&self) -> &DocIntervals {
         &self.intervals
-    }
-
-    /// `end` of the node at pre-order position `pre`.
-    #[inline]
-    pub fn end_of_pre(&self, pre: u32) -> u32 {
-        self.end_of_pre[pre as usize]
     }
 
     /// Label postings for `s` (`None` ⇔ empty).

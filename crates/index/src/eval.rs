@@ -2,11 +2,12 @@
 //!
 //! Everything inside [`eval_plan_pre`] lives in pre-order space: a set bit
 //! `j` means "the node at pre-order position `j`". Value scans turn their
-//! sorted pre-order lists into bitsets at the leaf. The tree is only
-//! touched for link-following expansions (child/parent/ancestor);
-//! descendant expansion is pure range arithmetic over the interval
-//! encoding. [`eval_plan_from`] converts a single arena context in and the
-//! result back out.
+//! sorted pre-order lists into bitsets at the leaf. Axis expansions read
+//! only the interval encoding's pre-order columns, never the tree: a
+//! descendant step fills ranges, a child step hops from sibling to
+//! sibling over the `end` column, and parent and ancestor steps read and
+//! climb the parent column. [`eval_plan_from`] converts a single arena
+//! context in and the result back out.
 
 use std::cmp::Ordering;
 
@@ -29,7 +30,7 @@ fn all_pre(idx: &TreeIndex) -> NodeSet {
 /// Evaluate `plan` against the context set `ctx` (both in pre-order
 /// space). An empty `Intersect` denotes `All`, an empty `Union` denotes
 /// `Empty` (the usual neutral elements).
-pub fn eval_plan_pre(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet) -> NodeSet {
+pub fn eval_plan_pre(idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet) -> NodeSet {
     match plan {
         IxPlan::Context => ctx.clone(),
         IxPlan::Root => NodeSet::from([NodeId(0)]),
@@ -51,30 +52,30 @@ pub fn eval_plan_pre(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet)
         IxPlan::Intersect(ps) => {
             let mut iter = ps.iter();
             let mut acc = match iter.next() {
-                Some(p) => eval_plan_pre(tree, idx, p, ctx),
+                Some(p) => eval_plan_pre(idx, p, ctx),
                 None => return all_pre(idx),
             };
             for p in iter {
                 if acc.is_empty() {
                     break;
                 }
-                acc.intersect_with(&eval_plan_pre(tree, idx, p, ctx));
+                acc.intersect_with(&eval_plan_pre(idx, p, ctx));
             }
             acc
         }
         IxPlan::Union(ps) => {
             let mut acc = NodeSet::new();
             for p in ps {
-                acc.union_with(&eval_plan_pre(tree, idx, p, ctx));
+                acc.union_with(&eval_plan_pre(idx, p, ctx));
             }
             acc
         }
-        IxPlan::Expand(ax, p) => expand(tree, idx, *ax, &eval_plan_pre(tree, idx, p, ctx)),
+        IxPlan::Expand(ax, p) => expand(idx, *ax, &eval_plan_pre(idx, p, ctx)),
         IxPlan::IfNonEmpty(cond, body) => {
-            if eval_plan_pre(tree, idx, cond, ctx).is_empty() {
+            if eval_plan_pre(idx, cond, ctx).is_empty() {
                 NodeSet::new()
             } else {
-                eval_plan_pre(tree, idx, body, ctx)
+                eval_plan_pre(idx, body, ctx)
             }
         }
     }
@@ -134,21 +135,26 @@ fn scan_attr_pair(idx: &TreeIndex, a: AttrId, b: AttrId) -> NodeSet {
     out
 }
 
-fn expand(tree: &Tree, idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet {
+fn expand(idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet {
     let iv = idx.intervals();
     let mut out = NodeSet::with_capacity(idx.len());
     match axis {
         Axis::Child => {
+            // The first child sits right after its parent, and each next
+            // sibling right after the previous child's subtree.
             for p in inner {
-                for c in tree.children(iv.node_at(p.0)) {
-                    out.insert(NodeId(iv.begin(c)));
+                let end = iv.end_of_pre(p.0);
+                let mut c = p.0 + 1;
+                while c <= end {
+                    out.insert(NodeId(c));
+                    c = iv.end_of_pre(c) + 1;
                 }
             }
         }
         Axis::Parent => {
             for p in inner {
-                if let Some(q) = tree.parent(iv.node_at(p.0)) {
-                    out.insert(NodeId(iv.begin(q)));
+                if let Some(q) = iv.parent_of_pre(p.0) {
+                    out.insert(NodeId(q));
                 }
             }
         }
@@ -162,7 +168,7 @@ fn expand(tree: &Tree, idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet 
                 if i64::from(pre) <= cur_hi {
                     continue;
                 }
-                let e = idx.end_of_pre(pre);
+                let e = iv.end_of_pre(pre);
                 if pre < e {
                     out.insert_range(NodeId(pre + 1), NodeId(e));
                 }
@@ -173,12 +179,12 @@ fn expand(tree: &Tree, idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet 
             // Climb, stopping as soon as an ancestor is already present —
             // the output is ancestor-closed at every point.
             for p in inner {
-                let mut cur = tree.parent(iv.node_at(p.0));
+                let mut cur = iv.parent_of_pre(p.0);
                 while let Some(q) = cur {
-                    if !out.insert(NodeId(iv.begin(q))) {
+                    if !out.insert(NodeId(q)) {
                         break;
                     }
-                    cur = tree.parent(q);
+                    cur = iv.parent_of_pre(q);
                 }
             }
         }
@@ -194,7 +200,7 @@ fn expand(tree: &Tree, idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet 
 pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) -> NodeSet {
     debug_assert_eq!(idx.len(), tree.len(), "index built for another tree");
     let ctx = NodeSet::from([NodeId(idx.intervals().begin(x))]);
-    let pre = eval_plan_pre(tree, idx, plan, &ctx);
+    let pre = eval_plan_pre(idx, plan, &ctx);
     let mut out = NodeSet::with_capacity(tree.len());
     for p in &pre {
         out.insert(idx.intervals().node_at(p.0));

@@ -18,13 +18,16 @@ use twq_tree::{AttrId, SymId, Value, Vocab};
 /// An axis step over the interval encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Children of every context node (arena child links).
+    /// Children of every context node: sibling hops over the pre-order
+    /// `end` column.
     Child,
     /// Strict descendants: a pre-order range fill per maximal subtree.
     Descendant,
-    /// Parents of every context node.
+    /// Parents of every context node: one read of the pre-order parent
+    /// column each.
     Parent,
-    /// Strict ancestors: parent-climbing with early cutoff on overlap.
+    /// Strict ancestors: climbing the pre-order parent column with early
+    /// cutoff on overlap.
     Ancestor,
 }
 

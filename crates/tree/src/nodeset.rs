@@ -105,7 +105,9 @@ impl NodeSet {
     /// Insert every id in `lo..=hi`, whole words at a time: the boundary
     /// words get masked fills, everything strictly between is set to `!0`.
     /// This is what makes a document-order descendant step a range fill
-    /// rather than a per-node loop.
+    /// rather than a per-node loop. The count grows by the bits each
+    /// touched word gains, so a fill costs O(1 + (hi − lo)/64) however
+    /// large the set is.
     pub fn insert_range(&mut self, lo: NodeId, hi: NodeId) {
         let (lo, hi) = (lo.idx(), hi.idx());
         if lo > hi {
@@ -117,16 +119,19 @@ impl NodeSet {
         }
         let mask_lo = !0u64 << (lo % BITS);
         let mask_hi = !0u64 >> (BITS - 1 - hi % BITS);
+        let mut added = 0;
+        let mut fill = |w: &mut u64, mask: u64| {
+            added += (mask & !*w).count_ones() as usize;
+            *w |= mask;
+        };
         if wl == wh {
-            self.words[wl] |= mask_lo & mask_hi;
+            fill(&mut self.words[wl], mask_lo & mask_hi);
         } else {
-            self.words[wl] |= mask_lo;
-            for w in &mut self.words[wl + 1..wh] {
-                *w = !0;
-            }
-            self.words[wh] |= mask_hi;
+            fill(&mut self.words[wl], mask_lo);
+            self.words[wl + 1..wh].iter_mut().for_each(|w| fill(w, !0));
+            fill(&mut self.words[wh], mask_hi);
         }
-        self.recount();
+        self.len += added;
     }
 
     /// Remove `v`; returns `true` if it was present.
@@ -282,6 +287,10 @@ impl<const N: usize> From<[NodeId; N]> for NodeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn ids(xs: &[u32]) -> Vec<NodeId> {
         xs.iter().map(|&i| NodeId(i)).collect()
@@ -389,6 +398,53 @@ mod tests {
         assert_eq!(seen, ids(&[1, 63, 64, 65, 200]));
         assert_eq!(s.to_vec(), ids(&[1, 63, 65]));
         assert_eq!(s.len(), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of `insert`, `insert_range`, `remove` and
+        /// `union_with` over four words keep `len()` and membership equal
+        /// to a `BTreeSet` model's: the running count never drifts from
+        /// the bits.
+        #[test]
+        fn running_count_matches_a_model(seed in 0u64..u64::MAX, ops in 1usize..40) {
+            const SPAN: u32 = 4 * BITS as u32;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut set = NodeSet::new();
+            let mut model = BTreeSet::new();
+            for _ in 0..ops {
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let v = rng.gen_range(0..SPAN);
+                        prop_assert_eq!(set.insert(NodeId(v)), model.insert(v));
+                    }
+                    1 => {
+                        let (lo, hi) = (rng.gen_range(0..SPAN), rng.gen_range(0..SPAN));
+                        set.insert_range(NodeId(lo), NodeId(hi));
+                        model.extend(lo..=hi);
+                    }
+                    2 => {
+                        let v = rng.gen_range(0..SPAN);
+                        prop_assert_eq!(set.remove(NodeId(v)), model.remove(&v));
+                    }
+                    _ => {
+                        let (lo, len) = (rng.gen_range(0..SPAN), rng.gen_range(0..BITS as u32));
+                        let mut other: NodeSet = (0..rng.gen_range(0..4))
+                            .map(|_| NodeId(rng.gen_range(0..SPAN)))
+                            .collect();
+                        other.insert_range(NodeId(lo), NodeId(lo + len));
+                        model.extend(other.iter().map(|v| v.0));
+                        set.union_with(&other);
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(
+                    set.iter().map(|v| v.0).collect::<Vec<_>>(),
+                    model.iter().copied().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -62,27 +62,37 @@ pub fn node_at_doc_index(tree: &Tree, j: usize) -> Option<NodeId> {
 
 /// Document-order interval encoding of a tree.
 ///
-/// `begin(u)` is the pre-order position of `u` and `end(u)` the largest
-/// pre-order position inside `u`'s subtree, so the two invariants the
-/// index layer relies on are:
+/// `begin(u)` is the pre-order position of `u`, and for every pre-order
+/// position `j` the encoding keeps the node there ([`node_at`]), its
+/// subtree's last position ([`end_of_pre`]) and its parent's position
+/// ([`parent_of_pre`]). So the invariants the index layer relies on are:
 ///
-/// * `v` is a descendant-or-self of `u` **iff**
-///   `begin(u) <= begin(v) && begin(v) <= end(u)`;
-/// * the strict descendants of `u` are exactly the contiguous pre-order
-///   range `begin(u)+1 ..= end(u)`.
+/// * the strict descendants of the node at `j` are exactly the contiguous
+///   pre-order range `j+1 ..= end_of_pre(j)`;
+/// * its children are the positions reached by sibling hops: `j + 1`,
+///   then `c = end_of_pre(c) + 1` while `c <= end_of_pre(j)`;
+/// * its ancestors are the positions climbed through `parent_of_pre`.
 ///
-/// The second invariant turns a descendant axis step over a word-packed
-/// [`NodeSet`](crate::NodeSet) in pre-order space into a range fill.
-/// Built in two linear passes: one pre-order traversal for `begin` and
-/// the pre-order→node permutation, then one reverse pass propagating
-/// subtree maxima to parents (sound because the arena guarantees
-/// `parent.idx() < child.idx()` — children are appended after their
-/// parent).
+/// The first invariant turns a descendant axis step over a word-packed
+/// [`NodeSet`](crate::NodeSet) in pre-order space into a range fill; the
+/// other two make child, parent and ancestor steps without reading the
+/// tree's arena. Built in two linear passes: one pre-order traversal for
+/// `begin`, the pre-order→node permutation and the parent column (a
+/// parent precedes its children, so its position is already known), then
+/// one reverse pass over the pre-order columns propagating subtree maxima
+/// to parents.
+///
+/// [`node_at`]: DocIntervals::node_at
+/// [`end_of_pre`]: DocIntervals::end_of_pre
+/// [`parent_of_pre`]: DocIntervals::parent_of_pre
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocIntervals {
     begin: Vec<u32>,
-    end: Vec<u32>,
     node_of_pre: Vec<NodeId>,
+    /// The parent's pre-order position; the root's entry (position 0) is
+    /// unused.
+    parent_of_pre: Vec<u32>,
+    end_of_pre: Vec<u32>,
 }
 
 impl DocIntervals {
@@ -91,22 +101,26 @@ impl DocIntervals {
         let n = tree.len();
         let mut begin = vec![0u32; n];
         let mut node_of_pre = vec![NodeId(0); n];
+        let mut parent_of_pre = vec![0u32; n];
         for (j, u) in tree.nodes().enumerate() {
             begin[u.idx()] = j as u32;
             node_of_pre[j] = u;
+            if let Some(p) = tree.parent(u) {
+                parent_of_pre[j] = begin[p.idx()];
+            }
         }
-        let mut end = begin.clone();
+        let mut end_of_pre: Vec<u32> = (0..n as u32).collect();
         // Reverse pre-order: every node is visited before its parent, so
         // one max-accumulation per edge settles all subtree maxima.
         for j in (1..n).rev() {
-            let u = node_of_pre[j];
-            let p = tree.parent(u).expect("non-root has a parent").idx();
-            end[p] = end[p].max(end[u.idx()]);
+            let p = parent_of_pre[j] as usize;
+            end_of_pre[p] = end_of_pre[p].max(end_of_pre[j]);
         }
         DocIntervals {
             begin,
-            end,
             node_of_pre,
+            parent_of_pre,
+            end_of_pre,
         }
     }
 
@@ -127,25 +141,24 @@ impl DocIntervals {
         self.begin[u.idx()]
     }
 
-    /// Largest pre-order position inside `u`'s subtree; equals
-    /// `begin(u)` exactly when `u` is a leaf.
-    #[inline]
-    pub fn end(&self, u: NodeId) -> u32 {
-        self.end[u.idx()]
-    }
-
     /// The node at pre-order position `pre`.
     #[inline]
     pub fn node_at(&self, pre: u32) -> NodeId {
         self.node_of_pre[pre as usize]
     }
 
-    /// Whether `v` lies in `u`'s subtree (descendant-or-self), by interval
-    /// containment — no tree access, no climbing.
+    /// Largest pre-order position inside the subtree of the node at
+    /// position `pre`; equals `pre` exactly when that node is a leaf.
     #[inline]
-    pub fn in_subtree(&self, u: NodeId, v: NodeId) -> bool {
-        let b = self.begin[v.idx()];
-        self.begin[u.idx()] <= b && b <= self.end[u.idx()]
+    pub fn end_of_pre(&self, pre: u32) -> u32 {
+        self.end_of_pre[pre as usize]
+    }
+
+    /// Pre-order position of the parent of the node at position `pre`
+    /// (`None` for the root, position 0).
+    #[inline]
+    pub fn parent_of_pre(&self, pre: u32) -> Option<u32> {
+        (pre != 0).then(|| self.parent_of_pre[pre as usize])
     }
 }
 
@@ -203,19 +216,91 @@ mod tests {
         assert_eq!(iv.len(), t.len());
         assert!(!iv.is_empty());
         assert_eq!(iv.begin(t.root()), 0);
-        assert_eq!(iv.end(t.root()) as usize, t.len() - 1);
+        assert_eq!(iv.end_of_pre(0) as usize, t.len() - 1);
         // begin is the doc_index permutation, node_at its inverse.
         let idx = doc_index(&t);
         for u in t.node_ids() {
-            assert_eq!(iv.begin(u) as usize, idx[u.idx()]);
-            assert_eq!(iv.node_at(iv.begin(u)), u);
+            let b = iv.begin(u);
+            assert_eq!(b as usize, idx[u.idx()]);
+            assert_eq!(iv.node_at(b), u);
             // Interval containment matches the climbing ancestor test for
-            // every pair, leaves included (begin == end on leaves).
+            // every pair, leaves included (the range is `b..=b` on leaves).
             for v in t.node_ids() {
                 let walked = u == v || t.is_strict_ancestor(u, v);
-                assert_eq!(iv.in_subtree(u, v), walked, "{u:?} {v:?}");
+                let inside = (b..=iv.end_of_pre(b)).contains(&iv.begin(v));
+                assert_eq!(inside, walked, "{u:?} {v:?}");
             }
         }
+    }
+
+    /// Every pre-order column entry against the tree's own links: the
+    /// parent column against `parent`, the end column against the subtree's
+    /// last node (last children down to a leaf), and sibling hops against
+    /// `children`, in order.
+    fn assert_columns_follow_links(t: &Tree) {
+        let iv = DocIntervals::build(t);
+        for pre in 0..t.len() as u32 {
+            let u = iv.node_at(pre);
+            assert_eq!(iv.begin(u), pre);
+            assert_eq!(
+                iv.parent_of_pre(pre),
+                t.parent(u).map(|p| iv.begin(p)),
+                "parent at {pre}"
+            );
+            let mut last = u;
+            while let Some(c) = t.last_child(last) {
+                last = c;
+            }
+            assert_eq!(iv.end_of_pre(pre), iv.begin(last), "end at {pre}");
+            let mut hops = Vec::new();
+            let mut c = pre + 1;
+            while c <= iv.end_of_pre(pre) {
+                hops.push(iv.node_at(c));
+                c = iv.end_of_pre(c) + 1;
+            }
+            assert_eq!(hops, t.children(u).collect::<Vec<_>>(), "children at {pre}");
+        }
+    }
+
+    #[test]
+    fn columns_follow_links_when_arena_order_is_not_preorder() {
+        let mut v = Vocab::new();
+        let symbols = vec![v.sym("a"), v.sym("b")];
+        let mut permuted = 0;
+        for (nodes, max_children) in [(1, 2), (2, 1), (40, 2), (200, 4), (700, 8)] {
+            let cfg = crate::generate::TreeGenConfig {
+                nodes,
+                max_children,
+                symbols: symbols.clone(),
+                attributes: vec![],
+                collision_pool: None,
+            };
+            for seed in 0..4 {
+                let t = crate::generate::random_tree(&cfg, seed);
+                permuted += usize::from(!t.nodes().eq(t.node_ids()));
+                assert_columns_follow_links(&t);
+            }
+        }
+        assert!(
+            permuted > 0,
+            "no generated tree had arena order ≠ pre-order"
+        );
+    }
+
+    #[test]
+    fn columns_follow_links_on_a_parsed_tree() {
+        let mut v = Vocab::new();
+        let t = crate::parse_xml(
+            "<r><a><b/><c><d/><e/></c></a><f/><g><h><i/></h></g></r>",
+            &mut v,
+        )
+        .unwrap();
+        assert!(
+            t.nodes().eq(t.node_ids()),
+            "parsed arena order is pre-order"
+        );
+        assert_columns_follow_links(&t);
+        assert_columns_follow_links(&sample());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! The campaign result is a pure function of `(--seed, --cases)`; `--jobs`
 //! only changes wall-clock time. The summary tallies what the formula
 //! cases reached: `FO(∃*)` branches by evaluation path (semi-join or
-//! backtracking), the structural atoms `compile_exists` translated, and
-//! the value-postings scans of `compile_xpath` plans (`ScanValue`, and
+//! backtracking), the structural atoms `compile_exists` translated, the
+//! value-postings scans of `compile_xpath` plans (`ScanValue`, and
 //! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
-//! formula-case trees).
+//! formula-case trees), and those plans' `Expand` steps per axis (child,
+//! parent, descendant, ancestor).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`
 //! when discrepancies were found, a tally stayed at zero, or stdout closed
 //! before the report was written, `2` for usage errors.
