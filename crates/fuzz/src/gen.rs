@@ -19,7 +19,10 @@ use twq_tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
 use twq_tree::{AttrId, Label, SymId, Tree, Value, Vocab};
-use twq_xpath::{compile, random_xpath_shaped, SelectionTest, XPath, XPathGenConfig, XPathShape};
+use twq_xpath::ast::xb;
+use twq_xpath::{
+    compile, random_xpath_shaped, Pred, SelectionTest, XPath, XPathGenConfig, XPathShape,
+};
 
 /// The shared generation universe: Example 3.2's `{σ, δ}` alphabet, the
 /// attribute `a`, and a small integer datum pool. Every generated program,
@@ -635,6 +638,10 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
 
 /// An XPath-compiled formula with at most four ∃-variables and its
 /// source query, or the `descendants` selector when 32 draws miss.
+///
+/// One draw in eight is unioned with a label clash `s1[s2]` (a node
+/// labelled both `s1` and `s2`), a branch `provably_empty` proves empty
+/// under any context, so that `empty-prune` has a branch to delete.
 fn gen_compiled(rng: &mut StdRng, uni: &Universe) -> (ExistsFormula, Option<XPath>) {
     let xcfg = XPathGenConfig {
         symbols: uni.symbols.clone(),
@@ -648,7 +655,14 @@ fn gen_compiled(rng: &mut StdRng, uni: &Universe) -> (ExistsFormula, Option<XPat
         _ => XPathShape::FilterHeavy,
     };
     for _ in 0..32 {
-        let path = random_xpath_shaped(&xcfg, rng.next_u64(), shape);
+        let mut path = random_xpath_shaped(&xcfg, rng.next_u64(), shape);
+        if rng.gen_range(0..8u32) == 0 {
+            let i = rng.gen_range(0..2usize);
+            let (s1, s2) = (uni.symbols[i], uni.symbols[1 - i]);
+            // Not `xb::filter`, which would make `s2` a child test.
+            let clash = XPath::Filter(Box::new(xb::name(s1)), Box::new(Pred::Path(xb::name(s2))));
+            path = xb::union(path, clash);
+        }
         let cand = compile(&path);
         if cand.quantified().len() <= 4 {
             return (cand, Some(path));

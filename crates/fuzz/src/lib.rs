@@ -42,9 +42,9 @@ pub use repro::{parse_jsonl, render_jsonl, Repro};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twq_exec::Pool;
-use twq_index::{compile_exists, compile_xpath, Axis, IxPlan};
-use twq_logic::{ExistsFormula, Formula, TreeAtom};
-use twq_xpath::XPath;
+use twq_index::{compile_exists, compile_xpath, Axis, CostModel, Force, IxPlan, TreeIndex};
+use twq_logic::{Formula, TreeAtom};
+use twq_rw::{plan_indexed, Certificate, IndexedEvaluator, RewriteCtx, CATALOG};
 
 use crate::gen::program_error_kind as error_kind;
 
@@ -107,13 +107,17 @@ impl CaseKind {
 }
 
 /// What a campaign's formula cases reached, read off each case's formula
-/// and source query: the DNF branches [`ExistsFormula::select`] reduces by
+/// and source query: the DNF branches
+/// [`ExistsFormula::select`](twq_logic::ExistsFormula::select) reduces by
 /// semi-joins and those it backtracks over (its own branch analysis,
-/// [`ExistsFormula::branch_paths`]), the structural atoms of the formulas
-/// `compile_exists` translates, by kind, and the value-postings scans and
-/// axis expansions of the plans `compile_xpath` builds. A tally left at
-/// zero is a path no case compared, and the `fuzz` binary fails the
-/// campaign.
+/// [`ExistsFormula::branch_paths`](twq_logic::ExistsFormula::branch_paths)),
+/// the structural atoms of the formulas `compile_exists` translates, by
+/// kind, and the value-postings scans and axis expansions of the plans
+/// `compile_xpath` builds. For a source query it also reads the record of
+/// `plan_indexed` under the case's alphabet context, as the oracle's
+/// planner pair runs it: the rewrite rules that fired, the certificate,
+/// and the `Force::Auto` verdict. A tally left at zero is a path no case
+/// compared, and the `fuzz` binary fails the campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     /// DNF branches evaluated by semi-joins.
@@ -131,6 +135,12 @@ pub struct Reach {
     /// `Expand` nodes of compiled XPath plans, per axis, in
     /// [`Reach::AXES`] order.
     pub expand: [u64; 4],
+    /// Fires of each rewrite rule, in [`CATALOG`] order.
+    pub rules: [u64; CATALOG.len()],
+    /// Rewrite certificates by kind, in [`Reach::CERTIFICATES`] order.
+    pub certificates: [u64; 3],
+    /// `Force::Auto` planner verdicts, in [`Reach::VERDICTS`] order.
+    pub verdicts: [u64; 3],
 }
 
 impl Reach {
@@ -145,9 +155,14 @@ impl Reach {
         "Expand(ancestor)",
     ];
 
-    /// The tallies of one formula and, when known, the query it was
-    /// compiled from.
-    pub fn of(phi: &ExistsFormula, path: Option<&XPath>) -> Reach {
+    /// The [`Certificate`] kinds.
+    pub const CERTIFICATES: [&'static str; 3] = ["Empty", "Streamable", "NotStreamable"];
+
+    /// The verdicts of `plan_indexed` under `Force::Auto`.
+    pub const VERDICTS: [&'static str; 3] = ["Auto→empty", "Auto→index", "Auto→walk"];
+
+    /// The tallies of one formula case.
+    pub fn of(case: &FormulaCase) -> Reach {
         fn atoms(f: &Formula, x: twq_logic::Var, y: twq_logic::Var, out: &mut [u64; 4]) {
             match f {
                 Formula::Atom(a) => {
@@ -191,6 +206,7 @@ impl Reach {
                 _ => {}
             }
         }
+        let phi = &case.phi;
         let (semijoin, backtrack) = phi.branch_paths();
         let mut reach = Reach {
             semijoin: semijoin as u64,
@@ -200,24 +216,46 @@ impl Reach {
         if compile_exists(phi).is_some() {
             atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
         }
-        if let Some(path) = path {
+        if let Some(path) = &case.path {
             operators(&compile_xpath(path), &mut reach);
+            let ctx = RewriteCtx::unconstrained().with_alphabet(case.alphabet.iter().copied());
+            let idx = TreeIndex::build(&case.tree);
+            let plan = plan_indexed(path, &ctx, &idx, &CostModel::default(), Force::Auto);
+            let rw = &plan.rewritten;
+            for (tally, rule) in reach.rules.iter_mut().zip(CATALOG) {
+                let fired = rw.fired.iter().find(|(name, _)| *name == rule.name);
+                *tally += fired.map_or(0, |&(_, n)| n);
+            }
+            reach.certificates[match rw.certificate {
+                Certificate::Empty => 0,
+                Certificate::Streamable { .. } => 1,
+                Certificate::NotStreamable { .. } => 2,
+            }] += 1;
+            reach.verdicts[match plan.evaluator {
+                IndexedEvaluator::EmptyShortCircuit => 0,
+                IndexedEvaluator::Indexed => 1,
+                IndexedEvaluator::Walking => 2,
+            }] += 1;
         }
         reach
     }
 
     /// Add `other`'s tallies.
     pub fn merge(&mut self, other: &Reach) {
+        fn add(mine: &mut [u64], theirs: &[u64]) {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
         self.semijoin += other.semijoin;
         self.backtrack += other.backtrack;
-        for (a, b) in self.compiled.iter_mut().zip(other.compiled) {
-            *a += b;
-        }
+        add(&mut self.compiled, &other.compiled);
         self.scan_value += other.scan_value;
         self.scan_pair += other.scan_pair;
-        for (a, b) in self.expand.iter_mut().zip(other.expand) {
-            *a += b;
-        }
+        add(&mut self.expand, &other.expand);
+        add(&mut self.rules, &other.rules);
+        add(&mut self.certificates, &other.certificates);
+        add(&mut self.verdicts, &other.verdicts);
     }
 
     /// The names of the tallies at zero.
@@ -232,36 +270,47 @@ impl Reach {
             ("ScanAttrPair(a≠b)", self.scan_pair),
         ];
         let axes = Reach::AXES.into_iter().zip(self.expand);
+        let rules = CATALOG.iter().map(|r| r.name).zip(self.rules);
+        let certificates = Reach::CERTIFICATES.into_iter().zip(self.certificates);
+        let verdicts = Reach::VERDICTS.into_iter().zip(self.verdicts);
         paths
             .into_iter()
             .chain(kinds)
             .chain(scans)
             .chain(axes)
+            .chain(rules)
+            .chain(certificates)
+            .chain(verdicts)
             .filter(|&(_, n)| n == 0)
             .map(|(name, _)| name)
             .collect()
     }
 
-    /// One-line summary.
+    /// Two-line summary: what the formulas and plans reached, then what
+    /// the planner's rewrite and verdict did.
     pub fn summary(&self) -> String {
-        let tallies = |names: [&str; 4], counts: [u64; 4]| {
+        fn tallies<'a>(names: impl IntoIterator<Item = &'a str>, counts: &[u64]) -> String {
             let named: Vec<String> = names
-                .iter()
+                .into_iter()
                 .zip(counts)
                 .map(|(name, n)| format!("{name} {n}"))
                 .collect();
             named.join(", ")
-        };
+        }
         format!(
             "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}; \
              compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}; \
-             compile_xpath axis steps: {}",
+             compile_xpath axis steps: {}\n\
+             rewrite rules fired: {}; certificates: {}; plan_indexed verdicts: {}",
             self.semijoin,
             self.backtrack,
-            tallies(Reach::COMPILED, self.compiled),
+            tallies(Reach::COMPILED, &self.compiled),
             self.scan_value,
             self.scan_pair,
-            tallies(Reach::AXES, self.expand)
+            tallies(Reach::AXES, &self.expand),
+            tallies(CATALOG.iter().map(|r| r.name), &self.rules),
+            tallies(Reach::CERTIFICATES, &self.certificates),
+            tallies(Reach::VERDICTS, &self.verdicts)
         )
     }
 }
@@ -309,7 +358,7 @@ pub fn run_case(cfg: &FuzzConfig, uni: &Universe, index: u64, oracle_pool: &Pool
     let mut reach = Reach::default();
     let (kind, discrepancy, case) = if roll < formula_cut {
         let case = gen_formula_case(&mut rng, uni);
-        reach = Reach::of(&case.phi, case.path.as_ref());
+        reach = Reach::of(&case);
         (
             CaseKind::Formula,
             check_formula_case(&case, oracle_pool),

@@ -24,10 +24,7 @@
 //! the one under which a subtree is a contiguous bit range.
 //! [`crate::eval_plan_from`] converts at the boundary.
 
-use std::time::Instant;
-
 use twq_exec::Pool;
-use twq_obs::{Collector, NullCollector};
 use twq_tree::{AttrId, DocIntervals, Label, NodeId, NodeSet, SymId, Tree, Value};
 
 /// Summary statistics recorded at build time, consumed by the cost model.
@@ -52,8 +49,6 @@ pub struct IndexStats {
     /// Heap bytes held by all postings: 8 per bitset word, plus, per
     /// attribute column, 4 per valued node and 8 per value group.
     pub postings_bytes: usize,
-    /// Wall-clock build time in nanoseconds.
-    pub build_ns: u64,
 }
 
 impl IndexStats {
@@ -124,16 +119,13 @@ pub struct TreeIndex {
 }
 
 impl TreeIndex {
-    /// Build with no instrumentation and fresh scratch.
+    /// Build with fresh scratch.
     pub fn build(tree: &Tree) -> TreeIndex {
-        TreeIndex::build_in(tree, &mut IndexScratch::default(), &mut NullCollector)
+        TreeIndex::build_in(tree, &mut IndexScratch::default())
     }
 
-    /// Build reusing `scratch`'s allocations (the batch entry point),
-    /// reporting `phase("index/build")` and the `index/postings_bytes` /
-    /// `index/built` counters through `c`.
-    pub fn build_in<C: Collector>(tree: &Tree, scratch: &mut IndexScratch, c: &mut C) -> TreeIndex {
-        let t0 = Instant::now();
+    /// Build reusing `scratch`'s allocations (the batch entry point).
+    pub fn build_in(tree: &Tree, scratch: &mut IndexScratch) -> TreeIndex {
         let n = tree.len();
         let intervals = DocIntervals::build(tree);
 
@@ -229,14 +221,7 @@ impl TreeIndex {
             root_label: tree.label(tree.root()).sym(),
             distinct_values: value_postings.iter().map(|col| col.values.len()).sum(),
             postings_bytes,
-            build_ns: t0.elapsed().as_nanos() as u64,
         };
-
-        if C::ENABLED {
-            c.phase("index/build", stats.build_ns);
-            c.counter("index/built", 1);
-            c.counter("index/postings_bytes", postings_bytes as u64);
-        }
 
         TreeIndex {
             intervals,
@@ -318,6 +303,6 @@ impl TreeIndex {
 /// input order; the serial pool builds inline with a single scratch.
 pub fn build_indexes(trees: &[Tree], pool: &Pool) -> Vec<TreeIndex> {
     pool.scoped_scratch(trees.len(), IndexScratch::default, |scratch, i| {
-        TreeIndex::build_in(&trees[i], scratch, &mut NullCollector)
+        TreeIndex::build_in(&trees[i], scratch)
     })
 }

@@ -12,7 +12,6 @@
 use std::cmp::Ordering;
 
 use twq_logic::ExistsFormula;
-use twq_obs::{Collector, NullCollector};
 use twq_tree::{AttrId, NodeId, NodeSet, Tree};
 
 use crate::build::TreeIndex;
@@ -219,25 +218,8 @@ pub fn fo_select_routed(
     phi: &ExistsFormula,
     u: NodeId,
 ) -> (NodeSet, bool) {
-    fo_select_routed_with(tree, idx, phi, u, &mut NullCollector)
-}
-
-/// [`fo_select_routed`] with instrumentation: each out-of-fragment
-/// fallback bumps the `index/fallback` counter through `c`.
-pub fn fo_select_routed_with<C: Collector>(
-    tree: &Tree,
-    idx: &TreeIndex,
-    phi: &ExistsFormula,
-    u: NodeId,
-    c: &mut C,
-) -> (NodeSet, bool) {
     match compile_exists(phi).map(|plan| eval_plan_from(tree, idx, &plan, u)) {
         Some(out) => (out, true),
-        None => {
-            if C::ENABLED {
-                c.counter("index/fallback", 1);
-            }
-            (phi.select(tree, u), false)
-        }
+        None => (phi.select(tree, u), false),
     }
 }

@@ -20,7 +20,7 @@
 //!   runs as [`eval_plan_from`] over [`compile_xpath`]`(p)`, compiled once
 //!   per query, and [`fo_select_routed`] answers FO(∃*) selections,
 //!   walking when [`compile_exists`] returns `None`.
-//! * [`CostModel`] ([`cost`]) — calibrated unit costs pricing index plans
+//! * [`CostModel`] ([`cost`]) — measured unit costs pricing index plans
 //!   against [`twq_xpath::walk_cost`] estimates; `twq-rw`'s
 //!   `plan_indexed` routes on the verdict.
 
@@ -33,7 +33,7 @@ pub mod plan;
 pub use build::{build_indexes, IndexScratch, IndexStats, TreeIndex, ValueColumn};
 pub use compile::{compile_exists, compile_xpath};
 pub use cost::{Choice, CostModel, Estimate, Force};
-pub use eval::{eval_plan_from, eval_plan_pre, fo_select_routed, fo_select_routed_with};
+pub use eval::{eval_plan_from, eval_plan_pre, fo_select_routed};
 pub use plan::{Axis, IxPlan};
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! parent/sibling chains. It is the reference the faster evaluators are
 //! checked against: [`ExistsFormula::select`](crate::ExistsFormula::select)
 //! reduces tree-shaped `FO(∃*)` branches by semi-joins and backtracks over
-//! the rest with [`sat_exists`].
+//! the rest here, pruning each partial assignment by three-valued
+//! evaluation.
 //!
 //! That `O(|t|^q)` is exactly why every entry point here returns
 //! `Result<_, TwqError>` and the sentence and selection primitives have a
@@ -232,16 +233,9 @@ fn eval_inner<C: Collector, G: Guard>(
 /// a partial assignment that already falsifies the matrix cannot be
 /// extended to a witness, and one that already satisfies it needs no
 /// extension at all.
-pub fn eval_partial(
-    tree: &Tree,
-    formula: &Formula,
-    asg: &Assignment,
-) -> Result<Option<bool>, TwqError> {
-    eval_partial_inner(tree, formula, asg, &mut NullCollector, &mut NullGuard)
-}
-
-/// [`eval_partial`] with a collector (one [`FoEval::Atom`] per decided
-/// atom) and a guard (one fuel unit per decided atom).
+///
+/// Reports one [`FoEval::Atom`] per decided atom to `c` and charges `g`
+/// one fuel unit for it.
 fn eval_partial_inner<C: Collector, G: Guard>(
     tree: &Tree,
     formula: &Formula,
@@ -315,22 +309,14 @@ fn eval_partial_inner<C: Collector, G: Guard>(
 /// cyclic variable graph, a two-variable `val_eq`, a negated two-variable
 /// atom).
 ///
+/// Reports atoms through the pruning passes and one quantifier span per
+/// bound variable, carrying its witness, to `c`; charges `g` one fuel unit
+/// per binding and per decided atom.
+///
 /// # Errors
 /// [`TwqError::Invalid`] when the matrix still contains quantifiers (so its
 /// value is undetermined with every variable bound) or mentions an unbound
 /// variable.
-pub fn sat_exists(
-    tree: &Tree,
-    matrix: &Formula,
-    vars: &[Var],
-    asg: &mut Assignment,
-) -> Result<bool, TwqError> {
-    sat_exists_inner(tree, matrix, vars, asg, &mut NullCollector, &mut NullGuard)
-}
-
-/// [`sat_exists`] with a collector (atoms counted via the pruning passes,
-/// one quantifier span per bound variable carrying its witness) and a
-/// guard (one fuel unit per binding and per decided atom).
 pub(crate) fn sat_exists_inner<C: Collector, G: Guard>(
     tree: &Tree,
     matrix: &Formula,

@@ -82,10 +82,9 @@ pub trait Collector {
 
     /// Bump the counter `name` by `delta`. The name is the full metric
     /// name, recorded verbatim in [`RunMetrics`] and a session
-    /// [`Registry`]: run-level counters are `run/<name>` (e.g.
-    /// `run/protocol.crossings`), the rewrite pass reports
-    /// `rewrite/rules_fired/<rule>` and friends, and the index layer
-    /// `index/postings_bytes`, `index/plan_indexed`, `index/cost_err_pct`, ….
+    /// [`Registry`]: run-level counters are `run/<name>`, e.g.
+    /// `run/protocol.crossings` from `run_protocol_in` and
+    /// `run/twir.states` from TWIR's `compile_in`.
     fn counter(&mut self, name: &'static str, delta: u64) {}
 
     /// A named phase finished after `nanos` nanoseconds of wall clock.

@@ -1,19 +1,12 @@
 //! Histograms: the distribution-shaped half of `twq-prof`.
 //!
-//! Two shapes cover every aggregation the workspace performs:
-//!
-//! * [`Histogram`] — log₂-bucketed, for quantities with large dynamic
-//!   range (latencies in nanoseconds, step counts). Quantiles are exact
-//!   to within one power-of-two bucket (the property the proptest suite
-//!   pins down); `min`/`max`/`count`/`sum` are exact. Histograms merge
-//!   bucket-wise, so per-worker recordings fold into one aggregate
-//!   exactly as a serial recording would, and subtract bucket-wise, which
-//!   is what gives [`Registry`](crate::registry::Registry) its delta
-//!   snapshots.
-//! * [`DenseHistogram`] — one exact counter per small non-negative value
-//!   (tree depths, branching factors, fan-outs). This is the bucketing
-//!   logic `twq-tree`'s `TreeStats` used to hand-roll; it now lives here
-//!   so every crate shares one implementation.
+//! [`Histogram`] is log₂-bucketed, for quantities with large dynamic range
+//! (latencies in nanoseconds, step counts). Quantiles are exact to within
+//! one power-of-two bucket (the property the proptest suite pins down);
+//! `min`/`max`/`count`/`sum` are exact. Histograms merge bucket-wise, so
+//! per-worker recordings fold into one aggregate exactly as a serial
+//! recording would, and subtract bucket-wise, which is what gives
+//! [`Registry`](crate::registry::Registry) its delta snapshots.
 
 use crate::json::Json;
 
@@ -262,120 +255,6 @@ impl Histogram {
     }
 }
 
-/// An exact histogram over small non-negative values: `counts()[v]` is the
-/// number of times `v` was recorded. Grows on demand, merges pointwise.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DenseHistogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl DenseHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation of `v`.
-    pub fn record(&mut self, v: usize) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` observations of `v`.
-    pub fn record_n(&mut self, v: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if self.counts.len() <= v {
-            self.counts.resize(v + 1, 0);
-        }
-        self.counts[v] += n;
-        self.total += n;
-    }
-
-    /// Count recorded for `v` (0 beyond the populated range).
-    pub fn count_of(&self, v: usize) -> u64 {
-        self.counts.get(v).copied().unwrap_or(0)
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The counts, indexed by value (may have trailing zeros only if a
-    /// larger value was recorded first and later merged away — recording
-    /// itself never leaves them).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The largest value with a nonzero count.
-    pub fn max_value(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&n| n > 0)
-    }
-
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(v, &n)| v as u64 * n)
-            .sum();
-        weighted as f64 / self.total as f64
-    }
-
-    /// `(value, count)` pairs with nonzero counts, ascending by value.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(v, &n)| (v, n))
-    }
-
-    /// Fold another dense histogram into this one (pointwise addition).
-    pub fn merge(&mut self, other: &DenseHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// The histogram as a sparse JSON array of `[value, count]` pairs.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.iter()
-                .map(|(v, n)| Json::Arr(vec![(v as u64).into(), n.into()]))
-                .collect(),
-        )
-    }
-}
-
-impl From<&[usize]> for DenseHistogram {
-    /// Build from a plain counts-by-value slice (the shape `TreeStats`
-    /// used to expose).
-    fn from(counts: &[usize]) -> Self {
-        let mut h = DenseHistogram::new();
-        for (v, &n) in counts.iter().enumerate() {
-            h.record_n(v, n as u64);
-        }
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,26 +349,5 @@ mod tests {
         let s = h.summary("ns");
         assert!(s.contains("max=1000ns") && s.contains("(n=1)"), "{s}");
         assert_eq!(Histogram::new().summary("ns"), "empty");
-    }
-
-    #[test]
-    fn dense_records_and_merges() {
-        let mut h = DenseHistogram::new();
-        h.record(0);
-        h.record(3);
-        h.record_n(3, 2);
-        assert_eq!(h.counts(), &[1, 0, 0, 3]);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.count_of(3), 3);
-        assert_eq!(h.count_of(99), 0);
-        assert_eq!(h.max_value(), Some(3));
-        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(0, 1), (3, 3)]);
-        let mut other = DenseHistogram::new();
-        other.record(5);
-        h.merge(&other);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.max_value(), Some(5));
-        assert!((DenseHistogram::from(&[8usize, 7][..]).mean() - 7.0 / 15.0).abs() < 1e-9);
-        assert!(DenseHistogram::new().max_value().is_none());
     }
 }

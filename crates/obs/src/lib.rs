@@ -12,12 +12,12 @@
 //!   register-store and cycle-check high-water marks, FO-evaluation call
 //!   counts, tape cells, protocol messages, phase timings.
 //! * `twq-prof` — the profiling layer on top of the seam:
-//!   [`Histogram`]/[`DenseHistogram`] (log2-bucketed latencies, exact
-//!   value counts), [`Registry`] (named counters/gauges/histograms with
-//!   delta [`Snapshot`]s and JSONL export), [`FlameProfiler`] (a
-//!   span-stack self-time profiler emitting flamegraph-collapsed stacks)
-//!   and [`Tail`] (the last `N` hook calls, for post-mortems of
-//!   `Stuck`/`Nondeterministic` halts) — both collectors.
+//!   [`Histogram`] (log2-bucketed latencies), [`Registry`] (named
+//!   counters/gauges/histograms with delta [`Snapshot`]s and JSONL
+//!   export), [`FlameProfiler`] (a span-stack self-time profiler emitting
+//!   flamegraph-collapsed stacks) and [`Tail`] (the last `N` hook calls,
+//!   for post-mortems of `Stuck`/`Nondeterministic` halts) — both
+//!   collectors.
 //! * `twq-trace` — the causal trace layer: [`TraceCollector`] records a
 //!   run as a [`Trace`] span tree with deterministic causal IDs, witness
 //!   valuations, and walk paths; [`diff`] pinpoints the first
@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use collect::{Collector, MetricsCollector, NullCollector, PhaseTimer};
 pub use event::{FoEval, HaltKind};
-pub use hist::{DenseHistogram, Histogram};
+pub use hist::Histogram;
 pub use json::Json;
 pub use metrics::RunMetrics;
 pub use profile::{FlameProfiler, Tail};

@@ -30,10 +30,10 @@
 //! `eval_sentence` / `select`. The composite entry points above are the
 //! only calls that chain stages for the caller.
 //!
-//! The pass reports telemetry through the `twq-obs` [`Collector`] seam
-//! (`rewrite/rules_fired/<name>`, `rewrite/pruned_branches`,
-//! `rewrite/certified_streamable`); with a `NullCollector` the hooks
-//! compile to nothing.
+//! What a rewrite did is part of its result: [`Rewritten::fired`] lists
+//! each rule that fired by name, [`Rewritten::pruned_branches`] counts the
+//! union branches it deleted, and [`Rewritten::certificate`] says whether
+//! the normal form streams.
 
 pub mod contain;
 pub mod diag;
@@ -43,7 +43,6 @@ pub mod route;
 pub mod rules;
 pub mod stream;
 
-use twq_obs::{Collector, NullCollector};
 use twq_xpath::XPath;
 
 pub use contain::{contains, is_self_relation, pred_tautology, provably_empty, RewriteCtx};
@@ -51,8 +50,8 @@ pub use diag::{query_severity_counts, QueryDiagnostic, Severity};
 pub use fo::{normalize_exists, normalize_formula};
 pub use norm::{apply_rule_deep, normalize, normalize_in, normalize_seeded};
 pub use route::{
-    plan_indexed, plan_indexed_with, plan_query, run_query_indexed, run_query_indexed_with,
-    run_query_planned, IndexedEvaluator, IndexedPlan, PlannedEvaluator, QueryPlan,
+    plan_indexed, plan_query, run_query_indexed, run_query_planned, IndexedEvaluator, IndexedPlan,
+    PlannedEvaluator, QueryPlan,
 };
 pub use rules::{rule, RwRule, CATALOG};
 pub use stream::{certify, stream_select, stream_select_gauged, Certificate, StreamStats};
@@ -85,11 +84,6 @@ pub fn rewrite(q: &XPath) -> Rewritten {
 
 /// Rewrite under `ctx`.
 pub fn rewrite_in(q: &XPath, ctx: &RewriteCtx) -> Rewritten {
-    rewrite_with(q, ctx, &mut NullCollector)
-}
-
-/// Rewrite under `ctx`, reporting telemetry through `c`.
-pub fn rewrite_with<C: Collector>(q: &XPath, ctx: &RewriteCtx, c: &mut C) -> Rewritten {
     let (output, st) = norm::normalize_stats(q, ctx);
     let provably_empty = provably_empty(&output, ctx);
     let certificate = if provably_empty {
@@ -98,19 +92,12 @@ pub fn rewrite_with<C: Collector>(q: &XPath, ctx: &RewriteCtx, c: &mut C) -> Rew
         certify(&output)
     };
 
-    // Fired counts in catalog order, with their static counter names.
+    // Fired counts in catalog order.
     let mut fired = Vec::new();
     for r in CATALOG {
         if let Some(&n) = st.fired.get(r.name) {
             fired.push((r.name, n));
-            c.counter(r.counter, n);
         }
-    }
-    if st.pruned > 0 {
-        c.counter("rewrite/pruned_branches", st.pruned);
-    }
-    if certificate.is_streamable() {
-        c.counter("rewrite/certified_streamable", 1);
     }
 
     let mut diagnostics = Vec::new();
@@ -187,7 +174,6 @@ pub fn rewrite_with<C: Collector>(q: &XPath, ctx: &RewriteCtx, c: &mut C) -> Rew
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twq_obs::MetricsCollector;
     use twq_tree::Vocab;
     use twq_xpath::ast::xb;
 
@@ -207,21 +193,6 @@ mod tests {
         assert!(rw.diagnostics.iter().any(|d| d.code == "RW003"));
         assert!(rw.diagnostics.iter().any(|d| d.code == "ST001"));
         assert!(!rw.provably_empty);
-    }
-
-    #[test]
-    fn telemetry_lands_in_registry_verbatim() {
-        let mut v = Vocab::new();
-        let a = xb::name(v.sym("a"));
-        let q = xb::union(a.clone(), a.clone());
-        let mut reg = twq_obs::Registry::new();
-        let mut c = MetricsCollector::with_registry(&mut reg);
-        let rw = rewrite_with(&q, &RewriteCtx::unconstrained(), &mut c);
-        assert_eq!(rw.output, a);
-        drop(c);
-        assert!(reg.counter("rewrite/rules_fired/union-canon") >= 1);
-        assert!(reg.counter("rewrite/pruned_branches") >= 1);
-        assert_eq!(reg.counter("rewrite/certified_streamable"), 1);
     }
 
     #[test]

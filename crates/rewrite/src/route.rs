@@ -8,12 +8,9 @@
 //! `twq_index::compile_xpath` turns it into an index plan. The fuzz oracle
 //! checks every stage against the plain evaluators directly.
 
-use std::time::Instant;
-
 use twq_index::{
     compile_xpath, eval_plan_from, Choice, CostModel, Estimate, Force, IxPlan, TreeIndex,
 };
-use twq_obs::{Collector, NullCollector};
 use twq_tree::{NodeSet, Tree};
 use twq_xpath::{eval_from, XPath};
 
@@ -107,24 +104,8 @@ pub fn plan_indexed(
     model: &CostModel,
     force: Force,
 ) -> IndexedPlan {
-    plan_indexed_with(q, ctx, index, model, force, &mut NullCollector)
-}
-
-/// [`plan_indexed`] with instrumentation: reports `index/plan_empty`,
-/// `index/plan_indexed`, or `index/plan_walk` through `c`.
-pub fn plan_indexed_with<C: Collector>(
-    q: &XPath,
-    ctx: &RewriteCtx,
-    index: &TreeIndex,
-    model: &CostModel,
-    force: Force,
-    c: &mut C,
-) -> IndexedPlan {
-    let rewritten = crate::rewrite_with(q, ctx, c);
+    let rewritten = rewrite_in(q, ctx);
     if rewritten.provably_empty {
-        if C::ENABLED {
-            c.counter("index/plan_empty", 1);
-        }
         return IndexedPlan {
             rewritten,
             evaluator: IndexedEvaluator::EmptyShortCircuit,
@@ -138,15 +119,6 @@ pub fn plan_indexed_with<C: Collector>(
         Choice::Index => IndexedEvaluator::Indexed,
         Choice::Walk => IndexedEvaluator::Walking,
     };
-    if C::ENABLED {
-        c.counter(
-            match evaluator {
-                IndexedEvaluator::Indexed => "index/plan_indexed",
-                _ => "index/plan_walk",
-            },
-            1,
-        );
-    }
     IndexedPlan {
         rewritten,
         evaluator,
@@ -171,26 +143,7 @@ pub fn run_query_indexed(
     model: &CostModel,
     force: Force,
 ) -> (NodeSet, IndexedPlan) {
-    run_query_indexed_with(tree, index, q, ctx, model, force, &mut NullCollector)
-}
-
-/// [`run_query_indexed`] with instrumentation: alongside the planning
-/// counters it records the actual-vs-estimated pair the chosen side ran at
-/// (`index/act_index_ns` + `index/est_index_ns`, or the walk pair) and the
-/// absolute relative error `index/cost_err_pct` — the feedback
-/// [`CostModel::calibrated`] closes the loop on.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_indexed_with<C: Collector>(
-    tree: &Tree,
-    index: &TreeIndex,
-    q: &XPath,
-    ctx: &RewriteCtx,
-    model: &CostModel,
-    force: Force,
-    c: &mut C,
-) -> (NodeSet, IndexedPlan) {
-    let plan = plan_indexed_with(q, ctx, index, model, force, c);
-    let t0 = Instant::now();
+    let plan = plan_indexed(q, ctx, index, model, force);
     let out = match plan.evaluator {
         IndexedEvaluator::EmptyShortCircuit => NodeSet::new(),
         IndexedEvaluator::Indexed => eval_plan_from(
@@ -201,25 +154,6 @@ pub fn run_query_indexed_with<C: Collector>(
         ),
         IndexedEvaluator::Walking => eval_from(tree, q, tree.root()),
     };
-    if C::ENABLED {
-        if let Some(est) = &plan.estimate {
-            let act = t0.elapsed().as_nanos() as u64;
-            let est_ns = match plan.evaluator {
-                IndexedEvaluator::Indexed => est.index_ns,
-                _ => est.walk_ns,
-            };
-            let (act_key, est_key) = match plan.evaluator {
-                IndexedEvaluator::Indexed => ("index/act_index_ns", "index/est_index_ns"),
-                _ => ("index/act_walk_ns", "index/est_walk_ns"),
-            };
-            c.counter(act_key, act);
-            c.counter(est_key, est_ns as u64);
-            if act > 0 {
-                let err = ((act as f64 - est_ns).abs() / act as f64 * 100.0) as u64;
-                c.counter("index/cost_err_pct", err);
-            }
-        }
-    }
     (out, plan)
 }
 

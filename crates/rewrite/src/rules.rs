@@ -14,10 +14,8 @@ use crate::contain::{contains, pred_tautology, provably_empty, RewriteCtx};
 
 /// A named, individually-testable rewrite rule.
 pub struct RwRule {
-    /// Stable rule name (also the `rules_fired` counter suffix).
+    /// Stable rule name (the key of [`crate::Rewritten::fired`]).
     pub name: &'static str,
-    /// Full telemetry counter name (`rewrite/rules_fired/<name>`).
-    pub counter: &'static str,
     /// The identity the rule instantiates.
     pub doc: &'static str,
     /// Try the rule at the root of `p`; `Some` is the rewritten node.
@@ -35,61 +33,51 @@ impl std::fmt::Debug for RwRule {
 pub static CATALOG: &[RwRule] = &[
     RwRule {
         name: "union-canon",
-        counter: "rewrite/rules_fired/union-canon",
         doc: "∪ is associative, commutative, idempotent: flatten, sort, dedupe",
         apply: union_canon,
     },
     RwRule {
         name: "filter-true",
-        counter: "rewrite/rules_fired/filter-true",
         doc: "p[f] = p when f is tautological (σ ∩ Dom = Dom)",
         apply: filter_true,
     },
     RwRule {
         name: "filter-canon",
-        counter: "rewrite/rules_fired/filter-canon",
         doc: "filters on one node commute and absorb: sort and dedupe chains",
         apply: filter_canon,
     },
     RwRule {
         name: "filter-pushdown",
-        counter: "rewrite/rules_fired/filter-pushdown",
         doc: "(p∘q)[f] = p∘(q[f]): filters slide through steps to the element test",
         apply: filter_pushdown,
     },
     RwRule {
         name: "wild-fuse",
-        counter: "rewrite/rules_fired/wild-fuse",
         doc: "id∘R = R: a wildcard left factor vanishes into the implicit step",
         apply: wild_fuse,
     },
     RwRule {
         name: "step-assoc",
-        counter: "rewrite/rules_fired/step-assoc",
         doc: "relation composition associates: right-nest step chains",
         apply: step_assoc,
     },
     RwRule {
         name: "axis-fuse",
-        counter: "rewrite/rules_fired/axis-fuse",
         doc: "≺∘E = E∘≺ and ≺∘≺ = E∘≺: collapse //+/ chains, descendants drift inward",
         apply: axis_fuse,
     },
     RwRule {
         name: "root-canon",
-        counter: "rewrite/rules_fired/root-canon",
         doc: "evaluating from the root twice is evaluating from the root once",
         apply: root_canon,
     },
     RwRule {
         name: "empty-prune",
-        counter: "rewrite/rules_fired/empty-prune",
         doc: "∅ ∪ q = q: delete provably-empty union branches",
         apply: empty_prune,
     },
     RwRule {
         name: "union-subsume",
-        counter: "rewrite/rules_fired/union-subsume",
         doc: "p ⊑ q ⟹ p ∪ q = q: drop subsumed union branches",
         apply: union_subsume,
     },
@@ -296,13 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn catalog_names_are_unique_and_counters_match() {
+    fn catalog_names_are_unique_and_resolve() {
         let mut names: Vec<_> = CATALOG.iter().map(|r| r.name).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), CATALOG.len());
         for r in CATALOG {
-            assert_eq!(r.counter, format!("rewrite/rules_fired/{}", r.name));
             assert!(rule(r.name).is_some());
         }
     }

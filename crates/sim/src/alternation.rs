@@ -29,7 +29,7 @@
 //! rest.
 
 use twq_automata::{Action, Dir, State, TwClass, TwProgram, TwProgramBuilder};
-use twq_guard::{GaugeKind, Guard, TwqError};
+use twq_guard::{Guard, TwqError};
 use twq_logic::exists::selectors;
 use twq_logic::store::sbuild::*;
 use twq_logic::{ExistsFormula, RegId, SFormula};
@@ -245,21 +245,14 @@ pub fn compile_alternating(
 
 /// [`compile_alternating`] under a resource [`Guard`]: one fuel unit per
 /// source rule, the game-state family gauged as
-/// [`GaugeKind::ProductStates`]. Fragment refusals surface as
+/// `GaugeKind::ProductStates`. Fragment refusals surface as
 /// [`TwqError::Unsupported`].
 pub fn compile_alternating_guarded<G: Guard>(
     machine: &Xtm,
     vocab: &mut Vocab,
     guard: &mut G,
 ) -> Result<AltProgram, TwqError> {
-    if G::ENABLED {
-        for _ in machine.rules() {
-            guard.tick().map_err(TwqError::Guard)?;
-        }
-        guard
-            .gauge(GaugeKind::ProductStates, machine.state_count())
-            .map_err(TwqError::Guard)?;
-    }
+    crate::charge_compile(machine, guard)?;
     compile_alternating(machine, vocab)
         .map_err(|e| TwqError::unsupported("sim::compile_alternating", e.to_string()))
 }

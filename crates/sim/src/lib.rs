@@ -27,3 +27,21 @@ pub use logspace::{
 };
 pub use noattr::{delta_count_mod3, eliminate_store, eliminate_store_guarded, ElimError};
 pub use pspace::{compile_pspace, compile_pspace_checked, compile_pspace_guarded, StoreProgram};
+
+use twq_guard::{GaugeKind, Guard, TwqError};
+use twq_xtm::Xtm;
+
+/// The `compile_*_guarded` prologue: compilation is linear in the rule
+/// count, so one fuel unit per source rule, then the machine's state count
+/// gauged as [`GaugeKind::ProductStates`].
+fn charge_compile<G: Guard>(machine: &Xtm, guard: &mut G) -> Result<(), TwqError> {
+    if G::ENABLED {
+        for _ in machine.rules() {
+            guard.tick().map_err(TwqError::Guard)?;
+        }
+        guard
+            .gauge(GaugeKind::ProductStates, machine.state_count())
+            .map_err(TwqError::Guard)?;
+    }
+    Ok(())
+}

@@ -28,7 +28,7 @@
 
 use twq_automata::twir::{macros, when, Cond, Instr, Source, WalkerBuilder};
 use twq_automata::{Dir, TwProgram};
-use twq_guard::{GaugeKind, Guard, TwqError};
+use twq_guard::{Guard, TwqError};
 use twq_logic::RegId;
 use twq_tree::{AttrId, SymId, Value, Vocab};
 use twq_xtm::{HeadMove, TreeDir, XState, Xtm};
@@ -401,7 +401,7 @@ pub fn compile_logspace(
 /// [`compile_logspace`] under a resource [`Guard`]: compilation cost is
 /// linear in the rule count, so one fuel unit is charged per source rule
 /// and the walker's state budget is gauged as
-/// [`GaugeKind::ProductStates`]. Fragment refusals surface as
+/// `GaugeKind::ProductStates`. Fragment refusals surface as
 /// [`TwqError::Unsupported`].
 pub fn compile_logspace_guarded<G: Guard>(
     machine: &Xtm,
@@ -410,14 +410,7 @@ pub fn compile_logspace_guarded<G: Guard>(
     vocab: &mut Vocab,
     guard: &mut G,
 ) -> Result<PebbleProgram, TwqError> {
-    if G::ENABLED {
-        for _ in machine.rules() {
-            guard.tick().map_err(TwqError::Guard)?;
-        }
-        guard
-            .gauge(GaugeKind::ProductStates, machine.state_count())
-            .map_err(TwqError::Guard)?;
-    }
+    crate::charge_compile(machine, guard)?;
     compile_logspace(machine, alphabet, id_attr, vocab)
         .map_err(|e| TwqError::unsupported("sim::compile_logspace", e.to_string()))
 }

@@ -23,7 +23,7 @@
 
 use twq_automata::twir::{when, Cond, Instr, Source, WalkerBuilder};
 use twq_automata::{Dir, TwProgram};
-use twq_guard::{GaugeKind, Guard, TwqError};
+use twq_guard::{Guard, TwqError};
 use twq_logic::store::sbuild::*;
 use twq_logic::{RegId, Relation, SFormula, Var};
 use twq_tree::{AttrId, SymId, Value, Vocab};
@@ -297,7 +297,7 @@ pub fn compile_pspace(
 
 /// [`compile_pspace`] under a resource [`Guard`]: one fuel unit per source
 /// rule (compilation is linear in the rule count), the walker's state
-/// budget gauged as [`GaugeKind::ProductStates`]. Fragment refusals
+/// budget gauged as `GaugeKind::ProductStates`. Fragment refusals
 /// surface as [`TwqError::Unsupported`].
 pub fn compile_pspace_guarded<G: Guard>(
     machine: &Xtm,
@@ -306,14 +306,7 @@ pub fn compile_pspace_guarded<G: Guard>(
     vocab: &mut Vocab,
     guard: &mut G,
 ) -> Result<StoreProgram, TwqError> {
-    if G::ENABLED {
-        for _ in machine.rules() {
-            guard.tick().map_err(TwqError::Guard)?;
-        }
-        guard
-            .gauge(GaugeKind::ProductStates, machine.state_count())
-            .map_err(TwqError::Guard)?;
-    }
+    crate::charge_compile(machine, guard)?;
     compile_pspace(machine, alphabet, id_attr, vocab)
         .map_err(|e| TwqError::unsupported("sim::compile_pspace", e.to_string()))
 }

@@ -21,7 +21,6 @@
 //!   successor/predecessor, used by the Theorem 7.1 pebble constructions;
 //! * [`parse_tree`] / [`tree_to_string`] — a compact term syntax;
 //! * [`generate`] — random and shaped workload generators;
-//! * [`stats`] — structural statistics for workload characterization;
 //! * [`xml`] — an XML-subset reader/writer (elements + attributes).
 
 pub mod delim;
@@ -29,7 +28,6 @@ pub mod generate;
 pub mod nodeset;
 pub mod order;
 pub mod parse;
-pub mod stats;
 pub mod tree;
 pub mod vocab;
 pub mod xml;

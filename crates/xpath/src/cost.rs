@@ -10,7 +10,7 @@
 //! frontier's expected size and its subtree mass (the sum of its members'
 //! subtree sizes), which prices the next `//` step, and returns an
 //! estimated count of touched nodes and the output cardinality. The
-//! `twq-index` planner multiplies the count by a calibrated per-node cost
+//! `twq-index` planner multiplies the count by a measured per-node cost
 //! to weigh walking against an index plan; the estimate only needs to be
 //! *rankable*, not tight.
 

@@ -175,7 +175,7 @@ impl<G: Guard> AltExec<'_, G> {
 
 /// Evaluate an alternating machine on a delimited tree.
 pub fn run_alternating(m: &Xtm, delim: &DelimTree, limits: XtmLimits) -> AltReport {
-    run_alternating_inner(m, delim, limits, &mut NullGuard).expect("NullGuard never trips")
+    run_alternating_guarded(m, delim, limits, &mut NullGuard).expect("NullGuard never trips")
 }
 
 /// [`run_alternating`] under a resource [`Guard`]: one fuel unit per
@@ -183,15 +183,6 @@ pub fn run_alternating(m: &Xtm, delim: &DelimTree, limits: XtmLimits) -> AltRepo
 /// [`DepthKind::Alternation`], the memo table as [`GaugeKind::Configs`],
 /// and tape footprint as [`GaugeKind::TapeCells`].
 pub fn run_alternating_guarded<G: Guard>(
-    m: &Xtm,
-    delim: &DelimTree,
-    limits: XtmLimits,
-    guard: &mut G,
-) -> Result<AltReport, TwqError> {
-    run_alternating_inner(m, delim, limits, guard)
-}
-
-fn run_alternating_inner<G: Guard>(
     m: &Xtm,
     delim: &DelimTree,
     limits: XtmLimits,

@@ -20,7 +20,9 @@
 //! value-postings scans of `compile_xpath` plans (`ScanValue`, and
 //! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
 //! formula-case trees), and those plans' `Expand` steps per axis (child,
-//! parent, descendant, ancestor).
+//! parent, descendant, ancestor); then, from `plan_indexed` under each
+//! case's alphabet context, the fires of each rewrite rule, the
+//! certificate kinds, and the `Force::Auto` verdicts (empty, index, walk).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`
 //! when discrepancies were found, a tally stayed at zero, or stdout closed
 //! before the report was written, `2` for usage errors.
@@ -258,7 +260,9 @@ fn main() {
     let uni = Universe::standard();
     let report = run_campaign(&args.cfg, &uni, &pool);
     outln!("fuzz --seed {} : {}", args.cfg.seed, report.summary());
-    outln!("  {}", report.reach.summary());
+    for line in report.reach.summary().lines() {
+        outln!("  {line}");
+    }
     let unreached = report.reach.unreached();
     if !unreached.is_empty() {
         outln!("  unreached: {}", unreached.join(", "));

@@ -213,22 +213,6 @@ proptest! {
         prop_assert_eq!(walked.accepted(), direct);
     }
 
-    /// Tree statistics are internally consistent.
-    #[test]
-    fn stats_invariants((seed, nodes, width) in arb_tree_params()) {
-        use twq::tree::stats::TreeStats;
-        let mut vocab = Vocab::new();
-        let mut cfg = TreeGenConfig::example32(&mut vocab, nodes, &[]);
-        cfg.max_children = width;
-        let t = random_tree(&cfg, seed);
-        let st = TreeStats::of(&t);
-        prop_assert_eq!(st.nodes, t.len());
-        prop_assert_eq!(st.depth_histogram.total() as usize, t.len());
-        prop_assert_eq!(st.branching_histogram.total() as usize, t.len());
-        prop_assert_eq!(st.branching_histogram.count_of(0) as usize, st.leaves);
-        prop_assert!(st.max_branching <= width);
-    }
-
     /// Example 3.2's automaton equals its oracle on arbitrary workloads.
     #[test]
     fn example_32_is_its_oracle((seed, nodes, width) in arb_tree_params()) {
