@@ -3,13 +3,18 @@
 //!
 //! * `selective_label/*` — `//rare` (one symbol in 64): the walking
 //!   evaluator's one set-at-a-time pass over the document vs. the index
-//!   plan's range intersection, planner included on the index side;
+//!   plan's range intersection, planner included on the index side. The
+//!   generated tree numbers its nodes out of pre-order, so `index`
+//!   permutes its result back into arena ids; `index_parsed` runs the same
+//!   query on the tree read back from XML, whose arena ids are its
+//!   pre-order positions, so the result is returned as it is;
 //! * `selective_value/*` — `//*[@a=v]` (one value in thousands): same
 //!   comparison for the value postings;
 //! * `unselective/*` — a cross-attribute value join over high-cardinality
 //!   columns, where the cost model correctly refuses the index and the
 //!   planned run must stay within a few percent of the direct walk;
-//! * `axis/*` — one compiled plan per axis step, run from the root:
+//! * `axis/*` — one compiled plan per axis step, run from the root of
+//!   the generated tree:
 //!   `child` (`//s17/*`), `parent` (`//*[s17]`), `ancestor`
 //!   (`//s17[s18//s19]`) and `desc_set` (`//s17//s18`, a descendant step
 //!   from a set of ~1 000 scattered nodes);
@@ -120,6 +125,8 @@ fn bench(c: &mut Criterion) {
     let mut vocab = Vocab::new();
     let (tree, cfg) = workload(&mut vocab);
     let idx = TreeIndex::build(&tree);
+    // Every row on `tree` measures the permuted side of `eval_plan_from`.
+    assert!(!idx.intervals().arena_is_preorder());
     let ctx = RewriteCtx::unconstrained();
     let model = CostModel::default();
 
@@ -233,6 +240,27 @@ fn bench(c: &mut Criterion) {
     assert_eq!(
         tree_to_string(&read, &read_vocab),
         tree_to_string(&tree, &vocab)
+    );
+
+    // The selective label query on the parsed copy, after the same kind of
+    // untimed check against the walker.
+    let read_idx = TreeIndex::build(&read);
+    assert!(read_idx.intervals().arena_is_preorder());
+    assert_eq!(
+        run_query_indexed(&read, &read_idx, &q_label, &ctx, &model, Force::Index).0,
+        eval_from(&read, &q_label, read.root()),
+        "indexed twin diverged on the parsed tree"
+    );
+    group.bench_with_input(
+        BenchmarkId::new("selective_label", "index_parsed"),
+        &q_label,
+        |bch, q| {
+            bch.iter(|| {
+                run_query_indexed(&read, &read_idx, q, &ctx, &model, Force::Index)
+                    .0
+                    .len()
+            })
+        },
     );
     group.bench_with_input(BenchmarkId::new("parse_xml", "64k"), &xml, |bch, xml| {
         bch.iter(|| {

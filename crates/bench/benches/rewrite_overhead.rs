@@ -2,8 +2,9 @@
 //! buys. Three questions, one group:
 //!
 //! * `analyze/*` — the price of a full `rewrite()` pass (normalize +
-//!   certify + diagnostics) per query shape, the cost a planner pays
-//!   before ever touching a tree;
+//!   emptiness + certify) per query shape, the cost a planner pays
+//!   before ever touching a tree. Diagnostics are not formatted here:
+//!   `Rewritten::diagnostics` derives them only when a caller asks;
 //! * `eval/*` — batch selection over a query mix, direct vs. rewrite then
 //!   walk the normal form (the rewrite runs again on every call, so this
 //!   is the worst-case per-evaluation overhead);

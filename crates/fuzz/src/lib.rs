@@ -45,6 +45,7 @@ use twq_exec::Pool;
 use twq_index::{compile_exists, compile_xpath, Axis, CostModel, Force, IxPlan, TreeIndex};
 use twq_logic::{Formula, TreeAtom};
 use twq_rw::{plan_indexed, Certificate, IndexedEvaluator, RewriteCtx, CATALOG};
+use twq_tree::DocIntervals;
 
 use crate::gen::program_error_kind as error_kind;
 
@@ -113,11 +114,13 @@ impl CaseKind {
 /// [`ExistsFormula::branch_paths`](twq_logic::ExistsFormula::branch_paths)),
 /// the structural atoms of the formulas `compile_exists` translates, by
 /// kind, and the value-postings scans and axis expansions of the plans
-/// `compile_xpath` builds. For a source query it also reads the record of
-/// `plan_indexed` under the case's alphabet context, as the oracle's
-/// planner pair runs it: the rewrite rules that fired, the certificate,
-/// and the `Force::Auto` verdict. A tally left at zero is a path no case
-/// compared, and the `fuzz` binary fails the campaign.
+/// `compile_xpath` builds, and whether the trees the oracle evaluated
+/// index plans on keep their arena ids in pre-order. For a source query
+/// it also reads the record of `plan_indexed` under the case's alphabet
+/// context, as the oracle's planner pair runs it: the rewrite rules that
+/// fired, the certificate, and the `Force::Auto` verdict. A tally left at
+/// zero is a path no case compared, and the `fuzz` binary fails the
+/// campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     /// DNF branches evaluated by semi-joins.
@@ -135,6 +138,10 @@ pub struct Reach {
     /// `Expand` nodes of compiled XPath plans, per axis, in
     /// [`Reach::AXES`] order.
     pub expand: [u64; 4],
+    /// Formula cases whose tree the oracle evaluated an index plan on
+    /// (through `fo_select_routed` or `eval_plan_from`), by arena order, in
+    /// [`Reach::ARENAS`] order.
+    pub arenas: [u64; 2],
     /// Fires of each rewrite rule, in [`CATALOG`] order.
     pub rules: [u64; CATALOG.len()],
     /// Rewrite certificates by kind, in [`Reach::CERTIFICATES`] order.
@@ -154,6 +161,11 @@ impl Reach {
         "Expand(desc)",
         "Expand(ancestor)",
     ];
+
+    /// The two sides of `eval_plan_from`: trees whose arena ids are their
+    /// pre-order positions, whose pre-order result is returned as it is,
+    /// and trees whose result is permuted back into arena ids.
+    pub const ARENAS: [&'static str; 2] = ["pre-order arena", "permuted arena"];
 
     /// The [`Certificate`] kinds.
     pub const CERTIFICATES: [&'static str; 3] = ["Empty", "Streamable", "NotStreamable"];
@@ -213,8 +225,13 @@ impl Reach {
             backtrack: backtrack as u64,
             ..Reach::default()
         };
-        if compile_exists(phi).is_some() {
+        let compiled = compile_exists(phi).is_some();
+        if compiled {
             atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
+        }
+        if compiled || case.path.is_some() {
+            let preorder = DocIntervals::build(&case.tree).arena_is_preorder();
+            reach.arenas[usize::from(!preorder)] += 1;
         }
         if let Some(path) = &case.path {
             operators(&compile_xpath(path), &mut reach);
@@ -253,6 +270,7 @@ impl Reach {
         self.scan_value += other.scan_value;
         self.scan_pair += other.scan_pair;
         add(&mut self.expand, &other.expand);
+        add(&mut self.arenas, &other.arenas);
         add(&mut self.rules, &other.rules);
         add(&mut self.certificates, &other.certificates);
         add(&mut self.verdicts, &other.verdicts);
@@ -270,6 +288,7 @@ impl Reach {
             ("ScanAttrPair(a≠b)", self.scan_pair),
         ];
         let axes = Reach::AXES.into_iter().zip(self.expand);
+        let arenas = Reach::ARENAS.into_iter().zip(self.arenas);
         let rules = CATALOG.iter().map(|r| r.name).zip(self.rules);
         let certificates = Reach::CERTIFICATES.into_iter().zip(self.certificates);
         let verdicts = Reach::VERDICTS.into_iter().zip(self.verdicts);
@@ -278,6 +297,7 @@ impl Reach {
             .chain(kinds)
             .chain(scans)
             .chain(axes)
+            .chain(arenas)
             .chain(rules)
             .chain(certificates)
             .chain(verdicts)
@@ -300,7 +320,7 @@ impl Reach {
         format!(
             "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}; \
              compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}; \
-             compile_xpath axis steps: {}\n\
+             compile_xpath axis steps: {}; index plans evaluated on: {}\n\
              rewrite rules fired: {}; certificates: {}; plan_indexed verdicts: {}",
             self.semijoin,
             self.backtrack,
@@ -308,6 +328,7 @@ impl Reach {
             self.scan_value,
             self.scan_pair,
             tallies(Reach::AXES, &self.expand),
+            tallies(Reach::ARENAS, &self.arenas),
             tallies(CATALOG.iter().map(|r| r.name), &self.rules),
             tallies(Reach::CERTIFICATES, &self.certificates),
             tallies(Reach::VERDICTS, &self.verdicts)

@@ -7,8 +7,19 @@
 //! descendant step fills ranges, a child step hops from sibling to
 //! sibling over the `end` column, and parent and ancestor steps read and
 //! climb the parent column. [`eval_plan_from`] converts a single arena
-//! context in and the result back out.
+//! context in and the result back out, unless the tree's arena ids are
+//! its pre-order positions, when both conversions are the identity.
+//!
+//! A set the index or the caller already holds — the context, a label
+//! posting, a structural posting — is read in place wherever it is an
+//! operand of an intersection, a union, an axis expansion or a guard. An
+//! intersection skips its `All` operands (the neutral element) and
+//! accumulates into its first computed operand, so a stored set is copied
+//! only when it is the whole result, or when an intersection of several
+//! stored sets is. An intersection of one stored set with `All`, as
+//! `[p]` filters compile to, is that set, read in place.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use twq_logic::ExistsFormula;
@@ -26,16 +37,72 @@ fn all_pre(idx: &TreeIndex) -> NodeSet {
     s
 }
 
+/// The set a leaf names that is already stored — the context, a
+/// non-empty label posting, a structural posting — or `None` for a plan
+/// node whose set is computed.
+fn stored<'a>(idx: &'a TreeIndex, plan: &IxPlan, ctx: &'a NodeSet) -> Option<&'a NodeSet> {
+    match plan {
+        IxPlan::Context => Some(ctx),
+        IxPlan::ScanLabel(s) => idx.label_posting(*s),
+        IxPlan::ScanLeaf => Some(idx.leaves()),
+        IxPlan::ScanFirst => Some(idx.firsts()),
+        IxPlan::ScanLast => Some(idx.lasts()),
+        _ => None,
+    }
+}
+
+/// `plan`'s set as an operand: borrowed in place when it is stored (or an
+/// intersection that reduces to one stored set), computed otherwise.
+fn operand<'a>(idx: &'a TreeIndex, plan: &IxPlan, ctx: &'a NodeSet) -> Cow<'a, NodeSet> {
+    match (stored(idx, plan, ctx), plan) {
+        (Some(s), _) => Cow::Borrowed(s),
+        (None, IxPlan::Intersect(ps)) => intersect(idx, ps, ctx),
+        (None, _) => Cow::Owned(eval_plan_pre(idx, plan, ctx)),
+    }
+}
+
+/// The intersection of `ps`, skipping its `All` operands (`All` when none
+/// is left). The first computed operand holds the result and the others
+/// are read as [`operand`]s; with none computed, the first stored set is
+/// copied into it, or read as it is when it is the only operand.
+fn intersect<'a>(idx: &'a TreeIndex, ps: &[IxPlan], ctx: &'a NodeSet) -> Cow<'a, NodeSet> {
+    let operands = || ps.iter().filter(|p| !matches!(p, IxPlan::All));
+    // An empty stored operand settles the result before anything is
+    // computed.
+    if operands().any(|p| stored(idx, p, ctx).is_some_and(NodeSet::is_empty)) {
+        return Cow::Owned(NodeSet::new());
+    }
+    let computed = operands().find(|p| stored(idx, p, ctx).is_none());
+    let Some(head) = computed.or_else(|| operands().next()) else {
+        return Cow::Owned(all_pre(idx));
+    };
+    let mut rest = operands().filter(|&p| !std::ptr::eq(p, head)).peekable();
+    if rest.peek().is_none() {
+        return operand(idx, head, ctx);
+    }
+    let mut acc = operand(idx, head, ctx).into_owned();
+    for p in rest {
+        if acc.is_empty() {
+            break;
+        }
+        acc.intersect_with(&operand(idx, p, ctx));
+    }
+    Cow::Owned(acc)
+}
+
 /// Evaluate `plan` against the context set `ctx` (both in pre-order
 /// space). An empty `Intersect` denotes `All`, an empty `Union` denotes
 /// `Empty` (the usual neutral elements).
 pub fn eval_plan_pre(idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet) -> NodeSet {
     match plan {
-        IxPlan::Context => ctx.clone(),
+        IxPlan::Context
+        | IxPlan::ScanLabel(_)
+        | IxPlan::ScanLeaf
+        | IxPlan::ScanFirst
+        | IxPlan::ScanLast => stored(idx, plan, ctx).cloned().unwrap_or_default(),
         IxPlan::Root => NodeSet::from([NodeId(0)]),
         IxPlan::All => all_pre(idx),
         IxPlan::Empty => NodeSet::new(),
-        IxPlan::ScanLabel(s) => idx.label_posting(*s).cloned().unwrap_or_default(),
         IxPlan::ScanValue(a, v) => idx.value_posting(*a, *v).map_or_else(NodeSet::new, set_of),
         IxPlan::ScanAttrBot(a) => {
             let mut s = all_pre(idx);
@@ -45,33 +112,21 @@ pub fn eval_plan_pre(idx: &TreeIndex, plan: &IxPlan, ctx: &NodeSet) -> NodeSet {
             s
         }
         IxPlan::ScanAttrPair(a, b) => scan_attr_pair(idx, *a, *b),
-        IxPlan::ScanLeaf => idx.leaves().clone(),
-        IxPlan::ScanFirst => idx.firsts().clone(),
-        IxPlan::ScanLast => idx.lasts().clone(),
-        IxPlan::Intersect(ps) => {
-            let mut iter = ps.iter();
-            let mut acc = match iter.next() {
-                Some(p) => eval_plan_pre(idx, p, ctx),
-                None => return all_pre(idx),
-            };
-            for p in iter {
-                if acc.is_empty() {
-                    break;
-                }
-                acc.intersect_with(&eval_plan_pre(idx, p, ctx));
-            }
-            acc
-        }
+        IxPlan::Intersect(ps) => intersect(idx, ps, ctx).into_owned(),
         IxPlan::Union(ps) => {
-            let mut acc = NodeSet::new();
-            for p in ps {
-                acc.union_with(&eval_plan_pre(idx, p, ctx));
+            let mut iter = ps.iter();
+            let Some(first) = iter.next() else {
+                return NodeSet::new();
+            };
+            let mut acc = eval_plan_pre(idx, first, ctx);
+            for p in iter {
+                acc.union_with(&operand(idx, p, ctx));
             }
             acc
         }
-        IxPlan::Expand(ax, p) => expand(idx, *ax, &eval_plan_pre(idx, p, ctx)),
+        IxPlan::Expand(ax, p) => expand(idx, *ax, &operand(idx, p, ctx)),
         IxPlan::IfNonEmpty(cond, body) => {
-            if eval_plan_pre(idx, cond, ctx).is_empty() {
+            if operand(idx, cond, ctx).is_empty() {
                 NodeSet::new()
             } else {
                 eval_plan_pre(idx, body, ctx)
@@ -196,13 +251,22 @@ fn expand(idx: &TreeIndex, axis: Axis, inner: &NodeSet) -> NodeSet {
 /// `plan = compile_xpath(path)`. Compile once per query and reuse the
 /// plan across contexts; `tests/index.rs` and the fuzz oracle check the
 /// pair against `eval_from` at every context node.
+///
+/// When the tree's arena ids are its pre-order positions
+/// ([`DocIntervals::arena_is_preorder`](twq_tree::DocIntervals::arena_is_preorder),
+/// true of every parsed tree), the pre-order result is the arena result
+/// and is returned as it is; otherwise it is permuted back.
 pub fn eval_plan_from(tree: &Tree, idx: &TreeIndex, plan: &IxPlan, x: NodeId) -> NodeSet {
     debug_assert_eq!(idx.len(), tree.len(), "index built for another tree");
-    let ctx = NodeSet::from([NodeId(idx.intervals().begin(x))]);
+    let iv = idx.intervals();
+    let ctx = NodeSet::from([NodeId(iv.begin(x))]);
     let pre = eval_plan_pre(idx, plan, &ctx);
+    if iv.arena_is_preorder() {
+        return pre;
+    }
     let mut out = NodeSet::with_capacity(tree.len());
     for p in &pre {
-        out.insert(idx.intervals().node_at(p.0));
+        out.insert(iv.node_at(p.0));
     }
     out
 }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use twq_tree::{AttrId, SymId, Value};
+use twq_tree::SymId;
 use twq_xpath::{Pred, XPath};
 
 /// What the rewriter may assume about the trees a query will run on.
@@ -46,74 +46,102 @@ impl RewriteCtx {
     }
 }
 
-/// A possibly-unbounded set of element labels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Labels {
+/// A possibly-unbounded set of element labels, read off a borrowed query
+/// and never materialized: the labels `p` may select ([`Labels::Selected`])
+/// or those its context node must carry ([`Labels::Context`]). A set is
+/// `Any` (unbounded) or `Only` a finite set of symbols, and is built from
+/// singletons, `Any`, intersections and unions.
+#[derive(Clone, Copy)]
+enum Labels<'a> {
     Any,
-    Only(BTreeSet<SymId>),
+    Selected(&'a XPath),
+    Context(&'a XPath),
 }
 
-impl Labels {
-    fn one(s: SymId) -> Labels {
-        Labels::Only(std::iter::once(s).collect())
-    }
+/// One constructor of a [`Labels`] set.
+enum LabelsNode<'a> {
+    One(SymId),
+    Any,
+    Inter(Labels<'a>, Labels<'a>),
+    Union(Labels<'a>, Labels<'a>),
+    Same(Labels<'a>),
+}
 
-    fn inter(self, other: Labels) -> Labels {
-        match (self, other) {
-            (Labels::Any, o) | (o, Labels::Any) => o,
-            (Labels::Only(a), Labels::Only(b)) => {
-                Labels::Only(a.intersection(&b).copied().collect())
-            }
+impl<'a> Labels<'a> {
+    /// Labels the node a predicate is tested at must have for it to hold.
+    fn of_pred(f: &'a Pred) -> Labels<'a> {
+        match f {
+            Pred::Path(q) => Labels::Context(q),
+            Pred::AttrEqConst(..) | Pred::AttrEqAttr(..) => Labels::Any,
         }
     }
 
-    fn union(self, other: Labels) -> Labels {
-        match (self, other) {
-            (Labels::Any, _) | (_, Labels::Any) => Labels::Any,
-            (Labels::Only(mut a), Labels::Only(b)) => {
-                a.extend(b);
-                Labels::Only(a)
-            }
+    fn node(self) -> LabelsNode<'a> {
+        match self {
+            Labels::Any => LabelsNode::Any,
+            Labels::Selected(p) => match p {
+                XPath::Name(s) => LabelsNode::One(*s),
+                XPath::Wild => LabelsNode::Any,
+                XPath::Child(_, b) | XPath::Descendant(_, b) => {
+                    LabelsNode::Same(Labels::Selected(b))
+                }
+                XPath::FromRoot(q) | XPath::FromDesc(q) | XPath::FromChild(q) => {
+                    LabelsNode::Same(Labels::Selected(q))
+                }
+                XPath::Filter(q, f) => LabelsNode::Inter(Labels::Selected(q), Labels::of_pred(f)),
+                XPath::Union(a, b) => LabelsNode::Union(Labels::Selected(a), Labels::Selected(b)),
+            },
+            Labels::Context(p) => match p {
+                XPath::Name(s) => LabelsNode::One(*s),
+                XPath::Wild | XPath::FromRoot(_) | XPath::FromDesc(_) | XPath::FromChild(_) => {
+                    LabelsNode::Any
+                }
+                XPath::Child(a, _) | XPath::Descendant(a, _) | XPath::Filter(a, _) => {
+                    LabelsNode::Same(Labels::Context(a))
+                }
+                XPath::Union(a, b) => LabelsNode::Union(Labels::Context(a), Labels::Context(b)),
+            },
         }
     }
 
-    fn disjoint(&self, other: &Labels) -> bool {
-        match (self, other) {
-            (Labels::Only(a), Labels::Only(b)) => a.intersection(b).next().is_none(),
-            _ => false,
+    /// Is the set unbounded? An intersection is when both sides are, a
+    /// union when either is.
+    fn is_any(self) -> bool {
+        match self.node() {
+            LabelsNode::One(_) => false,
+            LabelsNode::Any => true,
+            LabelsNode::Inter(x, y) => x.is_any() && y.is_any(),
+            LabelsNode::Union(x, y) => x.is_any() || y.is_any(),
+            LabelsNode::Same(x) => x.is_any(),
         }
     }
-}
 
-/// Possible labels of nodes *selected* by `p`.
-fn self_labels(p: &XPath) -> Labels {
-    match p {
-        XPath::Name(s) => Labels::one(*s),
-        XPath::Wild => Labels::Any,
-        XPath::Child(_, b) | XPath::Descendant(_, b) => self_labels(b),
-        XPath::FromRoot(q) | XPath::FromDesc(q) | XPath::FromChild(q) => self_labels(q),
-        XPath::Filter(q, f) => self_labels(q).inter(pred_ctx_labels(f)),
-        XPath::Union(a, b) => self_labels(a).union(self_labels(b)),
+    /// Is `s` in the set (always, for an unbounded one)?
+    fn has(self, s: SymId) -> bool {
+        match self.node() {
+            LabelsNode::One(t) => t == s,
+            LabelsNode::Any => true,
+            LabelsNode::Inter(x, y) => x.has(s) && y.has(s),
+            LabelsNode::Union(x, y) => x.has(s) || y.has(s),
+            LabelsNode::Same(x) => x.has(s),
+        }
     }
-}
 
-/// Labels the *context* node must have for `p` to select anything.
-fn ctx_labels(p: &XPath) -> Labels {
-    match p {
-        XPath::Name(s) => Labels::one(*s),
-        XPath::Wild => Labels::Any,
-        XPath::Child(a, _) | XPath::Descendant(a, _) => ctx_labels(a),
-        XPath::FromRoot(_) | XPath::FromDesc(_) | XPath::FromChild(_) => Labels::Any,
-        XPath::Filter(q, _) => ctx_labels(q),
-        XPath::Union(a, b) => ctx_labels(a).union(ctx_labels(b)),
+    /// Does `f` hold for some symbol the set is built from? Every member
+    /// of a bounded set is one of them.
+    fn any_sym(self, f: &mut impl FnMut(SymId) -> bool) -> bool {
+        match self.node() {
+            LabelsNode::One(t) => f(t),
+            LabelsNode::Any => false,
+            LabelsNode::Inter(x, y) | LabelsNode::Union(x, y) => x.any_sym(f) || y.any_sym(f),
+            LabelsNode::Same(x) => x.any_sym(f),
+        }
     }
-}
 
-/// Labels the node a predicate is tested at must have for it to hold.
-fn pred_ctx_labels(f: &Pred) -> Labels {
-    match f {
-        Pred::Path(q) => ctx_labels(q),
-        Pred::AttrEqConst(..) | Pred::AttrEqAttr(..) => Labels::Any,
+    /// Two bounded sets with no common member (an unbounded set is never
+    /// disjoint from anything).
+    fn disjoint(self, other: Labels<'_>) -> bool {
+        !self.is_any() && !other.is_any() && !self.any_sym(&mut |s| self.has(s) && other.has(s))
     }
 }
 
@@ -151,15 +179,23 @@ fn need(p: &XPath, d: usize) -> (usize, usize) {
     }
 }
 
-/// `@a = d` constraints stacked on one filter chain (they all test the
-/// same node, so two different constants on the same attribute clash).
-fn attr_const_chain(p: &XPath, out: &mut Vec<(AttrId, Value)>) {
-    if let XPath::Filter(inner, f) = p {
+/// Two `@a = d` constraints on one filter chain with the same attribute
+/// and different constants (they all test the same node, so they clash).
+fn attr_const_clash(p: &XPath) -> bool {
+    let mut outer = p;
+    while let XPath::Filter(inner, f) = outer {
         if let Pred::AttrEqConst(a, v) = **f {
-            out.push((a, v));
+            let mut rest = &**inner;
+            while let XPath::Filter(next, g) = rest {
+                if matches!(**g, Pred::AttrEqConst(b, w) if b == a && w != v) {
+                    return true;
+                }
+                rest = next;
+            }
         }
-        attr_const_chain(inner, out);
+        outer = inner;
     }
+    false
 }
 
 /// Is `p` provably empty — selecting nothing at any context of any tree
@@ -184,21 +220,9 @@ fn empty_rec(p: &XPath, ctx: &RewriteCtx) -> bool {
                 return true;
             }
             // The predicate tests the node q selects: a label clash there
-            // kills every match.
-            if self_labels(q).disjoint(&pred_ctx_labels(f)) {
-                return true;
-            }
-            // Conflicting `@a = d` constants on the same filter chain.
-            let mut consts = Vec::new();
-            attr_const_chain(p, &mut consts);
-            for i in 0..consts.len() {
-                for (a, v) in &consts[i + 1..] {
-                    if *a == consts[i].0 && *v != consts[i].1 {
-                        return true;
-                    }
-                }
-            }
-            false
+            // kills every match. So do conflicting `@a = d` constants on
+            // the same filter chain.
+            Labels::Selected(q).disjoint(Labels::of_pred(f)) || attr_const_clash(p)
         }
         XPath::Union(a, b) => empty_rec(a, ctx) && empty_rec(b, ctx),
     }
@@ -247,7 +271,8 @@ fn pred_implies(f: &Pred, g: &Pred) -> bool {
     }
 }
 
-fn spine<'a>(p: &'a XPath, out: &mut Vec<&'a XPath>) {
+/// Push the union branches of `p` (`p` itself if it is not a union).
+pub(crate) fn spine<'a>(p: &'a XPath, out: &mut Vec<&'a XPath>) {
     if let XPath::Union(a, b) = p {
         spine(a, out);
         spine(b, out);
@@ -258,19 +283,19 @@ fn spine<'a>(p: &'a XPath, out: &mut Vec<&'a XPath>) {
 
 /// Conservative containment: `true` guarantees `p(t, x) ⊆ q(t, x)` for
 /// every tree `t` and context `x`. Justifies pruning `p | q` to `q`.
+///
+/// A union on the left is contained when each of its branches is, and a
+/// single branch is contained in a union when it is in one of its
+/// branches.
 pub fn contains(p: &XPath, q: &XPath) -> bool {
     if p == q {
         return true;
     }
-    let mut ps = Vec::new();
-    spine(p, &mut ps);
-    if ps.len() > 1 {
-        return ps.iter().all(|b| contains(b, q));
+    if let XPath::Union(a, b) = p {
+        return contains(a, q) && contains(b, q);
     }
-    let mut qs = Vec::new();
-    spine(q, &mut qs);
-    if qs.len() > 1 {
-        return qs.iter().any(|b| contains(p, b));
+    if let XPath::Union(a, b) = q {
+        return contains(p, a) || contains(p, b);
     }
     contains1(p, q)
 }

@@ -33,7 +33,16 @@
 //! What a rewrite did is part of its result: [`Rewritten::fired`] lists
 //! each rule that fired by name, [`Rewritten::pruned_branches`] counts the
 //! union branches it deleted, and [`Rewritten::certificate`] says whether
-//! the normal form streams.
+//! the normal form streams. [`Rewritten::diagnostics`] derives the `RW`/`ST`
+//! findings from these on demand.
+//!
+//! A rewrite copies only what it returns. The engine borrows the query
+//! and rebuilds just the subterms a rule changes, the union and emptiness
+//! checks read borrowed spines and label sets, fire counts go to an array
+//! indexed by catalog position, and the certificate counts the streaming
+//! NFA's states without building it. A query already in normal form costs
+//! the two copies in the record, [`Rewritten::input`] and
+//! [`Rewritten::output`].
 
 pub mod contain;
 pub mod diag;
@@ -57,7 +66,7 @@ pub use rules::{rule, RwRule, CATALOG};
 pub use stream::{certify, stream_select, stream_select_gauged, Certificate, StreamStats};
 
 /// The record of one rewrite: what went in, what came out, which rules
-/// fired, what the certificate says, and the findings to report.
+/// fired and what the certificate says.
 #[derive(Debug)]
 pub struct Rewritten {
     /// The query as given.
@@ -73,8 +82,76 @@ pub struct Rewritten {
     pub pruned_branches: u64,
     /// The streamability certificate of the normal form.
     pub certificate: Certificate,
-    /// `RW`/`ST` findings.
-    pub diagnostics: Vec<QueryDiagnostic>,
+}
+
+impl Rewritten {
+    /// How often the rule `name` fired.
+    fn fired_count(&self, name: &str) -> u64 {
+        self.fired
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, n)| *n)
+    }
+
+    /// The `RW`/`ST` findings, derived from [`Rewritten::fired`],
+    /// [`Rewritten::provably_empty`], [`Rewritten::pruned_branches`] and
+    /// [`Rewritten::certificate`].
+    pub fn diagnostics(&self) -> Vec<QueryDiagnostic> {
+        let mut diagnostics = Vec::new();
+        if self.fired_count("empty-prune") > 0 {
+            diagnostics.push(QueryDiagnostic {
+                severity: Severity::Info,
+                code: "RW001",
+                message: "provably-empty union branch(es) deleted".to_owned(),
+                hint: "the branch can never select a node on conforming trees",
+            });
+        }
+        if self.provably_empty {
+            diagnostics.push(QueryDiagnostic {
+                severity: Severity::Warning,
+                code: "RW002",
+                message: "query is provably empty".to_owned(),
+                hint: "it selects nothing on any conforming tree; evaluation short-circuits",
+            });
+        }
+        if self.fired_count("union-subsume") > 0 {
+            diagnostics.push(QueryDiagnostic {
+                severity: Severity::Info,
+                code: "RW003",
+                message: format!(
+                    "union branch(es) subsumed by siblings ({} branch(es) pruned in total)",
+                    self.pruned_branches
+                ),
+                hint: "p ⊑ q justifies rewriting p | q to q",
+            });
+        }
+        if self.fired_count("filter-true") > 0 {
+            diagnostics.push(QueryDiagnostic {
+                severity: Severity::Info,
+                code: "RW004",
+                message: "tautological filter(s) dropped".to_owned(),
+                hint: "the predicate holds at every node",
+            });
+        }
+        match &self.certificate {
+            Certificate::Empty => {}
+            Certificate::Streamable { max_depth_state } => diagnostics.push(QueryDiagnostic {
+                severity: Severity::Info,
+                code: "ST001",
+                message: format!(
+                    "certified streamable with at most {max_depth_state} active states per level"
+                ),
+                hint: "a single document-order pass answers this query in O(depth) memory",
+            }),
+            Certificate::NotStreamable { witness } => diagnostics.push(QueryDiagnostic {
+                severity: Severity::Info,
+                code: "ST002",
+                message: format!("not streamable: {witness}"),
+                hint: "the relational evaluator handles it",
+            }),
+        }
+        diagnostics
+    }
 }
 
 /// Rewrite under the default (assumption-free) context.
@@ -84,82 +161,20 @@ pub fn rewrite(q: &XPath) -> Rewritten {
 
 /// Rewrite under `ctx`.
 pub fn rewrite_in(q: &XPath, ctx: &RewriteCtx) -> Rewritten {
-    let (output, st) = norm::normalize_stats(q, ctx);
+    let (normal, st) = norm::normalize_stats(q, ctx);
+    let output = normal.unwrap_or_else(|| q.clone());
     let provably_empty = provably_empty(&output, ctx);
     let certificate = if provably_empty {
         Certificate::Empty
     } else {
         certify(&output)
     };
-
-    // Fired counts in catalog order.
-    let mut fired = Vec::new();
-    for r in CATALOG {
-        if let Some(&n) = st.fired.get(r.name) {
-            fired.push((r.name, n));
-        }
-    }
-
-    let mut diagnostics = Vec::new();
-    let fired_count = |name: &str| {
-        fired
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, n)| *n)
-    };
-    if fired_count("empty-prune") > 0 {
-        diagnostics.push(QueryDiagnostic {
-            severity: Severity::Info,
-            code: "RW001",
-            message: "provably-empty union branch(es) deleted".to_owned(),
-            hint: "the branch can never select a node on conforming trees",
-        });
-    }
-    if provably_empty {
-        diagnostics.push(QueryDiagnostic {
-            severity: Severity::Warning,
-            code: "RW002",
-            message: "query is provably empty".to_owned(),
-            hint: "it selects nothing on any conforming tree; evaluation short-circuits",
-        });
-    }
-    if fired_count("union-subsume") > 0 {
-        diagnostics.push(QueryDiagnostic {
-            severity: Severity::Info,
-            code: "RW003",
-            message: format!(
-                "union branch(es) subsumed by siblings ({} branch(es) pruned in total)",
-                st.pruned
-            ),
-            hint: "p ⊑ q justifies rewriting p | q to q",
-        });
-    }
-    if fired_count("filter-true") > 0 {
-        diagnostics.push(QueryDiagnostic {
-            severity: Severity::Info,
-            code: "RW004",
-            message: "tautological filter(s) dropped".to_owned(),
-            hint: "the predicate holds at every node",
-        });
-    }
-    match &certificate {
-        Certificate::Empty => {}
-        Certificate::Streamable { max_depth_state } => diagnostics.push(QueryDiagnostic {
-            severity: Severity::Info,
-            code: "ST001",
-            message: format!(
-                "certified streamable with at most {max_depth_state} active states per level"
-            ),
-            hint: "a single document-order pass answers this query in O(depth) memory",
-        }),
-        Certificate::NotStreamable { witness } => diagnostics.push(QueryDiagnostic {
-            severity: Severity::Info,
-            code: "ST002",
-            message: format!("not streamable: {witness}"),
-            hint: "the relational evaluator handles it",
-        }),
-    }
-
+    let fired = CATALOG
+        .iter()
+        .zip(st.fired)
+        .filter(|&(_, n)| n > 0)
+        .map(|(r, n)| (r.name, n))
+        .collect();
     Rewritten {
         input: q.clone(),
         output,
@@ -167,7 +182,6 @@ pub fn rewrite_in(q: &XPath, ctx: &RewriteCtx) -> Rewritten {
         fired,
         pruned_branches: st.pruned,
         certificate,
-        diagnostics,
     }
 }
 
@@ -190,8 +204,8 @@ mod tests {
         assert_eq!(rw.output, xb::desc(a.clone(), b.clone()));
         assert!(rw.pruned_branches >= 1);
         assert!(rw.certificate.is_streamable());
-        assert!(rw.diagnostics.iter().any(|d| d.code == "RW003"));
-        assert!(rw.diagnostics.iter().any(|d| d.code == "ST001"));
+        assert!(rw.diagnostics().iter().any(|d| d.code == "RW003"));
+        assert!(rw.diagnostics().iter().any(|d| d.code == "ST001"));
         assert!(!rw.provably_empty);
     }
 
@@ -204,6 +218,6 @@ mod tests {
         let rw = rewrite_in(&xb::name(ghost), &ctx);
         assert!(rw.provably_empty);
         assert_eq!(rw.certificate, Certificate::Empty);
-        assert!(rw.diagnostics.iter().any(|d| d.code == "RW002"));
+        assert!(rw.diagnostics().iter().any(|d| d.code == "RW002"));
     }
 }

@@ -7,8 +7,13 @@
 //! canonically reorders, so the loop converges; a generous fuel bound
 //! makes termination unconditional regardless (idempotence and
 //! confluence-on-samples are asserted in `tests/rewrite.rs`).
+//!
+//! The engine is copy-on-write: it borrows the query, and a subterm that
+//! no rule changes comes back as `None`, so only the path from a fire up
+//! to the root is rebuilt. A query already in normal form is not copied
+//! at all.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use twq_xpath::{Pred, XPath};
 
@@ -18,29 +23,55 @@ use crate::rules::{spine_len, RwRule, CATALOG};
 /// Per-run rule accounting.
 #[derive(Debug, Default)]
 pub(crate) struct EngineStats {
-    /// Rule name → number of fires.
-    pub fired: BTreeMap<&'static str, u64>,
+    /// Fires per rule, by [`CATALOG`] position.
+    pub fired: [u64; CATALOG.len()],
     /// Union branches deleted (dedupe + emptiness + subsumption).
     pub pruned: u64,
 }
 
-/// Rebuild `p` with every direct subterm (including the predicate path of
-/// a filter) passed through `f`.
-fn map_children(p: XPath, f: &mut impl FnMut(XPath) -> XPath) -> XPath {
+/// The catalog positions in default application order.
+fn catalog_order() -> [usize; CATALOG.len()] {
+    std::array::from_fn(|i| i)
+}
+
+/// `p` with every direct subterm (including the predicate path of a
+/// filter) replaced by `f`'s result, or `None` when `f` returns `None`
+/// (unchanged) for all of them. Unchanged siblings of a changed subterm
+/// are cloned.
+fn map_children(p: &XPath, f: &mut impl FnMut(&XPath) -> Option<XPath>) -> Option<XPath> {
+    fn both(
+        a: &XPath,
+        b: &XPath,
+        f: &mut impl FnMut(&XPath) -> Option<XPath>,
+    ) -> Option<(Box<XPath>, Box<XPath>)> {
+        match (f(a), f(b)) {
+            (None, None) => None,
+            (fa, fb) => Some((
+                Box::new(fa.unwrap_or_else(|| a.clone())),
+                Box::new(fb.unwrap_or_else(|| b.clone())),
+            )),
+        }
+    }
     match p {
-        XPath::Name(_) | XPath::Wild => p,
-        XPath::Child(a, b) => XPath::Child(Box::new(f(*a)), Box::new(f(*b))),
-        XPath::Descendant(a, b) => XPath::Descendant(Box::new(f(*a)), Box::new(f(*b))),
-        XPath::Union(a, b) => XPath::Union(Box::new(f(*a)), Box::new(f(*b))),
-        XPath::FromRoot(q) => XPath::FromRoot(Box::new(f(*q))),
-        XPath::FromDesc(q) => XPath::FromDesc(Box::new(f(*q))),
-        XPath::FromChild(q) => XPath::FromChild(Box::new(f(*q))),
+        XPath::Name(_) | XPath::Wild => None,
+        XPath::Child(a, b) => both(a, b, f).map(|(a, b)| XPath::Child(a, b)),
+        XPath::Descendant(a, b) => both(a, b, f).map(|(a, b)| XPath::Descendant(a, b)),
+        XPath::Union(a, b) => both(a, b, f).map(|(a, b)| XPath::Union(a, b)),
+        XPath::FromRoot(q) => f(q).map(|q| XPath::FromRoot(Box::new(q))),
+        XPath::FromDesc(q) => f(q).map(|q| XPath::FromDesc(Box::new(q))),
+        XPath::FromChild(q) => f(q).map(|q| XPath::FromChild(Box::new(q))),
         XPath::Filter(q, pred) => {
-            let pred = match *pred {
-                Pred::Path(inner) => Pred::Path(f(inner)),
-                other => other,
+            let inner = match &**pred {
+                Pred::Path(inner) => f(inner).map(Pred::Path),
+                _ => None,
             };
-            XPath::Filter(Box::new(f(*q)), Box::new(pred))
+            match (f(q), inner) {
+                (None, None) => None,
+                (q2, pred2) => Some(XPath::Filter(
+                    Box::new(q2.unwrap_or_else(|| (**q).clone())),
+                    Box::new(pred2.unwrap_or_else(|| (**pred).clone())),
+                )),
+            }
         }
     }
 }
@@ -49,34 +80,48 @@ fn prunes_branches(rule: &RwRule) -> bool {
     matches!(rule.name, "union-canon" | "empty-prune" | "union-subsume")
 }
 
-fn norm_rec(p: XPath, ctx: &RewriteCtx, order: &[usize], st: &mut EngineStats) -> XPath {
-    let mut cur = map_children(p, &mut |c| norm_rec(c, ctx, order, st));
+/// The normal form of `p`, or `None` when `p` is already in it.
+fn norm_rec(p: &XPath, ctx: &RewriteCtx, order: &[usize], st: &mut EngineStats) -> Option<XPath> {
+    let mut cur = match map_children(p, &mut |c| norm_rec(c, ctx, order, st)) {
+        Some(changed) => Cow::Owned(changed),
+        None => Cow::Borrowed(p),
+    };
     // Fuel bounds top-level fires at this node; each fire either shrinks
-    // the term or canonically reorders it, so the bound is generous.
-    let mut fuel = 16 + 4 * cur.size();
-    'fix: while fuel > 0 {
+    // the term or canonically reorders it, so the bound is generous. It is
+    // sized on the node's first fire, which most nodes never reach.
+    let mut fuel: Option<usize> = None;
+    'fix: loop {
         for &ri in order {
             let rule = &CATALOG[ri];
             if let Some(next) = (rule.apply)(&cur, ctx) {
-                debug_assert_ne!(next, cur, "rule {} fired without changing", rule.name);
-                *st.fired.entry(rule.name).or_insert(0) += 1;
+                debug_assert_ne!(next, *cur, "rule {} fired without changing", rule.name);
+                let fuel = fuel.get_or_insert_with(|| 16 + 4 * cur.size());
+                st.fired[ri] += 1;
                 if prunes_branches(rule) {
                     st.pruned += spine_len(&cur).saturating_sub(spine_len(&next));
                 }
-                cur = map_children(next, &mut |c| norm_rec(c, ctx, order, st));
-                fuel -= 1;
+                let renormed = map_children(&next, &mut |c| norm_rec(c, ctx, order, st));
+                cur = Cow::Owned(renormed.unwrap_or(next));
+                *fuel -= 1;
+                if *fuel == 0 {
+                    break 'fix;
+                }
                 continue 'fix;
             }
         }
         break;
     }
-    cur
+    match cur {
+        Cow::Owned(changed) => Some(changed),
+        Cow::Borrowed(_) => None,
+    }
 }
 
-pub(crate) fn normalize_stats(p: &XPath, ctx: &RewriteCtx) -> (XPath, EngineStats) {
-    let order: Vec<usize> = (0..CATALOG.len()).collect();
+/// The normal form (`None` when `p` is already in it) and the run's
+/// accounting, under the default rule order.
+pub(crate) fn normalize_stats(p: &XPath, ctx: &RewriteCtx) -> (Option<XPath>, EngineStats) {
     let mut st = EngineStats::default();
-    let out = norm_rec(p.clone(), ctx, &order, &mut st);
+    let out = norm_rec(p, ctx, &catalog_order(), &mut st);
     (out, st)
 }
 
@@ -87,14 +132,14 @@ pub fn normalize(p: &XPath) -> XPath {
 
 /// Normalize under `ctx` (alphabet/depth facts enable emptiness pruning).
 pub fn normalize_in(p: &XPath, ctx: &RewriteCtx) -> XPath {
-    normalize_stats(p, ctx).0
+    normalize_stats(p, ctx).0.unwrap_or_else(|| p.clone())
 }
 
 /// Normalize with a seed-shuffled rule application order. The result must
 /// not depend on the order — `tests/rewrite.rs` asserts this confluence
 /// property on samples.
 pub fn normalize_seeded(p: &XPath, ctx: &RewriteCtx, seed: u64) -> XPath {
-    let mut order: Vec<usize> = (0..CATALOG.len()).collect();
+    let mut order = catalog_order();
     // Fisher–Yates on a splitmix64 stream: deterministic per seed.
     let mut s = seed.wrapping_add(0x9e3779b97f4a7c15);
     let mut next = || {
@@ -109,25 +154,19 @@ pub fn normalize_seeded(p: &XPath, ctx: &RewriteCtx, seed: u64) -> XPath {
         order.swap(i, j);
     }
     let mut st = EngineStats::default();
-    norm_rec(p.clone(), ctx, &order, &mut st)
+    norm_rec(p, ctx, &order, &mut st).unwrap_or_else(|| p.clone())
 }
 
 /// Apply one rule everywhere it matches, once, bottom-up — the shape the
 /// per-rule proptest obligations exercise (`None` if it fired nowhere).
 pub fn apply_rule_deep(rule: &RwRule, p: &XPath, ctx: &RewriteCtx) -> Option<XPath> {
-    let mut fired = false;
-    fn go(rule: &RwRule, p: XPath, ctx: &RewriteCtx, fired: &mut bool) -> XPath {
-        let cur = map_children(p, &mut |c| go(rule, c, ctx, fired));
-        match (rule.apply)(&cur, ctx) {
-            Some(next) => {
-                *fired = true;
-                next
-            }
-            None => cur,
+    fn go(rule: &RwRule, p: &XPath, ctx: &RewriteCtx) -> Option<XPath> {
+        match map_children(p, &mut |c| go(rule, c, ctx)) {
+            Some(cur) => Some((rule.apply)(&cur, ctx).unwrap_or(cur)),
+            None => (rule.apply)(p, ctx),
         }
     }
-    let out = go(rule, p.clone(), ctx, &mut fired);
-    fired.then_some(out)
+    go(rule, p, ctx)
 }
 
 #[cfg(test)]
@@ -183,8 +222,9 @@ mod tests {
             ),
         );
         let (out, st) = normalize_stats(&p, &RewriteCtx::unconstrained());
-        assert_eq!(out, xb::desc(a.clone(), b.clone()));
+        assert_eq!(out, Some(xb::desc(a.clone(), b.clone())));
         assert!(st.pruned >= 2, "pruned {} branches", st.pruned);
-        assert!(st.fired.contains_key("union-subsume"));
+        let subsume = CATALOG.iter().position(|r| r.name == "union-subsume");
+        assert!(st.fired[subsume.unwrap()] > 0);
     }
 }

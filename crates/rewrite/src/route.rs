@@ -32,7 +32,8 @@ pub enum PlannedEvaluator {
 /// A rewritten query plus the evaluator its certificate selects.
 #[derive(Debug)]
 pub struct QueryPlan {
-    /// The rewrite record (normal form, certificate, diagnostics).
+    /// The rewrite record: normal form, fires and certificate, from which
+    /// [`Rewritten::diagnostics`] derives the findings on demand.
     pub rewritten: Rewritten,
     /// The choice the certificate justifies.
     pub evaluator: PlannedEvaluator,
@@ -85,11 +86,13 @@ pub enum IndexedEvaluator {
 /// specific [`TreeIndex`].
 #[derive(Debug)]
 pub struct IndexedPlan {
-    /// The rewrite record (normal form, certificate, diagnostics).
+    /// The rewrite record: normal form, fires and certificate, from which
+    /// [`Rewritten::diagnostics`] derives the findings on demand.
     pub rewritten: Rewritten,
     /// The cost model's verdict (or the forced override).
     pub evaluator: IndexedEvaluator,
     /// The compiled index plan (`None` after an empty short-circuit).
+    /// `eval_plan_from` evaluates it reading stored postings in place.
     pub plan: Option<IxPlan>,
     /// Both sides of the cost comparison (`None` after a short-circuit).
     pub estimate: Option<Estimate>,

@@ -7,10 +7,13 @@
 //!
 //! Soundness arguments live in DESIGN.md §15; the one-line justifications
 //! here name the algebraic identity each rule instantiates.
+//!
+//! The union rules decide on the borrowed union spine and clone branches
+//! only to build the replacement of a rule that fires.
 
 use twq_xpath::XPath;
 
-use crate::contain::{contains, pred_tautology, provably_empty, RewriteCtx};
+use crate::contain::{contains, pred_tautology, provably_empty, spine, RewriteCtx};
 
 /// A named, individually-testable rewrite rule.
 pub struct RwRule {
@@ -88,15 +91,6 @@ pub fn rule(name: &str) -> Option<&'static RwRule> {
     CATALOG.iter().find(|r| r.name == name)
 }
 
-fn spine(p: &XPath, out: &mut Vec<XPath>) {
-    if let XPath::Union(a, b) = p {
-        spine(a, out);
-        spine(b, out);
-    } else {
-        out.push(p.clone());
-    }
-}
-
 /// Union branches of `p` (the whole of `p` if it is not a union).
 pub(crate) fn spine_len(p: &XPath) -> u64 {
     match p {
@@ -105,22 +99,41 @@ pub(crate) fn spine_len(p: &XPath) -> u64 {
     }
 }
 
-fn rebuild_union(mut branches: Vec<XPath>) -> XPath {
-    let last = branches.pop().expect("non-empty union spine");
-    branches
-        .into_iter()
-        .rev()
-        .fold(last, |acc, b| XPath::Union(Box::new(b), Box::new(acc)))
+/// Is `p` already the union [`rebuild_union`] makes of its sorted,
+/// deduplicated spine: right-nested, with strictly ascending branches?
+fn canonical_spine(p: &XPath) -> bool {
+    let mut cur = p;
+    while let XPath::Union(a, b) = cur {
+        let next = match &**b {
+            XPath::Union(c, _) => &**c,
+            last => last,
+        };
+        if matches!(**a, XPath::Union(..)) || **a >= *next {
+            return false;
+        }
+        cur = b;
+    }
+    true
+}
+
+/// The right-nested union of clones of `branches`, in order.
+fn rebuild_union<'a>(branches: impl DoubleEndedIterator<Item = &'a XPath>) -> XPath {
+    let mut rev = branches.rev();
+    let last = rev.next().expect("non-empty union spine").clone();
+    rev.fold(last, |acc, b| {
+        XPath::Union(Box::new(b.clone()), Box::new(acc))
+    })
 }
 
 fn union_canon(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
-    let XPath::Union(..) = p else { return None };
+    if canonical_spine(p) {
+        return None;
+    }
     let mut branches = Vec::new();
     spine(p, &mut branches);
     branches.sort();
     branches.dedup();
-    let rebuilt = rebuild_union(branches);
-    (rebuilt != *p).then_some(rebuilt)
+    Some(rebuild_union(branches.into_iter()))
 }
 
 fn filter_true(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
@@ -223,18 +236,31 @@ fn root_canon(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
     matches!(**inner, XPath::FromRoot(_)).then(|| (**inner).clone())
 }
 
+/// `(branches, provably empty branches)` of `p`'s union spine.
+fn count_empty(p: &XPath, ctx: &RewriteCtx) -> (usize, usize) {
+    match p {
+        XPath::Union(a, b) => {
+            let (na, ea) = count_empty(a, ctx);
+            let (nb, eb) = count_empty(b, ctx);
+            (na + nb, ea + eb)
+        }
+        _ => (1, usize::from(provably_empty(p, ctx))),
+    }
+}
+
 fn empty_prune(p: &XPath, ctx: &RewriteCtx) -> Option<XPath> {
     let XPath::Union(..) = p else { return None };
-    let mut branches = Vec::new();
-    spine(p, &mut branches);
-    let kept: Vec<XPath> = branches
-        .iter()
-        .filter(|b| !provably_empty(b, ctx))
-        .cloned()
-        .collect();
     // A fully-empty union has no expressible form in the fragment; the
     // top-level certificate (RW002) covers that case instead.
-    (!kept.is_empty() && kept.len() < branches.len()).then(|| rebuild_union(kept))
+    let (n, empty) = count_empty(p, ctx);
+    if empty == 0 || empty == n {
+        return None;
+    }
+    let mut branches = Vec::with_capacity(n);
+    spine(p, &mut branches);
+    Some(rebuild_union(
+        branches.into_iter().filter(|b| !provably_empty(b, ctx)),
+    ))
 }
 
 fn union_subsume(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
@@ -257,20 +283,23 @@ fn union_subsume(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
             // (forward-citation chains strictly increase and end at a
             // kept branch, so every drop is covered transitively).
             let citable = if j < i { keep[j] } else { true };
-            if citable && contains(&branches[i], &branches[j]) {
+            if citable && contains(branches[i], branches[j]) {
                 keep[i] = false;
                 break;
             }
         }
     }
-    let kept: Vec<XPath> = branches
-        .iter()
-        .zip(&keep)
-        .filter(|(_, k)| **k)
-        .map(|(b, _)| b.clone())
-        .collect();
-    let rebuilt = rebuild_union(kept);
-    (rebuilt != *p).then_some(rebuilt)
+    // Nothing dropped from a spine that is already canonical: the rebuilt
+    // union would be `p` itself.
+    if keep.iter().all(|&k| k) && canonical_spine(p) {
+        return None;
+    }
+    Some(rebuild_union(
+        branches
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(b, k)| k.then_some(b)),
+    ))
 }
 
 #[cfg(test)]

@@ -199,17 +199,37 @@ impl StreamNfa {
     }
 }
 
+/// The number of states [`StreamNfa::comp`] pushes for `q` under a
+/// continuation of `k` states, counted without building them. `Name` and
+/// `Filter` clone each continuation state, steps push one state each,
+/// and a step's left operand runs under a one-state continuation.
+fn pushed_states(q: &XPath, k: usize) -> usize {
+    match q {
+        XPath::Wild => 0,
+        XPath::Name(_) => k,
+        XPath::Child(a, b) | XPath::Descendant(a, b) => {
+            pushed_states(b, k) + 1 + pushed_states(a, 1)
+        }
+        XPath::FromChild(p) | XPath::FromDesc(p) => pushed_states(p, k) + 1,
+        XPath::Union(a, b) => pushed_states(a, k) + pushed_states(b, k),
+        XPath::Filter(p, _) => k + pushed_states(p, k),
+        XPath::FromRoot(_) => unreachable!("rejected by certification"),
+    }
+}
+
 /// Certify a query. Call on the *normalized* form — the rewriter runs
-/// this automatically and folds the result into its diagnostics.
+/// this automatically and records the result as
+/// [`crate::Rewritten::certificate`].
+///
+/// The bound is the state count of the NFA [`stream_select`] compiles:
+/// the accepting state plus what the query pushes before it, counted in
+/// one pass that allocates nothing.
 pub fn certify(q: &XPath) -> Certificate {
     match check_streamable(q) {
         Err(witness) => Certificate::NotStreamable { witness },
-        Ok(inner) => {
-            let nfa = StreamNfa::compile(inner);
-            Certificate::Streamable {
-                max_depth_state: nfa.states.len(),
-            }
-        }
+        Ok(inner) => Certificate::Streamable {
+            max_depth_state: 1 + pushed_states(inner, 1),
+        },
     }
 }
 
@@ -309,6 +329,42 @@ mod tests {
         assert!(matches!(c, Certificate::NotStreamable { .. }));
         // Outermost absolute paths are fine.
         assert!(certify(&xb::from_root(xb::from_desc(b))).is_streamable());
+    }
+
+    /// The certificate's count is the state count of the NFA that
+    /// `stream_select` runs, on normalized queries of every shape.
+    #[test]
+    fn certified_state_count_is_the_nfa_size() {
+        use twq_xpath::{random_xpath_shaped, XPathGenConfig, XPathShape};
+        let mut v = Vocab::new();
+        let cfg = XPathGenConfig {
+            symbols: vec![v.sym("a"), v.sym("b"), v.sym("c")],
+            attrs: vec![v.attr("k"), v.attr("l")],
+            values: vec![v.val_int(1), v.val_int(2)],
+            max_depth: 4,
+        };
+        for shape in [
+            XPathShape::Uniform,
+            XPathShape::UnionHeavy,
+            XPathShape::FilterHeavy,
+        ] {
+            let mut streamable = 0;
+            for seed in 0..400 {
+                let q = crate::normalize(&random_xpath_shaped(&cfg, seed, shape));
+                let Certificate::Streamable { max_depth_state } = certify(&q) else {
+                    continue;
+                };
+                let inner = check_streamable(&q).expect("certified");
+                assert_eq!(
+                    max_depth_state,
+                    StreamNfa::compile(inner).states.len(),
+                    "{shape:?} seed {seed}: {}",
+                    q.display(&v)
+                );
+                streamable += 1;
+            }
+            assert!(streamable >= 100, "{shape:?}: {streamable} streamable");
+        }
     }
 
     #[test]

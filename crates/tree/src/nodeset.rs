@@ -153,26 +153,32 @@ impl NodeSet {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-        self.recount();
+        self.combine(other, |a, b| a | b);
     }
 
     /// `self ∩= other`, whole words at a time.
     pub fn intersect_with(&mut self, other: &NodeSet) {
-        for (i, a) in self.words.iter_mut().enumerate() {
-            *a &= other.words.get(i).copied().unwrap_or(0);
-        }
-        self.recount();
+        let common = self.words.len().min(other.words.len());
+        self.words[common..].fill(0);
+        self.combine(other, |a, b| a & b);
     }
 
     /// Remove every node of `other` from `self`.
     pub fn difference_with(&mut self, other: &NodeSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
+        self.combine(other, |a, b| a & !b);
+    }
+
+    /// Replace each word `a` that `other` also has with `op(a, b)` and
+    /// recount in the same pass; words past `other`'s end are kept.
+    fn combine(&mut self, other: &NodeSet, op: impl Fn(u64, u64) -> u64) {
+        let common = self.words.len().min(other.words.len());
+        let (head, tail) = self.words.split_at_mut(common);
+        let mut len = 0;
+        for (a, &b) in head.iter_mut().zip(&other.words[..common]) {
+            *a = op(*a, b);
+            len += a.count_ones() as usize;
         }
-        self.recount();
+        self.len = len + tail.iter().map(|w| w.count_ones() as usize).sum::<usize>();
     }
 
     /// Keep only the members for which `keep` holds, visiting them in
@@ -189,10 +195,6 @@ impl NodeSet {
                 }
             }
         }
-    }
-
-    fn recount(&mut self) {
-        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 
     /// The members in ascending id order.
@@ -330,6 +332,8 @@ mod tests {
         let mut d = u.clone();
         d.difference_with(&b);
         assert_eq!(d.to_vec(), ids(&[1, 100]));
+        // Each count includes the words past the shorter operand's end.
+        assert_eq!((u.len(), a.len(), d.len()), (5, 2, 2));
     }
 
     #[test]
@@ -339,10 +343,10 @@ mod tests {
         let small: NodeSet = ids(&[1]).into_iter().collect();
         let mut big: NodeSet = ids(&[1, 500]).into_iter().collect();
         big.intersect_with(&small);
-        assert_eq!(big.to_vec(), ids(&[1]));
+        assert_eq!((big.to_vec(), big.len()), (ids(&[1]), 1));
         let mut grown = small.clone();
         grown.union_with(&ids(&[500]).into_iter().collect());
-        assert_eq!(grown.to_vec(), ids(&[1, 500]));
+        assert_eq!((grown.to_vec(), grown.len()), (ids(&[1, 500]), 2));
     }
 
     #[test]

@@ -82,9 +82,16 @@ pub fn node_at_doc_index(tree: &Tree, j: usize) -> Option<NodeId> {
 /// one reverse pass over the pre-order columns propagating subtree maxima
 /// to parents.
 ///
+///
+/// The build also records whether every arena id equals its pre-order
+/// position ([`arena_is_preorder`]). It does for every tree `parse_xml`
+/// reads, which appends each element as it opens; it does not for a
+/// randomly grown tree of more than a few nodes.
+///
 /// [`node_at`]: DocIntervals::node_at
 /// [`end_of_pre`]: DocIntervals::end_of_pre
 /// [`parent_of_pre`]: DocIntervals::parent_of_pre
+/// [`arena_is_preorder`]: DocIntervals::arena_is_preorder
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocIntervals {
     begin: Vec<u32>,
@@ -93,6 +100,8 @@ pub struct DocIntervals {
     /// unused.
     parent_of_pre: Vec<u32>,
     end_of_pre: Vec<u32>,
+    /// `node_of_pre[j] == NodeId(j)` for every `j`.
+    arena_is_preorder: bool,
 }
 
 impl DocIntervals {
@@ -102,9 +111,11 @@ impl DocIntervals {
         let mut begin = vec![0u32; n];
         let mut node_of_pre = vec![NodeId(0); n];
         let mut parent_of_pre = vec![0u32; n];
+        let mut arena_is_preorder = true;
         for (j, u) in tree.nodes().enumerate() {
             begin[u.idx()] = j as u32;
             node_of_pre[j] = u;
+            arena_is_preorder &= u.idx() == j;
             if let Some(p) = tree.parent(u) {
                 parent_of_pre[j] = begin[p.idx()];
             }
@@ -121,6 +132,7 @@ impl DocIntervals {
             node_of_pre,
             parent_of_pre,
             end_of_pre,
+            arena_is_preorder,
         }
     }
 
@@ -159,6 +171,14 @@ impl DocIntervals {
     #[inline]
     pub fn parent_of_pre(&self, pre: u32) -> Option<u32> {
         (pre != 0).then(|| self.parent_of_pre[pre as usize])
+    }
+
+    /// Whether every node's arena id is its pre-order position, so that
+    /// `begin` and `node_at` are both the identity and a set over one
+    /// space is the same set over the other.
+    #[inline]
+    pub fn arena_is_preorder(&self) -> bool {
+        self.arena_is_preorder
     }
 }
 
@@ -277,7 +297,9 @@ mod tests {
             };
             for seed in 0..4 {
                 let t = crate::generate::random_tree(&cfg, seed);
-                permuted += usize::from(!t.nodes().eq(t.node_ids()));
+                let preorder = t.nodes().eq(t.node_ids());
+                assert_eq!(DocIntervals::build(&t).arena_is_preorder(), preorder);
+                permuted += usize::from(!preorder);
                 assert_columns_follow_links(&t);
             }
         }
@@ -299,6 +321,7 @@ mod tests {
             t.nodes().eq(t.node_ids()),
             "parsed arena order is pre-order"
         );
+        assert!(DocIntervals::build(&t).arena_is_preorder());
         assert_columns_follow_links(&t);
         assert_columns_follow_links(&sample());
     }

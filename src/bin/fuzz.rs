@@ -19,8 +19,9 @@
 //! backtracking), the structural atoms `compile_exists` translated, the
 //! value-postings scans of `compile_xpath` plans (`ScanValue`, and
 //! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
-//! formula-case trees), and those plans' `Expand` steps per axis (child,
-//! parent, descendant, ancestor); then, from `plan_indexed` under each
+//! formula-case trees), those plans' `Expand` steps per axis (child,
+//! parent, descendant, ancestor), and the trees index plans ran on by
+//! arena order (pre-order or permuted); then, from `plan_indexed` under each
 //! case's alphabet context, the fires of each rewrite rule, the
 //! certificate kinds, and the `Force::Auto` verdicts (empty, index, walk).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`

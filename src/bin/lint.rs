@@ -165,7 +165,8 @@ fn report_query(rep: &mut dyn Reporter, name: &str, rw: &Rewritten, vocab: &Voca
         Certificate::Streamable { max_depth_state } => format!("stream({max_depth_state})"),
         Certificate::NotStreamable { .. } => "relational".to_owned(),
     };
-    if rw.diagnostics.is_empty() {
+    let diagnostics = rw.diagnostics();
+    if diagnostics.is_empty() {
         rep.row(&[
             Cell::str(name.to_owned()),
             Cell::str(cert.clone()),
@@ -174,7 +175,7 @@ fn report_query(rep: &mut dyn Reporter, name: &str, rw: &Rewritten, vocab: &Voca
             Cell::str("-"),
         ]);
     }
-    for d in &rw.diagnostics {
+    for d in &diagnostics {
         rep.row(&[
             Cell::str(name.to_owned()),
             Cell::str(cert.clone()),
@@ -202,7 +203,7 @@ fn report_query(rep: &mut dyn Reporter, name: &str, rw: &Rewritten, vocab: &Voca
             fired.join(", ")
         ));
     }
-    let (errors, _, _) = query_severity_counts(&rw.diagnostics);
+    let (errors, _, _) = query_severity_counts(&diagnostics);
     errors
 }
 

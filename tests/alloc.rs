@@ -1,20 +1,26 @@
-//! Heap allocations of the walking engine, the configuration-graph runner
-//! and the XML reader, counted by a global allocator.
+//! Heap allocations of the walking engine, the configuration-graph runner,
+//! the XML reader, the query rewriter and the index-plan evaluator,
+//! counted by a global allocator.
 //!
 //! A transition of a program whose guards are `true`, quantifier-free, or
 //! quantified over a register costs a table lookup, a guard evaluation and
 //! a move: no allocation. The runs below therefore allocate the same
 //! number of times on a 512-node tree as on a 2 048-node one. Reading a
 //! document whose names and values the vocabulary already holds allocates
-//! nothing per token either.
+//! nothing per token either. Rewriting a query already in normal form
+//! copies it twice, into the record's input and output, and nothing else;
+//! evaluating an index plan on a parsed tree reads its postings in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use twq::automata::examples::{all_leaves_equal_program, even_leaves_program, example_32};
 use twq::automata::{run, run_graph, Limits};
+use twq::index::{compile_xpath, eval_plan_from, TreeIndex};
+use twq::rw::{rewrite, rewrite_in, RewriteCtx};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{parse_xml, to_xml, DelimTree, Vocab};
+use twq::xpath::{eval_from, parse_xpath};
 
 /// Counts the allocations of the calling thread, so harness threads add
 /// nothing.
@@ -157,4 +163,57 @@ fn reading_known_tokens_allocates_nothing_per_token() {
         seen[0],
         seen[1]
     );
+}
+
+#[test]
+fn rewriting_a_normal_form_copies_only_the_record() {
+    let mut vocab = Vocab::new();
+    let ctx = RewriteCtx::unconstrained();
+    for text in ["//s1", "//s1/s2", "//s1//s2", "//s1[@a=1]", "//*[@a=1]/s1"] {
+        let q = rewrite(&parse_xpath(text, &mut vocab).expect("query parses")).output;
+        let (copy, copy_allocs) = counted(|| q.clone());
+        let (rw, allocs) = counted(|| rewrite_in(&q, &ctx));
+        assert!(rw.fired.is_empty() && rw.output == copy, "{text}: {rw:?}");
+        assert!(rw.certificate.is_streamable(), "{text}: {rw:?}");
+        assert_eq!(
+            allocs,
+            2 * copy_allocs,
+            "{text}: {allocs} allocations, {copy_allocs} per copy"
+        );
+    }
+    let q = parse_xpath("//s1", &mut vocab).expect("query parses");
+    assert_eq!(counted(|| rewrite_in(&q, &ctx)).1, 2);
+}
+
+#[test]
+fn index_plans_read_parsed_postings_in_place() {
+    let mut vocab = Vocab::new();
+    let symbols: Vec<_> = (0..8).map(|i| vocab.sym(&format!("s{i}"))).collect();
+    let q = parse_xpath("//s1", &mut vocab).expect("query parses");
+    let plan = compile_xpath(&q);
+    let mut seen = Vec::new();
+    for nodes in [1024, 8192] {
+        let cfg = TreeGenConfig {
+            nodes,
+            max_children: 4,
+            symbols: symbols.clone(),
+            attributes: vec![],
+            collision_pool: None,
+        };
+        let xml = to_xml(&random_tree(&cfg, 7), &vocab);
+        let tree = parse_xml(&xml, &mut vocab).expect("to_xml output parses");
+        let idx = TreeIndex::build(&tree);
+        assert!(idx.intervals().arena_is_preorder());
+        let (got, allocs) = counted(|| eval_plan_from(&tree, &idx, &plan, tree.root()));
+        assert_eq!(got, eval_from(&tree, &q, tree.root()), "{nodes} nodes");
+        assert!(
+            got.len() > nodes / 16,
+            "{nodes} nodes: {} selected",
+            got.len()
+        );
+        seen.push(allocs);
+    }
+    // The context singleton and the descendant step's range fill; the
+    // label posting is read in place and the result is not permuted.
+    assert_eq!(seen, [2, 2], "allocations at 1 024 and 8 192 nodes");
 }

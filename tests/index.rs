@@ -21,7 +21,7 @@ use twq::rw::{run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq::tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
-use twq::tree::{AttrId, Label, NodeSet, Tree, Value, Vocab};
+use twq::tree::{parse_xml, to_xml, AttrId, Label, NodeSet, Tree, Value, Vocab};
 use twq::xpath::{eval_from, random_xpath, XPath, XPathGenConfig};
 
 fn hostile_cfg(vocab: &mut Vocab, nodes: usize, collisions: Option<usize>) -> TreeGenConfig {
@@ -137,6 +137,64 @@ proptest! {
             for u in t.node_ids() {
                 let (got, _) = fo_select_routed(&t, &idx, phi, u);
                 prop_assert_eq!(got, phi.select(&t, u), "context {:?}", u);
+            }
+        }
+    }
+}
+
+/// Both sides of `eval_plan_from`'s arena check. A parsed tree's arena
+/// ids are its pre-order positions, so the pre-order result is returned as
+/// it is; the random tree it was written from numbers its nodes in
+/// another order, so the result is permuted back. On each, the planner
+/// under every `Force` equals the walker, and the FO router equals the
+/// backtracking selector from every context node.
+#[test]
+fn parsed_and_permuted_trees_answer_alike() {
+    let mut vocab = Vocab::new();
+    let cfg = hostile_cfg(&mut vocab, 200, None);
+    let permuted = random_tree(&cfg, 11);
+    let parsed = parse_xml(&to_xml(&permuted, &vocab), &mut vocab).expect("to_xml output parses");
+    assert!(TreeIndex::build(&parsed).intervals().arena_is_preorder());
+    assert!(!permuted.nodes().eq(permuted.node_ids()));
+    assert!(!TreeIndex::build(&permuted).intervals().arena_is_preorder());
+
+    let (x, y) = (Var(0), Var(1));
+    let (a, b) = (cfg.attributes[0].0, cfg.attributes[1].0);
+    let in_fragment = ExistsFormula::new(
+        x,
+        y,
+        vec![],
+        fb::or(vec![
+            fb::and(vec![fb::desc(x, y), fb::lab(Label::Sym(cfg.symbols[0]), y)]),
+            fb::and(vec![fb::edge(y, x), fb::val_eq(a, y, b, y)]),
+        ]),
+    )
+    .unwrap();
+    assert!(compile_exists(&in_fragment).is_some());
+    let out_of_fragment = ExistsFormula::new(x, y, vec![], fb::succ(x, y)).unwrap();
+    let ctx = RewriteCtx::unconstrained();
+    let model = CostModel::default();
+    for t in [&parsed, &permuted] {
+        let idx = TreeIndex::build(t);
+        for seed in 0..48 {
+            let p = random_xpath(&xcfg(&cfg), seed);
+            let want = eval_from(t, &p, t.root());
+            for force in [Force::Auto, Force::Index, Force::Walk] {
+                let (got, plan) = run_query_indexed(t, &idx, &p, &ctx, &model, force);
+                assert_eq!(
+                    got, want,
+                    "seed {seed} force {force:?} via {:?}",
+                    plan.evaluator
+                );
+            }
+        }
+        for phi in [&in_fragment, &out_of_fragment] {
+            for u in t.node_ids() {
+                assert_eq!(
+                    fo_select_routed(t, &idx, phi, u).0,
+                    phi.select(t, u),
+                    "{u:?}"
+                );
             }
         }
     }
