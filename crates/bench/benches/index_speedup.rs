@@ -19,9 +19,12 @@
 //!   (`//s17[s18//s19]`) and `desc_set` (`//s17//s18`, a descendant step
 //!   from a set of ~1 000 scattered nodes);
 //! * `build/*` — one full index build, the cost the selective queries
-//!   amortize (about a hundred of them, against a linear walk), and the
-//!   same tree with unique ids in column `a` (the paper's §7 setting: a
-//!   value group per node, where postings must stay linear);
+//!   amortize (a few dozen of them, against a linear walk), and the same
+//!   tree with unique ids in column `a` (the paper's §7 setting: a value
+//!   group per node, where postings must stay linear). Both run on the
+//!   generated tree, whose arena is not in pre-order, so the build's rank
+//!   pass scatters its writes; `64k_parsed` builds on the tree read back
+//!   from XML, whose arena is in pre-order, the side `ingest` takes;
 //! * `parse_xml/*` — reading the same tree from its XML text, the other
 //!   half of ingesting a document (`64k`), and reading ~8k-node documents
 //!   that vary what reading depends on: how many distinct values, of
@@ -251,6 +254,9 @@ fn bench(c: &mut Criterion) {
         eval_from(&read, &q_label, read.root()),
         "indexed twin diverged on the parsed tree"
     );
+    group.bench_with_input(BenchmarkId::new("build", "64k_parsed"), &read, |bch, t| {
+        bch.iter(|| TreeIndex::build(t).stats().postings_bytes)
+    });
     group.bench_with_input(
         BenchmarkId::new("selective_label", "index_parsed"),
         &q_label,

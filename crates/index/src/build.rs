@@ -1,4 +1,5 @@
-//! Per-tree inverted indexes, built in one pre-order pass.
+//! Per-tree inverted indexes, built in linear passes with no sort and no
+//! traversal.
 //!
 //! A [`TreeIndex`] holds, for one frozen [`Tree`]:
 //!
@@ -23,9 +24,19 @@
 //! `j`. The two orders differ for randomly grown trees, and pre-order is
 //! the one under which a subtree is a contiguous bit range.
 //! [`crate::eval_plan_from`] converts at the boundary.
+//!
+//! The build reads the arena in sequence. [`DocIntervals::build`] ranks
+//! the nodes in two arena passes. One pass over its pre-order columns then
+//! sets the label bits and builds the shape postings a word at a time: the
+//! node at `j` is a leaf when `end_of_pre[j] == j`, a first child when its
+//! parent is at `j - 1`, and a last child when its subtree ends where its
+//! parent's does. Each attribute column takes one more pass that pushes
+//! its keys in pre-order, and a stable radix sort on the value half
+//! groups them. On a parsed tree, whose arena is in pre-order, every one of
+//! these passes reads and writes in sequence.
 
 use twq_exec::Pool;
-use twq_tree::{AttrId, DocIntervals, Label, NodeId, NodeSet, SymId, Tree, Value};
+use twq_tree::{AttrId, DocIntervals, Label, NodeSet, SymId, Tree, Value};
 
 /// Summary statistics recorded at build time, consumed by the cost model.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,13 +75,51 @@ impl IndexStats {
     }
 }
 
-/// Reusable working memory for [`TreeIndex::build_in`] — one sort buffer
-/// for an attribute column's packed `(value << 32) | pre` keys. A worker
-/// threading one scratch through a batch ([`build_indexes`]) allocates it
-/// once.
+/// Reusable working memory for [`TreeIndex::build_in`]: an attribute
+/// column's packed `(value << 32) | pre` keys, and the second buffer of
+/// the radix sort that orders them. A worker threading one scratch through
+/// a batch ([`build_indexes`]) allocates both once.
 #[derive(Debug, Default)]
 pub struct IndexScratch {
     keys: Vec<u64>,
+    spare: Vec<u64>,
+}
+
+/// Bits of the value half sorted per radix pass.
+const DIGIT: u32 = 11;
+const RADIX: usize = 1 << DIGIT;
+
+impl IndexScratch {
+    /// Sort `keys` by their value half, keeping the pre-order they were
+    /// pushed in within each value: a stable LSD radix sort on `DIGIT`-bit
+    /// digits, with as many passes (1, 2 or 3) as `max_value`, the largest
+    /// value among the keys, has digits. Values carry equality only, so any
+    /// fixed group order would do; interned-id order is the one a linear
+    /// sort gives.
+    fn sort_by_value(&mut self, max_value: u32) {
+        let passes = (u32::BITS - max_value.leading_zeros()).div_ceil(DIGIT) as usize;
+        let digit = |key: u64, pass: usize| (key >> (32 + DIGIT as usize * pass)) as usize % RADIX;
+        let mut counts = [[0u32; RADIX]; u32::BITS.div_ceil(DIGIT) as usize];
+        for &key in &self.keys {
+            for (pass, count) in counts[..passes].iter_mut().enumerate() {
+                count[digit(key, pass)] += 1;
+            }
+        }
+        self.spare.resize(self.keys.len(), 0);
+        for (pass, count) in counts[..passes].iter_mut().enumerate() {
+            // Each bucket's first slot, then scatter front to back.
+            let mut next = 0;
+            for c in count.iter_mut() {
+                (*c, next) = (next, next + *c);
+            }
+            for &key in &self.keys {
+                let slot = &mut count[digit(key, pass)];
+                self.spare[*slot as usize] = key;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.keys, &mut self.spare);
+        }
+    }
 }
 
 /// One attribute column's value postings: group `g` holds value
@@ -128,77 +177,107 @@ impl TreeIndex {
     pub fn build_in(tree: &Tree, scratch: &mut IndexScratch) -> TreeIndex {
         let n = tree.len();
         let intervals = DocIntervals::build(tree);
+        let words = n.div_ceil(64);
+        // Bit `j % 64` of word `j / 64` is pre-order position `j`, for `j`
+        // in word `w`'s positions.
+        let word_positions = |w: usize| (w * 64) as u32..((w + 1) * 64).min(n) as u32;
 
-        let mut label_postings: Vec<NodeSet> = Vec::new();
-        let mut leaves = NodeSet::with_capacity(n);
-        let mut firsts = NodeSet::with_capacity(n);
-        let mut lasts = NodeSet::with_capacity(n);
-        for pre in 0..n as u32 {
-            let u = intervals.node_at(pre);
-            let p = NodeId(pre);
-            if let Label::Sym(s) = tree.label(u) {
-                let slot = s.0 as usize;
-                if slot >= label_postings.len() {
-                    label_postings.resize_with(slot + 1, NodeSet::new);
+        // Labels, shape and depth in one pass over the pre-order columns.
+        // A shape posting's word is built in a register and stored once; a
+        // label bit goes into its posting's words, which grow at least
+        // twofold when a member lands past them, so that a posting is
+        // resized a logarithmic number of times, not once per word.
+        let mut labels: Vec<Vec<u64>> = Vec::new();
+        let (mut leaves, mut firsts, mut lasts) =
+            (vec![0u64; words], vec![0u64; words], vec![0u64; words]);
+        let mut depth = vec![0u32; n];
+        let (mut max_depth, mut depth_sum) = (0u32, 0u64);
+        for w in 0..words {
+            let (mut leaf, mut first, mut last) = (0u64, 0u64, 0u64);
+            for j in word_positions(w) {
+                let bit = j % 64;
+                let end = intervals.end_of_pre(j);
+                leaf |= u64::from(end == j) << bit;
+                match intervals.parent_of_pre(j) {
+                    // The root is both a first and a last child.
+                    None => (first, last) = (1, 1),
+                    Some(p) => {
+                        first |= u64::from(p + 1 == j) << bit;
+                        last |= u64::from(end == intervals.end_of_pre(p)) << bit;
+                        let d = depth[p as usize] + 1;
+                        depth[j as usize] = d;
+                        max_depth = max_depth.max(d);
+                        depth_sum += u64::from(d);
+                    }
                 }
-                label_postings[slot].insert(p);
+                if let Label::Sym(s) = tree.label(intervals.node_at(j)) {
+                    let slot = s.0 as usize;
+                    if slot >= labels.len() {
+                        labels.resize_with(slot + 1, Vec::new);
+                    }
+                    let posting = &mut labels[slot];
+                    if w >= posting.len() {
+                        posting.resize((w + 1).max(2 * posting.len()).min(words), 0);
+                    }
+                    posting[w] |= 1 << bit;
+                }
             }
-            if tree.is_leaf(u) {
-                leaves.insert(p);
-            }
-            if tree.is_first(u) {
-                firsts.insert(p);
-            }
-            if tree.is_last(u) {
-                lasts.insert(p);
-            }
+            (leaves[w], firsts[w], lasts[w]) = (leaf, first, last);
         }
+        // Trim each label posting to its last member's word, the length
+        // `NodeSet::insert` would have grown it to.
+        let label_postings: Vec<NodeSet> = labels
+            .into_iter()
+            .map(|mut posting| {
+                posting.truncate(posting.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1));
+                NodeSet::from_words(posting)
+            })
+            .collect();
+        let (leaves, firsts, lasts) = (
+            NodeSet::from_words(leaves),
+            NodeSet::from_words(firsts),
+            NodeSet::from_words(lasts),
+        );
 
-        // Value postings: one sort of packed `(value << 32) | pre` keys per
-        // column. Groups come out value-sorted for binary search, each one
-        // listing its pre positions in ascending order.
+        // Value postings: per column, packed `(value << 32) | pre` keys
+        // pushed in pre-order, then sorted by value alone by a stable radix
+        // sort, so each group lists its pre positions in ascending order and
+        // groups come out value-sorted for binary search.
         let mut value_postings: Vec<ValueColumn> = Vec::with_capacity(tree.attr_columns());
         let mut has_attr: Vec<NodeSet> = Vec::with_capacity(tree.attr_columns());
         for col in 0..tree.attr_columns() {
             let a = AttrId(col as u16);
-            let mut has = NodeSet::with_capacity(n);
+            let mut has = vec![0u64; words];
+            let mut max_value = 0;
             scratch.keys.clear();
-            for pre in 0..n as u32 {
-                let v = tree.attr(intervals.node_at(pre), a);
-                if !v.is_bot() {
-                    scratch.keys.push((u64::from(v.0) << 32) | u64::from(pre));
-                    has.insert(NodeId(pre));
+            for (w, word) in has.iter_mut().enumerate() {
+                for j in word_positions(w) {
+                    let v = tree.attr(intervals.node_at(j), a);
+                    if !v.is_bot() {
+                        scratch.keys.push((u64::from(v.0) << 32) | u64::from(j));
+                        *word |= 1 << (j % 64);
+                        max_value = max_value.max(v.0);
+                    }
                 }
             }
-            scratch.keys.sort_unstable();
+            scratch.sort_by_value(max_value);
             let mut column = ValueColumn {
-                pres: Vec::with_capacity(scratch.keys.len()),
+                pres: scratch.keys.iter().map(|&key| key as u32).collect(),
                 ..ValueColumn::default()
             };
+            // No key holds `⊥`, so it stands for "no group yet".
+            let mut prev = Value::BOT;
             for (i, &key) in scratch.keys.iter().enumerate() {
                 let v = Value((key >> 32) as u32);
-                if column.values.last() != Some(&v) {
+                if v != prev {
                     column.values.push(v);
                     column.offsets.push(i as u32);
+                    prev = v;
                 }
-                column.pres.push(key as u32);
             }
             column.offsets.push(column.pres.len() as u32);
             value_postings.push(column);
-            has_attr.push(has);
-        }
-
-        // Depths in arena order: the arena appends children after their
-        // parent, so one forward pass settles every depth.
-        let mut depth = vec![0u32; n];
-        let (mut max_depth, mut depth_sum) = (0u32, 0u64);
-        for u in tree.node_ids() {
-            let i = u.0 as usize;
-            if let Some(p) = tree.parent(u) {
-                depth[i] = depth[p.0 as usize] + 1;
-            }
-            max_depth = max_depth.max(depth[i]);
-            depth_sum += depth[i] as u64;
+            has_attr.push(NodeSet::from_words(has));
         }
 
         let postings_bytes = 8 * label_postings

@@ -12,8 +12,9 @@
 //! Three layers:
 //!
 //! * [`TreeIndex`] ([`build`] module) — label/value postings, structural
-//!   postings, and the document-order interval encoding, built in one
-//!   pre-order pass; [`build_indexes`] batches builds across a pool.
+//!   postings, and the document-order interval encoding, built in linear
+//!   passes over the arena and the pre-order columns, with no sort;
+//!   [`build_indexes`] batches builds across a pool.
 //! * [`IxPlan`] ([`plan`] / [`compile`] / [`eval`]) — the index algebra,
 //!   compilers from XPath (total) and FO(∃*) (positive two-variable
 //!   fragment, `None` ⇒ walk), and the bitset evaluator: an XPath query

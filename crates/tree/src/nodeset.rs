@@ -58,6 +58,14 @@ impl NodeSet {
         }
     }
 
+    /// The set whose members are the bits of `words` (member `i` is bit
+    /// `i % 64` of word `i / 64`), counted once. The words are kept as
+    /// given, trailing zero words included.
+    pub fn from_words(words: Vec<u64>) -> Self {
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        NodeSet { words, len }
+    }
+
     /// Number of nodes in the set.
     #[inline]
     pub fn len(&self) -> usize {

@@ -76,12 +76,17 @@ pub fn node_at_doc_index(tree: &Tree, j: usize) -> Option<NodeId> {
 /// The first invariant turns a descendant axis step over a word-packed
 /// [`NodeSet`](crate::NodeSet) in pre-order space into a range fill; the
 /// other two make child, parent and ancestor steps without reading the
-/// tree's arena. Built in two linear passes: one pre-order traversal for
-/// `begin`, the pre-order→node permutation and the parent column (a
-/// parent precedes its children, so its position is already known), then
-/// one reverse pass over the pre-order columns propagating subtree maxima
-/// to parents.
+/// tree's arena.
 ///
+/// Built in two passes over the arena, with no traversal. They rely on
+/// its append-only order (see [`Tree`]): a node's parent and previous
+/// sibling have smaller ids than the node. A reverse pass sums subtree
+/// sizes into parents. A forward pass then ranks each node right after
+/// its previous sibling's subtree, or right after its parent when it is a
+/// first child, and in the same step writes the node's entries of the
+/// pre-order columns. It reads only parent links: each node keeps the
+/// next free rank among its children. On a tree whose arena is in
+/// pre-order, every write of that pass is sequential.
 ///
 /// The build also records whether every arena id equals its pre-order
 /// position ([`arena_is_preorder`]). It does for every tree `parse_xml`
@@ -108,24 +113,34 @@ impl DocIntervals {
     /// Compute the encoding for `tree`.
     pub fn build(tree: &Tree) -> DocIntervals {
         let n = tree.len();
+        let parent = |u: usize| tree.parent(NodeId(u as u32)).map_or(0, NodeId::idx);
+        // Reverse arena order meets every node before its parent.
+        let mut size = vec![1u32; n];
+        for u in (1..n).rev() {
+            size[parent(u)] += size[u];
+        }
+        // Forward arena order meets a node after its parent and its previous
+        // siblings, so its rank is its parent's next free rank: `begin[p] +
+        // 1` for a first child, else the previous sibling's `begin + size`.
+        // Once `u` is ranked, its own `size` slot becomes that cursor.
+        let mut next = size;
         let mut begin = vec![0u32; n];
         let mut node_of_pre = vec![NodeId(0); n];
         let mut parent_of_pre = vec![0u32; n];
+        let mut end_of_pre = vec![0u32; n];
+        end_of_pre[0] = next[0] - 1;
+        next[0] = 1;
         let mut arena_is_preorder = true;
-        for (j, u) in tree.nodes().enumerate() {
-            begin[u.idx()] = j as u32;
-            node_of_pre[j] = u;
-            arena_is_preorder &= u.idx() == j;
-            if let Some(p) = tree.parent(u) {
-                parent_of_pre[j] = begin[p.idx()];
-            }
-        }
-        let mut end_of_pre: Vec<u32> = (0..n as u32).collect();
-        // Reverse pre-order: every node is visited before its parent, so
-        // one max-accumulation per edge settles all subtree maxima.
-        for j in (1..n).rev() {
-            let p = parent_of_pre[j] as usize;
-            end_of_pre[p] = end_of_pre[p].max(end_of_pre[j]);
+        for u in 1..n {
+            let p = parent(u);
+            let (pre, size) = (next[p], next[u]);
+            (next[p], next[u]) = (pre + size, pre + 1);
+            begin[u] = pre;
+            let j = pre as usize;
+            node_of_pre[j] = NodeId(u as u32);
+            parent_of_pre[j] = begin[p];
+            end_of_pre[j] = pre + size - 1;
+            arena_is_preorder &= j == u;
         }
         DocIntervals {
             begin,

@@ -89,6 +89,12 @@ struct NodeData {
 /// Every attribute of every node has a value; nodes for which no value was
 /// set carry [`Value::BOT`]. (The paper notes that giving all element types
 /// the same attribute set "is just a convenience and not a restriction".)
+///
+/// The arena is append-only: [`add_child`](Tree::add_child) is the only
+/// structural mutator, and it appends. So the root is id 0, and every
+/// other node's parent and previous sibling have smaller ids than the
+/// node itself. [`check_consistency`](Tree::check_consistency) asserts it,
+/// and [`DocIntervals::build`](crate::DocIntervals::build) relies on it.
 #[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<NodeData>,
@@ -438,17 +444,23 @@ impl Tree {
         self.node_ids().find(|&u| self.attr(u, a) == v)
     }
 
-    /// Validate internal link consistency (used by tests and after
-    /// tree-building code paths).
+    /// Validate internal link consistency and the append-only arena order
+    /// (used by tests and after tree-building code paths).
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.root.idx() >= self.nodes.len() {
-            return Err("root out of range".into());
+        if self.root != NodeId(0) || self.nodes.is_empty() {
+            return Err("root is not id 0".into());
         }
-        if self.nodes[self.root.idx()].parent.is_some() {
+        if self.nodes[0].parent.is_some() {
             return Err("root has a parent".into());
         }
         for u in self.node_ids() {
             let d = &self.nodes[u.idx()];
+            if u != self.root && d.parent.is_none_or(|p| p >= u) {
+                return Err(format!("{u} has no parent before it in the arena"));
+            }
+            if d.prev_sibling.is_some_and(|s| s >= u) {
+                return Err(format!("{u} has a previous sibling after it in the arena"));
+            }
             let mut count = 0u32;
             let mut prev: Option<NodeId> = None;
             let mut cur = d.first_child;

@@ -8,6 +8,8 @@
 //! value groups), and node counts straddling the 64-bit word boundaries
 //! of `NodeSet`.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use twq::exec::Pool;
@@ -21,7 +23,9 @@ use twq::rw::{run_query_indexed, IndexedEvaluator, RewriteCtx};
 use twq::tree::generate::{
     chain_tree, comb_tree, perfect_tree, random_tree, star_tree, TreeGenConfig,
 };
-use twq::tree::{parse_xml, to_xml, AttrId, Label, NodeSet, Tree, Value, Vocab};
+use twq::tree::{
+    parse_xml, to_xml, AttrId, DelimTree, Label, NodeId, NodeSet, SymId, Tree, Value, Vocab,
+};
 use twq::xpath::{eval_from, random_xpath, XPath, XPathGenConfig};
 
 fn hostile_cfg(vocab: &mut Vocab, nodes: usize, collisions: Option<usize>) -> TreeGenConfig {
@@ -343,4 +347,136 @@ fn unique_id_postings_stay_linear() {
             );
         }
     }
+}
+
+/// Every posting and statistic of `t`'s index against its definition on
+/// `t`'s own links, in pre-order space.
+fn assert_postings_follow_definitions(t: &Tree) {
+    t.check_consistency().unwrap();
+    let idx = TreeIndex::build(t);
+    let iv = idx.intervals();
+    let (n, words) = (t.len(), t.len().div_ceil(64));
+    let nodes_where = |keep: &dyn Fn(NodeId) -> bool| -> NodeSet {
+        t.node_ids()
+            .filter(|&u| keep(u))
+            .map(|u| NodeId(iv.begin(u)))
+            .collect()
+    };
+    // Compared by members, count and words: `want` grows word by word as
+    // its members are inserted, so its words end at its last member's.
+    let assert_posting = |got: &NodeSet, want: &NodeSet, full_width: bool| {
+        assert_eq!((got, got.len()), (want, want.len()));
+        let width = if full_width { words } else { want.word_count() };
+        assert_eq!(got.word_count(), width);
+        8 * width
+    };
+
+    let mut bytes = 0;
+    let syms: Vec<SymId> = t.node_ids().filter_map(|u| t.label(u).sym()).collect();
+    let top = syms.iter().map(|s| s.0).max().map_or(0, |s| s + 1);
+    for s in (0..=top).map(SymId) {
+        let want = nodes_where(&|u| t.label(u) == Label::Sym(s));
+        match idx.label_posting(s) {
+            Some(got) => bytes += assert_posting(got, &want, false),
+            None => assert!(want.is_empty(), "no posting for {s:?}"),
+        }
+    }
+    bytes += assert_posting(idx.leaves(), &nodes_where(&|u| t.is_leaf(u)), true);
+    bytes += assert_posting(idx.firsts(), &nodes_where(&|u| t.is_first(u)), true);
+    bytes += assert_posting(idx.lasts(), &nodes_where(&|u| t.is_last(u)), true);
+
+    let mut distinct_values = 0;
+    for a in (0..t.attr_columns() as u16).map(AttrId) {
+        let want = nodes_where(&|u| !t.attr(u, a).is_bot());
+        match idx.has_attr(a) {
+            Some(got) => bytes += assert_posting(got, &want, true),
+            None => {
+                assert!(want.is_empty(), "no has_attr for {a:?}");
+                bytes += 8 * words;
+            }
+        }
+        let mut groups: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
+        for u in t.node_ids().filter(|&u| !t.attr(u, a).is_bot()) {
+            groups.entry(t.attr(u, a)).or_default().push(iv.begin(u));
+        }
+        groups.values_mut().for_each(|g| g.sort_unstable());
+        let col = idx.value_groups(a);
+        let got: Vec<(Value, &[u32])> = col
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(g, &v)| (v, col.group(g)))
+            .collect();
+        let want: Vec<(Value, &[u32])> = groups.iter().map(|(&v, g)| (v, &g[..])).collect();
+        assert_eq!(got, want, "column {a:?}");
+        for (v, g) in want {
+            assert_eq!(idx.value_posting(a, v), Some(g));
+        }
+        distinct_values += groups.len();
+        bytes += 4 * groups.values().map(Vec::len).sum::<usize>() + 8 * groups.len();
+    }
+
+    let depths: Vec<usize> = t.node_ids().map(|u| t.depth(u)).collect();
+    let mut labels = syms;
+    labels.sort_unstable();
+    labels.dedup();
+    let stats = idx.stats();
+    assert_eq!(stats.nodes, n);
+    assert_eq!(stats.max_depth, depths.iter().copied().max().unwrap());
+    assert_eq!(
+        stats.avg_depth,
+        depths.iter().sum::<usize>() as f64 / n as f64
+    );
+    assert_eq!(stats.leaves, t.node_ids().filter(|&u| t.is_leaf(u)).count());
+    assert_eq!(stats.distinct_labels, labels.len());
+    assert_eq!(stats.root_label, t.label(t.root()).sym());
+    assert_eq!(stats.distinct_values, distinct_values);
+    assert_eq!(stats.postings_bytes, bytes);
+}
+
+/// The postings checked against their definitions on three kinds of
+/// tree: a generated tree (its arena is not in pre-order), the same tree
+/// read back from XML (its arena is), and its delimited tree (delimiter
+/// labels have no posting). Then raw value ids that need one, two and
+/// three 11-bit digits in columns 0, 1 and 2, with `⊥` gaps: in each
+/// column the order of the lower digits alone is not the value order, so
+/// a sort that stops a pass early, or is not stable, misorders groups or
+/// their members.
+#[test]
+fn postings_follow_their_definitions() {
+    let mut vocab = Vocab::new();
+    let mut cfg = hostile_cfg(&mut vocab, 300, None);
+    for nodes in [1, 64, 65, 300] {
+        cfg.nodes = nodes;
+        let permuted = random_tree(&cfg, nodes as u64);
+        let parsed =
+            parse_xml(&to_xml(&permuted, &vocab), &mut vocab).expect("to_xml output parses");
+        assert!(TreeIndex::build(&parsed).intervals().arena_is_preorder());
+        assert_eq!(
+            TreeIndex::build(&permuted).intervals().arena_is_preorder(),
+            nodes == 1
+        );
+        for t in [&permuted, &parsed, DelimTree::build(&permuted).tree()] {
+            assert_postings_follow_definitions(t);
+        }
+    }
+
+    let mut raw = random_tree(&cfg, 7);
+    let pools: [&[u32]; 3] = [
+        &[5, 9, 2047],
+        &[5, 2047, 3000],
+        &[5, 3000, (1 << 22) + 1, u32::MAX - 1],
+    ];
+    for (c, pool) in pools.iter().enumerate() {
+        for u in raw.node_ids() {
+            let k = u.0 as usize;
+            let v = match k % 5 {
+                4 => Value::BOT,
+                _ => Value(pool[(k * 7 + c) % pool.len()]),
+            };
+            raw.set_attr(u, AttrId(c as u16), v);
+        }
+    }
+    assert_postings_follow_definitions(&raw);
+    assert_postings_follow_definitions(DelimTree::build(&raw).tree());
 }
