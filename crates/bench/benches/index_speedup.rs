@@ -74,19 +74,34 @@ fn workload(vocab: &mut Vocab) -> (Tree, TreeGenConfig) {
 /// * `strs_4096` — a pool of 4 096 strings;
 /// * `unique_strs` — column `a` holds a distinct string on every node;
 /// * `docs_96` — 85 documents of 96 nodes, so per-call set-up shows;
-/// * `names_4096` — 4 096 distinct element names.
+/// * `names_4096` — 4 096 distinct element names;
+/// * `long_names` — element and attribute names of 12 to 24 bytes that
+///   share their first eight, the case a name memo keyed by a name's
+///   first word must still tell apart;
+/// * `long_ints` — integers of 9 to 18 digits, past the reader's
+///   eight-digit fast path.
 fn parse_cases(vocab: &mut Vocab) -> Vec<(&'static str, Vec<(Tree, String)>)> {
     let names16: Vec<SymId> = (0..16).map(|i| vocab.sym(&format!("s{i}"))).collect();
     let names4096: Vec<SymId> = (0..4096).map(|i| vocab.sym(&format!("n{i}"))).collect();
+    let long16: Vec<SymId> = (0..16)
+        .map(|i| vocab.sym(&format!("element_{i:0>w$}", w = 4 + i % 13)))
+        .collect();
     let ints = |vocab: &mut Vocab, from: i64, n: i64| -> Vec<Value> {
         (from..from + n).map(|i| vocab.val_int(i)).collect()
     };
     let ints16 = ints(vocab, 0, 16);
     let ints4096 = ints(vocab, 0, 4096);
     let wide = ints(vocab, 1 << 20, 4096);
+    let long_ints: Vec<Value> = (0..4096)
+        .map(|i| vocab.val_int(10_i64.pow(8 + (i % 10) as u32) + i))
+        .collect();
     let strs: Vec<Value> = (0..4096).map(|i| vocab.val_str(&format!("v{i}"))).collect();
     let (a, b) = (vocab.attr("a"), vocab.attr("b"));
-    let docs = |symbols: &[SymId], pool: &[Value], nodes: usize, count: usize| {
+    let long_attrs = (
+        vocab.attr("attribute_one"),
+        vocab.attr("attribute_two_long_name"),
+    );
+    let docs_over = |(a, b), symbols: &[SymId], pool: &[Value], nodes: usize, count: usize| {
         let cfg = TreeGenConfig {
             nodes,
             max_children: 4,
@@ -98,6 +113,9 @@ fn parse_cases(vocab: &mut Vocab) -> Vec<(&'static str, Vec<(Tree, String)>)> {
             .map(|seed| random_tree(&cfg, seed))
             .collect::<Vec<_>>()
     };
+    let docs = |symbols: &[SymId], pool: &[Value], nodes, count| {
+        docs_over((a, b), symbols, pool, nodes, count)
+    };
     let mut unique = docs(&names16, &ints4096, 8192, 1);
     unique[0].assign_unique_ids(a, vocab);
     let trees = [
@@ -108,6 +126,11 @@ fn parse_cases(vocab: &mut Vocab) -> Vec<(&'static str, Vec<(Tree, String)>)> {
         ("unique_strs", unique),
         ("docs_96", docs(&names16, &ints4096, 96, 85)),
         ("names_4096", docs(&names4096, &ints4096, 8192, 1)),
+        (
+            "long_names",
+            docs_over(long_attrs, &long16, &ints4096, 8192, 1),
+        ),
+        ("long_ints", docs(&names16, &long_ints, 8192, 1)),
     ];
     trees
         .into_iter()

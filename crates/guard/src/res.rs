@@ -196,6 +196,7 @@ impl MemGauge {
     }
 
     /// Record an observation; trips when it exceeds the cap.
+    #[inline]
     pub fn observe(&mut self, kind: GaugeKind, observed: usize) -> Result<(), TripReason> {
         let i = kind.idx();
         self.high[i] = self.high[i].max(observed);

@@ -263,8 +263,35 @@ fn empty_prune(p: &XPath, ctx: &RewriteCtx) -> Option<XPath> {
     ))
 }
 
+/// The branches of a right-nested union, left to right, read in place.
+fn right_spine(p: &XPath) -> impl Iterator<Item = &XPath> + Clone {
+    let mut rest = Some(p);
+    std::iter::from_fn(move || match rest? {
+        XPath::Union(a, b) => {
+            rest = Some(b);
+            Some(&**a)
+        }
+        last => {
+            rest = None;
+            Some(last)
+        }
+    })
+}
+
 fn union_subsume(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
     let XPath::Union(..) = p else { return None };
+    // A canonical spine's branches are distinct, so until a branch drops
+    // every one is citable: nothing fires exactly when no branch is
+    // contained in another. Decide that on the spine in place.
+    if canonical_spine(p) {
+        let spine = right_spine(p).enumerate();
+        let subsumed = spine
+            .clone()
+            .any(|(i, b)| spine.clone().any(|(j, c)| i != j && contains(b, c)));
+        if !subsumed {
+            return None;
+        }
+    }
     let mut branches = Vec::new();
     spine(p, &mut branches);
     // Operate on the canonical spine so the surviving set is independent
@@ -288,11 +315,6 @@ fn union_subsume(p: &XPath, _ctx: &RewriteCtx) -> Option<XPath> {
                 break;
             }
         }
-    }
-    // Nothing dropped from a spine that is already canonical: the rebuilt
-    // union would be `p` itself.
-    if keep.iter().all(|&k| k) && canonical_spine(p) {
-        return None;
     }
     Some(rebuild_union(
         branches

@@ -10,8 +10,6 @@
 //! Thm 7.1). `stream_select` runs that pass; `tests/rewrite.rs` validates
 //! the certificate empirically with a `MemGauge` on the active set.
 
-use std::ops::Range;
-
 use twq_guard::{GaugeKind, MemGauge, TripReason};
 use twq_tree::{AttrId, Label, NodeId, NodeSet, SymId, Tree, Value};
 use twq_xpath::{Pred, XPath};
@@ -30,7 +28,7 @@ pub enum Certificate {
     /// Not one-pass safe; `witness` names the offending construct.
     NotStreamable {
         /// Why a single forward pass cannot answer the query.
-        witness: String,
+        witness: &'static str,
     },
 }
 
@@ -43,7 +41,7 @@ impl Certificate {
 
 /// Check the one-pass-safe subset; `Ok` returns the query under any
 /// outermost `FromRoot` (streaming starts at the root anyway).
-fn check_streamable(q: &XPath) -> Result<&XPath, String> {
+fn check_streamable(q: &XPath) -> Result<&XPath, &'static str> {
     let inner = match q {
         XPath::FromRoot(p) => &**p,
         _ => q,
@@ -52,7 +50,7 @@ fn check_streamable(q: &XPath) -> Result<&XPath, String> {
     Ok(inner)
 }
 
-fn scan(q: &XPath) -> Result<(), String> {
+fn scan(q: &XPath) -> Result<(), &'static str> {
     match q {
         XPath::Name(_) | XPath::Wild => Ok(()),
         XPath::Child(a, b) | XPath::Descendant(a, b) | XPath::Union(a, b) => {
@@ -60,12 +58,10 @@ fn scan(q: &XPath) -> Result<(), String> {
             scan(b)
         }
         XPath::FromDesc(p) | XPath::FromChild(p) => scan(p),
-        XPath::FromRoot(_) => Err("nested absolute path re-enters the root mid-stream".to_owned()),
+        XPath::FromRoot(_) => Err("nested absolute path re-enters the root mid-stream"),
         XPath::Filter(p, pred) => {
             if let Pred::Path(_) = **pred {
-                return Err(
-                    "path predicate requires look-ahead beyond the streamed prefix".to_owned(),
-                );
+                return Err("path predicate requires look-ahead beyond the streamed prefix");
             }
             scan(p)
         }
@@ -81,6 +77,7 @@ enum NodeTest {
 }
 
 impl NodeTest {
+    #[inline]
     fn passes(&self, tree: &Tree, u: NodeId) -> bool {
         match *self {
             NodeTest::Lab(s) => tree.label(u) == Label::Sym(s),
@@ -249,6 +246,134 @@ pub fn stream_select(tree: &Tree, q: &XPath) -> Option<(NodeSet, StreamStats)> {
     stream_select_gauged(tree, q, &mut gauge).ok().flatten()
 }
 
+/// A [`StreamNfa`] as bit tables over state sets of `w` words: state `s`
+/// is bit `s % 64` of word `s / 64`.
+struct StateSets {
+    w: usize,
+    start: Vec<u64>,
+    accept: Vec<u64>,
+    /// `out[s·w..][..w]`: the states surviving state `s` activates at the
+    /// node's children.
+    out: Vec<u64>,
+    /// `rows[(σ + 1)·w..][..w]`: the states whose label tests pass on a
+    /// node labeled σ, for every symbol σ below `named`; `rows[..w]`, for
+    /// any other label, the states with no label test. Indexing by the
+    /// symbol itself keeps a node's row one load from its label.
+    rows: Vec<u64>,
+    /// One more than the largest symbol the query names.
+    named: usize,
+    /// The distinct attribute tests, and `masks[k·w..][..w]`: the states
+    /// carrying test `k`.
+    tests: Vec<NodeTest>,
+    masks: Vec<u64>,
+}
+
+impl StateSets {
+    fn new(nfa: &StreamNfa) -> StateSets {
+        let n = nfa.states.len();
+        let w = n.div_ceil(64);
+        let set = |words: &mut [u64], s: usize| words[s / 64] |= 1 << (s % 64);
+        let mut sets = StateSets {
+            w,
+            start: vec![0; w],
+            accept: vec![0; w],
+            out: vec![0; n * w],
+            rows: Vec::new(),
+            named: 0,
+            tests: Vec::new(),
+            masks: Vec::new(),
+        };
+        for &s in &nfa.start {
+            set(&mut sets.start, s as usize);
+        }
+        for (s, state) in nfa.states.iter().enumerate() {
+            if state.accept {
+                set(&mut sets.accept, s);
+            }
+            for &t in &state.out {
+                set(&mut sets.out[s * w..], t as usize);
+            }
+            for test in &state.tests {
+                if let NodeTest::Lab(sym) = *test {
+                    sets.named = sets.named.max(sym.0 as usize + 1);
+                    continue;
+                }
+                let k = match sets.tests.iter().position(|t| t == test) {
+                    Some(k) => k,
+                    None => {
+                        sets.tests.push(test.clone());
+                        sets.masks.resize(sets.masks.len() + w, 0);
+                        sets.tests.len() - 1
+                    }
+                };
+                set(&mut sets.masks[k * w..], s);
+            }
+        }
+        // A state with no label test passes on every row; one whose label
+        // tests all name σ passes on σ's row only.
+        sets.rows = vec![0; (sets.named + 1) * w];
+        for (s, state) in nfa.states.iter().enumerate() {
+            let mut labels = state.tests.iter().filter_map(|t| match *t {
+                NodeTest::Lab(sym) => Some(sym),
+                _ => None,
+            });
+            match labels.next() {
+                None => {
+                    for r in 0..=sets.named {
+                        set(&mut sets.rows[r * w..], s);
+                    }
+                }
+                Some(sym) if labels.all(|other| other == sym) => {
+                    set(&mut sets.rows[(sym.0 as usize + 1) * w..], s);
+                }
+                Some(_) => {}
+            }
+        }
+        sets
+    }
+
+    /// The index of `u`'s label row.
+    #[inline]
+    fn row(&self, tree: &Tree, u: NodeId) -> usize {
+        match tree.label(u) {
+            Label::Sym(s) if (s.0 as usize) < self.named => s.0 as usize + 1,
+            _ => 0,
+        }
+    }
+}
+
+/// Whether two state sets share a state.
+#[inline]
+fn meet(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The number of words in a state set, as [`walk`] reads it: a constant
+/// for the one-word sets of queries with at most 64 states, so the loops
+/// over words compile away, and a run-time count for wider sets. Both run
+/// the same `walk`.
+trait Words: Copy {
+    fn get(self) -> usize;
+}
+
+/// One word.
+#[derive(Clone, Copy)]
+struct OneWord;
+
+impl Words for OneWord {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
+    }
+}
+
+impl Words for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
 /// [`stream_select`] observing the per-node active-state count on the
 /// gauge's [`GaugeKind::Relation`] channel — the empirical check that a
 /// certificate's `max_depth_state` bound holds.
@@ -261,49 +386,100 @@ pub fn stream_select_gauged(
     let Ok(inner) = check_streamable(q) else {
         return Ok(None);
     };
-    let nfa = StreamNfa::compile(inner);
+    let sets = StateSets::new(&StreamNfa::compile(inner));
+    match sets.w {
+        1 => walk(tree, &sets, OneWord, gauge),
+        w => walk(tree, &sets, w, gauge),
+    }
+    .map(Some)
+}
+
+/// The streaming pass. It keeps one state set per open tree level: the
+/// states active at that level's nodes, which their parent's survivors
+/// activated. At a node, the active set meets the node's label row, and
+/// each attribute test that some surviving state carries is evaluated
+/// once, clearing its states on failure. The children's set is the union
+/// of the survivors' out-sets. Nodes are visited depth first, children
+/// right to left, and a node whose children's set is empty is not
+/// descended into.
+fn walk(
+    tree: &Tree,
+    sets: &StateSets,
+    words: impl Words,
+    gauge: &mut MemGauge,
+) -> Result<(NodeSet, StreamStats), TripReason> {
+    let w = words.get();
     let mut selected = NodeSet::new();
     let mut stats = StreamStats {
         max_active: 0,
         nodes_visited: 0,
     };
-    // Active sets live in one arena. A pending node holds the range of its
-    // parent's successor set, shared with its siblings. Nodes pop depth
-    // first, so everything above a popped node's range belongs to subtrees
-    // already finished and is dropped.
-    let mut arena: Vec<u32> = nfa.start.clone();
-    let mut stack: Vec<(NodeId, Range<usize>)> = vec![(tree.root(), 0..arena.len())];
-    let mut next: Vec<u32> = Vec::new();
-    while let Some((u, active)) = stack.pop() {
+    // `levels[d·w..][..w]` is the set active at the current node's
+    // ancestor-or-self at depth `d`.
+    let mut levels = sets.start.clone();
+    let mut buffer = vec![0; w];
+    let mut u = tree.root();
+    let mut d = 0;
+    loop {
         stats.nodes_visited += 1;
-        arena.truncate(active.end);
-        next.clear();
+        if levels.len() < (d + 2) * w {
+            levels.resize((d + 2) * w, 0);
+        }
+        let (above, below) = levels.split_at_mut((d + 1) * w);
+        let (active, next) = (&above[d * w..][..w], &mut below[..w]);
+        let survivors = &mut buffer[..w];
+        let row = &sets.rows[sets.row(tree, u) * w..][..w];
+        for ((s, &a), &r) in survivors.iter_mut().zip(active).zip(row) {
+            *s = a & r;
+        }
+        for (t, test) in sets.tests.iter().enumerate() {
+            let mask = &sets.masks[t * w..][..w];
+            if meet(survivors, mask) && !test.passes(tree, u) {
+                for (s, &m) in survivors.iter_mut().zip(mask) {
+                    *s &= !m;
+                }
+            }
+        }
+        // The children's set: the union of the survivors' out-sets.
+        next.fill(0);
         let mut surviving = 0;
-        let mut accept = false;
-        for &s in &arena[active] {
-            let state = &nfa.states[s as usize];
-            if state.tests.iter().all(|t| t.passes(tree, u)) {
+        for (j, &word) in survivors.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let s = j * 64 + bits.trailing_zeros() as usize;
+                for (n, &o) in next.iter_mut().zip(&sets.out[s * w..][..w]) {
+                    *n |= o;
+                }
                 surviving += 1;
-                accept |= state.accept;
-                next.extend_from_slice(&state.out);
+                bits &= bits - 1;
             }
         }
         stats.max_active = stats.max_active.max(surviving);
         gauge.observe(GaugeKind::Relation, surviving)?;
-        if accept {
+        if meet(survivors, &sets.accept[..w]) {
             selected.insert(u);
         }
-        next.sort_unstable();
-        next.dedup();
-        if !next.is_empty() && !tree.is_leaf(u) {
-            let start = arena.len();
-            arena.extend_from_slice(&next);
-            for c in tree.children(u) {
-                stack.push((c, start..arena.len()));
+        if next.iter().any(|&n| n != 0) {
+            if let Some(c) = tree.last_child(u) {
+                u = c;
+                d += 1;
+                continue;
             }
         }
+        // The next node: the previous sibling of `u` or of its nearest
+        // ancestor that has one.
+        loop {
+            if d == 0 {
+                return Ok((selected, stats));
+            }
+            if let Some(s) = tree.prev_sibling(u) {
+                u = s;
+                break;
+            }
+            u = tree.parent(u).expect("a node below the root has a parent");
+            d -= 1;
+        }
     }
-    Ok(Some((selected, stats)))
 }
 
 #[cfg(test)]

@@ -145,13 +145,15 @@ impl Tree {
         self.nodes.len()
     }
 
-    /// Whether the tree has exactly one node. Trees are never empty.
+    /// Always `false`: a tree has at least its root, so trees are never
+    /// empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// Append a new last child under `parent` and return it.
+    #[inline]
     pub fn add_child(&mut self, parent: NodeId, label: Label) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("tree too large"));
         let prev = self.nodes[parent.idx()].last_child;
@@ -378,8 +380,11 @@ impl Tree {
     }
 
     /// Column `a`, materialized (all `⊥`) if it was not yet.
+    #[inline]
     pub(crate) fn attr_column_mut(&mut self, a: AttrId) -> &mut [Value] {
-        self.ensure_attr(a);
+        if self.attrs.len() <= a.0 as usize {
+            self.ensure_attr(a);
+        }
         &mut self.attrs[a.0 as usize]
     }
 

@@ -207,7 +207,17 @@ impl Vocab {
     }
 
     /// Intern an integer-shaped data value.
+    #[inline]
     pub fn val_int(&mut self, i: i64) -> Value {
+        // A small integer interned before: one table load.
+        match small_int(i).and_then(|k| self.small_int_ids.get(k)) {
+            Some(&id) if id != 0 => Value(id),
+            _ => self.val_int_new(i),
+        }
+    }
+
+    /// [`Vocab::val_int`] for an integer outside the table or not yet in it.
+    fn val_int_new(&mut self, i: i64) -> Value {
         if let Some(k) = small_int(i) {
             if k >= self.small_int_ids.len() {
                 // Sixteenfold steps, so a vocabulary of few small integers

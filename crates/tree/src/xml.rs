@@ -31,52 +31,263 @@ impl std::fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+// ----- errors: built off the hot path --------------------------------
+
+#[cold]
+fn error(at: usize, msg: &str) -> XmlError {
+    XmlError {
+        at,
+        msg: msg.to_owned(),
+    }
+}
+
+#[cold]
+fn expected(at: usize, c: char) -> XmlError {
+    XmlError {
+        at,
+        msg: format!("expected '{c}'"),
+    }
+}
+
+/// The error for a closing tag at `at` whose name is not `src[tag]`: no
+/// name at all, or another one, reported where it ends.
+#[cold]
+fn closing_error(src: &str, at: usize, tag: Range<usize>) -> XmlError {
+    let end = name_end(src.as_bytes(), at);
+    if end == at {
+        return error(at, "expected name");
+    }
+    XmlError {
+        at: end,
+        msg: format!("mismatched </{}>, expected </{}>", &src[at..end], &src[tag]),
+    }
+}
+
+// ----- eight bytes at a time -----------------------------------------
+
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+const HIGH: u64 = splat(0x80);
+
+/// The eight bytes of `src` from `at` as a little-endian word, zero past
+/// the end: no name byte, quote or space is zero, so every search below
+/// stops at the end of the input without a separate bounds test.
+#[inline]
+fn word_at(src: &[u8], at: usize) -> u64 {
+    match src.get(at..at + 8) {
+        Some(w) => u64::from_le_bytes(w.try_into().expect("eight bytes")),
+        None => tail_word(src, at),
+    }
+}
+
+/// [`word_at`] within eight bytes of the end.
+#[cold]
+#[inline(never)]
+fn tail_word(src: &[u8], at: usize) -> u64 {
+    let mut w = [0; 8];
+    let tail = src.get(at..).unwrap_or_default();
+    w[..tail.len()].copy_from_slice(tail);
+    u64::from_le_bytes(w)
+}
+
+/// The high bit of each byte of `w` in `lo..=hi`. The bytes of `w` must
+/// be below 0x80, so no sum carries into the next byte.
+#[inline]
+fn in_range(w: u64, lo: u8, hi: u8) -> u64 {
+    w.wrapping_add(splat(0x80 - lo)) & !w.wrapping_add(splat(0x7f - hi)) & HIGH
+}
+
+/// The high bit of each byte of `w` that is a name byte: an ASCII
+/// alphanumeric, `_`, `-` or `.`.
+#[inline]
+fn name_bytes(w: u64) -> u64 {
+    let low = w & !HIGH;
+    let letters = in_range(low | splat(0x20), b'a', b'z');
+    let dash_dot_digits = in_range(low, b'-', b'9') & !in_range(low, b'/', b'/');
+    let underscores = in_range(low, b'_', b'_');
+    (letters | dash_dot_digits | underscores) & !w
+}
+
+/// The first byte at or after `at` that is not a name byte, or the end.
+#[inline]
+fn name_end(src: &[u8], mut at: usize) -> usize {
+    loop {
+        let stop = !name_bytes(word_at(src, at)) & HIGH;
+        if stop != 0 {
+            return at + (stop.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+}
+
+/// The name starting at `at`: its length, and its first word with the
+/// bytes past the name zeroed (the key of a [`Memo`] slot).
+#[inline(always)]
+fn name_at(src: &[u8], at: usize) -> (usize, u64) {
+    let head = word_at(src, at);
+    let stop = !name_bytes(head) & HIGH;
+    if stop == 0 {
+        return (name_end(src, at + 8) - at, head);
+    }
+    // The lowest stop bit is bit 8·len + 7; below it lie the name's bytes.
+    let below = ((stop & stop.wrapping_neg()) >> 7) - 1;
+    ((stop.trailing_zeros() / 8) as usize, head & below)
+}
+
+/// The index of the first `"` in `w`, if any.
+#[inline]
+fn quote_in(w: u64) -> Option<usize> {
+    let x = w ^ splat(b'"');
+    // The lowest flagged byte is the first zero byte of `x`.
+    let found = x.wrapping_sub(splat(1)) & !x & HIGH;
+    (found != 0).then(|| (found.trailing_zeros() / 8) as usize)
+}
+
+/// The first `"` at or after `at`, or the end.
+fn quote_at(src: &[u8], mut at: usize) -> usize {
+    while at < src.len() {
+        if let Some(k) = quote_in(word_at(src, at)) {
+            return at + k;
+        }
+        at += 8;
+    }
+    src.len()
+}
+
+/// The value of a string of `len` bytes whose first word is `head`, when
+/// it is one to eight ASCII digits. Any other value is left to
+/// `str::parse`, so both agree on every input.
+#[inline]
+fn digits(head: u64, len: usize) -> Option<i64> {
+    if !(1..=8).contains(&len) {
+        return None;
+    }
+    // The value's bytes move to the word's top, leaving zero bytes, that
+    // is, leading zero digits, below them.
+    let shift = 64 - 8 * len as u32;
+    let w = head << shift;
+    let top = u64::MAX << shift;
+    let digits = in_range(w & !HIGH, b'0', b'9') & !w;
+    if digits != top & HIGH {
+        return None;
+    }
+    // Byte i holds digit i, most significant first: fold pairs of bytes,
+    // then of 16-bit and of 32-bit lanes, scaling the higher half by
+    // 10, 100 and 10 000.
+    let d = w ^ (splat(b'0') & top);
+    let d = (d.wrapping_mul(10 << 8 | 1) >> 8) & 0x00ff_00ff_00ff_00ff;
+    let d = (d.wrapping_mul(100 << 16 | 1) >> 16) & 0x0000_ffff_0000_ffff;
+    let d = d.wrapping_mul(10_000 << 32 | 1) >> 32;
+    Some(d as i64)
+}
+
+/// The first byte at or after `at` that is not ASCII whitespace. After a
+/// newline the indentation's spaces are skipped eight bytes at a time:
+/// `to_xml` indents by depth, so on a pretty-printed document most bytes
+/// are these spaces.
+#[inline]
+fn skip_ws(src: &[u8], mut at: usize) -> usize {
+    while let Some(&c) = src.get(at) {
+        if !c.is_ascii_whitespace() {
+            break;
+        }
+        at += 1;
+        if c == b'\n' {
+            loop {
+                let spaces = (word_at(src, at) ^ splat(b' ')).trailing_zeros() / 8;
+                at += spaces as usize;
+                if spaces < 8 {
+                    break;
+                }
+            }
+        }
+    }
+    at
+}
+
 /// A per-call, direct-mapped cache in front of one of [`Vocab`]'s name
-/// interners, keyed by spans of the input. A document uses few element
-/// and attribute names many times, so nearly every lookup ends here: a
-/// short hash and a byte compare instead of a SipHash probe into
-/// `Vocab`'s maps. Values are not memoized: how often they repeat
-/// depends on the document, and on one whose values rarely repeat a
-/// value memo costs more than it saves.
+/// interners. A document uses few element and attribute names many times,
+/// so nearly every lookup ends here: a multiply and a word compare instead
+/// of a SipHash probe into `Vocab`'s maps. Values are not memoized: how
+/// often they repeat depends on the document, and on one whose values
+/// rarely repeat a value memo costs more than it saves.
 ///
-/// Each key maps to exactly one slot. A slot is trusted only after its
-/// bytes compare equal to the key, so a collision, crafted or not, is a
-/// miss: the id then comes from `Vocab`, whose default hasher keeps its
-/// protection against keys built to collide, and the slot is overwritten.
-/// A hit returns the id an earlier miss got from `Vocab`, so the ids
-/// issued and their order are those of interning every token in turn.
+/// A slot's key is a name's first word (zero past the name) and its
+/// length; a name longer than a word also compares its remaining bytes
+/// with the slot's span of the input. The slot index also mixes in the
+/// name's last word, so names that share their first eight bytes spread
+/// over the table. A slot is trusted only after the key compares equal,
+/// so a collision, crafted or not, is a miss: the id then comes from
+/// `Vocab`, whose default hasher keeps its protection against keys built
+/// to collide, and the slot is overwritten. A hit returns the id an
+/// earlier miss got from `Vocab`, so the ids issued and their order are
+/// those of interning every token in turn.
 struct Memo<T> {
-    slots: Vec<Option<(usize, usize, T)>>,
+    /// Empty slots have length 0, which no name has.
+    slots: Vec<Slot<T>>,
+    /// 64 − log₂(slots): a hash's top bits index the table.
+    shift: u32,
+}
+
+#[derive(Clone, Copy)]
+struct Slot<T> {
+    head: u64,
+    len: usize,
+    start: usize,
+    id: T,
 }
 
 impl<T: Copy> Memo<T> {
-    /// `slots` must be a power of two.
-    fn new(slots: usize) -> Self {
+    /// `slots` must be a power of two; `none` fills the empty slots.
+    fn new(slots: usize, none: T) -> Self {
         debug_assert!(slots.is_power_of_two());
+        let empty = Slot {
+            head: 0,
+            len: 0,
+            start: 0,
+            id: none,
+        };
         Memo {
-            slots: vec![None; slots],
+            slots: vec![empty; slots],
+            shift: 64 - slots.trailing_zeros(),
         }
     }
 
-    /// The id of `src[span]`, from the slot or else from `miss`. Spans
-    /// start and end at ASCII bytes, so slicing `src` cannot panic.
-    fn intern(&mut self, src: &str, span: Range<usize>, miss: impl FnOnce(&str) -> T) -> T {
+    /// The id of the name `src[start..start + len]`, whose [`name_at`]
+    /// key is `head`, from its slot or else from `miss`.
+    #[inline]
+    fn intern(
+        &mut self,
+        src: &str,
+        start: usize,
+        (len, head): (usize, u64),
+        miss: impl FnOnce(&str) -> T,
+    ) -> T {
         let bytes = src.as_bytes();
-        let key = &bytes[span.clone()];
-        // FNV-1a: cheap on short keys; its quality only affects the hit rate.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        let last = if len > 8 {
+            word_at(bytes, start + len - 8)
+        } else {
+            0
+        };
+        let h = (head ^ last.rotate_left(32) ^ len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = &mut self.slots[(h >> self.shift) as usize];
+        if slot.head == head
+            && slot.len == len
+            && (len <= 8
+                || bytes[slot.start + 8..slot.start + len] == bytes[start + 8..start + len])
+        {
+            return slot.id;
         }
-        let mask = self.slots.len() - 1;
-        let slot = &mut self.slots[(h ^ (h >> 32)) as usize & mask];
-        if let Some((start, end, id)) = *slot {
-            if bytes[start..end] == *key {
-                return id;
-            }
-        }
-        let id = miss(&src[span.clone()]);
-        *slot = Some((span.start, span.end, id));
+        let id = miss(&src[start..start + len]);
+        *slot = Slot {
+            head,
+            len,
+            start,
+            id,
+        };
         id
     }
 }
@@ -88,170 +299,125 @@ fn name_slots(len: usize) -> usize {
     (len / 32).clamp(16, 256).next_power_of_two()
 }
 
-struct Reader<'s, 'v> {
-    src: &'s str,
-    pos: usize,
-    vocab: &'v mut Vocab,
-    syms: Memo<SymId>,
-    attrs: Memo<AttrId>,
-}
-
-impl Reader<'_, '_> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
-        Err(XmlError {
-            at: self.pos,
-            msg: msg.into(),
-        })
-    }
-
-    /// Skip whitespace. After a newline, the indentation's spaces are
-    /// skipped eight bytes at a time: `to_xml` indents by depth, so on a
-    /// pretty-printed document most bytes are these spaces.
-    fn ws(&mut self) {
-        let bytes = self.src.as_bytes();
-        while let Some(&c) = bytes.get(self.pos) {
-            if !c.is_ascii_whitespace() {
-                return;
-            }
-            self.pos += 1;
-            if c == b'\n' {
-                while let Some(word) = bytes.get(self.pos..self.pos + 8) {
-                    let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-                    // The number of spaces the word starts with.
-                    let spaces = (word ^ u64::from_le_bytes([b' '; 8])).trailing_zeros() / 8;
-                    self.pos += spaces as usize;
-                    if spaces < 8 {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), XmlError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", c as char))
-        }
-    }
-
-    /// The span of a name: one or more ASCII alphanumerics, `_`, `-`, `.`.
-    fn name(&mut self) -> Result<Range<usize>, XmlError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected name");
-        }
-        Ok(start..self.pos)
-    }
-
-    /// An element name, interned.
-    fn tag(&mut self) -> Result<(Range<usize>, Label), XmlError> {
-        let name = self.name()?;
-        let sym = self
-            .syms
-            .intern(self.src, name.clone(), |s| self.vocab.sym(s));
-        Ok((name, Label::Sym(sym)))
-    }
-
-    /// The attributes of `node`, up to the `/` or `>` that ends its start
-    /// tag. A repeated attribute keeps its last value.
-    fn attributes(&mut self, tree: &mut Tree, node: NodeId) -> Result<(), XmlError> {
-        loop {
-            self.ws();
-            if matches!(self.peek(), Some(b'/' | b'>')) {
-                return Ok(());
-            }
-            let name = self.name()?;
-            let attr = self.attrs.intern(self.src, name, |s| self.vocab.attr(s));
-            self.ws();
-            self.expect(b'=')?;
-            self.ws();
-            self.expect(b'"')?;
-            let start = self.pos;
-            self.pos = self.src.as_bytes()[start..]
-                .iter()
-                .position(|&c| c == b'"')
-                .map_or(self.src.len(), |k| start + k);
-            let raw = &self.src[start..self.pos];
-            self.expect(b'"')?;
-            let value = match raw.parse::<i64>() {
-                Ok(i) => self.vocab.val_int(i),
-                Err(_) => self.vocab.val_str(raw),
-            };
-            tree.set_attr(node, attr, value);
-        }
-    }
-}
-
 /// Parse the XML subset into a tree.
 ///
-/// One pass over the bytes with an explicit stack of open elements, so
-/// nesting depth costs heap, not call stack. Names and values are read as
-/// spans of `src`; a closing tag is checked against its start tag's span.
+/// One flat pass over the bytes with a local cursor and an explicit stack
+/// of open elements, so nesting depth costs heap, not call stack. Names,
+/// quotes and short integers are found eight bytes at a time; names and
+/// values are read as spans of `src`, and a closing tag is checked
+/// against its start tag's span.
 pub fn parse_xml(src: &str, vocab: &mut Vocab) -> Result<Tree, XmlError> {
-    let mut r = Reader {
-        src,
-        pos: 0,
-        vocab,
-        syms: Memo::new(name_slots(src.len())),
-        attrs: Memo::new(16),
-    };
-    r.ws();
-    r.expect(b'<')?;
-    let (mut name, label) = r.tag()?;
-    let mut tree = Tree::new(label);
+    let bytes = src.as_bytes();
+    let mut syms = Memo::new(name_slots(bytes.len()), SymId(0));
+    let mut attrs = Memo::new(16, AttrId(0));
+    let mut pos = skip_ws(bytes, 0);
+    if bytes.get(pos) != Some(&b'<') {
+        return Err(expected(pos, '<'));
+    }
+    pos += 1;
+    let key = name_at(bytes, pos);
+    if key.0 == 0 {
+        return Err(error(pos, "expected name"));
+    }
+    let sym = syms.intern(src, pos, key, |s| vocab.sym(s));
+    let mut tree = Tree::new(Label::Sym(sym));
+    // The element whose start tag is being read, and its name's start
+    // and key.
     let mut node = tree.root();
-    // Open elements, innermost last, with their start tags' name spans.
-    let mut open: Vec<(NodeId, Range<usize>)> = Vec::new();
+    let mut name = (pos, key);
+    pos += key.0;
+    // Open elements, innermost last, with their start tags' names: start
+    // and key.
+    let mut open: Vec<(NodeId, usize, (usize, u64))> = Vec::new();
     loop {
-        // `node`'s start tag is read up to its name.
-        r.attributes(&mut tree, node)?;
-        if r.peek() == Some(b'/') {
-            r.pos += 1;
-            r.expect(b'>')?;
+        // `node`'s attributes, up to the `/` or `>` that ends its start
+        // tag. A repeated attribute keeps its last value.
+        loop {
+            pos = skip_ws(bytes, pos);
+            if matches!(bytes.get(pos), Some(b'/' | b'>')) {
+                break;
+            }
+            let key = name_at(bytes, pos);
+            if key.0 == 0 {
+                return Err(error(pos, "expected name"));
+            }
+            let attr = attrs.intern(src, pos, key, |s| vocab.attr(s));
+            pos = skip_ws(bytes, pos + key.0);
+            if bytes.get(pos) != Some(&b'=') {
+                return Err(expected(pos, '='));
+            }
+            pos = skip_ws(bytes, pos + 1);
+            if bytes.get(pos) != Some(&b'"') {
+                return Err(expected(pos, '"'));
+            }
+            let start = pos + 1;
+            let head = word_at(bytes, start);
+            pos = match quote_in(head) {
+                Some(k) => start + k,
+                None => quote_at(bytes, start + 8),
+            };
+            if pos == bytes.len() {
+                return Err(expected(pos, '"'));
+            }
+            let value = match digits(head, pos - start) {
+                Some(i) => vocab.val_int(i),
+                None => {
+                    let raw = &src[start..pos];
+                    match raw.parse::<i64>() {
+                        Ok(i) => vocab.val_int(i),
+                        Err(_) => vocab.val_str(raw),
+                    }
+                }
+            };
+            tree.attr_column_mut(attr)[node.idx()] = value;
+            pos += 1;
+        }
+        pos += 1;
+        if bytes[pos - 1] == b'/' {
+            if bytes.get(pos) != Some(&b'>') {
+                return Err(expected(pos, '>'));
+            }
+            pos += 1;
         } else {
-            r.expect(b'>')?;
-            open.push((node, name));
+            open.push((node, name.0, name.1));
         }
         // Close elements until the next start tag or the document's end.
         loop {
-            r.ws();
-            let Some((parent, tag)) = open.last().cloned() else {
-                if r.pos != src.len() {
-                    return r.err("trailing input after the document element");
+            pos = skip_ws(bytes, pos);
+            let Some(&(parent, tag, key)) = open.last() else {
+                if pos != bytes.len() {
+                    return Err(error(pos, "trailing input after the document element"));
                 }
                 return Ok(tree);
             };
-            if src[r.pos..].starts_with("</") {
-                r.pos += 2;
-                let closing = r.name()?;
-                let (closing, tag) = (&src[closing], &src[tag]);
-                if closing != tag {
-                    return r.err(format!("mismatched </{closing}>, expected </{tag}>"));
+            if bytes.get(pos) != Some(&b'<') {
+                return Err(error(pos, "expected a child element or closing tag"));
+            }
+            pos += 1;
+            if bytes.get(pos) == Some(&b'/') {
+                pos += 1;
+                let len = key.0;
+                if name_at(bytes, pos) != key
+                    || (len > 8 && bytes[pos + 8..pos + len] != bytes[tag + 8..tag + len])
+                {
+                    return Err(closing_error(src, pos, tag..tag + len));
                 }
-                r.ws();
-                r.expect(b'>')?;
+                pos = skip_ws(bytes, pos + len);
+                if bytes.get(pos) != Some(&b'>') {
+                    return Err(expected(pos, '>'));
+                }
+                pos += 1;
                 open.pop();
-            } else if r.peek() == Some(b'<') {
-                r.pos += 1;
-                let label;
-                (name, label) = r.tag()?;
-                node = tree.add_child(parent, label);
-                break;
             } else {
-                return r.err("expected a child element or closing tag");
+                let key = name_at(bytes, pos);
+                if key.0 == 0 {
+                    return Err(error(pos, "expected name"));
+                }
+                let sym = syms.intern(src, pos, key, |s| vocab.sym(s));
+                node = tree.add_child(parent, Label::Sym(sym));
+                name = (pos, key);
+                pos += key.0;
+                break;
             }
         }
     }
@@ -315,7 +481,10 @@ mod tests {
     use super::*;
     use crate::generate::{random_tree, TreeGenConfig};
     use crate::parse::tree_to_string;
+    use crate::vocab::Value;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parses_nested_document() {
@@ -374,6 +543,26 @@ mod tests {
             ("<a>text</a>", 3, "expected a child element or closing tag"),
             ("<a><b/>é</a>", 7, "expected a child element or closing tag"),
             ("<a/><b/>", 4, "trailing input after the document element"),
+            // Inside the last eight bytes, and names across a word boundary.
+            ("<abcdefgh", 9, "expected name"),
+            ("<abcdefghi x", 12, "expected '='"),
+            ("<a x=\"12345678", 14, "expected '\"'"),
+            ("<a></abcdefgh", 13, "mismatched </abcdefgh>, expected </a>"),
+            (
+                "<abcdefghi></abcdefghj>",
+                22,
+                "mismatched </abcdefghj>, expected </abcdefghi>",
+            ),
+            (
+                "<abcdefghi></abcdefgh>",
+                21,
+                "mismatched </abcdefgh>, expected </abcdefghi>",
+            ),
+            (
+                "<abcdefgh></abcdefghi>",
+                21,
+                "mismatched </abcdefghi>, expected </abcdefgh>",
+            ),
         ];
         for &(src, at, msg) in cases {
             let err = parse_xml(src, &mut Vocab::new()).expect_err(src);
@@ -474,18 +663,149 @@ mod tests {
         }
     }
 
+    /// A name of 1 to 24 name bytes; half of them extend `prefix`, so
+    /// that names share their first word.
+    fn random_name(rng: &mut StdRng, prefix: &str) -> String {
+        const BYTES: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.";
+        let start = if rng.gen_range(0..2) == 0 { prefix } else { "" };
+        let len = rng.gen_range(1..25 - start.len());
+        let rest: String = (0..len)
+            .map(|_| char::from(BYTES[rng.gen_range(0..BYTES.len())]))
+            .collect();
+        start.to_owned() + &rest
+    }
+
+    /// The text of a value, 0 to 20 characters: digits with leading zeros
+    /// and signs, numbers of 19 or 20 digits (some beyond `i64`), or
+    /// spaces, `<`, `>`, non-ASCII and other characters.
+    fn random_value_text(rng: &mut StdRng) -> String {
+        let digits = |rng: &mut StdRng, n: usize| -> String {
+            (0..n)
+                .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                .collect()
+        };
+        match rng.gen_range(0..3) {
+            0 => {
+                let sign = ["", "", "+", "-"][rng.gen_range(0..4usize)];
+                let zeros = "0".repeat(rng.gen_range(0..4));
+                let n = rng.gen_range(0..12);
+                format!("{sign}{zeros}{}", digits(rng, n))
+            }
+            1 => {
+                let n = rng.gen_range(19..21);
+                digits(rng, n)
+            }
+            _ => {
+                const CHARS: &[char] = &[' ', '<', '>', 'é', '€', 'x', '7', '+', '-', '0', '='];
+                let n = rng.gen_range(0..21);
+                (0..n)
+                    .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+                    .collect()
+            }
+        }
+    }
+
+    /// `text` interned as the reader interns an attribute value.
+    fn intern_value(v: &mut Vocab, text: &str) -> Value {
+        match text.parse::<i64>() {
+            Ok(i) => v.val_int(i),
+            Err(_) => v.val_str(text),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Documents with long names and awkward values read back whole,
+        /// into a fresh vocabulary (issuing ids in order of first
+        /// occurrence) and into one that knows every token (issuing none).
+        /// Every strict prefix of a document is an error within it.
+        #[test]
+        fn documents_with_long_names_and_odd_values_round_trip(
+            (seed, nodes, width) in (0u64..1_000_000, 1usize..24, 1usize..5)
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut v = Vocab::new();
+            let prefix = &"attributes_and_names"[..rng.gen_range(8..13)];
+            let symbols = (0..rng.gen_range(1..6))
+                .map(|_| {
+                    let name = random_name(&mut rng, prefix);
+                    v.sym(&name)
+                })
+                .collect();
+            let attributes = (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let name = random_name(&mut rng, prefix);
+                    let pool = (0..rng.gen_range(1..8))
+                        .map(|_| {
+                            let text = random_value_text(&mut rng);
+                            intern_value(&mut v, &text)
+                        })
+                        .collect();
+                    (v.attr(&name), pool)
+                })
+                .collect();
+            let cfg = TreeGenConfig {
+                nodes,
+                max_children: width,
+                symbols,
+                attributes,
+                collision_pool: None,
+            };
+            let t = random_tree(&cfg, rng.gen_range(0..1_000_000));
+            let xml = to_xml(&t, &v);
+
+            // Every token interned in document order.
+            let mut want = Vocab::new();
+            for u in t.nodes() {
+                want.sym(v.sym_name(t.label(u).sym().expect("an element")));
+                for a in (0..t.attr_columns() as u16).map(AttrId) {
+                    let value = t.attr(u, a);
+                    if !value.is_bot() {
+                        want.attr(v.attr_name(a));
+                        intern_value(&mut want, &v.value_display(value));
+                    }
+                }
+            }
+            let mut fresh = Vocab::new();
+            let back = parse_xml(&xml, &mut fresh).expect("to_xml output parses");
+            prop_assert_eq!(tree_to_string(&back, &fresh), tree_to_string(&t, &v));
+            prop_assert_eq!(format!("{fresh:?}"), format!("{want:?}"));
+
+            let mut known = v.clone();
+            let back = parse_xml(&xml, &mut known).expect("to_xml output parses");
+            prop_assert_eq!(tree_to_string(&back, &known), tree_to_string(&t, &v));
+            prop_assert_eq!(format!("{known:?}"), format!("{v:?}"));
+
+            let doc = xml.trim_end();
+            for end in (0..doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+                let err = parse_xml(&doc[..end], &mut Vocab::new())
+                    .expect_err("a strict prefix is not a document");
+                prop_assert!(err.at <= end, "{:?}: {err}", &doc[..end]);
+            }
+        }
+    }
+
     #[test]
     fn round_trips_more_distinct_names_than_memo_slots() {
         // 600 element names against at most 256 slots and 40 attribute
         // names against 16, so names collide, evict each other and miss.
+        // Half the names of each kind are longer than a word and share
+        // their first one, so slots keyed alike must compare the rest.
+        let name = |short: &str, long: &str, i: usize| match i % 2 {
+            0 => format!("{short}{i}"),
+            _ => format!("{long}{i:04}"),
+        };
+        let attr_names: Vec<String> = (0..40).map(|i| name("a", "attribute-", i)).collect();
         let mut v = Vocab::new();
         let one = vec![v.val_int(1)];
         let cfg = TreeGenConfig {
             nodes: 3_000,
             max_children: 4,
-            symbols: (0..600).map(|i| v.sym(&format!("e{i}"))).collect(),
-            attributes: (0..40)
-                .map(|i| (v.attr(&format!("a{i}")), one.clone()))
+            symbols: (0..600).map(|i| v.sym(&name("e", "element-", i))).collect(),
+            attributes: attr_names
+                .iter()
+                .map(|a| (v.attr(a), one.clone()))
                 .collect(),
             collision_pool: None,
         };
@@ -507,7 +827,7 @@ mod tests {
             .collect();
         assert_eq!(issued, first);
         let attrs: Vec<&str> = (0..40).map(|i| fresh.attr_name(AttrId(i))).collect();
-        assert_eq!(attrs, (0..40).map(|i| format!("a{i}")).collect::<Vec<_>>());
+        assert_eq!(attrs, attr_names);
     }
 
     #[test]

@@ -376,7 +376,7 @@ fn certificates_partition_the_corpus() {
                 assert!(eval_pairs(&t, &p).is_empty(), "seed {seed}");
             }
             Certificate::Streamable { .. } => stream += 1,
-            Certificate::NotStreamable { ref witness } => {
+            Certificate::NotStreamable { witness } => {
                 relational += 1;
                 assert!(!witness.is_empty());
             }
