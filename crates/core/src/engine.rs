@@ -336,7 +336,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
         loop {
             let tuples = cfg.store.total_tuples();
             self.max_store_tuples = self.max_store_tuples.max(tuples);
-            self.collector.store_size(tuples);
             if G::ENABLED {
                 if let Err(e) = self.guard.gauge(GaugeKind::StoreTuples, tuples) {
                     return ChainEnd::Reject(self.record_trip(e));
@@ -364,7 +363,6 @@ impl<'a, C: Collector, G: Guard> Exec<'a, C, G> {
                         })
                     }
                 }
-                self.collector.cycle_bookkeeping(tracked);
                 if G::ENABLED {
                     if let Err(e) = self.guard.gauge(GaugeKind::Configs, tracked) {
                         return ChainEnd::Reject(self.record_trip(e));

@@ -145,14 +145,12 @@ impl WalkerBuilder {
 
     /// [`WalkerBuilder::compile`] with a collector and a guard.
     ///
-    /// The collector sees the `twir.compile` phase timing and the
-    /// `run/twir.states` / `run/twir.rules` counters of the produced
-    /// program. The guard is charged one fuel unit per compiled instruction,
-    /// with body nesting tracked as [`DepthKind::Compile`]: compiled walkers
-    /// can be enormous (the Theorem 7.1 pebble constructions emit thousands
-    /// of states), so compilation itself is a governed phase. A trip
-    /// discards the partial program; a body the builder rejects surfaces as
-    /// [`TwqError::Invalid`].
+    /// The collector sees the `twir.compile` phase timing. The guard is
+    /// charged one fuel unit per compiled instruction, with body nesting
+    /// tracked as [`DepthKind::Compile`]: compiled walkers can be enormous
+    /// (the Theorem 7.1 pebble constructions emit thousands of states), so
+    /// compilation itself is a governed phase. A trip discards the partial
+    /// program; a body the builder rejects surfaces as [`TwqError::Invalid`].
     pub fn compile_in<C: Collector, G: Guard>(
         &self,
         body: &[Instr],
@@ -164,12 +162,9 @@ impl WalkerBuilder {
         if let Some(timer) = timer {
             timer.stop(collector);
         }
-        let prog = built
+        built
             .map_err(TwqError::Guard)?
-            .map_err(|e| TwqError::invalid("twir::compile", e.to_string()))?;
-        collector.counter("run/twir.states", prog.state_count() as u64);
-        collector.counter("run/twir.rules", prog.rules().len() as u64);
-        Ok(prog)
+            .map_err(|e| TwqError::invalid("twir::compile", e.to_string()))
     }
 
     /// The one lowering behind [`WalkerBuilder::compile`] and
@@ -904,8 +899,5 @@ mod tests {
             )
         };
         assert_eq!(shape(&guarded), shape(&plain));
-        let counters = mc.metrics.counters;
-        assert_eq!(counters["run/twir.states"], plain.state_count() as u64);
-        assert_eq!(counters["run/twir.rules"], plain.rules().len() as u64);
     }
 }

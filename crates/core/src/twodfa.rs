@@ -175,7 +175,6 @@ impl TwoDfa {
             }
             seen[key] = true;
             tracked += 1;
-            c.cycle_bookkeeping(tracked);
             if G::ENABLED {
                 if let Err(e) = g.tick() {
                     c.chain_exit(HaltKind::StepLimit, 0);

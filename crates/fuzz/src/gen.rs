@@ -492,7 +492,8 @@ fn gen_link(rng: &mut StdRng, a: Var, b: Var) -> Formula {
     }
 }
 
-/// A literal over the one variable `v`, negated one time in four.
+/// A literal over the one variable `v`, negated one time in four. One
+/// value test in four compares with `⊥`, an unset attribute.
 fn gen_filter(rng: &mut StdRng, uni: &Universe, v: Var) -> Formula {
     let atom = match rng.gen_range(0..9u32) {
         0..=2 => {
@@ -503,7 +504,14 @@ fn gen_filter(rng: &mut StdRng, uni: &Universe, v: Var) -> Formula {
         4 => fb::leaf(v),
         5 => fb::first(v),
         6 => fb::last(v),
-        7 => fb::val_const(uni.attr, v, uni.value(rng)),
+        7 => {
+            let d = if rng.gen_bool(0.25) {
+                Value::BOT
+            } else {
+                uni.value(rng)
+            };
+            fb::val_const(uni.attr, v, d)
+        }
         _ => fb::val_eq(uni.attr, v, uni.attr, v),
     };
     if rng.gen_bool(0.25) {
@@ -613,14 +621,13 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
     };
     // Naive selection is O(n^{q+2}); keep the tree tiny. Column `b` is
     // drawn after `a`, from the same pool, so `@a=@b` both hits and misses.
+    // The pool holds `⊥`, so a test against `⊥` does too.
+    let pool: Vec<Value> = uni.values.iter().copied().chain([Value::BOT]).collect();
     let cfg = TreeGenConfig {
         nodes: rng.gen_range(1..=9),
         max_children: rng.gen_range(1..=4),
         symbols: uni.symbols.clone(),
-        attributes: vec![
-            (uni.attr, uni.values.clone()),
-            (uni.attr_b, uni.values.clone()),
-        ],
+        attributes: vec![(uni.attr, pool.clone()), (uni.attr_b, pool)],
         collision_pool: rng.gen_bool(0.5).then(|| rng.gen_range(1..=2)),
     };
     let tree = random_tree(&cfg, rng.next_u64());
@@ -641,12 +648,18 @@ pub fn gen_formula_case(rng: &mut StdRng, uni: &Universe) -> FormulaCase {
 ///
 /// One draw in eight is unioned with a label clash `s1[s2]` (a node
 /// labelled both `s1` and `s2`), a branch `provably_empty` proves empty
-/// under any context, so that `empty-prune` has a branch to delete.
+/// under any context, so that `empty-prune` has a branch to delete. One
+/// query in four compares attributes with `⊥` rather than a datum.
 fn gen_compiled(rng: &mut StdRng, uni: &Universe) -> (ExistsFormula, Option<XPath>) {
+    let constant = if rng.gen_range(0..4u32) == 0 {
+        Value::BOT
+    } else {
+        uni.values[0]
+    };
     let xcfg = XPathGenConfig {
         symbols: uni.symbols.clone(),
         attrs: vec![uni.attr, uni.attr_b],
-        values: vec![uni.values[0]],
+        values: vec![constant],
         max_depth: 2,
     };
     let shape = match rng.gen_range(0..4u32) {

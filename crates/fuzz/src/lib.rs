@@ -113,14 +113,14 @@ impl CaseKind {
 /// semi-joins and those it backtracks over (its own branch analysis,
 /// [`ExistsFormula::branch_paths`](twq_logic::ExistsFormula::branch_paths)),
 /// the structural atoms of the formulas `compile_exists` translates, by
-/// kind, and the value-postings scans and axis expansions of the plans
-/// `compile_xpath` builds, and whether the trees the oracle evaluated
-/// index plans on keep their arena ids in pre-order. For a source query
-/// it also reads the record of `plan_indexed` under the case's alphabet
-/// context, as the oracle's planner pair runs it: the rewrite rules that
-/// fired, the certificate, and the `Force::Auto` verdict. A tally left at
-/// zero is a path no case compared, and the `fuzz` binary fails the
-/// campaign.
+/// kind, the leaf scans, `IfNonEmpty` guards and axis expansions of the
+/// plans `compile_exists` and `compile_xpath` build, and whether the trees
+/// the oracle evaluated index plans on keep their arena ids in pre-order.
+/// For a source query it also reads the record of `plan_indexed` under the
+/// case's alphabet context, as the oracle's planner pair runs it: the
+/// rewrite rules that fired, the certificate, and the `Force::Auto`
+/// verdict. A tally left at zero is a path no case compared, and the
+/// `fuzz` binary fails the campaign.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Reach {
     /// DNF branches evaluated by semi-joins.
@@ -130,13 +130,12 @@ pub struct Reach {
     /// Structural atoms of index-compiled formulas, in
     /// [`Reach::COMPILED`] order.
     pub compiled: [u64; 4],
-    /// `ScanValue` leaves of compiled XPath plans.
-    pub scan_value: u64,
-    /// `ScanAttrPair(a, b)` leaves with `a ≠ b` of compiled XPath plans:
-    /// the value-group merge of two columns.
-    pub scan_pair: u64,
-    /// `Expand` nodes of compiled XPath plans, per axis, in
-    /// [`Reach::AXES`] order.
+    /// Leaf scans of the compiled plans, in [`Reach::SCANS`] order.
+    pub scans: [u64; 6],
+    /// `IfNonEmpty` guards of the compiled plans.
+    pub guards: u64,
+    /// `Expand` nodes of the compiled plans, per axis, in [`Reach::AXES`]
+    /// order.
     pub expand: [u64; 4],
     /// Formula cases whose tree the oracle evaluated an index plan on
     /// (through `fo_select_routed` or `eval_plan_from`), by arena order, in
@@ -154,7 +153,20 @@ impl Reach {
     /// The structural atom kinds `compile_exists` translates.
     pub const COMPILED: [&'static str; 4] = ["E(x,y)", "E(y,x)", "x≺y", "y≺x"];
 
-    /// The axis expansions of `compile_xpath` plans.
+    /// The leaf scans of compiled plans that read postings beyond a label:
+    /// value postings, the value-group merge of two distinct columns, the
+    /// complement of a column's `has` postings, and the structural
+    /// postings.
+    pub const SCANS: [&'static str; 6] = [
+        "ScanValue",
+        "ScanAttrPair(a≠b)",
+        "ScanAttrBot",
+        "ScanLeaf",
+        "ScanFirst",
+        "ScanLast",
+    ];
+
+    /// The axis expansions of compiled plans.
     pub const AXES: [&'static str; 4] = [
         "Expand(child)",
         "Expand(parent)",
@@ -196,8 +208,12 @@ impl Reach {
         }
         fn operators(p: &IxPlan, reach: &mut Reach) {
             match p {
-                IxPlan::ScanValue(..) => reach.scan_value += 1,
-                IxPlan::ScanAttrPair(a, b) if a != b => reach.scan_pair += 1,
+                IxPlan::ScanValue(..) => reach.scans[0] += 1,
+                IxPlan::ScanAttrPair(a, b) if a != b => reach.scans[1] += 1,
+                IxPlan::ScanAttrBot(_) => reach.scans[2] += 1,
+                IxPlan::ScanLeaf => reach.scans[3] += 1,
+                IxPlan::ScanFirst => reach.scans[4] += 1,
+                IxPlan::ScanLast => reach.scans[5] += 1,
                 IxPlan::Intersect(ps) | IxPlan::Union(ps) => {
                     ps.iter().for_each(|q| operators(q, reach))
                 }
@@ -212,6 +228,7 @@ impl Reach {
                     operators(q, reach);
                 }
                 IxPlan::IfNonEmpty(c, q) => {
+                    reach.guards += 1;
                     operators(c, reach);
                     operators(q, reach);
                 }
@@ -225,11 +242,12 @@ impl Reach {
             backtrack: backtrack as u64,
             ..Reach::default()
         };
-        let compiled = compile_exists(phi).is_some();
-        if compiled {
+        let compiled = compile_exists(phi);
+        if let Some(plan) = &compiled {
             atoms(phi.matrix(), phi.x(), phi.y(), &mut reach.compiled);
+            operators(plan, &mut reach);
         }
-        if compiled || case.path.is_some() {
+        if compiled.is_some() || case.path.is_some() {
             let preorder = DocIntervals::build(&case.tree).arena_is_preorder();
             reach.arenas[usize::from(!preorder)] += 1;
         }
@@ -267,8 +285,8 @@ impl Reach {
         self.semijoin += other.semijoin;
         self.backtrack += other.backtrack;
         add(&mut self.compiled, &other.compiled);
-        self.scan_value += other.scan_value;
-        self.scan_pair += other.scan_pair;
+        add(&mut self.scans, &other.scans);
+        self.guards += other.guards;
         add(&mut self.expand, &other.expand);
         add(&mut self.arenas, &other.arenas);
         add(&mut self.rules, &other.rules);
@@ -283,10 +301,8 @@ impl Reach {
             ("backtracking", self.backtrack),
         ];
         let kinds = Reach::COMPILED.into_iter().zip(self.compiled);
-        let scans = [
-            ("ScanValue", self.scan_value),
-            ("ScanAttrPair(a≠b)", self.scan_pair),
-        ];
+        let scans = Reach::SCANS.into_iter().zip(self.scans);
+        let guards = [("IfNonEmpty", self.guards)];
         let axes = Reach::AXES.into_iter().zip(self.expand);
         let arenas = Reach::ARENAS.into_iter().zip(self.arenas);
         let rules = CATALOG.iter().map(|r| r.name).zip(self.rules);
@@ -296,6 +312,7 @@ impl Reach {
             .into_iter()
             .chain(kinds)
             .chain(scans)
+            .chain(guards)
             .chain(axes)
             .chain(arenas)
             .chain(rules)
@@ -319,14 +336,14 @@ impl Reach {
         }
         format!(
             "FO(∃*) branches: {} semi-join, {} backtracking; compile_exists atoms: {}; \
-             compile_xpath scans: ScanValue {}, ScanAttrPair(a≠b) {}; \
-             compile_xpath axis steps: {}; index plans evaluated on: {}\n\
+             compiled plan scans: {}; compiled plan guards: IfNonEmpty {}; \
+             compiled plan axis steps: {}; index plans evaluated on: {}\n\
              rewrite rules fired: {}; certificates: {}; plan_indexed verdicts: {}",
             self.semijoin,
             self.backtrack,
             tallies(Reach::COMPILED, &self.compiled),
-            self.scan_value,
-            self.scan_pair,
+            tallies(Reach::SCANS, &self.scans),
+            self.guards,
             tallies(Reach::AXES, &self.expand),
             tallies(Reach::ARENAS, &self.arenas),
             tallies(CATALOG.iter().map(|r| r.name), &self.rules),

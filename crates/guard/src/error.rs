@@ -146,8 +146,6 @@ pub enum TripReason {
         /// Observed value that exceeded the cap.
         observed: usize,
     },
-    /// The run was cancelled via a [`CancelToken`](crate::CancelToken).
-    Cancelled,
 }
 
 impl fmt::Display for TripReason {
@@ -169,7 +167,6 @@ impl fmt::Display for TripReason {
                 "{} cap exceeded (observed {observed}, limit {limit})",
                 kind.name()
             ),
-            TripReason::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -251,7 +248,7 @@ impl std::error::Error for GuardError {}
 /// surface as [`TwqError::Guard`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TwqError {
-    /// A resource guard tripped (budget, deadline, depth, memory, cancel).
+    /// A resource guard tripped (budget, deadline, depth, memory).
     Guard(GuardError),
     /// The input was malformed (unbound variable, missing builder field,
     /// un-encodable label, ...).

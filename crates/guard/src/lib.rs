@@ -13,9 +13,9 @@
 //! * [`DepthGuard`] — recursion limits keyed by [`DepthKind`] (atp nesting,
 //!   FO quantifier nesting, xTM alternation, XPath compilation, query
 //!   evaluation),
-//! * [`MemGauge`] — high-water caps keyed by [`GaugeKind`] (store tuples,
-//!   chain configurations, tape cells, product states, relation sizes),
-//! * [`CancelToken`] — cooperative cancellation from another thread.
+//! * [`MemGauge`] — high-water marks, optionally capped, keyed by
+//!   [`GaugeKind`] (store tuples, chain configurations, tape cells, product
+//!   states, relation sizes).
 //!
 //! Guards are never shared: a parallel batch (see `twq-exec`) builds a
 //! fresh guard per item, so each item's fuel accounting is the serial
@@ -47,6 +47,5 @@ mod res;
 pub use error::{DepthKind, GaugeKind, GuardError, Partial, TripReason, TwqError};
 pub use faults::{FaultKind, FaultPlan, FaultPlanParseError, FaultSite};
 pub use res::{
-    Budget, CancelToken, Deadline, DepthGuard, Guard, GuardStats, MemGauge, NullGuard,
-    ResourceGuard,
+    Budget, Deadline, DepthGuard, Guard, GuardStats, MemGauge, NullGuard, ResourceGuard,
 };

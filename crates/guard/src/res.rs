@@ -3,8 +3,6 @@
 use crate::error::{DEPTH_KINDS, GAUGE_KINDS};
 use crate::faults::{FaultKind, FaultPlan, FaultSite};
 use crate::{DepthKind, GaugeKind, GuardError, Partial, TripReason};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A fuel counter.
@@ -221,32 +219,6 @@ impl MemGauge {
     }
 }
 
-/// A cooperative cancellation handle.
-///
-/// Clone the token, hand one copy to the guard via
-/// [`ResourceGuard::with_cancel`], and call [`CancelToken::cancel`] from any
-/// thread; the guarded run trips with [`TripReason::Cancelled`] at its next
-/// tick.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Request cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// The governance hooks every guarded evaluator calls.
 ///
 /// The design mirrors `obs::Collector`: implementations with
@@ -352,8 +324,6 @@ pub struct GuardStats {
     pub depth_trips: u64,
     /// Trips on a memory-gauge cap.
     pub mem_trips: u64,
-    /// Trips via cooperative cancellation.
-    pub cancel_trips: u64,
     /// Faults injected by the configured [`FaultPlan`] (including the
     /// fuel/deadline ones that also count as trips above).
     pub faults_injected: u64,
@@ -368,17 +338,12 @@ impl GuardStats {
         self.deadline_trips += other.deadline_trips;
         self.depth_trips += other.depth_trips;
         self.mem_trips += other.mem_trips;
-        self.cancel_trips += other.cancel_trips;
         self.faults_injected += other.faults_injected;
     }
 
     /// Trips of any reason.
     pub fn total_trips(&self) -> u64 {
-        self.budget_trips
-            + self.deadline_trips
-            + self.depth_trips
-            + self.mem_trips
-            + self.cancel_trips
+        self.budget_trips + self.deadline_trips + self.depth_trips + self.mem_trips
     }
 
     fn count_trip(&mut self, reason: &TripReason) {
@@ -387,14 +352,12 @@ impl GuardStats {
             TripReason::Deadline { .. } => self.deadline_trips += 1,
             TripReason::Depth { .. } => self.depth_trips += 1,
             TripReason::Mem { .. } => self.mem_trips += 1,
-            TripReason::Cancelled => self.cancel_trips += 1,
         }
     }
 }
 
 /// The real guard: composes a [`Budget`], an optional [`Deadline`], a
-/// [`DepthGuard`], a [`MemGauge`], an optional [`CancelToken`], and an
-/// optional [`FaultPlan`].
+/// [`DepthGuard`], a [`MemGauge`], and an optional [`FaultPlan`].
 ///
 /// Construct with [`ResourceGuard::unlimited`] and chain `with_*` calls:
 ///
@@ -414,7 +377,6 @@ pub struct ResourceGuard {
     deadline: Option<Deadline>,
     depth: DepthGuard,
     mem: MemGauge,
-    cancel: Option<CancelToken>,
     faults: Option<FaultPlan>,
     stats: GuardStats,
 }
@@ -428,7 +390,6 @@ impl ResourceGuard {
             deadline: None,
             depth: DepthGuard::unlimited(),
             mem: MemGauge::unlimited(),
-            cancel: None,
             faults: None,
             stats: GuardStats::default(),
         }
@@ -456,12 +417,6 @@ impl ResourceGuard {
     /// Cap the `kind` gauge at `limit`.
     pub fn with_mem_limit(mut self, kind: GaugeKind, limit: usize) -> Self {
         self.mem = self.mem.with_limit(kind, limit);
-        self
-    }
-
-    /// Trip with [`TripReason::Cancelled`] once `token` is cancelled.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -504,11 +459,6 @@ impl Guard for ResourceGuard {
 
     fn charge(&mut self, n: u64) -> Result<(), GuardError> {
         self.stats.ticks += n;
-        if let Some(tok) = &self.cancel {
-            if tok.is_cancelled() {
-                return Err(self.trip(TripReason::Cancelled));
-            }
-        }
         if let Err(r) = self.budget.charge(n) {
             return Err(self.trip(r));
         }
@@ -620,17 +570,6 @@ mod tests {
             })
         ));
         assert_eq!(m.high_water(GaugeKind::TapeCells), 11);
-    }
-
-    #[test]
-    fn cancel_token_trips_next_tick() {
-        let tok = CancelToken::new();
-        let mut g = ResourceGuard::unlimited().with_cancel(tok.clone());
-        assert!(g.tick().is_ok());
-        tok.cancel();
-        let e = g.tick().unwrap_err();
-        assert_eq!(e.reason, TripReason::Cancelled);
-        assert!(!e.is_injected());
     }
 
     #[test]

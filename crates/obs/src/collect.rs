@@ -42,21 +42,8 @@ pub trait Collector {
     /// The `atp` look-ahead ended.
     fn atp_exit(&mut self, depth: u32) {}
 
-    /// The register store currently holds `tuples` tuples.
-    fn store_size(&mut self, tuples: usize) {}
-
-    /// A configuration was inserted into a cycle-check set now holding
-    /// `tracked` entries.
-    fn cycle_bookkeeping(&mut self, tracked: usize) {}
-
     /// A first-order evaluation primitive ran.
     fn fo_eval(&mut self, kind: FoEval) {}
-
-    /// The work tape currently spans `cells` cells (`xTM` runs).
-    fn tape_cells(&mut self, cells: usize) {}
-
-    /// A protocol message of class `kind` was sent.
-    fn message(&mut self, kind: &'static str) {}
 
     /// An FO quantifier began evaluating (`exists` is `false` for `∀`);
     /// `var` is the variable slot being bound.
@@ -79,13 +66,6 @@ pub trait Collector {
     /// A resource guard tripped; `reason` is the rendered
     /// `twq-guard::TripReason` (e.g. "fuel budget exhausted (limit 100)").
     fn trip(&mut self, reason: &str) {}
-
-    /// Bump the counter `name` by `delta`. The name is the full metric
-    /// name, recorded verbatim in [`RunMetrics`] and a session
-    /// [`Registry`]: run-level counters are `run/<name>`, e.g.
-    /// `run/protocol.crossings` from `run_protocol_in` and
-    /// `run/twir.states` from TWIR's `compile_in`.
-    fn counter(&mut self, name: &'static str, delta: u64) {}
 
     /// A named phase finished after `nanos` nanoseconds of wall clock.
     fn phase(&mut self, name: &'static str, nanos: u64) {}
@@ -134,29 +114,9 @@ impl<A: Collector, B: Collector> Collector for (A, B) {
         self.1.atp_exit(depth);
     }
 
-    fn store_size(&mut self, tuples: usize) {
-        self.0.store_size(tuples);
-        self.1.store_size(tuples);
-    }
-
-    fn cycle_bookkeeping(&mut self, tracked: usize) {
-        self.0.cycle_bookkeeping(tracked);
-        self.1.cycle_bookkeeping(tracked);
-    }
-
     fn fo_eval(&mut self, kind: FoEval) {
         self.0.fo_eval(kind);
         self.1.fo_eval(kind);
-    }
-
-    fn tape_cells(&mut self, cells: usize) {
-        self.0.tape_cells(cells);
-        self.1.tape_cells(cells);
-    }
-
-    fn message(&mut self, kind: &'static str) {
-        self.0.message(kind);
-        self.1.message(kind);
     }
 
     fn quant_enter(&mut self, exists: bool, var: u32) {
@@ -189,11 +149,6 @@ impl<A: Collector, B: Collector> Collector for (A, B) {
         self.1.trip(reason);
     }
 
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        self.0.counter(name, delta);
-        self.1.counter(name, delta);
-    }
-
     fn phase(&mut self, name: &'static str, nanos: u64) {
         self.0.phase(name, nanos);
         self.1.phase(name, nanos);
@@ -205,8 +160,8 @@ impl<A: Collector, B: Collector> Collector for (A, B) {
     }
 }
 
-/// Records [`RunMetrics`] and optionally aggregates named counters and
-/// phases into a session [`Registry`].
+/// Records [`RunMetrics`] and optionally aggregates phase timings into a
+/// session [`Registry`].
 #[derive(Debug, Default)]
 pub struct MetricsCollector<'s> {
     /// The metrics accumulated so far.
@@ -220,9 +175,8 @@ impl<'s> MetricsCollector<'s> {
         MetricsCollector::default()
     }
 
-    /// Metrics plus session-level aggregation into `registry`: named
-    /// counters land under their own names, phase durations under
-    /// `phase/<name>` (as nanosecond histograms).
+    /// Metrics plus session-level aggregation into `registry`: phase
+    /// durations land under `phase/<name>` (as nanosecond histograms).
     pub fn with_registry(registry: &'s mut Registry) -> MetricsCollector<'s> {
         MetricsCollector {
             metrics: RunMetrics::new(),
@@ -259,32 +213,8 @@ impl Collector for MetricsCollector<'_> {
         self.metrics.max_atp_fanout = self.metrics.max_atp_fanout.max(fanout);
     }
 
-    fn store_size(&mut self, tuples: usize) {
-        self.metrics.max_store_tuples = self.metrics.max_store_tuples.max(tuples);
-    }
-
-    fn cycle_bookkeeping(&mut self, tracked: usize) {
-        self.metrics.cycle_inserts += 1;
-        self.metrics.max_tracked_configs = self.metrics.max_tracked_configs.max(tracked);
-    }
-
     fn fo_eval(&mut self, kind: FoEval) {
         self.metrics.fo_evals[kind as usize] += 1;
-    }
-
-    fn tape_cells(&mut self, cells: usize) {
-        self.metrics.max_tape_cells = self.metrics.max_tape_cells.max(cells);
-    }
-
-    fn message(&mut self, _kind: &'static str) {
-        self.metrics.messages += 1;
-    }
-
-    fn counter(&mut self, name: &'static str, delta: u64) {
-        *self.metrics.counters.entry(name).or_insert(0) += delta;
-        if let Some(reg) = self.registry.as_deref_mut() {
-            reg.counter_add(name, delta);
-        }
     }
 
     fn phase(&mut self, name: &'static str, nanos: u64) {
@@ -337,15 +267,10 @@ mod tests {
         for _ in 0..2 {
             c.chain_enter(5, 1, 1);
             c.step(5, 1, 1);
-            c.store_size(4);
-            c.cycle_bookkeeping(1);
             c.chain_exit(HaltKind::Accept, 1);
         }
         c.atp_exit(0);
         c.step(0, 2, 0);
-        c.counter("run/demo", 3);
-        c.message("config");
-        c.tape_cells(3);
         c.phase("drive", 5);
         c.chain_exit(HaltKind::Accept, 0);
         c.halt(HaltKind::Accept);
@@ -363,11 +288,7 @@ mod tests {
         assert_eq!(m.atp_calls, 1);
         assert_eq!(m.max_atp_depth, 1);
         assert_eq!(m.max_atp_fanout, 2);
-        assert_eq!(m.max_store_tuples, 4);
-        assert_eq!(m.cycle_inserts, 2);
         assert_eq!(m.fo(FoEval::Guard), 1);
-        assert_eq!(m.counter("run/demo"), 3);
-        assert_eq!(m.messages, 1);
         assert_eq!(m.halt, Some(HaltKind::Accept));
         assert_eq!(m.top_states(1), vec![(1, 2)]);
     }
@@ -396,30 +317,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_receives_counters_and_phases() {
+    fn registry_receives_phases() {
         let mut reg = Registry::new();
         let mut c = MetricsCollector::with_registry(&mut reg);
         drive(&mut c);
         c.phase("run", 1234);
         drop(c);
-        assert_eq!(reg.counter("run/demo"), 3);
         let h = reg.hist("phase/run").expect("phase recorded");
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), Some(1234));
-    }
-
-    #[test]
-    fn index_counters_keep_verbatim_names() {
-        let mut reg = Registry::new();
-        let mut c = MetricsCollector::with_registry(&mut reg);
-        c.counter("index/postings_bytes", 640);
-        c.counter("index/plan_indexed", 1);
-        c.counter("index/plan_indexed", 1);
-        let m = c.into_metrics();
-        assert_eq!(m.counters.get("index/postings_bytes"), Some(&640));
-        assert_eq!(reg.counter("index/plan_indexed"), 2);
-        // No prefix is added: the name is the metric name.
-        assert_eq!(reg.counter("run/index/plan_indexed"), 0);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! one power-of-two bucket (the property the proptest suite pins down);
 //! `min`/`max`/`count`/`sum` are exact. Histograms merge bucket-wise, so
 //! per-worker recordings fold into one aggregate exactly as a serial
-//! recording would, and subtract bucket-wise, which is what gives
-//! [`Registry`](crate::registry::Registry) its delta snapshots.
+//! recording would.
 
 use crate::json::Json;
 
@@ -178,27 +177,6 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// The samples recorded since `base` was captured (bucket-wise
-    /// subtraction; `base` must be an earlier snapshot of this histogram).
-    /// `count`/`sum`/buckets are exact; `min`/`max` of the delta period
-    /// are approximated by the populated buckets' bounds, clamped to the
-    /// cumulative extrema.
-    pub fn delta_since(&self, base: &Histogram) -> Histogram {
-        let mut d = Histogram::new();
-        for i in 0..BUCKETS {
-            let n = self.buckets[i].saturating_sub(base.buckets[i]);
-            d.buckets[i] = n;
-            if n > 0 {
-                let (lo, hi) = Self::bucket_bounds(i);
-                d.min = d.min.min(lo.max(self.min));
-                d.max = d.max.max(hi.min(self.max));
-            }
-        }
-        d.count = self.count.saturating_sub(base.count);
-        d.sum = self.sum.saturating_sub(base.sum);
-        d
-    }
-
     /// `p50=… p90=… p99=… max=… (n=…)` in the given unit suffix.
     pub fn summary(&self, unit: &str) -> String {
         match self.count {
@@ -310,22 +288,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
-    }
-
-    #[test]
-    fn delta_subtracts() {
-        let mut h = Histogram::new();
-        h.record(8);
-        let base = h.clone();
-        h.record(8);
-        h.record(100);
-        let d = h.delta_since(&base);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 108);
-        assert_eq!(d.buckets()[Histogram::bucket_of(8)], 1);
-        assert_eq!(d.buckets()[Histogram::bucket_of(100)], 1);
-        // Delta extrema are bucket-approximate but bracket the samples.
-        assert!(d.min().unwrap() <= 8 && d.max().unwrap() >= 100);
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! `twq-obs`: unified observability for every `twq` evaluator.
 //!
 //! The paper's results are statements about *resources* — steps, store
-//! cardinalities, look-ahead depth, message counts. This crate gives every
-//! evaluator one instrumentation seam to measure them:
+//! cardinalities, look-ahead depth, message counts. Each evaluator returns
+//! its own totals in its report; this crate gives every evaluator one
+//! instrumentation seam to see *where* they come from:
 //!
 //! * [`Collector`] — the hook trait threaded through the hot loops.
 //!   [`NullCollector`] (`ENABLED = false`) monomorphizes to the
 //!   uninstrumented loop at zero cost; [`MetricsCollector`] records
 //!   [`RunMetrics`]; a pair `(A, B)` of collectors feeds one run to both.
-//! * [`RunMetrics`] — steps per state, `atp` depth and fan-out,
-//!   register-store and cycle-check high-water marks, FO-evaluation call
-//!   counts, tape cells, protocol messages, phase timings.
+//! * [`RunMetrics`] — steps per state, chains and subcomputations, `atp`
+//!   depth and fan-out, FO-evaluation call counts, phase timings. The
+//!   high-water marks (store tuples, tracked configurations, tape cells)
+//!   are in each evaluator's report and in `twq-guard`'s `MemGauge`, not
+//!   here.
 //! * `twq-prof` — the profiling layer on top of the seam:
 //!   [`Histogram`] (log2-bucketed latencies), [`Registry`] (named
-//!   counters/gauges/histograms with delta [`Snapshot`]s and JSONL
-//!   export), [`FlameProfiler`] (a span-stack self-time profiler emitting
-//!   flamegraph-collapsed stacks) and [`Tail`] (the last `N` hook calls,
-//!   for post-mortems of `Stuck`/`Nondeterministic` halts) — both
-//!   collectors.
+//!   counters and histograms with JSONL [`Snapshot`]s), [`FlameProfiler`]
+//!   (a span-stack self-time profiler emitting flamegraph-collapsed
+//!   stacks) and [`Tail`] (the last `N` hook calls, for post-mortems of
+//!   `Stuck`/`Nondeterministic` halts) — both collectors.
 //! * `twq-trace` — the causal trace layer: [`TraceCollector`] records a
 //!   run as a [`Trace`] span tree with deterministic causal IDs, witness
 //!   valuations, and walk paths; [`diff`] pinpoints the first

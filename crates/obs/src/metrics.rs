@@ -1,10 +1,7 @@
 //! Aggregate run metrics collected by
 //! [`MetricsCollector`](crate::collect::MetricsCollector).
 
-use std::collections::BTreeMap;
-
 use crate::event::{FoEval, HaltKind};
-use crate::json::Json;
 
 /// Everything a fully-instrumented run measures. All counters are zero by
 /// default; an evaluator only moves the ones it exercises.
@@ -25,21 +22,8 @@ pub struct RunMetrics {
     pub max_atp_depth: u32,
     /// Widest `atp` fan-out (most subcomputations from one call).
     pub max_atp_fanout: usize,
-    /// Register-store cardinality high-water mark (total tuples).
-    pub max_store_tuples: usize,
-    /// Cycle-check bookkeeping: configurations inserted into `seen` sets.
-    pub cycle_inserts: u64,
-    /// Cycle-check bookkeeping: largest `seen` set held at once.
-    pub max_tracked_configs: usize,
     /// First-order evaluation calls, indexed by [`FoEval`] discriminant.
     pub fo_evals: [u64; FoEval::COUNT],
-    /// Tape-cell high-water mark (`xTM` runs).
-    pub max_tape_cells: usize,
-    /// Protocol messages sent.
-    pub messages: u64,
-    /// Named free-form counters (compiler statistics, protocol traffic
-    /// classes, …).
-    pub counters: BTreeMap<&'static str, u64>,
     /// Wall-clock phase timings, in completion order: `(name, nanos)`.
     pub phases: Vec<(&'static str, u64)>,
     /// How the measured run ended, once known.
@@ -65,11 +49,6 @@ impl RunMetrics {
         self.fo_evals[kind as usize]
     }
 
-    /// A named counter's value (0 if never bumped).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// The `k` states with the most steps, descending (ties broken by
     /// state id so the profile is deterministic).
     pub fn top_states(&self, k: usize) -> Vec<(u32, u64)> {
@@ -89,8 +68,8 @@ impl RunMetrics {
     /// parallel batch entry points use, so a fanned-out batch reports one
     /// aggregate exactly as a serial loop over the same items would.
     ///
-    /// Additive counters sum, high-water marks take the max, per-state and
-    /// named counters merge pointwise, and phases concatenate. `halt` keeps
+    /// Additive counters sum, high-water marks take the max, per-state
+    /// counters merge pointwise, and phases concatenate. `halt` keeps
     /// the *other* run's verdict when it has one (last writer wins, matching
     /// a serial collector observing runs in sequence).
     pub fn merge(&mut self, other: &RunMetrics) {
@@ -106,16 +85,8 @@ impl RunMetrics {
         self.atp_calls += other.atp_calls;
         self.max_atp_depth = self.max_atp_depth.max(other.max_atp_depth);
         self.max_atp_fanout = self.max_atp_fanout.max(other.max_atp_fanout);
-        self.max_store_tuples = self.max_store_tuples.max(other.max_store_tuples);
-        self.cycle_inserts += other.cycle_inserts;
-        self.max_tracked_configs = self.max_tracked_configs.max(other.max_tracked_configs);
         for (a, b) in self.fo_evals.iter_mut().zip(&other.fo_evals) {
             *a += b;
-        }
-        self.max_tape_cells = self.max_tape_cells.max(other.max_tape_cells);
-        self.messages += other.messages;
-        for (&name, &n) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += n;
         }
         self.phases.extend_from_slice(&other.phases);
         if other.halt.is_some() {
@@ -130,56 +101,6 @@ impl RunMetrics {
             .filter(|(n, _)| *n == name)
             .map(|(_, ns)| ns)
             .sum()
-    }
-
-    /// The metrics as one JSON object.
-    pub fn to_json(&self) -> Json {
-        let per_state: Vec<Json> = self
-            .steps_per_state
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(q, &n)| Json::obj([("state", (q as u32).into()), ("steps", n.into())]))
-            .collect();
-        let fo: Vec<(String, Json)> = FoEval::ALL
-            .iter()
-            .filter(|&&k| self.fo(k) > 0)
-            .map(|&k| (k.name().to_owned(), self.fo(k).into()))
-            .collect();
-        let counters: Vec<(String, Json)> = self
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k.to_owned(), v.into()))
-            .collect();
-        let phases: Vec<Json> = self
-            .phases
-            .iter()
-            .map(|&(n, ns)| Json::obj([("name", Json::str(n)), ("nanos", ns.into())]))
-            .collect();
-        Json::obj([
-            ("steps", self.steps.into()),
-            ("steps_per_state", Json::Arr(per_state)),
-            ("chains", self.chains.into()),
-            ("subcomputations", self.subcomputations.into()),
-            ("atp_calls", self.atp_calls.into()),
-            ("max_atp_depth", self.max_atp_depth.into()),
-            ("max_atp_fanout", self.max_atp_fanout.into()),
-            ("max_store_tuples", self.max_store_tuples.into()),
-            ("cycle_inserts", self.cycle_inserts.into()),
-            ("max_tracked_configs", self.max_tracked_configs.into()),
-            ("fo_evals", Json::Obj(fo)),
-            ("max_tape_cells", self.max_tape_cells.into()),
-            ("messages", self.messages.into()),
-            ("counters", Json::Obj(counters)),
-            ("phases", Json::Arr(phases)),
-            (
-                "halt",
-                match self.halt {
-                    Some(h) => Json::str(h.name()),
-                    None => Json::Null,
-                },
-            ),
-        ])
     }
 }
 
@@ -200,53 +121,24 @@ mod tests {
     }
 
     #[test]
-    fn json_skips_zero_entries() {
-        let mut m = RunMetrics::new();
-        m.steps = 3;
-        m.steps_per_state = vec![0, 3];
-        m.fo_evals[FoEval::Guard as usize] = 2;
-        m.halt = Some(HaltKind::Accept);
-        let j = m.to_json();
-        assert_eq!(j.get("steps").and_then(Json::as_i64), Some(3));
-        assert_eq!(
-            j.get("steps_per_state")
-                .and_then(Json::as_arr)
-                .unwrap()
-                .len(),
-            1
-        );
-        assert_eq!(
-            j.get("fo_evals")
-                .and_then(|f| f.get("guard"))
-                .and_then(Json::as_i64),
-            Some(2)
-        );
-        assert_eq!(j.get("halt").and_then(Json::as_str), Some("accept"));
-    }
-
-    #[test]
     fn merge_is_sum_max_and_concat() {
         let mut a = RunMetrics {
             steps: 10,
             steps_per_state: vec![4, 6],
             chains: 1,
             max_atp_depth: 2,
-            max_store_tuples: 7,
             halt: Some(HaltKind::Accept),
             ..RunMetrics::default()
         };
-        a.counters.insert("rows", 3);
         a.phases.push(("run", 100));
         let mut b = RunMetrics {
             steps: 5,
             steps_per_state: vec![1, 0, 4],
             chains: 2,
             max_atp_depth: 1,
-            max_store_tuples: 9,
             halt: Some(HaltKind::Cycle),
             ..RunMetrics::default()
         };
-        b.counters.insert("rows", 2);
         b.fo_evals[FoEval::Atom as usize] = 8;
         b.phases.push(("run", 50));
         a.merge(&b);
@@ -254,8 +146,6 @@ mod tests {
         assert_eq!(a.steps_per_state, vec![5, 6, 4]);
         assert_eq!(a.chains, 3);
         assert_eq!(a.max_atp_depth, 2);
-        assert_eq!(a.max_store_tuples, 9);
-        assert_eq!(a.counter("rows"), 5);
         assert_eq!(a.fo(FoEval::Atom), 8);
         assert_eq!(a.phase_nanos("run"), 150);
         assert_eq!(a.halt, Some(HaltKind::Cycle));

@@ -9,7 +9,7 @@
 //!   not wall-clock, so profiles of deterministic runs are byte-identical
 //!   across machines and worker counts.
 //! * [`Tail`] is a flight recorder: it keeps the last `N` chain, step,
-//!   `atp`, FO, message and phase hook calls, so a `Stuck` or
+//!   `atp`, FO and phase hook calls, so a `Stuck` or
 //!   `Nondeterministic` halt has a post-mortem without paying for a full
 //!   trace.
 //!
@@ -186,7 +186,6 @@ enum Entry {
     AtpEnter(u64, usize, u32),
     AtpExit(u32),
     Fo(FoEval),
-    Message(&'static str),
     Phase(&'static str, u64),
 }
 
@@ -207,14 +206,13 @@ impl Entry {
             }
             Entry::AtpExit(depth) => format!("{}< atp", indent(depth)),
             Entry::Fo(kind) => format!("# fo {}", kind.name()),
-            Entry::Message(kind) => format!("# msg {kind}"),
             Entry::Phase(name, nanos) => format!("# phase {name}: {nanos} ns"),
         }
     }
 }
 
-/// Keeps only the last `capacity` chain, step, `atp`, FO, message and
-/// phase hook calls, and counts the ones that fell out of the window.
+/// Keeps only the last `capacity` chain, step, `atp`, FO and phase hook
+/// calls, and counts the ones that fell out of the window.
 /// Entries are `Copy`, so retaining the tail of a multi-million-step run
 /// costs no allocation per hook.
 #[derive(Debug)]
@@ -296,10 +294,6 @@ impl Collector for Tail {
 
     fn fo_eval(&mut self, kind: FoEval) {
         self.push(Entry::Fo(kind));
-    }
-
-    fn message(&mut self, kind: &'static str) {
-        self.push(Entry::Message(kind));
     }
 
     fn phase(&mut self, name: &'static str, nanos: u64) {
@@ -389,7 +383,6 @@ mod tests {
     fn tail_renders_every_entry_kind() {
         let mut t = Tail::new(16);
         drive(&mut t);
-        t.message("config");
         assert_eq!(t.dropped(), 0);
         let pm = t.post_mortem();
         for line in [
@@ -399,7 +392,6 @@ mod tests {
             "  . step @ node 2, state 3",
             "# fo guard",
             "  < chain: accept",
-            "# msg config",
         ] {
             assert!(pm.lines().any(|l| l == line), "{line:?} missing from {pm}");
         }

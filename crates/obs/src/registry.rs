@@ -1,35 +1,29 @@
-//! A [`Registry`] of named counters, gauges, and histograms — the
-//! session-level metric store of `twq-prof`.
+//! A [`Registry`] of named counters and histograms — the session-level
+//! metric store of `twq-prof`.
 //!
 //! Where [`RunMetrics`](crate::metrics::RunMetrics) describes *one* run,
 //! a `Registry` accumulates across a whole session (an experiment sweep, a
-//! serving process): evaluators feed it through the
+//! serving process): evaluators feed it phase timings through the
 //! [`Collector`](crate::collect::Collector) seam (see
 //! [`MetricsCollector::with_registry`](crate::collect::MetricsCollector::with_registry)),
-//! and harness code records latencies and telemetry directly. Snapshots —
-//! cumulative or delta-since-last — serialize as one JSON Lines record
-//! each, so a long-lived process can emit a metrics stream without any
-//! external dependency.
+//! and harness code records latencies and telemetry directly. A snapshot
+//! serializes as one JSON Lines record, so a long-lived process can emit
+//! a metrics stream without any external dependency.
 
 use std::collections::BTreeMap;
 
 use crate::hist::Histogram;
 use crate::json::Json;
 
-/// Named counters (monotonic `u64`), gauges (last-written `i64`), and
-/// [`Histogram`]s. Names are free-form; the workspace convention is
-/// `area/detail` paths (`pool/steals`, `latency/E1`).
+/// Named counters (monotonic `u64`) and [`Histogram`]s. Names are
+/// free-form; the workspace convention is `area/detail` paths
+/// (`pool/steals`, `latency/E1`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     hists: BTreeMap<String, Histogram>,
     /// Sequence number of the next snapshot.
     seq: u64,
-    /// State at the last delta snapshot (counters and histograms; gauges
-    /// are instantaneous and never delta'd).
-    base_counters: BTreeMap<String, u64>,
-    base_hists: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -48,11 +42,6 @@ impl Registry {
         *self.counters.entry_or_default(name) += delta;
     }
 
-    /// Set the named gauge to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: i64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
     /// Record one sample into the named histogram.
     pub fn hist_record(&mut self, name: &str, v: u64) {
         self.hists.entry_or_default(name).record(v);
@@ -68,11 +57,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named gauge's value, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, if any samples were recorded.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
@@ -83,11 +67,6 @@ impl Registry {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Iterate gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Iterate histograms in name order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
@@ -95,71 +74,17 @@ impl Registry {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
-    /// Fold another registry into this one: counters add, gauges take the
-    /// other's value (last writer wins, like `RunMetrics::merge`'s halt),
-    /// histograms merge. Merging per-worker registries in input order
-    /// therefore reproduces what one serial registry would hold.
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry_or_default(k) += v;
-        }
-        for (k, &v) in &other.gauges {
-            self.gauges.insert(k.clone(), v);
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry_or_default(k).merge(h);
-        }
-    }
-
-    /// A cumulative snapshot of everything recorded so far.
+    /// A snapshot of everything recorded so far.
     pub fn snapshot(&mut self) -> Snapshot {
         let seq = self.seq;
         self.seq += 1;
         Snapshot {
             seq,
-            delta: false,
             counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
             hists: self.hists.clone(),
-        }
-    }
-
-    /// A delta snapshot: what was recorded since the previous call to
-    /// `delta_snapshot` (or since creation). Gauges are reported at their
-    /// current value — they are instantaneous, not accumulating.
-    pub fn delta_snapshot(&mut self) -> Snapshot {
-        let seq = self.seq;
-        self.seq += 1;
-        let counters: BTreeMap<String, u64> = self
-            .counters
-            .iter()
-            .map(|(k, &v)| {
-                let base = self.base_counters.get(k).copied().unwrap_or(0);
-                (k.clone(), v - base)
-            })
-            .collect();
-        let hists: BTreeMap<String, Histogram> = self
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let d = match self.base_hists.get(k) {
-                    Some(base) => h.delta_since(base),
-                    None => h.clone(),
-                };
-                (k.clone(), d)
-            })
-            .collect();
-        self.base_counters = self.counters.clone();
-        self.base_hists = self.hists.clone();
-        Snapshot {
-            seq,
-            delta: true,
-            counters,
-            gauges: self.gauges.clone(),
-            hists,
         }
     }
 }
@@ -186,14 +111,9 @@ impl<V: Default> EntryOrDefault<V> for BTreeMap<String, V> {
 pub struct Snapshot {
     /// Monotone sequence number within the source registry.
     pub seq: u64,
-    /// Whether this is a delta (since the previous delta snapshot) or a
-    /// cumulative view.
-    pub delta: bool,
-    /// Counter values (deltas when `delta`).
+    /// Counter values.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values (always instantaneous).
-    pub gauges: BTreeMap<String, i64>,
-    /// Histograms (deltas when `delta`).
+    /// Histograms.
     pub hists: BTreeMap<String, Histogram>,
 }
 
@@ -205,11 +125,6 @@ impl Snapshot {
             .iter()
             .map(|(k, &v)| (k.clone(), v.into()))
             .collect();
-        let gauges: Vec<(String, Json)> = self
-            .gauges
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::Int(v)))
-            .collect();
         let hists: Vec<(String, Json)> = self
             .hists
             .iter()
@@ -218,9 +133,7 @@ impl Snapshot {
         Json::obj([
             ("type", Json::str("metrics")),
             ("seq", self.seq.into()),
-            ("delta", Json::Bool(self.delta)),
             ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
             ("hists", Json::Obj(hists)),
         ])
     }
@@ -238,14 +151,10 @@ impl Snapshot {
         };
         let mut s = Snapshot {
             seq: j.get("seq")?.as_i64()? as u64,
-            delta: j.get("delta")?.as_bool()?,
             ..Snapshot::default()
         };
         for (k, v) in pairs("counters")? {
             s.counters.insert(k.clone(), v.as_i64()? as u64);
-        }
-        for (k, v) in pairs("gauges")? {
-            s.gauges.insert(k.clone(), v.as_i64()?);
         }
         for (k, v) in pairs("hists")? {
             s.hists.insert(k.clone(), Histogram::from_json(v)?);
@@ -264,68 +173,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_hists() {
+    fn counters_and_hists() {
         let mut r = Registry::new();
         r.counter_add("runs", 2);
         r.counter_add("runs", 3);
         r.counter_add("registered", 0);
-        r.gauge_set("workers", 4);
-        r.gauge_set("workers", 2);
         r.hist_record("lat", 100);
         r.hist_record("lat", 200);
         assert_eq!(r.counter("runs"), 5);
         assert_eq!(r.counter("absent"), 0);
         assert_eq!(r.counters().count(), 2);
-        assert_eq!(r.gauge("workers"), Some(2));
         assert_eq!(r.hist("lat").unwrap().count(), 2);
         assert!(r.hist("absent").is_none());
         assert!(!r.is_empty());
     }
 
     #[test]
-    fn merge_matches_serial() {
-        let (mut a, mut b, mut serial) = (Registry::new(), Registry::new(), Registry::new());
-        for (reg, n) in [(&mut a, 2u64), (&mut b, 7)] {
-            reg.counter_add("c", n);
-            reg.hist_record("h", n * 10);
-        }
-        serial.counter_add("c", 2);
-        serial.hist_record("h", 20);
-        serial.counter_add("c", 7);
-        serial.hist_record("h", 70);
-        b.gauge_set("g", 1);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), serial.counter("c"));
-        assert_eq!(a.hist("h"), serial.hist("h"));
-        assert_eq!(a.gauge("g"), Some(1));
-    }
-
-    #[test]
-    fn delta_snapshots_partition_the_stream() {
-        let mut r = Registry::new();
-        r.counter_add("c", 10);
-        r.hist_record("h", 5);
-        let d1 = r.delta_snapshot();
-        assert!(d1.delta);
-        assert_eq!(d1.seq, 0);
-        assert_eq!(d1.counters["c"], 10);
-        assert_eq!(d1.hists["h"].count(), 1);
-        r.counter_add("c", 1);
-        let d2 = r.delta_snapshot();
-        assert_eq!(d2.seq, 1);
-        assert_eq!(d2.counters["c"], 1);
-        assert_eq!(d2.hists["h"].count(), 0, "no new samples since d1");
-        // The cumulative view is unaffected by deltas.
-        let full = r.snapshot();
-        assert!(!full.delta);
-        assert_eq!(full.counters["c"], 11);
-    }
-
-    #[test]
     fn snapshot_jsonl_round_trips() {
         let mut r = Registry::new();
         r.counter_add("pool/steals", 3);
-        r.gauge_set("workers", -1);
         r.hist_record("latency/E1", 12345);
         r.hist_record("latency/E1", 999);
         let snap = r.snapshot();

@@ -65,22 +65,6 @@ pub enum Msg {
     Reject,
 }
 
-impl Msg {
-    /// The message class, as reported to collectors (one
-    /// [`Collector::message`] event per send).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::NType(_) => "ntype",
-            Msg::Config(_, _) => "config",
-            Msg::ConfigNeedAnswer(_, _) => "config_need_answer",
-            Msg::AtpRequest(_, _, _) => "atp_request",
-            Msg::Reply(_) => "reply",
-            Msg::Accept => "accept",
-            Msg::Reject => "reject",
-        }
-    }
-}
-
 /// Outcome and traffic statistics of a protocol run.
 #[derive(Debug, Clone)]
 pub struct ProtocolReport {
@@ -136,11 +120,6 @@ enum PEnd {
 }
 
 impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
-    fn send(&mut self, m: Msg) {
-        self.collector.message(m.kind());
-        self.dialogue.push(m);
-    }
-
     fn run_chain(&mut self, cfg: PConfig, depth: u32) -> Result<PEnd, GuardError> {
         self.collector
             .chain_enter(cfg.node.0 as u64, cfg.state.0 as u32, depth);
@@ -160,7 +139,6 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
             if !seen.insert(cfg.clone()) {
                 return Ok(PEnd::Reject(Halt::Cycle));
             }
-            self.collector.cycle_bookkeeping(seen.len());
             if G::ENABLED {
                 self.guard.gauge(GaugeKind::Configs, seen.len())?;
                 self.guard
@@ -211,7 +189,7 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                             } else {
                                 Msg::Config(*q, cfg.store.clone())
                             };
-                            self.send(msg);
+                            self.dialogue.push(msg);
                         }
                         cfg.node = v;
                         cfg.state = *q;
@@ -248,7 +226,8 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                     if !far.is_empty() {
                         // One request covers the other party's share.
                         self.atp_requests += 1;
-                        self.send(Msg::AtpRequest(rule_idx, *p, cfg.store.clone()));
+                        self.dialogue
+                            .push(Msg::AtpRequest(rule_idx, *p, cfg.store.clone()));
                     }
                     let mut acc = Relation::empty(cfg.store.arity(RegId(0)));
                     let mut far_acc = Relation::empty(cfg.store.arity(RegId(0)));
@@ -288,7 +267,7 @@ impl<C: Collector, G: Guard> ProtoExec<'_, C, G> {
                     }
                     self.collector.atp_exit(depth);
                     if !far.is_empty() {
-                        self.send(Msg::Reply(far_acc));
+                        self.dialogue.push(Msg::Reply(far_acc));
                     }
                     cfg.store.set(*i, acc);
                     cfg.state = *q;
@@ -325,13 +304,9 @@ pub fn run_protocol(
 
 /// [`run_protocol`] with a collector and a resource guard.
 ///
-/// Every sent message raises a [`Collector::message`] event tagged with
-/// its class (`ntype`, `config`, `config_need_answer`, `atp_request`,
-/// `reply`, `accept`, `reject`), and the simulated computation reports
-/// steps, chain/`atp` spans, and guard/update evaluations like the direct
-/// engine. Boundary crossings, `atp` requests and deduplicated traffic
-/// land in the `run/protocol.crossings`, `run/protocol.atp_requests` and
-/// `run/protocol.dedup_messages` counters.
+/// The collector sees the simulated computation's steps, chain/`atp`
+/// spans, and guard/update evaluations like the direct engine's. The
+/// dialogue and its traffic counts are in the returned [`ProtocolReport`].
 ///
 /// The guard is charged one fuel unit per simulated computation step plus
 /// each `atp` look-ahead's
@@ -401,8 +376,8 @@ pub fn run_protocol_in<C: Collector, G: Guard>(
         guard,
     };
     // Initialization: both parties announce their N-types.
-    exec.send(Msg::NType(Party::I));
-    exec.send(Msg::NType(Party::II));
+    exec.dialogue.push(Msg::NType(Party::I));
+    exec.dialogue.push(Msg::NType(Party::II));
     let init = PConfig {
         node: dtree.root(),
         state: prog.initial(),
@@ -410,11 +385,11 @@ pub fn run_protocol_in<C: Collector, G: Guard>(
     };
     let halt = match exec.run_chain(init, 0) {
         Ok(PEnd::Accept(_)) => {
-            exec.send(Msg::Accept);
+            exec.dialogue.push(Msg::Accept);
             Halt::Accept
         }
         Ok(PEnd::Reject(h)) => {
-            exec.send(Msg::Reject);
+            exec.dialogue.push(Msg::Reject);
             h
         }
         Err(mut e) => {
@@ -429,12 +404,6 @@ pub fn run_protocol_in<C: Collector, G: Guard>(
     // direction; here (single execution order) at most once.
     let mut seen: HashSet<&Msg> = HashSet::new();
     let dedup_messages = exec.dialogue.iter().filter(|m| seen.insert(*m)).count() as u64;
-    exec.collector
-        .counter("run/protocol.crossings", exec.crossings);
-    exec.collector
-        .counter("run/protocol.atp_requests", exec.atp_requests);
-    exec.collector
-        .counter("run/protocol.dedup_messages", dedup_messages);
     exec.collector.halt(halt.kind());
     Ok(ProtocolReport {
         halt,

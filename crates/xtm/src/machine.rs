@@ -458,8 +458,8 @@ pub fn run_xtm(m: &Xtm, delim: &DelimTree, limits: XtmLimits) -> XtmReport {
 /// [`run_xtm`] with a collector and a resource guard.
 ///
 /// The collector sees one chain span for the run carrying the head's walk
-/// path `(node, state)`, one step per transition, tape-cell high-water
-/// marks, guard evaluations, cycle-table bookkeeping, and the halt. The
+/// path `(node, state)`, one step per transition, guard evaluations, and
+/// the halt; the tape-cell high-water mark is [`XtmReport::space`]. The
 /// guard is charged one fuel unit per transition, tape growth is gauged as
 /// [`GaugeKind::TapeCells`] and the cycle table as [`GaugeKind::Configs`];
 /// fault plans may drop the selected transition (the run gets stuck) or
@@ -486,7 +486,6 @@ pub fn run_xtm_in<C: Collector, G: Guard>(
     c.chain_enter(cfg.node.0 as u64, cfg.state.0 as u32, 0);
     let halt = loop {
         space = space.max(cfg.tape.len()).max(cfg.head + 1);
-        c.tape_cells(space);
         if space > limits.max_space {
             break Ok(XtmHalt::SpaceLimit);
         }
@@ -501,7 +500,6 @@ pub fn run_xtm_in<C: Collector, G: Guard>(
         if !seen.insert(cfg.clone()) {
             break Ok(XtmHalt::Cycle);
         }
-        c.cycle_bookkeeping(seen.len());
         if G::ENABLED {
             if let Err(e) = g.gauge(GaugeKind::Configs, seen.len()) {
                 break Err(e);

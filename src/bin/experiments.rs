@@ -189,11 +189,11 @@ struct Gov {
     /// Rows that ended in `limit-tripped(..)`, by [`TRIP_REASONS`] index
     /// (rows run on pool workers, hence atomics). The `--profile` summary
     /// reports them as `guard/trips/<reason>`; `--strict` fails on any.
-    trips: [AtomicU64; 6],
+    trips: [AtomicU64; 5],
 }
 
 /// The reasons a governed row trips on, in [`Gov::trips`] order.
-const TRIP_REASONS: [&str; 6] = ["budget", "deadline", "depth", "mem", "cancelled", "error"];
+const TRIP_REASONS: [&str; 5] = ["budget", "deadline", "depth", "mem", "error"];
 
 impl Gov {
     fn active(&self) -> bool {
@@ -222,8 +222,7 @@ impl Gov {
             Some(TripReason::Deadline { .. }) => 1,
             Some(TripReason::Depth { .. }) => 2,
             Some(TripReason::Mem { .. }) => 3,
-            Some(TripReason::Cancelled) => 4,
-            None => 5,
+            None => 4,
         };
         self.trips[idx].fetch_add(1, Ordering::Relaxed);
         Cell::str(format!("limit-tripped({})", TRIP_REASONS[idx]))
@@ -241,8 +240,7 @@ struct Prof {
     flame: String,
 }
 
-/// One representative call a `--profile` or `--trace` re-run makes,
-/// always ungoverned.
+/// One representative call a `--trace` re-run makes, always ungoverned.
 enum Probe<'a> {
     Run(&'a TwProgram, &'a DelimTree, Limits),
     Xtm(&'a Xtm, &'a DelimTree),
@@ -354,17 +352,19 @@ impl Session<'_> {
     }
 
     /// `--profile`: re-run `prog` on `dt` under `(MetricsCollector,
-    /// (FlameProfiler, Tail))` and print the run's one-line summary, its
-    /// top states by interpreter steps, its top self-time stacks, and a
-    /// tail post-mortem when it halted abnormally; feed the registry and
-    /// `--flame`.
+    /// (FlameProfiler, Tail))`, ungoverned, and print the run's one-line
+    /// summary (its store and tracked-configuration high-water marks from
+    /// the run report), its top states by interpreter steps, its top
+    /// self-time stacks, and a tail post-mortem when it halted abnormally;
+    /// feed the registry and `--flame`.
     fn profile(&mut self, id: &str, what: &str, prog: &TwProgram, dt: &DelimTree, limits: Limits) {
         let Some(prof) = &mut self.prof else { return };
         let mut c = (
             MetricsCollector::new(),
             (FlameProfiler::new(), Tail::new(16)),
         );
-        Probe::Run(prog, dt, limits).call(&mut c);
+        let report =
+            run_in(prog, dt, limits, &mut c, &mut NullGuard).expect("NullGuard never trips");
         let (mc, (flame, tail)) = c;
         let m = mc.into_metrics();
         let rep = &mut *self.rep;
@@ -375,8 +375,8 @@ impl Session<'_> {
             m.steps,
             m.max_atp_depth,
             m.max_atp_fanout,
-            m.max_store_tuples,
-            m.max_tracked_configs,
+            report.max_store_tuples,
+            report.max_chain_configs,
         ));
         let namer = |q: u32| prog.state_name(State(q as u16)).to_owned();
         rep.table(

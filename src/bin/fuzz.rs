@@ -17,13 +17,15 @@
 //! only changes wall-clock time. The summary tallies what the formula
 //! cases reached: `FO(∃*)` branches by evaluation path (semi-join or
 //! backtracking), the structural atoms `compile_exists` translated, the
-//! value-postings scans of `compile_xpath` plans (`ScanValue`, and
-//! `ScanAttrPair` over two distinct columns, `a` and the `b` painted on
-//! formula-case trees), those plans' `Expand` steps per axis (child,
-//! parent, descendant, ancestor), and the trees index plans ran on by
-//! arena order (pre-order or permuted); then, from `plan_indexed` under each
-//! case's alphabet context, the fires of each rewrite rule, the
-//! certificate kinds, and the `Force::Auto` verdicts (empty, index, walk).
+//! leaf scans of the plans `compile_exists` and `compile_xpath` built
+//! (`ScanValue`, `ScanAttrPair` over two distinct columns — `a` and the
+//! `b` painted on formula-case trees — `ScanAttrBot`, `ScanLeaf`,
+//! `ScanFirst`, `ScanLast`), those plans' `IfNonEmpty` guards and
+//! `Expand` steps per axis (child, parent, descendant, ancestor), and the
+//! trees index plans ran on by arena order (pre-order or permuted); then,
+//! from `plan_indexed` under each case's alphabet context, the fires of
+//! each rewrite rule, the certificate kinds, and the `Force::Auto`
+//! verdicts (empty, index, walk).
 //! Exit status: `0` for a clean campaign (or a passing self-test), `1`
 //! when discrepancies were found, a tally stayed at zero, or stdout closed
 //! before the report was written, `2` for usage errors.

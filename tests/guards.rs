@@ -269,6 +269,62 @@ fn xtm_tape_gauge_boundary_is_exact() {
     ));
 }
 
+/// The guard's high-water gauges are the run reports' own meters: on
+/// roster programs over random trees, an unlimited guard's store-tuple
+/// and configuration gauges end at the engine report's
+/// `max_store_tuples` and `max_chain_configs`, and on xTM runs its tape
+/// gauge ends at the report's `space`. A governed run therefore needs no
+/// second account of these marks.
+#[test]
+fn guard_gauges_meet_the_report_high_water_marks() {
+    let mut vocab = Vocab::new();
+    let ex = examples::example_32(&mut vocab);
+    let (syms, a) = ([ex.sigma, ex.delta], ex.attr);
+    let programs = [
+        ex.program.clone(),
+        examples::even_leaves_program(&syms),
+        examples::all_leaves_equal_program(&syms, a),
+        examples::parent_child_match_program(&syms, a),
+        examples::distinct_values_at_least(&syms, a, 3),
+    ];
+    let machine = machines::leaf_count_even(&syms);
+    // The largest mark of each kind, so the equalities are not all 0 = 0.
+    let mut highest = [0usize; 3];
+    for nodes in [12, 120, 480] {
+        let cfg = TreeGenConfig::example32(&mut vocab, nodes, &[0, 1, 2, 3]);
+        for seed in 0..4 {
+            let dt = DelimTree::build(&random_tree(&cfg, seed));
+            for prog in &programs {
+                let mut g = ResourceGuard::unlimited();
+                let report = run_in(prog, &dt, Limits::default(), &mut NullCollector, &mut g)
+                    .expect("unlimited guard never trips");
+                assert_eq!(
+                    g.gauge_high_water(GaugeKind::StoreTuples),
+                    report.max_store_tuples
+                );
+                assert_eq!(
+                    g.gauge_high_water(GaugeKind::Configs),
+                    report.max_chain_configs
+                );
+                highest[0] = highest[0].max(report.max_store_tuples);
+                highest[1] = highest[1].max(report.max_chain_configs);
+            }
+            let mut g = ResourceGuard::unlimited();
+            let report = run_xtm_in(
+                &machine,
+                &dt,
+                XtmLimits::default(),
+                &mut NullCollector,
+                &mut g,
+            )
+            .expect("unlimited guard never trips");
+            assert_eq!(g.gauge_high_water(GaugeKind::TapeCells), report.space);
+            highest[2] = highest[2].max(report.space);
+        }
+    }
+    assert!(highest.iter().all(|&h| h > 1), "{highest:?}");
+}
+
 /// A chaos guard: tight budget, hard deadline, and a seeded fault plan
 /// injecting fuel exhaustion, deadline expiry, dropped transitions, and
 /// store corruption.

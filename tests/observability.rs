@@ -52,8 +52,8 @@ fn collectors_agree_on_example_32() {
 }
 
 /// The acceptance-criteria metrics for an Example 3.2 run: per-state step
-/// counts that add up, the `atp` nesting the example is known to reach,
-/// and the store high-water mark the engine itself reports.
+/// counts that add up and the `atp` nesting the example is known to
+/// reach; the store and cycle-check high-water marks are the run report's.
 #[test]
 fn example_32_metrics_describe_the_run() {
     let mut vocab = Vocab::new();
@@ -76,12 +76,11 @@ fn example_32_metrics_describe_the_run() {
     assert_eq!(m.max_atp_depth, 2);
     assert_eq!(m.atp_calls, report.atp_calls);
     assert_eq!(m.subcomputations, report.subcomputations);
-    assert_eq!(m.max_store_tuples, report.max_store_tuples);
     assert!(
-        m.max_store_tuples > 0,
+        report.max_store_tuples > 0,
         "φ₂ stores the collected leaf values"
     );
-    assert!(m.cycle_inserts > 0);
+    assert!(report.max_chain_configs > 0);
 }
 
 /// The runs the pair is checked on, between them reaching every hook a
@@ -89,7 +88,7 @@ fn example_32_metrics_describe_the_run() {
 #[derive(Debug, Clone, Copy)]
 enum Case {
     /// Example 3.2 on [`ACCEPTED`]: chains, steps, nested `atp`s, FO
-    /// guards and updates, store sizes, cycle bookkeeping, the halt.
+    /// guards and updates, the halt.
     Engine,
     /// The same run on a 20-fuel budget, which trips.
     Budgeted,
