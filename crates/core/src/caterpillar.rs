@@ -15,9 +15,8 @@
 //! `(node, NFA-state)` pairs — linear in `|t|·|e|`.
 
 use std::collections::VecDeque;
-use std::fmt;
 
-use twq_tree::{Label, NodeId, Tree, Vocab};
+use twq_tree::{Cursor, Label, NodeId, ParseError, Syntax, Tree, Vocab};
 
 /// An atomic move or test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,27 +311,6 @@ pub fn relates(tree: &Tree, e: &CatExpr, u: NodeId, v: NodeId) -> bool {
 
 // ----- parser -------------------------------------------------------------
 
-/// A caterpillar parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CatParseError {
-    /// Byte offset.
-    pub at: usize,
-    /// Description.
-    pub msg: String,
-}
-
-impl fmt::Display for CatParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "caterpillar parse error at byte {}: {}",
-            self.at, self.msg
-        )
-    }
-}
-
-impl std::error::Error for CatParseError {}
-
 /// Parse the concrete syntax:
 ///
 /// ```text
@@ -343,50 +321,27 @@ impl std::error::Error for CatParseError {}
 /// atom   := up | down | left | right
 ///         | isRoot | isLeaf | isFirst | isLast | '#' ident
 /// ```
-pub fn parse_caterpillar(src: &str, vocab: &mut Vocab) -> Result<CatExpr, CatParseError> {
+pub fn parse_caterpillar(src: &str, vocab: &mut Vocab) -> Result<CatExpr, ParseError> {
     let mut p = CatP {
-        src: src.as_bytes(),
-        pos: 0,
+        c: Cursor::new(Syntax::Caterpillar, src),
         vocab,
     };
     let e = p.expr()?;
-    p.ws();
-    if p.pos != p.src.len() {
-        return p.err("trailing input");
-    }
+    p.c.end("trailing input")?;
     Ok(e)
 }
 
 struct CatP<'s, 'v> {
-    src: &'s [u8],
-    pos: usize,
+    c: Cursor<'s>,
     vocab: &'v mut Vocab,
 }
 
-impl CatP<'_, '_> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, CatParseError> {
-        Err(CatParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
-    }
-
-    fn ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn expr(&mut self) -> Result<CatExpr, CatParseError> {
+impl<'s> CatP<'s, '_> {
+    fn expr(&mut self) -> Result<CatExpr, ParseError> {
         let mut branches = vec![self.branch()?];
         loop {
-            self.ws();
-            if self.peek() == Some(b'|') {
-                self.pos += 1;
+            self.c.skip_ws();
+            if self.c.eat(b'|') {
                 branches.push(self.branch()?);
             } else {
                 break;
@@ -399,11 +354,11 @@ impl CatP<'_, '_> {
         })
     }
 
-    fn branch(&mut self) -> Result<CatExpr, CatParseError> {
+    fn branch(&mut self) -> Result<CatExpr, ParseError> {
         let mut parts = Vec::new();
         loop {
-            self.ws();
-            match self.peek() {
+            self.c.skip_ws();
+            match self.c.peek() {
                 Some(b'|') | Some(b')') | None => break,
                 _ => parts.push(self.factor()?),
             }
@@ -415,47 +370,37 @@ impl CatP<'_, '_> {
         }
     }
 
-    fn factor(&mut self) -> Result<CatExpr, CatParseError> {
+    fn factor(&mut self) -> Result<CatExpr, ParseError> {
         let mut base = self.base()?;
         loop {
-            match self.peek() {
-                Some(b'*') => {
-                    self.pos += 1;
-                    base = CatExpr::Star(Box::new(base));
-                }
-                Some(b'+') => {
-                    self.pos += 1;
-                    base = CatExpr::Plus(Box::new(base));
-                }
-                Some(b'?') => {
-                    self.pos += 1;
-                    base = CatExpr::Opt(Box::new(base));
-                }
-                _ => return Ok(base),
-            }
+            base = if self.c.eat(b'*') {
+                CatExpr::Star(Box::new(base))
+            } else if self.c.eat(b'+') {
+                CatExpr::Plus(Box::new(base))
+            } else if self.c.eat(b'?') {
+                CatExpr::Opt(Box::new(base))
+            } else {
+                return Ok(base);
+            };
         }
     }
 
-    fn base(&mut self) -> Result<CatExpr, CatParseError> {
-        self.ws();
-        if self.peek() == Some(b'(') {
-            self.pos += 1;
+    fn base(&mut self) -> Result<CatExpr, ParseError> {
+        self.c.skip_ws();
+        if self.c.eat(b'(') {
             let e = self.expr()?;
-            self.ws();
-            if self.peek() != Some(b')') {
-                return self.err("expected ')'");
+            self.c.skip_ws();
+            if !self.c.eat(b')') {
+                return Err(self.c.error("expected ')'"));
             }
-            self.pos += 1;
             return Ok(e);
         }
-        if self.peek() == Some(b'#') {
-            self.pos += 1;
-            let name = self.ident()?;
-            let sym = self.vocab.sym(&name);
+        if self.c.eat(b'#') {
+            let name = self.word()?;
+            let sym = self.vocab.sym(name);
             return Ok(CatExpr::Atom(CatAtom::LabelIs(Label::Sym(sym))));
         }
-        let word = self.ident()?;
-        let atom = match word.as_str() {
+        let atom = match self.word()? {
             "up" => CatAtom::Up,
             "down" => CatAtom::Down,
             "left" => CatAtom::Left,
@@ -464,26 +409,15 @@ impl CatP<'_, '_> {
             "isLeaf" => CatAtom::IsLeaf,
             "isFirst" => CatAtom::IsFirst,
             "isLast" => CatAtom::IsLast,
-            other => return self.err(format!("unknown atom '{other}'")),
+            other => return Err(self.c.error(format!("unknown atom '{other}'"))),
         };
         Ok(CatExpr::Atom(atom))
     }
 
-    fn ident(&mut self) -> Result<String, CatParseError> {
-        self.ws();
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected atom");
-        }
-        Ok(std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii")
-            .to_owned())
+    /// A name after optional whitespace.
+    fn word(&mut self) -> Result<&'s str, ParseError> {
+        self.c.skip_ws();
+        self.c.name().ok_or_else(|| self.c.error("expected atom"))
     }
 }
 

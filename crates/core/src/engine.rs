@@ -571,9 +571,8 @@ pub fn run_on_tree(prog: &TwProgram, tree: &Tree, limits: Limits) -> RunReport {
 /// Other batch shapes are a [`Pool::scoped`] call over [`run_in`] at the
 /// call site: each item builds its own collector and guard, and the caller
 /// folds the per-item results in input order ([`RunMetrics::merge`],
-/// [`GuardStats::merge`](twq_guard::GuardStats::merge),
-/// [`Trace::merge_batch`](twq_obs::Trace::merge_batch)),
-/// so the aggregate is the same for any worker count.
+/// [`Trace::merge_batch`](twq_obs::Trace::merge_batch)), so the aggregate
+/// is the same for any worker count.
 pub fn run_batch(prog: &TwProgram, trees: &[Tree], limits: Limits, pool: &Pool) -> Vec<RunReport> {
     pool.scoped(trees.len(), |i| run_on_tree(prog, &trees[i], limits))
 }

@@ -46,6 +46,4 @@ mod res;
 
 pub use error::{DepthKind, GaugeKind, GuardError, Partial, TripReason, TwqError};
 pub use faults::{FaultKind, FaultPlan, FaultPlanParseError, FaultSite};
-pub use res::{
-    Budget, Deadline, DepthGuard, Guard, GuardStats, MemGauge, NullGuard, ResourceGuard,
-};
+pub use res::{Budget, Deadline, DepthGuard, Guard, MemGauge, NullGuard, ResourceGuard};

@@ -308,54 +308,6 @@ fn passes_stride(spent: u64, n: u64) -> bool {
     spent % DEADLINE_STRIDE < n
 }
 
-/// Trip-and-fault telemetry for one [`ResourceGuard`] (or several,
-/// merged). Counts what the guard *did* — fuel charged, trips by reason,
-/// faults injected — so a batch harness can report governance activity
-/// without parsing errors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardStats {
-    /// Fuel units charged (ticks plus bulk charges).
-    pub ticks: u64,
-    /// Trips on the fuel budget.
-    pub budget_trips: u64,
-    /// Trips on the wall-clock deadline.
-    pub deadline_trips: u64,
-    /// Trips on a recursion-depth limit.
-    pub depth_trips: u64,
-    /// Trips on a memory-gauge cap.
-    pub mem_trips: u64,
-    /// Faults injected by the configured [`FaultPlan`] (including the
-    /// fuel/deadline ones that also count as trips above).
-    pub faults_injected: u64,
-}
-
-impl GuardStats {
-    /// Fold another guard's telemetry into this one (all fields sum), so
-    /// per-item guards of a batch merge deterministically in input order.
-    pub fn merge(&mut self, other: &GuardStats) {
-        self.ticks += other.ticks;
-        self.budget_trips += other.budget_trips;
-        self.deadline_trips += other.deadline_trips;
-        self.depth_trips += other.depth_trips;
-        self.mem_trips += other.mem_trips;
-        self.faults_injected += other.faults_injected;
-    }
-
-    /// Trips of any reason.
-    pub fn total_trips(&self) -> u64 {
-        self.budget_trips + self.deadline_trips + self.depth_trips + self.mem_trips
-    }
-
-    fn count_trip(&mut self, reason: &TripReason) {
-        match reason {
-            TripReason::Budget { .. } => self.budget_trips += 1,
-            TripReason::Deadline { .. } => self.deadline_trips += 1,
-            TripReason::Depth { .. } => self.depth_trips += 1,
-            TripReason::Mem { .. } => self.mem_trips += 1,
-        }
-    }
-}
-
 /// The real guard: composes a [`Budget`], an optional [`Deadline`], a
 /// [`DepthGuard`], a [`MemGauge`], and an optional [`FaultPlan`].
 ///
@@ -378,7 +330,6 @@ pub struct ResourceGuard {
     depth: DepthGuard,
     mem: MemGauge,
     faults: Option<FaultPlan>,
-    stats: GuardStats,
 }
 
 impl ResourceGuard {
@@ -391,7 +342,6 @@ impl ResourceGuard {
             depth: DepthGuard::unlimited(),
             mem: MemGauge::unlimited(),
             faults: None,
-            stats: GuardStats::default(),
         }
     }
 
@@ -441,13 +391,7 @@ impl ResourceGuard {
         self.mem.high_water(kind)
     }
 
-    /// Trip and fuel telemetry accumulated so far.
-    pub fn stats(&self) -> GuardStats {
-        self.stats
-    }
-
-    fn trip(&mut self, reason: TripReason) -> GuardError {
-        self.stats.count_trip(&reason);
+    fn trip(&self, reason: TripReason) -> GuardError {
         GuardError::new(reason).with_partial(self.partial())
     }
 }
@@ -458,7 +402,6 @@ impl Guard for ResourceGuard {
     }
 
     fn charge(&mut self, n: u64) -> Result<(), GuardError> {
-        self.stats.ticks += n;
         if let Err(r) = self.budget.charge(n) {
             return Err(self.trip(r));
         }
@@ -472,14 +415,12 @@ impl Guard for ResourceGuard {
         let rolled = self.faults.as_mut().and_then(|p| p.roll(FaultSite::Tick));
         match rolled {
             Some(FaultKind::FuelExhaustion) => {
-                self.stats.faults_injected += 1;
                 let limit = self.budget.spent();
                 return Err(self
                     .trip(TripReason::Budget { limit })
                     .injected_by(FaultKind::FuelExhaustion));
             }
             Some(FaultKind::DeadlineExpiry) => {
-                self.stats.faults_injected += 1;
                 let limit_ms = self
                     .deadline
                     .map(|d| d.limit().as_millis() as u64)
@@ -506,11 +447,7 @@ impl Guard for ResourceGuard {
     }
 
     fn fault_at(&mut self, site: FaultSite) -> Option<FaultKind> {
-        let rolled = self.faults.as_mut().and_then(|p| p.roll(site));
-        if rolled.is_some() {
-            self.stats.faults_injected += 1;
-        }
-        rolled
+        self.faults.as_mut().and_then(|p| p.roll(site))
     }
 
     fn partial(&self) -> Partial {
@@ -615,42 +552,6 @@ mod tests {
         let e = g.tick().unwrap_err();
         assert_eq!(e.injected, Some(FaultKind::FuelExhaustion));
         assert!(matches!(e.reason, TripReason::Budget { .. }));
-    }
-
-    #[test]
-    fn guard_stats_count_fuel_and_trips() {
-        let mut g = ResourceGuard::unlimited()
-            .with_budget(3)
-            .with_depth_limit(DepthKind::Quantifier, 1)
-            .with_mem_limit(GaugeKind::TapeCells, 4);
-        for _ in 0..3 {
-            assert!(g.tick().is_ok());
-        }
-        assert!(g.tick().is_err());
-        assert!(g.enter(DepthKind::Quantifier).is_ok());
-        assert!(g.enter(DepthKind::Quantifier).is_err());
-        assert!(g.gauge(GaugeKind::TapeCells, 5).is_err());
-        let s = g.stats();
-        assert_eq!(s.ticks, 4);
-        assert_eq!(s.budget_trips, 1);
-        assert_eq!(s.depth_trips, 1);
-        assert_eq!(s.mem_trips, 1);
-        assert_eq!(s.total_trips(), 3);
-        assert_eq!(s.faults_injected, 0);
-        let mut merged = GuardStats::default();
-        merged.merge(&s);
-        merged.merge(&s);
-        assert_eq!(merged.ticks, 8);
-        assert_eq!(merged.total_trips(), 6);
-    }
-
-    #[test]
-    fn guard_stats_count_injected_faults() {
-        let mut g =
-            ResourceGuard::unlimited().with_faults(FaultPlan::seeded(0).fuel_rate(1_000_000));
-        assert!(g.tick().is_err());
-        assert_eq!(g.stats().faults_injected, 1);
-        assert_eq!(g.stats().budget_trips, 1);
     }
 
     #[test]

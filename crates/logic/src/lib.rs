@@ -38,5 +38,5 @@ pub use memo::{
     select_memo_in, MemoCache, MemoFormula,
 };
 pub use mso::{eval_mso, eval_mso_capped, MsoFormula, SetVar};
-pub use parse::{parse_fo, FoParseError, ParsedFormula};
+pub use parse::{parse_fo, ParsedFormula};
 pub use store::{eval_guard, eval_query, AttrEnv, RegId, Relation, SAtom, SFormula, STerm, Store};

@@ -25,26 +25,9 @@
 
 use std::collections::HashMap;
 
-use twq_tree::{Label, Vocab};
+use twq_tree::{Cursor, Label, ParseError, Syntax, Vocab};
 
 use crate::fo::{Formula, TreeAtom, Var};
-
-/// An FO parse error with position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoParseError {
-    /// Byte offset.
-    pub at: usize,
-    /// Description.
-    pub msg: String,
-}
-
-impl std::fmt::Display for FoParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FO parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for FoParseError {}
 
 /// A parsed formula plus the variable-name mapping.
 #[derive(Debug, Clone)]
@@ -66,77 +49,37 @@ impl ParsedFormula {
 }
 
 struct P<'s, 'v> {
-    src: &'s [u8],
-    pos: usize,
+    c: Cursor<'s>,
     vocab: &'v mut Vocab,
     vars: Vec<String>,
     by_name: HashMap<String, Var>,
 }
 
-impl P<'_, '_> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, FoParseError> {
-        Err(FoParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
+impl<'s> P<'s, '_> {
+    fn err<T>(&self, msg: &str) -> Result<T, ParseError> {
+        Err(self.c.error(msg))
     }
 
-    fn ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
+    // Any token may follow whitespace: these three skip it first.
 
     fn eat(&mut self, c: u8) -> bool {
-        self.ws();
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        self.c.skip_ws();
+        self.c.eat(c)
     }
 
     fn eat_str(&mut self, s: &str) -> bool {
-        self.ws();
-        if self.src[self.pos..].starts_with(s.as_bytes()) {
-            // Keywords must not run into identifier characters.
-            let after = self.src.get(self.pos + s.len());
-            let kw_like = s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
-            if kw_like && after.is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_') {
-                return false;
-            }
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
+        self.c.skip_ws();
+        self.c.eat_str(s)
     }
 
-    fn ident(&mut self) -> Result<String, FoParseError> {
-        self.ws();
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected identifier");
-        }
-        Ok(std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii")
-            .to_owned())
+    fn ident(&mut self) -> Result<&'s str, ParseError> {
+        self.c.skip_ws();
+        self.c.ident()
     }
 
-    fn variable(&mut self) -> Result<Var, FoParseError> {
+    fn variable(&mut self) -> Result<Var, ParseError> {
         let name = self.ident()?;
-        Ok(self.var_named(&name))
+        Ok(self.var_named(name))
     }
 
     fn var_named(&mut self, name: &str) -> Var {
@@ -149,11 +92,11 @@ impl P<'_, '_> {
         v
     }
 
-    fn formula(&mut self) -> Result<Formula, FoParseError> {
-        self.ws();
+    fn formula(&mut self) -> Result<Formula, ParseError> {
+        self.c.skip_ws();
         // Quantifiers: `E x.` / `A x.` — disambiguate from the atom `E(`.
-        if self.peek() == Some(b'E') && self.src.get(self.pos + 1) == Some(&b' ') {
-            self.pos += 1;
+        if self.c.starts_with("E ") {
+            self.c.eat(b'E');
             let v = self.variable()?;
             if !self.eat(b'.') {
                 return self.err("expected '.' after quantified variable");
@@ -161,8 +104,8 @@ impl P<'_, '_> {
             let body = self.formula()?;
             return Ok(Formula::Exists(v, Box::new(body)));
         }
-        if self.peek() == Some(b'A') && self.src.get(self.pos + 1) == Some(&b' ') {
-            self.pos += 1;
+        if self.c.starts_with("A ") {
+            self.c.eat(b'A');
             let v = self.variable()?;
             if !self.eat(b'.') {
                 return self.err("expected '.' after quantified variable");
@@ -173,9 +116,8 @@ impl P<'_, '_> {
         self.implication()
     }
 
-    fn implication(&mut self) -> Result<Formula, FoParseError> {
+    fn implication(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.disjunction()?;
-        self.ws();
         if self.eat_str("->") {
             let rhs = self.formula()?;
             return Ok(Formula::Or(vec![Formula::Not(Box::new(lhs)), rhs]));
@@ -183,7 +125,7 @@ impl P<'_, '_> {
         Ok(lhs)
     }
 
-    fn disjunction(&mut self) -> Result<Formula, FoParseError> {
+    fn disjunction(&mut self) -> Result<Formula, ParseError> {
         let mut parts = vec![self.conjunction()?];
         while self.eat(b'|') {
             parts.push(self.conjunction()?);
@@ -195,7 +137,7 @@ impl P<'_, '_> {
         }
     }
 
-    fn conjunction(&mut self) -> Result<Formula, FoParseError> {
+    fn conjunction(&mut self) -> Result<Formula, ParseError> {
         let mut parts = vec![self.negation()?];
         while self.eat(b'&') {
             parts.push(self.negation()?);
@@ -207,8 +149,7 @@ impl P<'_, '_> {
         }
     }
 
-    fn negation(&mut self) -> Result<Formula, FoParseError> {
-        self.ws();
+    fn negation(&mut self) -> Result<Formula, ParseError> {
         if self.eat(b'!') {
             return Ok(Formula::Not(Box::new(self.negation()?)));
         }
@@ -228,7 +169,7 @@ impl P<'_, '_> {
         self.atom()
     }
 
-    fn two_vars(&mut self) -> Result<(Var, Var), FoParseError> {
+    fn two_vars(&mut self) -> Result<(Var, Var), ParseError> {
         if !self.eat(b'(') {
             return self.err("expected '('");
         }
@@ -243,7 +184,7 @@ impl P<'_, '_> {
         Ok((x, y))
     }
 
-    fn one_var(&mut self) -> Result<Var, FoParseError> {
+    fn one_var(&mut self) -> Result<Var, ParseError> {
         if !self.eat(b'(') {
             return self.err("expected '('");
         }
@@ -254,11 +195,11 @@ impl P<'_, '_> {
         Ok(x)
     }
 
-    fn atom(&mut self) -> Result<Formula, FoParseError> {
-        self.ws();
+    fn atom(&mut self) -> Result<Formula, ParseError> {
+        self.c.skip_ws();
         // E(x, y)
-        if self.peek() == Some(b'E') && self.src.get(self.pos + 1) == Some(&b'(') {
-            self.pos += 1;
+        if self.c.starts_with("E(") {
+            self.c.eat(b'E');
             let (x, y) = self.two_vars()?;
             return Ok(Formula::Atom(TreeAtom::Edge(x, y)));
         }
@@ -279,7 +220,7 @@ impl P<'_, '_> {
                 return self.err("expected '('");
             }
             let name = self.ident()?;
-            let sym = self.vocab.sym(&name);
+            let sym = self.vocab.sym(name);
             if !self.eat(b',') {
                 return self.err("expected ','");
             }
@@ -306,8 +247,8 @@ impl P<'_, '_> {
             if !self.eat(b'(') {
                 return self.err("expected '('");
             }
-            let aname = self.ident()?;
-            let a = self.vocab.attr(&aname);
+            let name = self.ident()?;
+            let a = self.vocab.attr(name);
             if !self.eat(b',') {
                 return self.err("expected ','");
             }
@@ -318,13 +259,12 @@ impl P<'_, '_> {
             if !self.eat(b'=') {
                 return self.err("expected '=' after val(...)");
             }
-            self.ws();
             if self.eat_str("val") {
                 if !self.eat(b'(') {
                     return self.err("expected '('");
                 }
-                let bname = self.ident()?;
-                let bb = self.vocab.attr(&bname);
+                let name = self.ident()?;
+                let bb = self.vocab.attr(name);
                 if !self.eat(b',') {
                     return self.err("expected ','");
                 }
@@ -334,18 +274,8 @@ impl P<'_, '_> {
                 }
                 return Ok(Formula::Atom(TreeAtom::ValEq(a, x, bb, y)));
             }
-            let neg = self.eat(b'-');
-            let tok = self.ident()?;
-            let d = if let Ok(mut i) = tok.parse::<i64>() {
-                if neg {
-                    i = -i;
-                }
-                self.vocab.val_int(i)
-            } else if neg {
-                return self.err("'-' must precede an integer");
-            } else {
-                self.vocab.val_str(&tok)
-            };
+            self.c.skip_ws();
+            let d = self.c.value(self.vocab)?;
             return Ok(Formula::Atom(TreeAtom::ValConst(a, x, d)));
         }
         // x = y
@@ -359,19 +289,15 @@ impl P<'_, '_> {
 }
 
 /// Parse an FO formula from the concrete syntax.
-pub fn parse_fo(src: &str, vocab: &mut Vocab) -> Result<ParsedFormula, FoParseError> {
+pub fn parse_fo(src: &str, vocab: &mut Vocab) -> Result<ParsedFormula, ParseError> {
     let mut p = P {
-        src: src.as_bytes(),
-        pos: 0,
+        c: Cursor::new(Syntax::Fo, src),
         vocab,
         vars: Vec::new(),
         by_name: HashMap::new(),
     };
     let formula = p.formula()?;
-    p.ws();
-    if p.pos != p.src.len() {
-        return p.err("trailing input");
-    }
+    p.c.end("trailing input")?;
     Ok(ParsedFormula {
         formula,
         vars: p.vars,

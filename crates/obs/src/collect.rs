@@ -323,7 +323,8 @@ mod tests {
         drive(&mut c);
         c.phase("run", 1234);
         drop(c);
-        let h = reg.hist("phase/run").expect("phase recorded");
+        let snap = reg.snapshot();
+        let h = &snap.hists["phase/run"];
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), Some(1234));
     }

@@ -36,14 +36,6 @@ impl RunMetrics {
         Self::default()
     }
 
-    /// Step count attributed to one state.
-    pub fn steps_in_state(&self, state: u32) -> u64 {
-        self.steps_per_state
-            .get(state as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Calls to one FO primitive.
     pub fn fo(&self, kind: FoEval) -> u64 {
         self.fo_evals[kind as usize]
@@ -93,15 +85,6 @@ impl RunMetrics {
             self.halt = other.halt;
         }
     }
-
-    /// Total nanoseconds recorded for a named phase.
-    pub fn phase_nanos(&self, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|(n, _)| *n == name)
-            .map(|(_, ns)| ns)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -116,8 +99,6 @@ mod tests {
         };
         assert_eq!(m.top_states(3), vec![(2, 9), (3, 9), (0, 5)]);
         assert_eq!(m.top_states(10).len(), 4);
-        assert_eq!(m.steps_in_state(1), 0);
-        assert_eq!(m.steps_in_state(99), 0);
     }
 
     #[test]
@@ -147,20 +128,10 @@ mod tests {
         assert_eq!(a.chains, 3);
         assert_eq!(a.max_atp_depth, 2);
         assert_eq!(a.fo(FoEval::Atom), 8);
-        assert_eq!(a.phase_nanos("run"), 150);
+        assert_eq!(a.phases, [("run", 100), ("run", 50)]);
         assert_eq!(a.halt, Some(HaltKind::Cycle));
         // Merging an empty run leaves the verdict alone.
         a.merge(&RunMetrics::new());
         assert_eq!(a.halt, Some(HaltKind::Cycle));
-    }
-
-    #[test]
-    fn phase_nanos_sums_repeats() {
-        let mut m = RunMetrics::new();
-        m.phases.push(("compile", 10));
-        m.phases.push(("run", 5));
-        m.phases.push(("compile", 7));
-        assert_eq!(m.phase_nanos("compile"), 17);
-        assert_eq!(m.phase_nanos("absent"), 0);
     }
 }

@@ -52,31 +52,6 @@ impl Registry {
         self.hists.entry_or_default(name).merge(h);
     }
 
-    /// The named counter's value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named histogram, if any samples were recorded.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterate histograms in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty()
-    }
-
     /// A snapshot of everything recorded so far.
     pub fn snapshot(&mut self) -> Snapshot {
         let seq = self.seq;
@@ -180,12 +155,15 @@ mod tests {
         r.counter_add("registered", 0);
         r.hist_record("lat", 100);
         r.hist_record("lat", 200);
-        assert_eq!(r.counter("runs"), 5);
-        assert_eq!(r.counter("absent"), 0);
-        assert_eq!(r.counters().count(), 2);
-        assert_eq!(r.hist("lat").unwrap().count(), 2);
-        assert!(r.hist("absent").is_none());
-        assert!(!r.is_empty());
+        let snap = r.snapshot();
+        let counters: Vec<_> = snap
+            .counters
+            .iter()
+            .map(|(k, &v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(counters, [("registered", 0), ("runs", 5)]);
+        assert_eq!(snap.hists.len(), 1);
+        assert_eq!(snap.hists["lat"].count(), 2);
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //!   successor/predecessor, used by the Theorem 7.1 pebble constructions;
 //! * [`parse_tree`] / [`tree_to_string`] — a compact term syntax;
 //! * [`generate`] — random and shaped workload generators;
-//! * [`xml`] — an XML-subset reader/writer (elements + attributes).
+//! * [`xml`] — an XML-subset reader/writer (elements + attributes);
+//! * [`lex`] — the reader core every text syntax shares: [`Cursor`],
+//!   [`ParseError`] and the literal rule [`Vocab::val_text`].
 
 pub mod delim;
 pub mod generate;
+pub mod lex;
 pub mod nodeset;
 pub mod order;
 pub mod parse;
@@ -33,9 +36,10 @@ pub mod vocab;
 pub mod xml;
 
 pub use delim::DelimTree;
+pub use lex::{Cursor, ParseError, Syntax};
 pub use nodeset::NodeSet;
 pub use order::DocIntervals;
-pub use parse::{parse_tree, tree_to_string, ParseError};
+pub use parse::{parse_tree, tree_to_string};
 pub use tree::{Label, NodeId, Tree};
 pub use vocab::{AttrId, SymId, Value, ValueRepr, Vocab};
-pub use xml::{parse_xml, to_xml, XmlError};
+pub use xml::{parse_xml, to_xml};

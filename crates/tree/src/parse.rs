@@ -15,97 +15,23 @@
 
 use std::fmt::Write as _;
 
+use crate::lex::{Cursor, ParseError, Syntax};
 use crate::tree::{Label, NodeId, Tree};
 use crate::vocab::Vocab;
 
-/// An error produced while parsing the term syntax.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the error in the input.
-    pub at: usize,
-    /// Human-readable description.
-    pub msg: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 struct Parser<'s, 'v> {
-    src: &'s [u8],
-    pos: usize,
+    c: Cursor<'s>,
     vocab: &'v mut Vocab,
 }
 
-impl<'s, 'v> Parser<'s, 'v> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<&'s str, ParseError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'#')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected identifier");
-        }
-        Ok(std::str::from_utf8(&self.src[start..self.pos]).expect("ascii slice"))
-    }
-
-    fn value(&mut self) -> Result<crate::vocab::Value, ParseError> {
-        let start = self.pos;
-        let neg = self.eat(b'-');
-        let tok = self.ident()?;
-        if let Ok(mut i) = tok.parse::<i64>() {
-            if neg {
-                i = -i;
-            }
-            return Ok(self.vocab.val_int(i));
-        }
-        if neg {
-            self.pos = start;
-            return self.err("'-' must be followed by an integer");
-        }
-        Ok(self.vocab.val_str(tok))
-    }
-
+impl Parser<'_, '_> {
     fn term(
         &mut self,
         tree: &mut Option<Tree>,
         parent: Option<NodeId>,
     ) -> Result<NodeId, ParseError> {
-        self.skip_ws();
-        let name = self.ident()?;
+        self.c.skip_ws();
+        let name = self.c.ident()?;
         let label = Label::Sym(self.vocab.sym(name));
         let node = match (parent, tree.as_mut()) {
             (Some(p), Some(t)) => t.add_child(p, label),
@@ -115,40 +41,39 @@ impl<'s, 'v> Parser<'s, 'v> {
             }
             _ => unreachable!("parent iff tree exists"),
         };
-        self.skip_ws();
-        if self.eat(b'[') {
+        self.c.skip_ws();
+        if self.c.eat(b'[') {
             loop {
-                self.skip_ws();
-                let aname = self.ident()?;
-                let attr = self.vocab.attr(aname);
-                self.skip_ws();
-                if !self.eat(b'=') {
-                    return self.err("expected '=' in attribute");
+                self.c.skip_ws();
+                let attr = self.vocab.attr(self.c.ident()?);
+                self.c.skip_ws();
+                if !self.c.eat(b'=') {
+                    return Err(self.c.error("expected '=' in attribute"));
                 }
-                self.skip_ws();
-                let val = self.value()?;
+                self.c.skip_ws();
+                let val = self.c.value(self.vocab)?;
                 tree.as_mut()
                     .expect("tree exists")
                     .set_attr(node, attr, val);
-                self.skip_ws();
-                if self.eat(b']') {
+                self.c.skip_ws();
+                if self.c.eat(b']') {
                     break;
                 }
-                if !self.eat(b',') {
-                    return self.err("expected ',' or ']' in attribute list");
+                if !self.c.eat(b',') {
+                    return Err(self.c.error("expected ',' or ']' in attribute list"));
                 }
             }
         }
-        self.skip_ws();
-        if self.eat(b'(') {
+        self.c.skip_ws();
+        if self.c.eat(b'(') {
             loop {
                 self.term(tree, Some(node))?;
-                self.skip_ws();
-                if self.eat(b')') {
+                self.c.skip_ws();
+                if self.c.eat(b')') {
                     break;
                 }
-                if !self.eat(b',') {
-                    return self.err("expected ',' or ')' in child list");
+                if !self.c.eat(b',') {
+                    return Err(self.c.error("expected ',' or ')' in child list"));
                 }
             }
         }
@@ -159,16 +84,12 @@ impl<'s, 'v> Parser<'s, 'v> {
 /// Parse a tree from the term syntax, interning into `vocab`.
 pub fn parse_tree(src: &str, vocab: &mut Vocab) -> Result<Tree, ParseError> {
     let mut p = Parser {
-        src: src.as_bytes(),
-        pos: 0,
+        c: Cursor::new(Syntax::Term, src),
         vocab,
     };
     let mut tree = None;
     p.term(&mut tree, None)?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return p.err("trailing input after tree");
-    }
+    p.c.end("trailing input after tree")?;
     let t = tree.expect("term() always creates the root");
     debug_assert!(t.check_consistency().is_ok());
     Ok(t)

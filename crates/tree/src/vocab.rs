@@ -245,6 +245,17 @@ impl Vocab {
         id
     }
 
+    /// Intern the value a text spells: an integer when `str::parse::<i64>`
+    /// accepts the text, otherwise the text as a string. Every reader
+    /// interns literals and attribute values through this rule, so a query
+    /// constant is the same value as the document text that spells it.
+    pub fn val_text(&mut self, text: &str) -> Value {
+        match int_text(text) {
+            Some(i) => self.val_int(i),
+            None => self.val_str(text),
+        }
+    }
+
     /// Look up a string-shaped value without interning.
     pub fn val_str_opt(&self, s: &str) -> Option<Value> {
         self.str_ids.get(s).copied()
@@ -291,6 +302,11 @@ impl Vocab {
             n += 1;
         }
     }
+}
+
+/// The integer `text` spells under [`Vocab::val_text`]'s rule, if any.
+pub(crate) fn int_text(text: &str) -> Option<i64> {
+    text.parse().ok()
 }
 
 /// `i`'s index in the small-integer table, if it has one.

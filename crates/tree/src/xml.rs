@@ -11,56 +11,36 @@
 use std::fmt::Write;
 use std::ops::Range;
 
+use crate::lex::{ParseError, Syntax};
 use crate::tree::{Label, NodeId, Tree};
 use crate::vocab::{AttrId, SymId, Vocab};
-
-/// An XML parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XmlError {
-    /// Byte offset.
-    pub at: usize,
-    /// Description.
-    pub msg: String,
-}
-
-impl std::fmt::Display for XmlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "xml error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for XmlError {}
 
 // ----- errors: built off the hot path --------------------------------
 
 #[cold]
-fn error(at: usize, msg: &str) -> XmlError {
-    XmlError {
+fn error(at: usize, msg: impl Into<String>) -> ParseError {
+    ParseError {
+        syntax: Syntax::Xml,
         at,
-        msg: msg.to_owned(),
+        msg: msg.into(),
     }
 }
 
 #[cold]
-fn expected(at: usize, c: char) -> XmlError {
-    XmlError {
-        at,
-        msg: format!("expected '{c}'"),
-    }
+fn expected(at: usize, c: char) -> ParseError {
+    error(at, format!("expected '{c}'"))
 }
 
 /// The error for a closing tag at `at` whose name is not `src[tag]`: no
 /// name at all, or another one, reported where it ends.
 #[cold]
-fn closing_error(src: &str, at: usize, tag: Range<usize>) -> XmlError {
+fn closing_error(src: &str, at: usize, tag: Range<usize>) -> ParseError {
     let end = name_end(src.as_bytes(), at);
     if end == at {
         return error(at, "expected name");
     }
-    XmlError {
-        at: end,
-        msg: format!("mismatched </{}>, expected </{}>", &src[at..end], &src[tag]),
-    }
+    let msg = format!("mismatched </{}>, expected </{}>", &src[at..end], &src[tag]);
+    error(end, msg)
 }
 
 // ----- eight bytes at a time -----------------------------------------
@@ -159,7 +139,7 @@ fn quote_at(src: &[u8], mut at: usize) -> usize {
 
 /// The value of a string of `len` bytes whose first word is `head`, when
 /// it is one to eight ASCII digits. Any other value is left to
-/// `str::parse`, so both agree on every input.
+/// [`Vocab::val_text`], so both agree on every input.
 #[inline]
 fn digits(head: u64, len: usize) -> Option<i64> {
     if !(1..=8).contains(&len) {
@@ -306,7 +286,7 @@ fn name_slots(len: usize) -> usize {
 /// quotes and short integers are found eight bytes at a time; names and
 /// values are read as spans of `src`, and a closing tag is checked
 /// against its start tag's span.
-pub fn parse_xml(src: &str, vocab: &mut Vocab) -> Result<Tree, XmlError> {
+pub fn parse_xml(src: &str, vocab: &mut Vocab) -> Result<Tree, ParseError> {
     let bytes = src.as_bytes();
     let mut syms = Memo::new(name_slots(bytes.len()), SymId(0));
     let mut attrs = Memo::new(16, AttrId(0));
@@ -361,13 +341,7 @@ pub fn parse_xml(src: &str, vocab: &mut Vocab) -> Result<Tree, XmlError> {
             }
             let value = match digits(head, pos - start) {
                 Some(i) => vocab.val_int(i),
-                None => {
-                    let raw = &src[start..pos];
-                    match raw.parse::<i64>() {
-                        Ok(i) => vocab.val_int(i),
-                        Err(_) => vocab.val_str(raw),
-                    }
-                }
+                None => vocab.val_text(&src[start..pos]),
             };
             tree.attr_column_mut(attr)[node.idx()] = value;
             pos += 1;
@@ -481,7 +455,6 @@ mod tests {
     use super::*;
     use crate::generate::{random_tree, TreeGenConfig};
     use crate::parse::tree_to_string;
-    use crate::vocab::Value;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -705,14 +678,6 @@ mod tests {
         }
     }
 
-    /// `text` interned as the reader interns an attribute value.
-    fn intern_value(v: &mut Vocab, text: &str) -> Value {
-        match text.parse::<i64>() {
-            Ok(i) => v.val_int(i),
-            Err(_) => v.val_str(text),
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -739,7 +704,7 @@ mod tests {
                     let pool = (0..rng.gen_range(1..8))
                         .map(|_| {
                             let text = random_value_text(&mut rng);
-                            intern_value(&mut v, &text)
+                            v.val_text(&text)
                         })
                         .collect();
                     (v.attr(&name), pool)
@@ -763,7 +728,7 @@ mod tests {
                     let value = t.attr(u, a);
                     if !value.is_bot() {
                         want.attr(v.attr_name(a));
-                        intern_value(&mut want, &v.value_display(value));
+                        want.val_text(&v.value_display(value));
                     }
                 }
             }

@@ -30,5 +30,5 @@ pub use compile::{compile, compile_guarded};
 pub use cost::{walk_cost, WalkEstimate, WalkParams};
 pub use eval::{eval_from, eval_from_in, eval_pairs, pred_holds, select_batch};
 pub use generate::{random_xpath, random_xpath_shaped, XPathGenConfig, XPathShape};
-pub use parse::{parse_xpath, XPathParseError};
+pub use parse::parse_xpath;
 pub use to_program::{xpath_to_program, xpath_to_program_checked, SelectionTest};

@@ -9,88 +9,21 @@
 //! value  := ident | integer
 //! ```
 
-use twq_tree::Vocab;
+use twq_tree::{Cursor, ParseError, Syntax, Vocab};
 
 use crate::ast::{Pred, XPath};
 
-/// An XPath parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XPathParseError {
-    /// Byte offset.
-    pub at: usize,
-    /// Description.
-    pub msg: String,
-}
-
-impl std::fmt::Display for XPathParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "xpath parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for XPathParseError {}
-
 struct P<'s, 'v> {
-    src: &'s [u8],
-    pos: usize,
+    c: Cursor<'s>,
     vocab: &'v mut Vocab,
 }
 
 impl P<'_, '_> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, XPathParseError> {
-        Err(XPathParseError {
-            at: self.pos,
-            msg: msg.into(),
-        })
-    }
-
-    fn ws(&mut self) {
-        while self.pos < self.src.len() && self.src[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat2(&mut self, a: u8, b: u8) -> bool {
-        if self.peek() == Some(a) && self.src.get(self.pos + 1) == Some(&b) {
-            self.pos += 2;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn ident(&mut self) -> Result<&str, XPathParseError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return self.err("expected identifier");
-        }
-        Ok(std::str::from_utf8(&self.src[start..self.pos]).expect("ascii"))
-    }
-
-    fn path(&mut self) -> Result<XPath, XPathParseError> {
+    fn path(&mut self) -> Result<XPath, ParseError> {
         let mut p = self.seq()?;
         loop {
-            self.ws();
-            if self.eat(b'|') {
+            self.c.skip_ws();
+            if self.c.eat(b'|') {
                 let q = self.seq()?;
                 p = XPath::Union(Box::new(p), Box::new(q));
             } else {
@@ -99,22 +32,22 @@ impl P<'_, '_> {
         }
     }
 
-    fn seq(&mut self) -> Result<XPath, XPathParseError> {
-        self.ws();
+    fn seq(&mut self) -> Result<XPath, ParseError> {
+        self.c.skip_ws();
         // Leading axis.
-        let mut p = if self.eat2(b'/', b'/') {
+        let mut p = if self.c.eat_str("//") {
             XPath::FromDesc(Box::new(self.step()?))
-        } else if self.eat(b'/') {
+        } else if self.c.eat(b'/') {
             XPath::FromRoot(Box::new(self.step()?))
         } else {
             self.step()?
         };
         loop {
-            self.ws();
-            if self.eat2(b'/', b'/') {
+            self.c.skip_ws();
+            if self.c.eat_str("//") {
                 let s = self.step()?;
                 p = XPath::Descendant(Box::new(p), Box::new(s));
-            } else if self.eat(b'/') {
+            } else if self.c.eat(b'/') {
                 let s = self.step()?;
                 p = XPath::Child(Box::new(p), Box::new(s));
             } else {
@@ -123,21 +56,20 @@ impl P<'_, '_> {
         }
     }
 
-    fn step(&mut self) -> Result<XPath, XPathParseError> {
-        self.ws();
-        let mut p = if self.eat(b'*') {
+    fn step(&mut self) -> Result<XPath, ParseError> {
+        self.c.skip_ws();
+        let mut p = if self.c.eat(b'*') {
             XPath::Wild
         } else {
-            let name = self.ident()?.to_owned();
-            XPath::Name(self.vocab.sym(&name))
+            XPath::Name(self.vocab.sym(self.c.ident()?))
         };
         loop {
-            self.ws();
-            if self.eat(b'[') {
+            self.c.skip_ws();
+            if self.c.eat(b'[') {
                 let pred = self.pred()?;
-                self.ws();
-                if !self.eat(b']') {
-                    return self.err("expected ']'");
+                self.c.skip_ws();
+                if !self.c.eat(b']') {
+                    return Err(self.c.error("expected ']'"));
                 }
                 p = XPath::Filter(Box::new(p), Box::new(pred));
             } else {
@@ -146,51 +78,32 @@ impl P<'_, '_> {
         }
     }
 
-    fn pred(&mut self) -> Result<Pred, XPathParseError> {
-        self.ws();
-        if self.eat(b'@') {
-            let a = self.ident()?.to_owned();
-            let a = self.vocab.attr(&a);
-            self.ws();
-            if !self.eat(b'=') {
-                return self.err("expected '=' in attribute predicate");
+    fn pred(&mut self) -> Result<Pred, ParseError> {
+        self.c.skip_ws();
+        if self.c.eat(b'@') {
+            let a = self.vocab.attr(self.c.ident()?);
+            self.c.skip_ws();
+            if !self.c.eat(b'=') {
+                return Err(self.c.error("expected '=' in attribute predicate"));
             }
-            self.ws();
-            if self.eat(b'@') {
-                let b = self.ident()?.to_owned();
-                let b = self.vocab.attr(&b);
-                return Ok(Pred::AttrEqAttr(a, b));
+            self.c.skip_ws();
+            if self.c.eat(b'@') {
+                return Ok(Pred::AttrEqAttr(a, self.vocab.attr(self.c.ident()?)));
             }
-            let neg = self.eat(b'-');
-            let tok = self.ident()?.to_owned();
-            let value = if let Ok(mut i) = tok.parse::<i64>() {
-                if neg {
-                    i = -i;
-                }
-                self.vocab.val_int(i)
-            } else if neg {
-                return self.err("'-' must precede an integer");
-            } else {
-                self.vocab.val_str(&tok)
-            };
-            return Ok(Pred::AttrEqConst(a, value));
+            return Ok(Pred::AttrEqConst(a, self.c.value(self.vocab)?));
         }
         Ok(Pred::Path(crate::ast::relativize(self.path()?)))
     }
 }
 
 /// Parse an XPath expression, interning names into `vocab`.
-pub fn parse_xpath(src: &str, vocab: &mut Vocab) -> Result<XPath, XPathParseError> {
+pub fn parse_xpath(src: &str, vocab: &mut Vocab) -> Result<XPath, ParseError> {
     let mut p = P {
-        src: src.as_bytes(),
-        pos: 0,
+        c: Cursor::new(Syntax::XPath, src),
         vocab,
     };
     let path = p.path()?;
-    p.ws();
-    if p.pos != p.src.len() {
-        return p.err("trailing input");
-    }
+    p.c.end("trailing input")?;
     Ok(path)
 }
 

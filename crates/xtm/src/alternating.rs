@@ -13,12 +13,12 @@
 //! progress measure (every cycle-free machine, and in particular every
 //! machine in [`crate::machines`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use twq_guard::{DepthKind, GaugeKind, Guard, GuardError, NullGuard, TwqError};
 use twq_tree::{DelimTree, Value};
 
-use crate::machine::{HeadMove, Mode, TreeDir, XGuard, XRegOp, Xtm, XtmConfig, XtmLimits};
+use crate::machine::{apply, enabled, Mode, Xtm, XtmConfig, XtmLimits};
 
 /// Result of an alternating run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,83 +38,13 @@ struct AltExec<'a, G: Guard> {
     tree: &'a twq_tree::Tree,
     limits: XtmLimits,
     memo: HashMap<XtmConfig, bool>,
-    in_progress: HashMap<XtmConfig, ()>,
+    in_progress: HashSet<XtmConfig>,
     space: usize,
     truncated: bool,
     guard: &'a mut G,
 }
 
 impl<G: Guard> AltExec<'_, G> {
-    fn successors(&self, cfg: &XtmConfig) -> Vec<XtmConfig> {
-        let label = self.tree.label(cfg.node);
-        let sym = cfg.tape.get(cfg.head).copied().unwrap_or(0);
-        let mut out = Vec::new();
-        for r in self.m.rules() {
-            if r.state != cfg.state || r.label != label || r.tape != sym {
-                continue;
-            }
-            if r.cell0.is_some_and(|b| b != (cfg.head == 0)) {
-                continue;
-            }
-            let guard_ok = match r.guard {
-                XGuard::True => true,
-                XGuard::RegEqAttr(i, a) => cfg.regs[i as usize] == self.tree.attr(cfg.node, a),
-                XGuard::RegNeAttr(i, a) => cfg.regs[i as usize] != self.tree.attr(cfg.node, a),
-                XGuard::RegEqReg(i, j) => cfg.regs[i as usize] == cfg.regs[j as usize],
-                XGuard::RegNeReg(i, j) => cfg.regs[i as usize] != cfg.regs[j as usize],
-            };
-            if !guard_ok {
-                continue;
-            }
-            // Apply.
-            let mut next = cfg.clone();
-            if let XRegOp::LoadAttr(i, a) = r.reg {
-                next.regs[i as usize] = self.tree.attr(cfg.node, a);
-            }
-            // Tape write.
-            if next.head >= next.tape.len() {
-                if r.write != 0 {
-                    next.tape.resize(next.head + 1, 0);
-                    next.tape[next.head] = r.write;
-                }
-            } else {
-                next.tape[next.head] = r.write;
-                while next.tape.last() == Some(&0) {
-                    next.tape.pop();
-                }
-            }
-            let head_ok = match r.head {
-                HeadMove::Left => match next.head.checked_sub(1) {
-                    Some(h) => {
-                        next.head = h;
-                        true
-                    }
-                    None => false,
-                },
-                HeadMove::Right => {
-                    next.head += 1;
-                    true
-                }
-                HeadMove::Stay => true,
-            };
-            if !head_ok {
-                continue;
-            }
-            let moved = match r.tree {
-                TreeDir::Stay => Some(cfg.node),
-                TreeDir::Left => self.tree.prev_sibling(cfg.node),
-                TreeDir::Right => self.tree.next_sibling(cfg.node),
-                TreeDir::Up => self.tree.parent(cfg.node),
-                TreeDir::Down => self.tree.first_child(cfg.node),
-            };
-            let Some(node) = moved else { continue };
-            next.node = node;
-            next.state = r.next;
-            out.push(next);
-        }
-        out
-    }
-
     fn eval(&mut self, cfg: XtmConfig) -> Result<bool, GuardError> {
         if cfg.state == self.m.accept() {
             return Ok(true);
@@ -122,7 +52,7 @@ impl<G: Guard> AltExec<'_, G> {
         if let Some(&b) = self.memo.get(&cfg) {
             return Ok(b);
         }
-        if self.in_progress.contains_key(&cfg) {
+        if self.in_progress.contains(&cfg) {
             // Least-fixpoint: an unfounded recursion does not accept.
             return Ok(false);
         }
@@ -136,17 +66,21 @@ impl<G: Guard> AltExec<'_, G> {
             self.guard.gauge(GaugeKind::TapeCells, self.space)?;
             self.guard.gauge(GaugeKind::Configs, self.memo.len())?;
         }
-        self.in_progress.insert(cfg.clone(), ());
+        self.in_progress.insert(cfg.clone());
         if G::ENABLED {
             if let Err(e) = self.guard.enter(DepthKind::Alternation) {
                 self.in_progress.remove(&cfg);
                 return Err(e);
             }
         }
-        let succs = self.successors(&cfg);
-        let mut result = Ok(!matches!(self.m.mode(cfg.state), Mode::Exist));
+        let (m, tree) = (self.m, self.tree);
+        let succs = m
+            .rules_for(tree, &cfg)
+            .filter(|r| enabled(r, tree, &cfg))
+            .filter_map(|r| apply(tree, &cfg, r));
+        let mut result = Ok(!matches!(m.mode(cfg.state), Mode::Exist));
         for s in succs {
-            match (self.m.mode(cfg.state), self.eval(s)) {
+            match (m.mode(cfg.state), self.eval(s)) {
                 (Mode::Exist, Ok(true)) => {
                     result = Ok(true);
                     break;
@@ -194,7 +128,7 @@ pub fn run_alternating_guarded<G: Guard>(
         tree,
         limits,
         memo: HashMap::new(),
-        in_progress: HashMap::new(),
+        in_progress: HashSet::new(),
         space: 0,
         truncated: false,
         guard,
@@ -223,7 +157,7 @@ pub fn run_alternating_guarded<G: Guard>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{XtmBuilder, BLANK};
+    use crate::machine::{HeadMove, TreeDir, XtmBuilder, BLANK};
     use twq_tree::{parse_tree, Label, Vocab};
 
     #[test]

@@ -305,8 +305,12 @@ impl Xtm {
         self.rules.iter().all(|r| r.tape <= 1 && r.write <= 1)
     }
 
-    fn rules_for(&self, s: XState, l: Label, t: TapeSym) -> &[usize] {
-        self.index.get(&(s, l, t)).map_or(&[], |v| v.as_slice())
+    /// The rules keyed on `cfg`'s state, node label and tape symbol, in
+    /// declaration order.
+    pub(crate) fn rules_for(&self, tree: &Tree, cfg: &XtmConfig) -> impl Iterator<Item = &XtmRule> {
+        let key = (cfg.state, tree.label(cfg.node), cfg.read());
+        let ids = self.index.get(&key).map_or(&[][..], |v| v.as_slice());
+        ids.iter().map(|&i| &self.rules[i])
     }
 }
 
@@ -421,19 +425,23 @@ fn tree_move(tree: &Tree, u: NodeId, d: TreeDir) -> Option<NodeId> {
     }
 }
 
-fn guard_holds(g: XGuard, tree: &Tree, u: NodeId, regs: &[Value]) -> bool {
-    match g {
-        XGuard::True => true,
-        XGuard::RegEqAttr(i, a) => regs[i as usize] == tree.attr(u, a),
-        XGuard::RegNeAttr(i, a) => regs[i as usize] != tree.attr(u, a),
-        XGuard::RegEqReg(i, j) => regs[i as usize] == regs[j as usize],
-        XGuard::RegNeReg(i, j) => regs[i as usize] != regs[j as usize],
-    }
+/// Whether `rule`, keyed on `cfg` (see [`Xtm::rules_for`]), may fire: its
+/// cell-0 test and its register guard hold.
+pub(crate) fn enabled(rule: &XtmRule, tree: &Tree, cfg: &XtmConfig) -> bool {
+    let (regs, u) = (&cfg.regs, cfg.node);
+    rule.cell0.is_none_or(|b| b == (cfg.head == 0))
+        && match rule.guard {
+            XGuard::True => true,
+            XGuard::RegEqAttr(i, a) => regs[i as usize] == tree.attr(u, a),
+            XGuard::RegNeAttr(i, a) => regs[i as usize] != tree.attr(u, a),
+            XGuard::RegEqReg(i, j) => regs[i as usize] == regs[j as usize],
+            XGuard::RegNeReg(i, j) => regs[i as usize] != regs[j as usize],
+        }
 }
 
 /// Apply one rule to a configuration; `None` if the move falls off the
 /// tree or tape.
-fn apply(m: &Xtm, tree: &Tree, cfg: &XtmConfig, rule: &XtmRule) -> Option<XtmConfig> {
+pub(crate) fn apply(tree: &Tree, cfg: &XtmConfig, rule: &XtmRule) -> Option<XtmConfig> {
     let mut next = cfg.clone();
     if let XRegOp::LoadAttr(i, a) = rule.reg {
         next.regs[i as usize] = tree.attr(cfg.node, a);
@@ -446,7 +454,6 @@ fn apply(m: &Xtm, tree: &Tree, cfg: &XtmConfig, rule: &XtmRule) -> Option<XtmCon
     };
     next.node = tree_move(tree, cfg.node, rule.tree)?;
     next.state = rule.next;
-    let _ = m;
     Some(next)
 }
 
@@ -505,27 +512,22 @@ pub fn run_xtm_in<C: Collector, G: Guard>(
                 break Err(e);
             }
         }
-        let label = tree.label(cfg.node);
-        let sym = cfg.read();
         let mut chosen = None;
         let mut nondet = false;
-        for &i in m.rules_for(cfg.state, label, sym) {
-            let r = &m.rules()[i];
+        for r in m.rules_for(tree, &cfg) {
             c.fo_eval(twq_obs::FoEval::Guard);
-            if r.cell0.is_none_or(|b| b == (cfg.head == 0))
-                && guard_holds(r.guard, tree, cfg.node, &cfg.regs)
-            {
+            if enabled(r, tree, &cfg) {
                 if chosen.is_some() {
                     nondet = true;
                     break;
                 }
-                chosen = Some(i);
+                chosen = Some(r);
             }
         }
         if nondet {
             break Ok(XtmHalt::Nondeterministic);
         }
-        let Some(i) = chosen else {
+        let Some(rule) = chosen else {
             break Ok(XtmHalt::Stuck);
         };
         if steps >= limits.max_steps {
@@ -544,7 +546,7 @@ pub fn run_xtm_in<C: Collector, G: Guard>(
                 cfg.tape.clear();
             }
         }
-        match apply(m, tree, &cfg, &m.rules()[i]) {
+        match apply(tree, &cfg, rule) {
             Some(next) => cfg = next,
             None => break Ok(XtmHalt::Stuck),
         }

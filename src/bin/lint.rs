@@ -38,84 +38,17 @@
 //! unparseable arguments or queries.
 
 use twq::analyze::{analyze, analyze_for_class, lint_zoo, prune, severity_counts};
-use twq::automata::{examples, TwProgram};
 use twq::exec::Pool;
 use twq::index::{CostModel, Force, TreeIndex};
 use twq::logic::{parse_fo, Formula};
 use twq::obs::{col, Cell, HumanReporter, JsonlReporter, Reporter};
-use twq::protocol::at_most_k_values_program;
 use twq::rw::{
     normalize_formula, plan_indexed, query_severity_counts, rewrite, Certificate, IndexedEvaluator,
     RewriteCtx, Rewritten,
 };
-use twq::sim::{compile_logspace, compile_pspace, delta_count_mod3};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{Label, Vocab};
-use twq::xpath::{parse_xpath, xpath_to_program, SelectionTest, XPath};
-use twq::xtm::machines;
-
-/// Every program the repository ships, paired with a stable name.
-fn roster(vocab: &mut Vocab) -> Vec<(String, TwProgram)> {
-    let base = TreeGenConfig::example32(vocab, 1, &[1]);
-    let a = vocab.attr_opt("a").unwrap();
-    let id = vocab.attr("id");
-    let machine = machines::leaf_count_even(&base.symbols);
-    let mut out: Vec<(String, TwProgram)> = vec![
-        ("example_32".into(), examples::example_32(vocab).program),
-        (
-            "traversal".into(),
-            examples::traversal_program(&base.symbols),
-        ),
-        (
-            "even_leaves".into(),
-            examples::even_leaves_program(&base.symbols),
-        ),
-        (
-            "all_leaves_equal".into(),
-            examples::all_leaves_equal_program(&base.symbols, a),
-        ),
-        (
-            "parent_child_match".into(),
-            examples::parent_child_match_program(&base.symbols, a),
-        ),
-        (
-            "distinct_values>=4".into(),
-            examples::distinct_values_at_least(&base.symbols, a, 4),
-        ),
-        (
-            "at_most_4_values".into(),
-            at_most_k_values_program(base.symbols[0], a, 4),
-        ),
-        (
-            "delta_count_mod3".into(),
-            delta_count_mod3(
-                Label::Sym(base.symbols[0]),
-                Label::Sym(base.symbols[1]),
-                vocab,
-            ),
-        ),
-        (
-            "logspace(leaf_count_even)".into(),
-            compile_logspace(&machine, &base.symbols, id, vocab)
-                .unwrap()
-                .program,
-        ),
-        (
-            "pspace(leaf_count_even)".into(),
-            compile_pspace(&machine, &base.symbols, id, vocab)
-                .unwrap()
-                .program,
-        ),
-    ];
-    for q in ["sigma/delta", "//delta[sigma]"] {
-        let path = parse_xpath(q, vocab).unwrap();
-        out.push((
-            format!("xpath({q})"),
-            xpath_to_program(&path, &base.symbols, id, SelectionTest::NonEmpty),
-        ));
-    }
-    out
-}
+use twq::tree::Vocab;
+use twq::xpath::{parse_xpath, XPath};
 
 /// The bundled query roster for `--rewrite`: each entry exercises a
 /// different slice of the rule catalog and certificate taxonomy.
@@ -277,7 +210,7 @@ fn main() {
     let mut errors = 0usize;
     let mut pruned_notes: Vec<String> = Vec::new();
     // Prepare (serial): roster construction mutates the vocabulary.
-    let programs = roster(&mut vocab);
+    let programs = twq::roster(&mut vocab);
     // Execute (parallel): every analysis pass and the pruner are pure in
     // the program, so they fan out across the pool.
     let analyzed = pool.scoped(programs.len(), |i| {

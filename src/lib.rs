@@ -78,3 +78,76 @@ pub use twq_sim as sim;
 pub use twq_tree as tree;
 pub use twq_xpath as xpath;
 pub use twq_xtm as xtm;
+
+/// Every program the repository ships, paired with a stable name: the
+/// worked examples, the protocol walker, the Theorem 7.1 compiler outputs
+/// and two XPath-compiled acceptors, all over Example 3.2's alphabet.
+/// `lint` analyzes this roster, and the analyzer tests check it.
+pub fn roster(vocab: &mut tree::Vocab) -> Vec<(String, automata::TwProgram)> {
+    use automata::{examples, TwProgram};
+    use protocol::at_most_k_values_program;
+    use sim::{compile_logspace, compile_pspace, delta_count_mod3};
+    use tree::{generate::TreeGenConfig, Label};
+    use xpath::{parse_xpath, xpath_to_program, SelectionTest};
+    use xtm::machines;
+
+    let base = TreeGenConfig::example32(vocab, 1, &[1]);
+    let a = vocab.attr_opt("a").unwrap();
+    let id = vocab.attr("id");
+    let machine = machines::leaf_count_even(&base.symbols);
+    let mut out: Vec<(String, TwProgram)> = vec![
+        ("example_32".into(), examples::example_32(vocab).program),
+        (
+            "traversal".into(),
+            examples::traversal_program(&base.symbols),
+        ),
+        (
+            "even_leaves".into(),
+            examples::even_leaves_program(&base.symbols),
+        ),
+        (
+            "all_leaves_equal".into(),
+            examples::all_leaves_equal_program(&base.symbols, a),
+        ),
+        (
+            "parent_child_match".into(),
+            examples::parent_child_match_program(&base.symbols, a),
+        ),
+        (
+            "distinct_values>=4".into(),
+            examples::distinct_values_at_least(&base.symbols, a, 4),
+        ),
+        (
+            "at_most_4_values".into(),
+            at_most_k_values_program(base.symbols[0], a, 4),
+        ),
+        (
+            "delta_count_mod3".into(),
+            delta_count_mod3(
+                Label::Sym(base.symbols[0]),
+                Label::Sym(base.symbols[1]),
+                vocab,
+            ),
+        ),
+        (
+            "logspace(leaf_count_even)".into(),
+            compile_logspace(&machine, &base.symbols, id, vocab)
+                .unwrap()
+                .program,
+        ),
+        (
+            "pspace(leaf_count_even)".into(),
+            compile_pspace(&machine, &base.symbols, id, vocab)
+                .unwrap()
+                .program,
+        ),
+    ];
+    for q in ["sigma/delta", "//delta[sigma]"] {
+        let path = parse_xpath(q, vocab).unwrap();
+        out.push((
+            format!("xpath({q})"),
+            xpath_to_program(&path, &base.symbols, id, SelectionTest::NonEmpty),
+        ));
+    }
+    out
+}

@@ -11,12 +11,9 @@ use twq::automata::{State, TwProgramBuilder};
 use twq::guard::TwqError;
 use twq::logic::store::sbuild::*;
 use twq::logic::RegId;
-use twq::protocol::at_most_k_values_program;
-use twq::sim::{compile_logspace, compile_pspace, delta_count_mod3};
 use twq::tree::generate::{random_tree, TreeGenConfig};
 use twq::tree::{DelimTree, Label, Value, Vocab};
 use twq::xpath::{random_xpath, xpath_to_program, SelectionTest, XPathGenConfig};
-use twq::xtm::machines;
 
 /// Rebuild `prog` with seed-dependent junk that provably cannot change
 /// the accepted language: a pair of unreachable states with rules among
@@ -70,61 +67,6 @@ fn junkify(prog: &TwProgram, seed: u64) -> TwProgram {
     }
     b.build()
         .expect("junkified programs keep the builder invariants")
-}
-
-/// The bundled program roster, as `twq lint` sees it.
-fn roster(vocab: &mut Vocab) -> Vec<(String, TwProgram)> {
-    let base = TreeGenConfig::example32(vocab, 1, &[1]);
-    let a = vocab.attr_opt("a").unwrap();
-    let id = vocab.attr("id");
-    let machine = machines::leaf_count_even(&base.symbols);
-    vec![
-        ("example_32".into(), examples::example_32(vocab).program),
-        (
-            "traversal".into(),
-            examples::traversal_program(&base.symbols),
-        ),
-        (
-            "even_leaves".into(),
-            examples::even_leaves_program(&base.symbols),
-        ),
-        (
-            "all_leaves_equal".into(),
-            examples::all_leaves_equal_program(&base.symbols, a),
-        ),
-        (
-            "parent_child_match".into(),
-            examples::parent_child_match_program(&base.symbols, a),
-        ),
-        (
-            "distinct_values>=4".into(),
-            examples::distinct_values_at_least(&base.symbols, a, 4),
-        ),
-        (
-            "at_most_4_values".into(),
-            at_most_k_values_program(base.symbols[0], a, 4),
-        ),
-        (
-            "delta_count_mod3".into(),
-            delta_count_mod3(
-                Label::Sym(base.symbols[0]),
-                Label::Sym(base.symbols[1]),
-                vocab,
-            ),
-        ),
-        (
-            "logspace(leaf_count_even)".into(),
-            compile_logspace(&machine, &base.symbols, id, vocab)
-                .unwrap()
-                .program,
-        ),
-        (
-            "pspace(leaf_count_even)".into(),
-            compile_pspace(&machine, &base.symbols, id, vocab)
-                .unwrap()
-                .program,
-        ),
-    ]
 }
 
 proptest! {
@@ -198,7 +140,7 @@ proptest! {
 #[test]
 fn inference_agrees_with_classify_and_check_class() {
     let mut vocab = Vocab::new();
-    for (name, prog) in roster(&mut vocab) {
+    for (name, prog) in twq::roster(&mut vocab) {
         let inf = infer(&prog);
         assert_eq!(inf.class, prog.classify(), "{name}");
         for target in [TwClass::Tw, TwClass::TwL, TwClass::TwR, TwClass::TwRL] {
@@ -268,7 +210,7 @@ fn roster_diagnostics_are_fixed_or_allowlisted() {
         ("pspace(leaf_count_even)", &["DS001", "DS002", "OV002"]),
     ];
     let mut vocab = Vocab::new();
-    for (name, prog) in roster(&mut vocab) {
+    for (name, prog) in twq::roster(&mut vocab) {
         let allowed: &[&str] = allow
             .iter()
             .find(|(n, _)| *n == name)

@@ -454,7 +454,7 @@ fn xpath_walk_fuel_is_proportional_to_work() {
         let mut free = ResourceGuard::unlimited();
         let out = eval_from_in(&t, &p, t.root(), &mut NullCollector, &mut free).unwrap();
         assert_eq!(out, eval_from(&t, &p, t.root()), "{q}");
-        let spent = free.stats().ticks;
+        let spent = free.fuel_spent();
         let bound = 4 * p.size() as u64 * n;
         assert!(spent <= bound, "{q}: {spent} fuel > 4·|q|·n = {bound}");
     }

@@ -7,11 +7,13 @@ use twq::automata::examples::{distinct_values_at_least, example_32};
 use twq::automata::{run_on_tree, Action, Limits};
 use twq::guard::{NullGuard, ResourceGuard};
 use twq::logic::exists::selectors;
-use twq::logic::{eval_sentence, parse_fo};
+use twq::logic::{eval_sentence, parse_fo, Formula, TreeAtom, Var};
 use twq::obs::{FoEval, MetricsCollector, NullCollector};
 use twq::tree::generate::{random_tree, TreeGenConfig};
-use twq::tree::{parse_xml, to_xml, DelimTree, Label, NodeSet, Vocab};
-use twq::xpath::{eval_from, eval_from_in, parse_xpath, xpath_to_program, SelectionTest};
+use twq::tree::{parse_tree, parse_xml, to_xml, DelimTree, Label, NodeSet, Vocab};
+use twq::xpath::{
+    eval_from, eval_from_in, parse_xpath, xpath_to_program, Pred, SelectionTest, XPath,
+};
 
 /// The descendants relation agrees across all three formalisms:
 /// caterpillar `(down right*)+`, XPath `//*`-from-context, and FO `≺`.
@@ -158,7 +160,9 @@ fn delim_leaf_selection_stays_in_the_subtree() {
 
 /// An XML document round-trips through the tree store and an
 /// XPath-compiled tree-walking acceptor answers a query on it — the full
-/// paper pipeline: XML → attributed tree → XPath → FO(∃*) → tw^{r,l}.
+/// paper pipeline: XML → attributed tree → XPath → FO(∃*) → tw^{r,l}. Along
+/// the way every reader interns a literal as the value the document text
+/// that spells it reads as, so a query constant `d ∈ D` denotes itself.
 #[test]
 fn xml_to_walking_acceptor_pipeline() {
     let mut vocab = Vocab::new();
@@ -184,6 +188,32 @@ fn xml_to_walking_acceptor_pipeline() {
     let miss = xpath_to_program(&q_miss, &syms, uid, SelectionTest::NonEmpty);
     assert!(run_on_tree(&hit, &doc, Limits::default()).accepted());
     assert!(!run_on_tree(&miss, &doc, Limits::default()).accepted());
+
+    let (a, v) = (vocab.sym("a"), vocab.attr("v"));
+    for text in [
+        "-9223372036854775808",
+        "9223372036854775807",
+        "-3",
+        "0",
+        "007",
+        "99999999999999999999",
+        "x",
+        "abc_1",
+    ] {
+        let doc = parse_xml(&format!(r#"<a v="{text}"/>"#), &mut vocab).unwrap();
+        let d = doc.attr(doc.root(), v);
+        let step = XPath::Filter(Box::new(XPath::Name(a)), Box::new(Pred::AttrEqConst(v, d)));
+        let xpath = parse_xpath(&format!("//a[@v={text}]"), &mut vocab);
+        assert_eq!(xpath, Ok(XPath::FromDesc(Box::new(step))), "{text}");
+        let fo = parse_fo(&format!("val(v, x) = {text}"), &mut vocab).map(|p| p.formula);
+        assert_eq!(
+            fo,
+            Ok(Formula::Atom(TreeAtom::ValConst(v, Var(0), d))),
+            "{text}"
+        );
+        let term = parse_tree(&format!("a[v={text}]"), &mut vocab).unwrap();
+        assert_eq!(term.attr(term.root(), v), d, "{text}");
+    }
 }
 
 /// Parsed FO sentences agree with the same properties checked natively.
